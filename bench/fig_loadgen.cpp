@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
   }
   print_result("open-overload", overload_result);
 
-  frontend.flush_latency_metrics();
   const StageLatencyBreakdown stages = frontend.stage_latency();
   std::printf("  server stages (all passes): decode mean=%.0fns "
               "cluster mean=%.0fns encode mean=%.0fns\n",

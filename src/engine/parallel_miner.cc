@@ -88,8 +88,8 @@ MiningSession& MiningSession::enable_tracing(bool enabled,
 
 MiningSession& MiningSession::enable_progress(bool enabled,
                                               double interval_seconds) {
-  options_.progress = enabled;
-  options_.progress_interval_seconds = interval_seconds;
+  progress_ = enabled;
+  progress_interval_seconds_ = interval_seconds;
   if (enabled && metrics_ == nullptr) enable_metrics();
   return *this;
 }
@@ -208,16 +208,16 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
   }
 
   obs::MetricsRegistry* const metrics = metrics_.get();
-  obs::Timer* const shard_timer =
+  obs::LatencyRecorder* const shard_timer =
       metrics != nullptr ? &metrics->timer("engine.shard") : nullptr;
   obs::TraceCollector* const trace = trace_.get();
 
   // The heartbeat only loads the pre-resolved handles it captures here;
   // shards keep hammering their relaxed atomics, no lock is shared.
   std::unique_ptr<obs::ProgressReporter> progress;
-  if (options_.progress && metrics != nullptr) {
+  if (progress_ && metrics != nullptr) {
     obs::ProgressConfig progress_config;
-    progress_config.interval_seconds = options_.progress_interval_seconds;
+    progress_config.interval_seconds = progress_interval_seconds_;
     progress_config.expected_queries = options_.scale.queries_per_day;
     progress_config.shard_count = shard_count;
     progress =
@@ -268,12 +268,8 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
         // Same reduced-volume warmup day the classic pipeline runs, shard
         // filtered: warm clients hash into the same partition, so each
         // shard cache warms exactly like its server would.
-        ScenarioScale warm_scale = options_.scale;
-        warm_scale.queries_per_day = static_cast<std::uint64_t>(
-            static_cast<double>(warm_scale.queries_per_day) *
-            options_.warmup_volume_fraction);
-        warm_scale.traffic_stream ^= 0xbeefcafeULL;
-        Scenario warm(date, warm_scale);
+        Scenario warm(date, warmup_scale(options_.scale,
+                                         options_.warmup_volume_fraction));
         warm.traffic().run_day_shard(day_index - 1, spec, feed);
         fed = 0;  // warmup queries are not part of the day
       }

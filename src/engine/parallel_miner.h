@@ -194,6 +194,8 @@ class MiningSession {
   std::shared_ptr<obs::TelemetryServer> telemetry_;
   std::uint16_t telemetry_port_ = 0;
   double telemetry_stall_seconds_ = 30.0;
+  bool progress_ = false;
+  double progress_interval_seconds_ = 1.0;
 };
 
 /// Parallel drop-in for DisposableZoneMiner::mine: fans mine_zone over the

@@ -8,24 +8,6 @@
 
 namespace dnsnoise {
 
-namespace {
-
-/// In-process warmup feed, identical to the pipeline's drive loop.
-void drive_warmup(TrafficGenerator& traffic, RdnsCluster& cluster,
-                  std::int64_t day, obs::Heartbeat& heartbeat) {
-  Question question;  // scratch reused across the day (zero-alloc re-parse)
-  traffic.run_day(day, [&cluster, &question, &heartbeat](
-                           SimTime ts, std::uint64_t client,
-                           const QuerySpec& query) {
-    heartbeat.tick();
-    if (!question.name.assign(query.qname)) return;
-    question.type = query.qtype;
-    cluster.query_view(client, question, ts);
-  });
-}
-
-}  // namespace
-
 ServedMiningDay::ServedMiningDay(
     ScenarioDate date, const PipelineOptions& options, std::size_t threads,
     const DnsServerOptions& server,
@@ -52,13 +34,9 @@ ServedMiningDay::ServedMiningDay(
     // The same reduced-volume warmup day simulate_day runs, in-process and
     // before the capture attaches: caches reach steady state identically
     // whether the measured day then arrives in-process or over the wire.
-    ScenarioScale warm_scale = scenario_.scale();
-    warm_scale.queries_per_day = static_cast<std::uint64_t>(
-        static_cast<double>(warm_scale.queries_per_day) *
-        options_.warmup_volume_fraction);
-    warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(date, warm_scale);
-    drive_warmup(warm.traffic(), *cluster_, day_index_ - 1, heartbeat);
+    Scenario warm(date, warmup_scale(scenario_.scale(),
+                                     options_.warmup_volume_fraction));
+    drive_day(warm.traffic(), *cluster_, day_index_ - 1, &heartbeat);
   }
 
   capture_.start_day(day_index_);
@@ -132,12 +110,8 @@ MiningDayResult ServedMiningDay::finish() {
     return result;
   }
   // Quiesce the serving threads before touching the tap; queries arriving
-  // after stop() are no longer answered (clients see a timeout).  Flush
-  // the final partial latency window first — the session registry is
-  // alive here, and stop() itself never touches it (an abandoned,
-  // unfinished day may be destroyed after its registry).
+  // after stop() are no longer answered (clients see a timeout).
   detach_slowlog();
-  frontend_->flush_latency_metrics();
   frontend_->stop();
   cluster_->flush_taps();
   if (sketch_shard_ != nullptr) {

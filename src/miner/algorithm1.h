@@ -18,8 +18,8 @@
 
 namespace dnsnoise::obs {
 class Counter;
+class LatencyRecorder;
 class MetricsRegistry;
-class Timer;
 }  // namespace dnsnoise::obs
 
 namespace dnsnoise {
@@ -95,7 +95,7 @@ class DisposableZoneMiner {
   obs::Counter* groups_classified_ = nullptr;
   obs::Counter* groups_decolored_ = nullptr;
   obs::Counter* names_decolored_ = nullptr;
-  obs::Timer* features_timer_ = nullptr;
+  obs::LatencyRecorder* features_timer_ = nullptr;
   obs::TraceStream* trace_stream_ = nullptr;  // null when untraced
 };
 

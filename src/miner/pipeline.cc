@@ -3,20 +3,23 @@
 #include "obs/heartbeat.h"
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/sketch/traffic_sketch.h"
-#include "obs/telemetry_server.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
 namespace dnsnoise {
 
-namespace {
+ScenarioScale warmup_scale(const ScenarioScale& scale,
+                           double volume_fraction) {
+  ScenarioScale warm = scale;
+  warm.queries_per_day = static_cast<std::uint64_t>(
+      static_cast<double>(warm.queries_per_day) * volume_fraction);
+  warm.traffic_stream ^= 0xbeefcafeULL;
+  return warm;
+}
 
-/// Feeds one generated day into the cluster.  `heartbeat` (null-gated)
-/// keeps the cluster stage alive on /healthz during the day.
 void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
-               std::int64_t day, obs::Heartbeat* heartbeat = nullptr) {
+               std::int64_t day, obs::Heartbeat* heartbeat) {
   Question question;  // scratch reused across the day (zero-alloc re-parse)
   traffic.run_day(day, [&cluster, &question, heartbeat](
                            SimTime ts, std::uint64_t client,
@@ -29,8 +32,6 @@ void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
     cluster.query_view(client, question, ts);
   });
 }
-
-}  // namespace
 
 DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
                            const PipelineOptions& options,
@@ -52,15 +53,10 @@ DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
           : nullptr,
       options.trace, obs::TraceOp::kClusterSimulate);
   if (options.warmup) {
-    // Warm the caches with a reduced-volume preceding day.  The warmup
-    // scenario shares the zone population (same seed) but draws a distinct
-    // query stream, so disposable names are not artificially re-queried.
-    ScenarioScale warm_scale = scenario.scale();
-    warm_scale.queries_per_day = static_cast<std::uint64_t>(
-        static_cast<double>(warm_scale.queries_per_day) *
-        options.warmup_volume_fraction);
-    warm_scale.traffic_stream ^= 0xbeefcafeULL;
-    Scenario warm(scenario.date(), warm_scale);
+    // Warm the caches with a reduced-volume preceding day.
+    Scenario warm(scenario.date(),
+                  warmup_scale(scenario.scale(),
+                               options.warmup_volume_fraction));
     drive_day(warm.traffic(), cluster, day_index - 1, &heartbeat);
   }
   capture.start_day(day_index);
@@ -175,37 +171,15 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
 MiningDayResult run_mining_day(ScenarioDate date,
                                const PipelineOptions& options,
                                DayCapture* capture) {
-  // Run-scoped observability surfaces.  Declaration order matters on the
-  // way out: the run-active gauge drops first (so /healthz reads "idle"),
-  // then the progress reporter flushes its final line, then the telemetry
-  // server serves until destruction.
-  std::unique_ptr<obs::TelemetryServer> telemetry;
-  if (options.telemetry_port != 0 && options.metrics != nullptr) {
-    obs::TelemetryConfig config;
-    config.port = options.telemetry_port;
-    config.stall_seconds = options.telemetry_stall_seconds;
-    telemetry =
-        std::make_unique<obs::TelemetryServer>(*options.metrics, config);
-    telemetry->start();
-  }
-  std::unique_ptr<obs::ProgressReporter> progress;
-  if (options.progress && options.metrics != nullptr) {
-    obs::ProgressConfig progress_config;
-    progress_config.interval_seconds = options.progress_interval_seconds;
-    progress = std::make_unique<obs::ProgressReporter>(*options.metrics,
-                                                       progress_config);
-  }
+  // /healthz (when a caller serves this registry) reads "active" for the
+  // duration of the run.
   const obs::RunActiveScope run_active(options.metrics);
 
   Scenario scenario(date, options.scale);
   DayCapture local_capture(options.capture);
   DayCapture& tap = capture != nullptr ? *capture : local_capture;
   simulate_day(scenario, tap, options, scenario_day_index(date));
-  MiningDayResult result = finish_mining_day(tap, scenario, options);
-  if (telemetry != nullptr && !result.trace_json.empty()) {
-    telemetry->publish_trace(result.trace_json);
-  }
-  return result;
+  return finish_mining_day(tap, scenario, options);
 }
 
 }  // namespace dnsnoise

@@ -18,6 +18,7 @@
 #include "workload/scenario.h"
 
 namespace dnsnoise::obs {
+class Heartbeat;
 class MetricsRegistry;
 class TraceCollector;
 class TrafficSketchPlane;
@@ -61,21 +62,6 @@ struct PipelineOptions {
   /// (the default) attaches nothing — zero hot-path overhead — and
   /// findings are byte-identical either way (TrafficPlane.* tests).
   obs::TrafficSketchPlane* sketch = nullptr;
-  /// Opt-in live telemetry endpoint (DESIGN.md §13): when non-zero and
-  /// `metrics` is set, run_mining_day serves GET /metrics (OpenMetrics),
-  /// /healthz, and /trace on 127.0.0.1:<port> for the duration of the
-  /// run.  MiningSession::enable_telemetry owns a session-lifetime server
-  /// instead, surviving across days.  Scrapes snapshot on the serve
-  /// thread; findings are bit-identical with the endpoint on or off.
-  std::uint16_t telemetry_port = 0;
-  /// /healthz flags a stage as stalled once its heartbeat gauge is older
-  /// than this while a run is active.
-  double telemetry_stall_seconds = 30.0;
-  /// Opt-in stderr progress heartbeat (one background reader thread, no
-  /// hot-path locks); requires `metrics`.  MiningSession::enable_progress
-  /// sets both fields.
-  bool progress = false;
-  double progress_interval_seconds = 1.0;
 };
 
 /// Per-date aggregates used by the growth figures (Fig. 13, Tables I/II).
@@ -129,6 +115,16 @@ struct MiningDayResult {
 MiningDayResult run_mining_day(ScenarioDate date,
                                const PipelineOptions& options = {},
                                DayCapture* capture = nullptr);
+
+/// The reduced-volume warmup day run before a measured day: the same zone
+/// population (same seed), `volume_fraction` of the queries, and a
+/// distinct query stream, so disposable names are not re-queried.
+ScenarioScale warmup_scale(const ScenarioScale& scale, double volume_fraction);
+
+/// Feeds one generated day of `traffic` into `cluster`.  `heartbeat`
+/// (null-gated) ticks once per query, keeping its stage alive on /healthz.
+void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
+               std::int64_t day, obs::Heartbeat* heartbeat = nullptr);
 
 /// Simulates one day of `scenario` traffic into `capture` (with optional
 /// warmup day at reduced volume), without mining.  Returns the cluster's

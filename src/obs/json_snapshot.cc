@@ -1,5 +1,7 @@
 #include "obs/json_snapshot.h"
 
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dnsnoise::obs {
@@ -27,6 +29,31 @@ void object_section(std::string& out, std::string_view section,
   out += "\n  }";
 }
 
+/// One timer/histogram entry: exact count/total/min/max and the
+/// recorder's percentiles, every value divided by `scale` and every key
+/// but "count" suffixed with `unit`.
+void distribution_fields(std::string& out, const MetricSample& s,
+                         double scale, std::string_view unit) {
+  const LatencySnapshot& d = s.distribution;
+  const std::pair<std::string_view, double> fields[] = {
+      {"total", static_cast<double>(d.sum_ns)},
+      {"min", static_cast<double>(d.min_ns)},
+      {"max", static_cast<double>(d.max_ns)},
+      {"p50", d.quantile_ns(0.50)},
+      {"p90", d.quantile_ns(0.90)},
+      {"p99", d.quantile_ns(0.99)},
+      {"p999", d.quantile_ns(0.999)}};
+  json_key(out, 4, s.name);
+  out += "{\"count\": " + std::to_string(d.count);
+  for (const auto& [key, value] : fields) {
+    out += ", \"";
+    out += key;
+    out += unit;
+    out += "\": " + format_double(value / scale);
+  }
+  out += "}";
+}
+
 }  // namespace
 
 std::string to_json(const MetricsSnapshot& snapshot,
@@ -44,7 +71,7 @@ std::string to_json(const MetricsSnapshot& snapshot,
     }
   }
 
-  std::string out = "{\n  \"schema\": \"dnsnoise-metrics-v1\"";
+  std::string out = "{\n  \"schema\": \"dnsnoise-metrics-v2\"";
   if (!meta.empty()) {
     out += ",\n";
     json_key(out, 2, "meta");
@@ -70,32 +97,11 @@ std::string to_json(const MetricsSnapshot& snapshot,
     out += format_double(s.value);
   }, first_section);
   object_section(out, "timers", timers, [&out](const MetricSample& s) {
-    json_key(out, 4, s.name);
-    out += "{\"count\": " + std::to_string(s.count) +
-           ", \"total_seconds\": " + format_double(s.total_seconds) +
-           ", \"min_seconds\": " + format_double(s.min_seconds) +
-           ", \"max_seconds\": " + format_double(s.max_seconds) + "}";
+    distribution_fields(out, s, 1e9, "_seconds");
   }, first_section);
   object_section(out, "histograms", histograms,
                  [&out](const MetricSample& s) {
-    const HistogramPercentiles tails = estimate_percentiles(s);
-    json_key(out, 4, s.name);
-    out += "{\"count\": " + std::to_string(s.count) +
-           ", \"zero_count\": " + std::to_string(s.zero_count) +
-           ", \"p50\": " + format_double(tails.p50) +
-           ", \"p90\": " + format_double(tails.p90) +
-           ", \"p99\": " + format_double(tails.p99) +
-           ", \"p999\": " + format_double(tails.p999) +
-           ", \"bins\": [";
-    bool first = true;
-    for (const SnapshotBin& bin : s.bins) {
-      if (!first) out += ", ";
-      first = false;
-      out += "{\"lo\": " + format_double(bin.lo) +
-             ", \"hi\": " + format_double(bin.hi) +
-             ", \"count\": " + std::to_string(bin.count) + "}";
-    }
-    out += "]}";
+    distribution_fields(out, s, 1.0, "");
   }, first_section);
 
   out += "\n}\n";

@@ -5,21 +5,24 @@
 // binaries emit (tools/check_bench_regression.py gates CI on those).
 //
 //   {
-//     "schema": "dnsnoise-metrics-v1",
+//     "schema": "dnsnoise-metrics-v2",
 //     "meta": {"bench": "micro_throughput"},          // optional, sorted
 //     "counters":   {"name": 123, ...},
 //     "gauges":     {"name": 1.5, ...},
 //     "timers":     {"name": {"count": N, "total_seconds": s,
-//                             "min_seconds": s, "max_seconds": s}, ...},
-//     "histograms": {"name": {"count": N, "zero_count": Z,
-//                             "p50": x, "p90": x, "p99": x, "p999": x,
-//                             "bins": [{"lo": x, "hi": y, "count": n}]}, ...}
+//                             "min_seconds": s, "max_seconds": s,
+//                             "p50_seconds": s, "p90_seconds": s,
+//                             "p99_seconds": s, "p999_seconds": s}, ...},
+//     "histograms": {"name": {"count": N, "total": x, "min": x, "max": x,
+//                             "p50": x, "p90": x, "p99": x,
+//                             "p999": x}, ...}
 //   }
 //
-// Histogram percentiles are estimated from the log-scale bucket counts
-// (obs::estimate_percentiles): geometric interpolation within the
-// covering bin, so per-stage latency tails are first-class in every
-// exported snapshot.
+// Timers and histograms are the same type (obs/latency's
+// LatencyRecorder) and carry the same fields; timers record nanoseconds
+// and export seconds.  Counts, totals and extremes are exact; percentiles
+// come from LatencySnapshot::quantile_ns, within 1/32 of the exact rank
+// value.
 //
 // Stability contract: keys are name-sorted, layout is fixed (2-space
 // indent, one key per line), and doubles use the shortest round-trip

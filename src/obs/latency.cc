@@ -63,15 +63,6 @@ LatencySnapshot LatencySnapshot::delta_since(const LatencySnapshot& prev)
   return delta;
 }
 
-void LatencySnapshot::publish_to(Histogram& histogram) const {
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const double lo = static_cast<double>(LatencyBuckets::lower_bound(i));
-    const double hi = static_cast<double>(LatencyBuckets::upper_bound(i));
-    histogram.record(std::sqrt(std::max(lo, 1.0) * hi), counts[i]);
-  }
-}
-
 LatencyRecorder::LatencyRecorder(std::size_t shards) {
   if (shards == 0) shards = 1;
   shards_.reserve(shards);
@@ -80,24 +71,21 @@ LatencyRecorder::LatencyRecorder(std::size_t shards) {
   }
 }
 
-LatencyRecorder::Shard& LatencyRecorder::thread_shard() {
-  // One slot per (thread, recorder): a thread may bind to several
-  // recorders (decode/cluster/encode breakdowns live side by side).
-  struct Binding {
-    const LatencyRecorder* recorder = nullptr;
-    Shard* shard = nullptr;
-  };
-  thread_local std::vector<Binding> bindings;
-  for (const Binding& b : bindings) {
-    if (b.recorder == this) return *b.shard;
+LatencyRecorder::Shard& LatencyRecorder::thread_shard() noexcept {
+  // Assigned once per thread, shared by every recorder: consecutive
+  // threads land on distinct shards of any recorder.
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local const std::size_t thread_index =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return *shards_[thread_index % shards_.size()];
+}
+
+std::uint64_t LatencyRecorder::total_ns() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->sum_ns_.load(std::memory_order_relaxed);
   }
-  std::size_t index;
-  {
-    const std::lock_guard lock(bind_mutex_);
-    index = next_bind_++ % shards_.size();
-  }
-  bindings.push_back(Binding{this, shards_[index].get()});
-  return *bindings.back().shard;
+  return total;
 }
 
 void LatencyRecorder::reset() noexcept {
@@ -125,7 +113,9 @@ LatencySnapshot LatencyRecorder::snapshot() const {
         std::max(out.max_ns, shard->max_ns_.load(std::memory_order_relaxed));
   }
   for (const std::uint64_t c : out.counts) out.count += c;
-  out.min_ns = out.count == 0 ? 0 : min_ns;
+  // A racing writer may have bumped its bucket before its min landed;
+  // keep min <= max so quantile_ns's clamp range stays valid.
+  out.min_ns = out.count == 0 ? 0 : std::min(min_ns, out.max_ns);
   return out;
 }
 

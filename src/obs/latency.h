@@ -1,12 +1,13 @@
-// HDR-style latency recorder for the load harness (DESIGN.md §16).
+// The one histogram type of the observability layer (DESIGN.md §10).
 //
-// Where obs/metrics' Histogram is a coarse spinlocked log histogram meant
-// for batch-granularity recording, LatencyRecorder is the per-query RTT
-// sink: fixed-point log2-linear buckets (~3.1% relative width), wait-free
-// single-writer shards, and a deterministic merge — the merged bucket
-// counts are a pure function of the recorded value multiset, so
-// threads(N) produces byte-identical snapshots to threads(1) over the
-// same values (LatencyRecorder.* tests, TSan-covered).
+// LatencyRecorder is what every MetricsRegistry timer and histogram is,
+// what the wire front-end records its per-query stage clocks into, and
+// what the load generator records RTTs into: fixed-point log2-linear
+// buckets (~3.1% relative width), exact count/sum/min/max, sharded
+// writers, and a deterministic merge — the merged bucket counts are a
+// pure function of the recorded value multiset, so threads(N) produces
+// byte-identical snapshots to threads(1) over the same values
+// (LatencyRecorder.* tests, TSan-covered).
 //
 // Bucket layout (kSubBits = 5):
 //   * values in [0, 32) get one exact bucket each (index == value);
@@ -14,19 +15,19 @@
 //     width 2^(e-5), so the relative bucket width is bounded by 1/32
 //     everywhere — the HdrHistogram trick, integer-only, no floating
 //     point on the record path;
-//   * values at or above 2^kMaxExponent ns (~73 minutes) clamp into the
-//     top bucket and are counted in `saturated`.
+//   * values at or above 2^kMaxExponent (~73 minutes in ns) clamp into
+//     the top bucket and are counted in `saturated`.
 //
-// Sharding contract: a Shard is single-writer.  record() is one relaxed
-// fetch_add on the owning thread; concurrent readers (snapshot) see a
-// consistent-enough view for monitoring, and an exact one once writers
-// quiesce.  Bind threads to shards either explicitly (shard(i)) or via
-// the round-robin thread_shard() helper.
-//
-// LatencySnapshot::publish_to() folds the merged counts into a
-// MetricsRegistry Histogram (bucket geometric centers, weighted), which
-// is how recorder contents reach the OpenMetrics `_bucket` series and
-// `_percentile` gauges on /metrics.
+// Sharding contract: record() is relaxed fetch_adds on one shard plus a
+// CAS on min/max only when an extreme moves.  A thread's shard is its
+// process-wide thread index (assigned once per thread) modulo the shard
+// count, so a recorder keeps no per-thread binding that could outlive
+// it.  Threads may share a shard — counts and sums stay exact, min/max
+// stay exact through the CAS — so sharing costs contention, never
+// accuracy.  shard(i) binds a writer explicitly instead (the load
+// generator's one shard per connection).  Concurrent readers (snapshot)
+// see a consistent-enough view for monitoring, and an exact one once
+// writers quiesce.
 #pragma once
 
 #include <array>
@@ -38,8 +39,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"
 
 namespace dnsnoise::obs {
 
@@ -109,24 +108,20 @@ struct LatencySnapshot {
   /// p50/p90/p99/p999 in seconds via quantile_ns.
   LatencyPercentiles percentiles_seconds() const noexcept;
 
-  /// Counts recorded since `prev` (bucket-wise subtraction); used to feed
-  /// periodic deltas into a registry histogram.  `prev` must be an older
-  /// snapshot of the same recorder.
+  /// Counts recorded since `prev` (bucket-wise subtraction), e.g. one
+  /// pass of a long-lived recorder.  `prev` must be an older snapshot of
+  /// the same recorder.  Extremes are cumulative: min/max stay the
+  /// current ones.
   LatencySnapshot delta_since(const LatencySnapshot& prev) const;
-
-  /// Folds the bucket counts into a registry histogram (geometric bucket
-  /// centers in nanoseconds, weighted), putting recorder contents on the
-  /// OpenMetrics `_bucket`/`_percentile` exposition path.
-  void publish_to(Histogram& histogram) const;
 };
 
-/// Owner of the sharded bucket arrays.  Thread-safe: shard acquisition
-/// is indexed (no lock), recording is wait-free on the owning thread.
+/// Owner of the sharded bucket arrays.  Thread-safe throughout: shard
+/// selection is indexed (no lock), recording is lock-free.
 class LatencyRecorder {
  public:
-  /// One single-writer bucket array.  ~10KB; record() is one relaxed
-  /// fetch_add plus min/max maintenance (single-writer, so plain
-  /// load-compare-store suffices; readers use relaxed loads).
+  /// One bucket array (~10KB).  record() is relaxed fetch_adds plus a
+  /// CAS loop on min/max that only spins while an extreme moves, so
+  /// threads sharing a shard keep every field exact.
   class Shard {
    public:
     void record(std::uint64_t ns) noexcept {
@@ -136,13 +131,12 @@ class LatencyRecorder {
       if (ns >= (std::uint64_t{1} << LatencyBuckets::kMaxExponent)) {
         saturated_.fetch_add(1, std::memory_order_relaxed);
       }
-      // Single-writer contract: no CAS loop needed.
-      if (ns > max_ns_.load(std::memory_order_relaxed)) {
-        max_ns_.store(ns, std::memory_order_relaxed);
-      }
-      if (ns < min_ns_.load(std::memory_order_relaxed)) {
-        min_ns_.store(ns, std::memory_order_relaxed);
-      }
+      std::uint64_t max = max_ns_.load(std::memory_order_relaxed);
+      while (ns > max && !max_ns_.compare_exchange_weak(
+                             max, ns, std::memory_order_relaxed)) {}
+      std::uint64_t min = min_ns_.load(std::memory_order_relaxed);
+      while (ns < min && !min_ns_.compare_exchange_weak(
+                             min, ns, std::memory_order_relaxed)) {}
     }
 
    private:
@@ -164,10 +158,17 @@ class LatencyRecorder {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   Shard& shard(std::size_t i) noexcept { return *shards_[i % shards_.size()]; }
 
-  /// The calling thread's round-robin shard: the first call from a thread
-  /// binds it (mutex, slow path), later calls are a thread_local read.
-  /// Distinct recorders bind independently.
-  Shard& thread_shard();
+  /// The calling thread's shard: its process-wide thread index modulo
+  /// shard_count().  No per-recorder state, so a recorder built where a
+  /// destroyed one lived never inherits its shards.
+  Shard& thread_shard() noexcept;
+
+  /// Records `v` into the calling thread's shard.
+  void record(std::uint64_t v) noexcept { thread_shard().record(v); }
+
+  /// Exact sum of every recorded value (nanoseconds for timers); a few
+  /// relaxed loads, no bucket walk.
+  std::uint64_t total_ns() const noexcept;
 
   /// Zeroes every shard.  Callers must quiesce writers first (the
   /// warmup→measure reset happens at a worker barrier).
@@ -180,8 +181,6 @@ class LatencyRecorder {
 
  private:
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex bind_mutex_;
-  std::size_t next_bind_ = 0;
 };
 
 /// One entry of the slow-query log: the total span plus the per-stage

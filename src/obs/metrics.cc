@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace dnsnoise::obs {
@@ -16,66 +14,6 @@ void Gauge::set_max(double v) noexcept {
   double current = value_.load(std::memory_order_relaxed);
   while (current < v && !value_.compare_exchange_weak(
                             current, v, std::memory_order_relaxed)) {}
-}
-
-void Timer::record_ns(std::uint64_t ns) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t min = min_ns_.load(std::memory_order_relaxed);
-  while (ns < min &&
-         !min_ns_.compare_exchange_weak(min, ns, std::memory_order_relaxed)) {}
-  std::uint64_t max = max_ns_.load(std::memory_order_relaxed);
-  while (ns > max &&
-         !max_ns_.compare_exchange_weak(max, ns, std::memory_order_relaxed)) {}
-}
-
-std::uint64_t Timer::min_ns() const noexcept {
-  const std::uint64_t min = min_ns_.load(std::memory_order_relaxed);
-  return min == ~0ULL ? 0 : min;
-}
-
-double estimate_quantile(const MetricSample& histogram, double q) noexcept {
-  if (histogram.count == 0 || !(q > 0.0) || !(q < 1.0)) return 0.0;
-  // Target rank in (0, count]; ceil so q = 0.5 of a 2-sample histogram
-  // lands on the first sample, matching the usual nearest-rank rule.
-  const double target =
-      std::max(1.0, std::ceil(q * static_cast<double>(histogram.count)));
-  double cumulative = static_cast<double>(histogram.zero_count);
-  if (target <= cumulative) return 0.0;  // rank inside the underflow bin
-  for (const SnapshotBin& bin : histogram.bins) {
-    const double next = cumulative + static_cast<double>(bin.count);
-    if (target <= next) {
-      // Geometric interpolation within the covering log-scale bin.
-      const double frac =
-          (target - cumulative) / static_cast<double>(bin.count);
-      if (!(bin.lo > 0.0) || !(bin.hi > bin.lo)) return bin.hi;
-      return bin.lo * std::pow(bin.hi / bin.lo, frac);
-    }
-    cumulative = next;
-  }
-  // Rank beyond the recorded bins (inconsistent sample); report the top.
-  return histogram.bins.empty() ? 0.0 : histogram.bins.back().hi;
-}
-
-HistogramPercentiles estimate_percentiles(
-    const MetricSample& histogram) noexcept {
-  HistogramPercentiles out;
-  out.p50 = estimate_quantile(histogram, 0.50);
-  out.p90 = estimate_quantile(histogram, 0.90);
-  out.p99 = estimate_quantile(histogram, 0.99);
-  out.p999 = estimate_quantile(histogram, 0.999);
-  return out;
-}
-
-double estimate_sum(const MetricSample& histogram) noexcept {
-  double sum = 0.0;
-  for (const SnapshotBin& bin : histogram.bins) {
-    const double center = bin.lo > 0.0 && bin.hi > bin.lo
-                              ? std::sqrt(bin.lo * bin.hi)
-                              : bin.hi;
-    sum += center * static_cast<double>(bin.count);
-  }
-  return sum;
 }
 
 const MetricSample* MetricsSnapshot::find(
@@ -115,21 +53,26 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *e.gauge;
 }
 
-Timer& MetricsRegistry::timer(std::string_view name) {
+LatencyRecorder& MetricsRegistry::distribution(std::string_view name,
+                                              MetricKind kind) {
+  // Shards bound the contention of concurrent writers (serving threads,
+  // engine workers); snapshots merge them, so the count changes nothing
+  // a reader sees.
+  constexpr std::size_t kShards = 4;
   std::lock_guard lock(mutex_);
-  Entry& e = entry(name, MetricKind::kTimer);
-  if (!e.timer) e.timer = std::make_unique<Timer>();
-  return *e.timer;
+  Entry& e = entry(name, kind);
+  if (!e.distribution) {
+    e.distribution = std::make_unique<LatencyRecorder>(kShards);
+  }
+  return *e.distribution;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name, double max,
-                                      std::size_t bins_per_decade) {
-  std::lock_guard lock(mutex_);
-  Entry& e = entry(name, MetricKind::kHistogram);
-  if (!e.histogram) {
-    e.histogram = std::make_unique<Histogram>(max, bins_per_decade);
-  }
-  return *e.histogram;
+LatencyRecorder& MetricsRegistry::timer(std::string_view name) {
+  return distribution(name, MetricKind::kTimer);
+}
+
+LatencyRecorder& MetricsRegistry::histogram(std::string_view name) {
+  return distribution(name, MetricKind::kHistogram);
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -138,7 +81,6 @@ std::size_t MetricsRegistry::size() const {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  constexpr double kNsPerSecond = 1e9;
   std::lock_guard lock(mutex_);
   MetricsSnapshot out;
   out.samples.reserve(entries_.size());
@@ -156,25 +98,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         sample.value = e.gauge->value();
         break;
       case MetricKind::kTimer:
-        sample.count = e.timer->count();
-        sample.total_seconds =
-            static_cast<double>(e.timer->total_ns()) / kNsPerSecond;
-        sample.min_seconds =
-            static_cast<double>(e.timer->min_ns()) / kNsPerSecond;
-        sample.max_seconds =
-            static_cast<double>(e.timer->max_ns()) / kNsPerSecond;
+      case MetricKind::kHistogram:
+        sample.distribution = e.distribution->snapshot();
+        sample.count = sample.distribution.count;
         break;
-      case MetricKind::kHistogram: {
-        const LogHistogram hist = e.histogram->copy();
-        sample.count = hist.total();
-        sample.zero_count = hist.zero_count();
-        for (std::size_t bin = 0; bin < hist.bins(); ++bin) {
-          if (hist.count(bin) == 0) continue;
-          sample.bins.push_back(
-              {hist.bin_lo(bin), hist.bin_hi(bin), hist.count(bin)});
-        }
-        break;
-      }
     }
     out.samples.push_back(std::move(sample));
   }

@@ -10,13 +10,11 @@
 //     nullable metric pointer and does nothing when it is null; no clock is
 //     read, no atomic touched.  Metrics are opt-in per run
 //     (MiningSession::enable_metrics / PipelineOptions::metrics).
-//   * Hot paths are lock-free.  Counter and Gauge are single relaxed
-//     atomics; shard workers hammer them concurrently without contention on
-//     anything wider.
-//   * Cold paths may lock.  Histogram guards a util/histogram LogHistogram
-//     with a spinlock and Timer uses CAS min/max — both record at stage
-//     granularity (per batch, per group, per shard), orders of magnitude
-//     below the per-query rate.
+//   * Recording is lock-free.  Counter and Gauge are single relaxed
+//     atomics; timers and histograms are the one sharded histogram type,
+//     obs/latency's LatencyRecorder (1/32-wide buckets, exact
+//     count/sum/min/max), recorded per query by the wire front-end and per
+//     batch/group/shard by the pipeline stages.
 //   * Registration is slow-path only.  counter()/gauge()/timer()/histogram()
 //     take a mutex and return a stable reference; call them once at
 //     attach/construction time and cache the pointer, never per event.
@@ -35,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "util/histogram.h"
+#include "obs/latency.h"
 
 namespace dnsnoise::obs {
 
@@ -69,65 +67,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Duration accumulator: count / total / min / max in nanoseconds, all
-/// lock-free.  Fed by StageTimer; record_ns is exposed for pre-measured
-/// spans.
-class Timer {
- public:
-  void record_ns(std::uint64_t ns) noexcept;
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_ns() const noexcept {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  /// 0 when no span has been recorded.
-  std::uint64_t min_ns() const noexcept;
-  std::uint64_t max_ns() const noexcept {
-    return max_ns_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> min_ns_{~0ULL};
-  std::atomic<std::uint64_t> max_ns_{0};
-};
-
-/// Latency/size distribution: a util/histogram LogHistogram behind a
-/// spinlock.  record() is cheap-but-not-free; use it at batch/stage
-/// granularity, not per query.
-class Histogram {
- public:
-  explicit Histogram(double max = 1e9, std::size_t bins_per_decade = 4)
-      : hist_(max, bins_per_decade) {}
-
-  void record(double value, std::uint64_t weight = 1) noexcept {
-    while (lock_.test_and_set(std::memory_order_acquire)) {}
-    hist_.add(value, weight);
-    lock_.clear(std::memory_order_release);
-  }
-
-  /// Consistent copy of the underlying histogram (snapshot path).
-  LogHistogram copy() const {
-    while (lock_.test_and_set(std::memory_order_acquire)) {}
-    LogHistogram out = hist_;
-    lock_.clear(std::memory_order_release);
-    return out;
-  }
-
- private:
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  LogHistogram hist_;
-};
-
 /// RAII wall-clock span over a pipeline stage.  A null timer disables the
 /// span entirely — the clock is never read, so instrumented code paths cost
 /// one predictable branch when metrics are off.
 class StageTimer {
  public:
-  explicit StageTimer(Timer* timer) noexcept : timer_(timer) {
+  explicit StageTimer(LatencyRecorder* timer) noexcept : timer_(timer) {
     if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~StageTimer() { stop(); }
@@ -140,7 +85,7 @@ class StageTimer {
     if (timer_ == nullptr) return;
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - start_);
-    timer_->record_ns(static_cast<std::uint64_t>(ns.count()));
+    timer_->record(static_cast<std::uint64_t>(ns.count()));
     timer_ = nullptr;
   }
 
@@ -153,18 +98,11 @@ class StageTimer {
   }
 
  private:
-  Timer* timer_;
+  LatencyRecorder* timer_;
   std::chrono::steady_clock::time_point start_{};
 };
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer, kHistogram };
-
-/// One non-empty bin of a snapshot histogram.
-struct SnapshotBin {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::uint64_t count = 0;
-};
 
 /// One metric frozen out of the registry.  Which fields are meaningful
 /// depends on `kind`; unused fields stay zero so snapshots of the same
@@ -172,13 +110,11 @@ struct SnapshotBin {
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t count = 0;        // counter value; timer/histogram count
-  double value = 0.0;             // gauge value
-  double total_seconds = 0.0;     // timer
-  double min_seconds = 0.0;       // timer
-  double max_seconds = 0.0;       // timer
-  std::uint64_t zero_count = 0;   // histogram underflow bin
-  std::vector<SnapshotBin> bins;  // histogram non-empty bins, ascending
+  std::uint64_t count = 0;  // counter value; timer/histogram observations
+  double value = 0.0;       // gauge value
+  /// Timer (nanoseconds) / histogram contents: every exported count, sum,
+  /// extreme and percentile is read from here.
+  LatencySnapshot distribution;
 };
 
 /// Name-sorted freeze of a registry; input to the JSON exporter.
@@ -189,34 +125,6 @@ struct MetricsSnapshot {
   /// The sample with `name`, or nullptr.
   const MetricSample* find(std::string_view name) const noexcept;
 };
-
-/// Latency-tail estimates derived from a frozen histogram sample's
-/// log-scale buckets (obs/json_snapshot and obs/openmetrics both expose
-/// them).  Bucket counts only bound each quantile to a bin; within the
-/// bin the estimate interpolates geometrically (the bins are log-spaced),
-/// so the error is bounded by the bin ratio (~78% worst case at the
-/// default 4 bins/decade), which is plenty for tail monitoring.
-struct HistogramPercentiles {
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-};
-
-/// The estimated `q`-quantile (0 < q < 1) of a kHistogram sample: walks
-/// the underflow bin then the ascending buckets to the target rank and
-/// interpolates within the covering bin.  Returns 0 for an empty
-/// histogram or a rank landing in the underflow bin (values < 1).
-double estimate_quantile(const MetricSample& histogram, double q) noexcept;
-
-/// p50/p90/p99/p999 of a kHistogram sample via estimate_quantile.
-HistogramPercentiles estimate_percentiles(
-    const MetricSample& histogram) noexcept;
-
-/// The estimated sum of all recorded values of a kHistogram sample
-/// (geometric bin centers weighted by count; the underflow bin
-/// contributes 0).  The OpenMetrics `_sum` series uses this.
-double estimate_sum(const MetricSample& histogram) noexcept;
 
 /// Owner of all metrics of one pipeline run.  Thread-safe throughout:
 /// registration locks, recording does not (see class comments above).
@@ -231,10 +139,12 @@ class MetricsRegistry {
   /// name is already registered with a different kind.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Timer& timer(std::string_view name);
-  /// `max`/`bins_per_decade` apply on first registration only.
-  Histogram& histogram(std::string_view name, double max = 1e9,
-                       std::size_t bins_per_decade = 4);
+  /// A histogram of nanosecond spans, exported in seconds (StageTimer
+  /// feeds it).
+  LatencyRecorder& timer(std::string_view name);
+  /// A histogram of unitless values (batch sizes, nanosecond latencies),
+  /// exported as recorded.
+  LatencyRecorder& histogram(std::string_view name);
 
   std::size_t size() const;
 
@@ -246,11 +156,11 @@ class MetricsRegistry {
     MetricKind kind = MetricKind::kCounter;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Timer> timer;
-    std::unique_ptr<Histogram> histogram;
+    std::unique_ptr<LatencyRecorder> distribution;  // kTimer / kHistogram
   };
 
   Entry& entry(std::string_view name, MetricKind kind);
+  LatencyRecorder& distribution(std::string_view name, MetricKind kind);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;

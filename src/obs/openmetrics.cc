@@ -1,6 +1,6 @@
 #include "obs/openmetrics.h"
 
-#include <vector>
+#include <utility>
 
 #include "obs/json_writer.h"
 
@@ -66,40 +66,45 @@ void emit_sample(std::string& out, const std::string& series,
   out += '\n';
 }
 
+/// A histogram family plus its `_percentile` gauge family, every value
+/// divided by `scale` (1e9 turns a timer's nanoseconds into seconds).
 void emit_histogram(std::string& out, const std::string& family,
-                    const MetricSample& sample,
+                    const LatencySnapshot& d, double scale,
                     const std::map<std::string, std::string>& labels,
                     const std::string& plain_labels) {
   emit_type(out, family, "histogram");
-  // Cumulative buckets: the underflow bin (values < 1) under le="1", then
-  // every non-empty log bin under its upper edge, closed by le="+Inf".
-  std::uint64_t cumulative = sample.zero_count;
-  emit_sample(out, family + "_bucket", render_labels(labels, "le", "1"),
-              std::to_string(cumulative));
-  for (const SnapshotBin& bin : sample.bins) {
-    cumulative += bin.count;
+  // Cumulative counts at the octave edges: each run of kSubCount buckets
+  // is one octave (the first is the exact range [0, 32)).  Saturated
+  // values sit above the top edge, so only +Inf counts them.
+  constexpr std::size_t kOctave = LatencyBuckets::kSubCount;
+  std::uint64_t cumulative = 0;
+  for (std::size_t first = 0; first < d.counts.size(); first += kOctave) {
+    const std::size_t last = first + kOctave - 1;
+    std::uint64_t in_octave = 0;
+    for (std::size_t i = first; i <= last; ++i) in_octave += d.counts[i];
+    if (last == LatencyBuckets::kBucketCount - 1) in_octave -= d.saturated;
+    if (in_octave == 0) continue;
+    cumulative += in_octave;
+    const double edge =
+        static_cast<double>(LatencyBuckets::upper_bound(last)) / scale;
     emit_sample(out, family + "_bucket",
-                render_labels(labels, "le", format_double(bin.hi)),
+                render_labels(labels, "le", format_double(edge)),
                 std::to_string(cumulative));
   }
   emit_sample(out, family + "_bucket", render_labels(labels, "le", "+Inf"),
-              std::to_string(sample.count));
+              std::to_string(d.count));
   emit_sample(out, family + "_sum", plain_labels,
-              format_double(estimate_sum(sample)));
-  emit_sample(out, family + "_count", plain_labels,
-              std::to_string(sample.count));
-  // Latency-tail estimates as a companion gauge family (histogram
-  // families admit no extra series, and `quantile` is reserved for
-  // summaries, so the percentile label is `p`).
-  const HistogramPercentiles tails = estimate_percentiles(sample);
+              format_double(static_cast<double>(d.sum_ns) / scale));
+  emit_sample(out, family + "_count", plain_labels, std::to_string(d.count));
+  // Tails as a companion gauge family (histogram families admit no extra
+  // series, and `quantile` is reserved for summaries, so the label is `p`).
   const std::string percentile = family + "_percentile";
   emit_type(out, percentile, "gauge");
   const std::pair<const char*, double> series[] = {
-      {"50", tails.p50}, {"90", tails.p90},
-      {"99", tails.p99}, {"99.9", tails.p999}};
-  for (const auto& [p, value] : series) {
+      {"50", 0.50}, {"90", 0.90}, {"99", 0.99}, {"99.9", 0.999}};
+  for (const auto& [p, q] : series) {
     emit_sample(out, percentile, render_labels(labels, "p", p),
-                format_double(value));
+                format_double(d.quantile_ns(q) / scale));
   }
 }
 
@@ -130,7 +135,7 @@ std::string to_openmetrics(const MetricsSnapshot& snapshot,
   const std::string plain_labels = render_labels(labels);
   emit_type(out, "dnsnoise_telemetry", "info");
   emit_sample(out, "dnsnoise_telemetry_info",
-              render_labels(labels, "schema", "dnsnoise-openmetrics-v1"),
+              render_labels(labels, "schema", "dnsnoise-openmetrics-v2"),
               "1");
   for (const MetricSample& sample : snapshot.samples) {
     const std::string family = openmetrics_name(sample.name);
@@ -144,23 +149,13 @@ std::string to_openmetrics(const MetricsSnapshot& snapshot,
         emit_type(out, family, "gauge");
         emit_sample(out, family, plain_labels, format_double(sample.value));
         break;
-      case MetricKind::kTimer: {
-        const std::string seconds = family + "_seconds";
-        emit_type(out, seconds, "summary");
-        emit_sample(out, seconds + "_count", plain_labels,
-                    std::to_string(sample.count));
-        emit_sample(out, seconds + "_sum", plain_labels,
-                    format_double(sample.total_seconds));
-        emit_type(out, family + "_min_seconds", "gauge");
-        emit_sample(out, family + "_min_seconds", plain_labels,
-                    format_double(sample.min_seconds));
-        emit_type(out, family + "_max_seconds", "gauge");
-        emit_sample(out, family + "_max_seconds", plain_labels,
-                    format_double(sample.max_seconds));
+      case MetricKind::kTimer:
+        emit_histogram(out, family + "_seconds", sample.distribution, 1e9,
+                       labels, plain_labels);
         break;
-      }
       case MetricKind::kHistogram:
-        emit_histogram(out, family, sample, labels, plain_labels);
+        emit_histogram(out, family, sample.distribution, 1.0, labels,
+                       plain_labels);
         break;
     }
   }

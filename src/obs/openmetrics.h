@@ -9,23 +9,30 @@
 //                                dnsnoise_stage_events_total 7
 //   gauge    stage.rate          # TYPE dnsnoise_stage_rate gauge
 //                                dnsnoise_stage_rate 1.5
-//   timer    stage.span          # TYPE dnsnoise_stage_span_seconds summary
-//                                dnsnoise_stage_span_seconds_count 3
-//                                dnsnoise_stage_span_seconds_sum 0.0006
-//                                + dnsnoise_stage_span_{min,max}_seconds gauges
-//   histogram stage.sizes        # TYPE dnsnoise_stage_sizes histogram
-//                                dnsnoise_stage_sizes_bucket{le="1"} ...
-//                                ... ascending, closed by le="+Inf"
-//                                dnsnoise_stage_sizes_sum / _count
-//                                + dnsnoise_stage_sizes_percentile{p="50"|...}
-//                                  gauges (obs::estimate_percentiles)
+//   timer    stage.span          # TYPE dnsnoise_stage_span_seconds histogram
+//                                dnsnoise_stage_span_seconds_bucket{le=...}
+//                                ... one per non-empty octave, ascending,
+//                                closed by le="+Inf"
+//                                dnsnoise_stage_span_seconds_sum / _count
+//                                + dnsnoise_stage_span_seconds_percentile
+//                                  {p="50"|"90"|"99"|"99.9"} gauges
+//   histogram stage.sizes        the same families without the unit:
+//                                dnsnoise_stage_sizes_bucket/_sum/_count
+//                                + dnsnoise_stage_sizes_percentile{p=...}
+//
+// Timers and histograms are both obs/latency's LatencyRecorder; timers
+// record nanoseconds and are exposed in seconds.  `_count` and `_sum` are
+// exact, bucket counts are exact cumulative counts at octave edges (the
+// recorder's bucket boundaries; `le` is the octave's exclusive upper
+// edge), and the `_percentile` gauges are LatencySnapshot::quantile_ns —
+// within 1/32 of the exact rank value, where a fixed set of `le` edges
+// could only bound them to an octave.
 //
 // Metric names are sanitized ('.' and every other invalid byte become
-// '_') and prefixed "dnsnoise_"; bucket counts are cumulative with the
-// underflow bin under le="1" (LogHistogram's zero bucket); `labels` are
-// constant labels stamped on every series, values escaped per the spec.
-// The document is name-sorted, byte-stable for identical registry state
-// (the JSON exporters' contract), and terminated with "# EOF".
+// '_') and prefixed "dnsnoise_"; `labels` are constant labels stamped on
+// every series, values escaped per the spec.  The document is
+// name-sorted, byte-stable for identical registry state (the JSON
+// exporters' contract), and terminated with "# EOF".
 #pragma once
 
 #include <map>

@@ -77,7 +77,7 @@ void ProgressReporter::print_line(double seconds_since_start,
   line += buf;
   if (config_.shard_count > 0) {
     const std::uint64_t done = std::min<std::uint64_t>(
-        shards_done_->count(), config_.shard_count);
+        shards_done_->snapshot().count, config_.shard_count);
     std::snprintf(buf, sizeof(buf), "  shards %" PRIu64 "/%zu", done,
                   config_.shard_count);
     line += buf;

@@ -25,13 +25,12 @@
 namespace dnsnoise::obs {
 
 class Counter;
+class LatencyRecorder;
 class MetricsRegistry;
-class Timer;
 
 struct ProgressConfig {
   /// Seconds between heartbeat lines (non-positive values fall back to
-  /// 1.0; configurable through MiningSession::enable_progress and
-  /// PipelineOptions::progress_interval_seconds).
+  /// 1.0; configurable through MiningSession::enable_progress).
   double interval_seconds = 1.0;
   /// Expected total queries below the cluster (day + warmup) for the ETA;
   /// 0 disables the ETA.
@@ -67,7 +66,7 @@ class ProgressReporter {
 
   ProgressConfig config_;
   Counter* answered_;       // cluster.below_answers
-  Timer* shards_done_;      // engine.shard (count == completed shards)
+  LatencyRecorder* shards_done_;  // engine.shard (count == shards done)
   std::FILE* out_;
   std::chrono::steady_clock::time_point start_;
   std::uint64_t last_answered_ = 0;

@@ -74,22 +74,17 @@ void TrafficSketch::bind_sources(std::vector<const NameTable*> tables) {
   source_local_.assign(sources_.size(), {});
 }
 
-TrafficSketch::LocalName TrafficSketch::intern_local(std::string_view text,
-                                                     const DomainName* parsed) {
+TrafficSketch::LocalName TrafficSketch::intern_local(std::string_view text) {
   const std::size_t known_names = qnames_.size();
   const NameRef qname = qnames_.ref(text);
   if (qnames_.size() == known_names) return LocalName{qname.id, false};
 
   // First sight of this qname: do the per-distinct-name work once — PSL
   // walk, SLD intern, classifier verdict, HLL insert — and cache it.
-  DomainName storage;
-  if (parsed == nullptr) {
-    storage = DomainName(text);
-    parsed = &storage;
-  }
-  const std::size_t suffix_labels = config_.psl->suffix_label_count(*parsed);
+  const DomainName parsed(text);
+  const std::size_t suffix_labels = config_.psl->suffix_label_count(parsed);
   const std::string_view sld =
-      parsed->nld_view(std::min(suffix_labels + 1, parsed->label_count()));
+      parsed.nld_view(std::min(suffix_labels + 1, parsed.label_count()));
   const NameId sld_id = slds_.ref(sld).id;
   if (sld_id >= sld_delta_.size()) sld_delta_.resize(sld_id + 1, 0);
 
@@ -98,7 +93,7 @@ TrafficSketch::LocalName TrafficSketch::intern_local(std::string_view text,
   state.flags = kClassified;
   const DisposableZoneSet* const zones = zones_.get();
   if (zones != nullptr && !zones->empty() &&
-      in_disposable_zone(*parsed, suffix_labels, *zones)) {
+      in_disposable_zone(parsed, suffix_labels, *zones)) {
     state.flags |= kDisposable;
   }
   names_.push_back(state);
@@ -194,7 +189,7 @@ void TrafficSketch::flush_pending() {
     bool fresh = false;
     if (cell == 0) {
       const LocalName resolved =
-          intern_local(sources_[event.source]->name(event.name), nullptr);
+          intern_local(sources_[event.source]->name(event.name));
       id = resolved.id;
       fresh = resolved.fresh;
       cell = id + 1;
@@ -204,25 +199,6 @@ void TrafficSketch::flush_pending() {
     count_event(id, fresh, event.client, event.nxdomain, event.ts);
   }
   pending_count_ = 0;
-  maybe_fold();
-}
-
-void TrafficSketch::on_tap_batch(const TapBatch& batch) {
-  if (batch.empty()) return;
-  // One lock per batch (ClusterConfig::tap_batch_events, default 256):
-  // the per-event amortized cost is a few nanoseconds, and the scrape
-  // thread only ever waits out the tail of one batch fold.
-  const std::lock_guard lock(mutex_);
-  for (const TapEvent& event : batch) {
-    // The below stream is the measured traffic (answers to clients); the
-    // above stream re-observes the same names at cache-miss rate.
-    if (event.direction != TapDirection::kBelow) continue;
-    const DomainName& name = event.question.name;
-    if (name.empty()) continue;
-    const LocalName resolved = intern_local(name.text(), &name);
-    count_event(resolved.id, resolved.fresh, event.client_id,
-                event.rcode == RCode::NXDomain, event.ts);
-  }
   maybe_fold();
 }
 

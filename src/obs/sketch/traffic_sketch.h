@@ -32,8 +32,7 @@
 // to 255 ring-tail events mid-stream; detaching the hook (or
 // flush_pending()) drains them.  Disabled, the hook costs exactly one
 // predicted branch in the cluster — the export path is byte-for-byte the
-// unsketched one.  The batched tap (TapObserver) remains as a generic
-// feed with identical semantics, routed through the same per-event core.
+// unsketched one.
 //
 // Determinism contract: shard decomposition follows the cluster's
 // server_count (threads only schedule), per-shard sketches are pure
@@ -58,9 +57,9 @@
 
 #include "dns/name_table.h"
 #include "dns/public_suffix.h"
+#include "dns/rr.h"
 #include "obs/sketch/hll.h"
 #include "obs/sketch/spacesaving.h"
-#include "resolver/tap.h"
 #include "util/sim_time.h"
 
 namespace dnsnoise::obs {
@@ -139,10 +138,10 @@ struct TransparentStringHash {
 using DisposableZoneSet =
     std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>;
 
-/// One shard's sketch set; feed it through the cluster hook
-/// (RdnsCluster::set_traffic_sketch) or, generically, the batched tap.
-/// Single-writer per the plane's concurrency contract.
-class TrafficSketch final : public TapObserver {
+/// One shard's sketch set, fed through the cluster hook
+/// (RdnsCluster::set_traffic_sketch).  Single-writer per the plane's
+/// concurrency contract.
+class TrafficSketch {
  public:
   explicit TrafficSketch(const TrafficSketchConfig& config);
 
@@ -172,13 +171,6 @@ class TrafficSketch final : public TapObserver {
   /// Writer thread only; the cluster calls this on detach and tap flush
   /// so day-end exports observe every event.
   void flush_pending();
-
-  // --- Generic feed ---------------------------------------------------------
-
-  /// Folds one tap batch in (below-direction events only — the client
-  /// answer stream is the traffic being measured).  One lock per batch;
-  /// semantically identical to the hook path (same per-event core).
-  void on_tap_batch(const TapBatch& batch) override;
 
   /// Swaps the live classifier zone set (shared across shards).  Cached
   /// per-name verdicts are invalidated lazily (reclassified on next
@@ -233,7 +225,7 @@ class TrafficSketch final : public TapObserver {
   };
 
   // All private helpers below run under mutex_.
-  LocalName intern_local(std::string_view text, const DomainName* parsed);
+  LocalName intern_local(std::string_view text);
   void classify(NameId id);
   void count_event(NameId id, bool fresh, std::uint64_t client, bool nx,
                    SimTime ts);

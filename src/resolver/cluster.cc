@@ -33,7 +33,7 @@ RdnsCluster::RdnsCluster(const ClusterConfig& config,
     }
     below_answers_metric_ = &metrics.counter("cluster.below_answers");
     above_answers_metric_ = &metrics.counter("cluster.above_answers");
-    tap_batch_size_ = &metrics.histogram("cluster.tap_batch_size", 1e6);
+    tap_batch_size_ = &metrics.histogram("cluster.tap_batch_size");
   }
   if (config.trace != nullptr) {
     trace_ = config.trace;
@@ -69,32 +69,6 @@ void RdnsCluster::remove_tap_observer(TapObserver* observer) {
                    observers_.end());
 }
 
-void RdnsCluster::set_below_sink_impl(BelowSink sink) {
-  // Flush before swapping so each sink sees exactly the events observed
-  // while it was set (no-drop contract, same as remove_tap_observer).
-  if (sink_adapter_registered_) flush_taps();
-  sink_adapter_.below = std::move(sink);
-  update_sink_adapter();
-}
-
-void RdnsCluster::set_above_sink_impl(AboveSink sink) {
-  if (sink_adapter_registered_) flush_taps();
-  sink_adapter_.above = std::move(sink);
-  update_sink_adapter();
-}
-
-void RdnsCluster::update_sink_adapter() {
-  const bool wanted = static_cast<bool>(sink_adapter_.below) ||
-                      static_cast<bool>(sink_adapter_.above);
-  if (wanted && !sink_adapter_registered_) {
-    observers_.push_back(&sink_adapter_);
-    sink_adapter_registered_ = true;
-  } else if (!wanted && sink_adapter_registered_) {
-    remove_tap_observer(&sink_adapter_);
-    sink_adapter_registered_ = false;
-  }
-}
-
 void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
   // Drain before swapping so each sketch sees exactly the queries served
   // while it was attached (same no-drop contract as remove_tap_observer).
@@ -111,7 +85,7 @@ void RdnsCluster::flush_taps() {
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
   if (tap_events_.empty()) return;
   if (tap_batch_size_ != nullptr) {
-    tap_batch_size_->record(static_cast<double>(tap_events_.size()));
+    tap_batch_size_->record(tap_events_.size());
   }
   const TapBatch batch(tap_events_, tap_answers_);
   for (TapObserver* observer : observers_) observer->on_tap_batch(batch);

@@ -6,11 +6,10 @@
 // monitoring tap records — "below" (server -> client) and "above"
 // (authority -> server) — and to nothing else, exactly like the paper's
 // black-box view.  Delivery is batched through the TapObserver API (see
-// resolver/tap.h); the legacy per-answer sinks remain as deprecated shims.
+// resolver/tap.h).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -24,7 +23,7 @@
 
 namespace dnsnoise::obs {
 class Counter;
-class Histogram;
+class LatencyRecorder;
 class MetricsRegistry;
 class TrafficSketch;
 }  // namespace dnsnoise::obs
@@ -110,7 +109,7 @@ class RdnsCluster {
   RdnsCluster(const RdnsCluster&) = delete;
   RdnsCluster& operator=(const RdnsCluster&) = delete;
 
-  // --- Tap observation (the redesigned API) --------------------------------
+  // --- Tap observation -----------------------------------------------------
 
   /// Registers `observer` for batched tap delivery.  The observer must stay
   /// valid until removed or until the cluster is destroyed.
@@ -124,11 +123,8 @@ class RdnsCluster {
   /// the last query of a run so trailing events are not stuck in the batch.
   void flush_taps();
 
-  /// Observers subscribed via add_tap_observer (the internal legacy-sink
-  /// adapter is not counted).
-  std::size_t tap_observer_count() const noexcept {
-    return observers_.size() - (sink_adapter_registered_ ? 1 : 0);
-  }
+  /// Observers subscribed via add_tap_observer.
+  std::size_t tap_observer_count() const noexcept { return observers_.size(); }
 
   // --- Traffic-sketch hook (DESIGN.md §17) ---------------------------------
 
@@ -147,33 +143,6 @@ class RdnsCluster {
   obs::TrafficSketch* traffic_sketch() const noexcept {
     return traffic_sketch_;
   }
-
-  // --- Legacy sink API (deprecated shims) ----------------------------------
-  //
-  // The shims are implemented on top of the batched tap: the sinks are held
-  // by an internal TapObserver that unpacks each batch back into per-answer
-  // calls.  Delivery therefore follows the batching contract (batch-full or
-  // flush_taps()), not the per-query timing of the old API; clearing the
-  // last sink flushes pending events first, so none are dropped.
-
-  /// Answer stream below the cluster (every answered client query).
-  using BelowSink =
-      std::function<void(SimTime, std::uint64_t client_id, const Question&,
-                         RCode, std::span<const ResourceRecord>)>;
-  /// Answer stream above the cluster (authority answers on cache misses).
-  using AboveSink = std::function<void(SimTime, const Question&, RCode,
-                                       std::span<const ResourceRecord>)>;
-
-  [[deprecated("subscribe a TapObserver via add_tap_observer instead")]]
-  void set_below_sink(BelowSink sink) {
-    set_below_sink_impl(std::move(sink));
-  }
-  [[deprecated("subscribe a TapObserver via add_tap_observer instead")]]
-  void set_above_sink(AboveSink sink) {
-    set_above_sink_impl(std::move(sink));
-  }
-
-  // -------------------------------------------------------------------------
 
   /// Resolves one client query at simulated time `now`.  Copies the answer
   /// set into the outcome; hot callers should prefer query_view().
@@ -220,29 +189,6 @@ class RdnsCluster {
   }
 
  private:
-  /// Forwards batched tap events to the deprecated per-answer sinks.  Lives
-  /// inside the cluster and registers itself in observers_ while at least
-  /// one sink is set, so the legacy API exercises the exact same buffering
-  /// and flush path as first-class observers.
-  class SinkAdapter final : public TapObserver {
-   public:
-    BelowSink below;
-    AboveSink above;
-
-    void on_tap_batch(const TapBatch& batch) override {
-      for (const TapEvent& event : batch) {
-        if (event.direction == TapDirection::kBelow) {
-          if (below) {
-            below(event.ts, event.client_id, event.question, event.rcode,
-                  batch.answers(event));
-          }
-        } else if (above) {
-          above(event.ts, event.question, event.rcode, batch.answers(event));
-        }
-      }
-    }
-  };
-
   /// Per-server metric handles, resolved once at construction (registry
   /// lookups are mutex-guarded; query() must stay lock-free).
   struct ServerMetrics {
@@ -270,8 +216,6 @@ class RdnsCluster {
   // Owns the answers of the last uncacheable miss so QueryView can alias
   // them (reused across queries; see QueryView lifetime contract).
   std::vector<ResourceRecord> miss_answers_;
-  SinkAdapter sink_adapter_;
-  bool sink_adapter_registered_ = false;
   obs::TrafficSketch* traffic_sketch_ = nullptr;
   std::uint64_t below_answers_ = 0;
   std::uint64_t above_answers_ = 0;
@@ -284,15 +228,12 @@ class RdnsCluster {
   obs::TraceCollector* trace_ = nullptr;
   obs::Counter* below_answers_metric_ = nullptr;
   obs::Counter* above_answers_metric_ = nullptr;
-  obs::Histogram* tap_batch_size_ = nullptr;
+  obs::LatencyRecorder* tap_batch_size_ = nullptr;
 
   std::size_t pick_server(std::uint64_t client_id);
   void buffer_tap_event(SimTime ts, TapDirection direction,
                         std::uint64_t client_id, const Question& question,
                         RCode rcode, std::span<const ResourceRecord> answers);
-  void set_below_sink_impl(BelowSink sink);
-  void set_above_sink_impl(AboveSink sink);
-  void update_sink_adapter();
 };
 
 }  // namespace dnsnoise

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <utility>
 
 #include "dns/wire.h"
 #include "net/udp_client.h"
@@ -44,40 +43,20 @@ WireFrontend::WireFrontend(RdnsCluster& cluster,
     : cluster_(cluster),
       config_(config),
       heartbeat_(config.metrics, "server", /*every_n=*/64),
-      // One shard per UDP serving thread plus margin for TCP handlers.
-      // More threads than shards only share-write min/max maintenance
-      // (counts stay exact: they are fetch_add).
-      decode_latency_(config.udp.shards + 4),
-      cluster_latency_(config.udp.shards + 4),
-      encode_latency_(config.udp.shards + 4),
-      total_latency_(config.udp.shards + 4),
       slowlog_(config.slowlog_capacity) {
   if (config_.metrics != nullptr) {
-    queries_metric_ = &config_.metrics->counter("server.queries");
-    formerr_metric_ = &config_.metrics->counter("server.formerr");
-    notimp_metric_ = &config_.metrics->counter("server.notimp");
-    dropped_metric_ = &config_.metrics->counter("server.dropped");
-    truncated_metric_ = &config_.metrics->counter("server.truncated");
-    tcp_metric_ = &config_.metrics->counter("server.tcp_queries");
-    if (config_.track_latency) {
-      latency_enabled_ = true;
-      // 8 bins/decade keeps the exposition's within-bin interpolation
-      // error ≤ ~33% — the recorder itself stays the precise view.
-      constexpr double kMaxNs = 1e10;
-      constexpr std::size_t kBins = 8;
-      decode_hist_ =
-          &config_.metrics->histogram("server.latency.decode_ns", kMaxNs,
-                                      kBins);
-      cluster_hist_ =
-          &config_.metrics->histogram("server.latency.cluster_ns", kMaxNs,
-                                      kBins);
-      encode_hist_ =
-          &config_.metrics->histogram("server.latency.encode_ns", kMaxNs,
-                                      kBins);
-      total_hist_ =
-          &config_.metrics->histogram("server.latency.total_ns", kMaxNs,
-                                      kBins);
-    }
+    obs::MetricsRegistry& metrics = *config_.metrics;
+    queries_metric_ = &metrics.counter("server.queries");
+    formerr_metric_ = &metrics.counter("server.formerr");
+    notimp_metric_ = &metrics.counter("server.notimp");
+    dropped_metric_ = &metrics.counter("server.dropped");
+    truncated_metric_ = &metrics.counter("server.truncated");
+    tcp_metric_ = &metrics.counter("server.tcp_queries");
+    decode_latency_ = &metrics.histogram("server.latency.decode_ns");
+    cluster_latency_ = &metrics.histogram("server.latency.cluster_ns");
+    encode_latency_ = &metrics.histogram("server.latency.encode_ns");
+    total_latency_ = &metrics.histogram("server.latency.total_ns");
+    latency_baseline_ = stage_latency();
   }
 }
 
@@ -117,12 +96,6 @@ bool WireFrontend::start() {
   return true;
 }
 
-// stop() deliberately does NOT flush latency metrics: the registry the
-// histogram pointers lead into is caller-owned and may already be gone
-// by teardown time (a frontend is allowed to outlive its registry once
-// it stops serving).  Callers that want the final partial window flushed
-// call flush_latency_metrics() themselves while the registry is alive —
-// see ServedMiningDay::finish() and bench/fig_loadgen.
 void WireFrontend::stop() {
   tcp_.stop();
   udp_.stop();
@@ -130,38 +103,27 @@ void WireFrontend::stop() {
 
 StageLatencyBreakdown WireFrontend::stage_latency() const {
   StageLatencyBreakdown out;
-  out.decode = decode_latency_.snapshot();
-  out.cluster = cluster_latency_.snapshot();
-  out.encode = encode_latency_.snapshot();
-  out.total = total_latency_.snapshot();
-  return out;
-}
-
-void WireFrontend::flush_latency_metrics() {
-  if (!latency_enabled_) return;
-  const std::lock_guard<std::mutex> lock(flush_mutex_);
-  const auto publish = [](const obs::LatencyRecorder& recorder,
-                          obs::LatencySnapshot& published,
-                          obs::Histogram* histogram) {
-    obs::LatencySnapshot now = recorder.snapshot();
-    now.delta_since(published).publish_to(*histogram);
-    published = std::move(now);
+  if (!latency_tracked()) return out;
+  const auto own = [](const obs::LatencyRecorder* recorder,
+                      const obs::LatencySnapshot& baseline) {
+    return recorder->snapshot().delta_since(baseline);
   };
-  publish(decode_latency_, published_decode_, decode_hist_);
-  publish(cluster_latency_, published_cluster_, cluster_hist_);
-  publish(encode_latency_, published_encode_, encode_hist_);
-  publish(total_latency_, published_total_, total_hist_);
+  out.decode = own(decode_latency_, latency_baseline_.decode);
+  out.cluster = own(cluster_latency_, latency_baseline_.cluster);
+  out.encode = own(encode_latency_, latency_baseline_.encode);
+  out.total = own(total_latency_, latency_baseline_.total);
+  return out;
 }
 
 void WireFrontend::record_stage_latency(std::uint64_t decode_ns,
                                         std::uint64_t cluster_ns,
                                         std::uint64_t encode_ns, SimTime ts,
                                         const std::string& qname) {
-  decode_latency_.thread_shard().record(decode_ns);
-  cluster_latency_.thread_shard().record(cluster_ns);
-  encode_latency_.thread_shard().record(encode_ns);
+  decode_latency_->record(decode_ns);
+  cluster_latency_->record(cluster_ns);
+  encode_latency_->record(encode_ns);
   const std::uint64_t total_ns = decode_ns + cluster_ns + encode_ns;
-  total_latency_.thread_shard().record(total_ns);
+  total_latency_->record(total_ns);
 
   // The qname copy only happens for queries that currently qualify as
   // slow; the fast-path check is one relaxed load.
@@ -174,13 +136,6 @@ void WireFrontend::record_stage_latency(std::uint64_t decode_ns,
     slow.ts = static_cast<std::uint64_t>(ts);
     slow.qname = qname;
     slowlog_.maybe_add(slow);
-  }
-
-  const std::uint64_t tick =
-      flush_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.latency_flush_every_n != 0 &&
-      tick % config_.latency_flush_every_n == 0) {
-    flush_latency_metrics();
   }
 }
 
@@ -221,8 +176,9 @@ bool WireFrontend::handle_query(std::span<const std::uint8_t> request,
     // Stage clocks for the decode → cluster → encode breakdown; only
     // read when latency tracking is on (two clock reads per stage).
     using Clock = std::chrono::steady_clock;
-    const auto stage_now = [this]() {
-      return latency_enabled_ ? Clock::now() : Clock::time_point{};
+    const bool timed = latency_tracked();
+    const auto stage_now = [timed]() {
+      return timed ? Clock::now() : Clock::time_point{};
     };
     const auto t_start = stage_now();
 
@@ -300,7 +256,7 @@ bool WireFrontend::handle_query(std::span<const std::uint8_t> request,
       reply.header.tc = true;
       response = encode_message(reply);
     }
-    if (latency_enabled_) {
+    if (timed) {
       const auto span_ns = [](Clock::time_point from, Clock::time_point to) {
         return static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)

@@ -55,20 +55,15 @@ struct WireFrontendConfig {
   /// day_start + seconds-since-start(), clamped into the day.
   SimTime day_start = 0;
   /// Opt-in observability: registers the server.* counters and the
-  /// "server" heartbeat stage.  Must outlive the frontend; null disables.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// With metrics on, every well-formed query's decode → cluster →
-  /// encode spans are recorded into wait-free per-thread latency shards
-  /// (obs/latency) and periodically flushed into the registry's
+  /// "server" heartbeat stage, and records every well-formed query's
+  /// decode → cluster → encode spans straight into the registry's
   /// server.latency.{decode,cluster,encode,total}_ns histograms — the
-  /// OpenMetrics `_bucket`/`_percentile` series on /metrics.
-  bool track_latency = true;
+  /// OpenMetrics `_bucket`/`_percentile` series on /metrics.  Must
+  /// outlive the frontend; null disables.
+  obs::MetricsRegistry* metrics = nullptr;
   /// Queries whose total span lands among the `slowlog_capacity` slowest
   /// are kept with their stage breakdown (slowlog_json / GET /slowlog).
   std::size_t slowlog_capacity = 32;
-  /// Flush period: each serving thread folds latency deltas into the
-  /// registry histograms every N answered queries.
-  std::uint64_t latency_flush_every_n = 512;
 };
 
 /// Per-stage merged latency views (exact once serving threads quiesce).
@@ -115,20 +110,20 @@ class WireFrontend {
 
   WireFrontendStats stats() const noexcept;
 
-  /// Whether per-query stage latency is being recorded (metrics wired
-  /// and config.track_latency).
-  bool latency_tracked() const noexcept { return latency_enabled_; }
+  /// Whether per-query stage latency is being recorded (metrics wired).
+  bool latency_tracked() const noexcept { return total_latency_ != nullptr; }
 
-  /// Merged per-stage latency snapshots (decode / cluster / encode /
-  /// total); zeros when latency_tracked() is false.
+  /// This frontend's per-stage latency (decode / cluster / encode /
+  /// total): the registry histograms minus what they held when the
+  /// frontend was built, so a registry shared across served days still
+  /// yields per-frontend counts (min/max stay cumulative).  Zeros when
+  /// latency_tracked() is false; reads the registry, which must be alive.
   StageLatencyBreakdown stage_latency() const;
 
-  /// Folds all not-yet-published latency counts into the registry
-  /// histograms now.  The periodic flush covers steady state; call this
-  /// for the final partial window before reading the registry.  The
-  /// registry must still be alive — stop() deliberately never flushes,
-  /// because a stopped frontend may outlive its registry.
-  void flush_latency_metrics();
+  /// No-op: stage latency lands in the registry histograms as it is
+  /// recorded, so there is no pending window to fold in.  Kept so callers
+  /// that flushed before reading the registry keep compiling.
+  void flush_latency_metrics() {}
 
   /// dnsnoise-slowlog-v1 JSON of the worst-N queries (obs::SlowQueryLog);
   /// wire it to TelemetryServer::set_slowlog_source for GET /slowlog.
@@ -186,24 +181,14 @@ class WireFrontend {
   obs::Counter* truncated_metric_ = nullptr;
   obs::Counter* tcp_metric_ = nullptr;
 
-  // Per-query stage latency (obs/latency): wait-free per-thread shards,
-  // periodically delta-flushed into the registry histograms below.
-  bool latency_enabled_ = false;
-  obs::LatencyRecorder decode_latency_;
-  obs::LatencyRecorder cluster_latency_;
-  obs::LatencyRecorder encode_latency_;
-  obs::LatencyRecorder total_latency_;
+  // Per-query stage latency: the registry's server.latency.* histograms
+  // (null with metrics off), and what they held at construction.
+  obs::LatencyRecorder* decode_latency_ = nullptr;
+  obs::LatencyRecorder* cluster_latency_ = nullptr;
+  obs::LatencyRecorder* encode_latency_ = nullptr;
+  obs::LatencyRecorder* total_latency_ = nullptr;
+  StageLatencyBreakdown latency_baseline_;
   obs::SlowQueryLog slowlog_;
-  std::atomic<std::uint64_t> flush_tick_{0};
-  std::mutex flush_mutex_;  // guards published_* (one flusher at a time)
-  obs::LatencySnapshot published_decode_;
-  obs::LatencySnapshot published_cluster_;
-  obs::LatencySnapshot published_encode_;
-  obs::LatencySnapshot published_total_;
-  obs::Histogram* decode_hist_ = nullptr;
-  obs::Histogram* cluster_hist_ = nullptr;
-  obs::Histogram* encode_hist_ = nullptr;
-  obs::Histogram* total_hist_ = nullptr;
 };
 
 }  // namespace dnsnoise

@@ -31,14 +31,14 @@ double LinearHistogram::bin_center(std::size_t bin) const {
   return bin_lo(bin) + width / 2.0;
 }
 
-LogHistogram::LogHistogram(double max, std::size_t bins_per_decade)
-    : max_(max), bins_per_decade_(static_cast<double>(bins_per_decade)) {
+LogHistogram::LogHistogram(double max, std::size_t decade_bins)
+    : max_(max), decade_bins_(static_cast<double>(decade_bins)) {
   if (max <= 1.0) throw std::invalid_argument("LogHistogram: max must be > 1");
-  if (bins_per_decade == 0) {
-    throw std::invalid_argument("LogHistogram: bins_per_decade must be > 0");
+  if (decade_bins == 0) {
+    throw std::invalid_argument("LogHistogram: decade_bins must be > 0");
   }
   const auto nbins =
-      static_cast<std::size_t>(std::ceil(std::log10(max) * bins_per_decade_));
+      static_cast<std::size_t>(std::ceil(std::log10(max) * decade_bins_));
   counts_.assign(std::max<std::size_t>(nbins, 1), 0);
 }
 
@@ -49,17 +49,17 @@ void LogHistogram::add(double value, std::uint64_t weight) noexcept {
     return;
   }
   value = std::min(value, max_);
-  auto bin = static_cast<std::size_t>(std::log10(value) * bins_per_decade_);
+  auto bin = static_cast<std::size_t>(std::log10(value) * decade_bins_);
   bin = std::min(bin, counts_.size() - 1);
   counts_[bin] += weight;
 }
 
 double LogHistogram::bin_lo(std::size_t bin) const {
-  return std::pow(10.0, static_cast<double>(bin) / bins_per_decade_);
+  return std::pow(10.0, static_cast<double>(bin) / decade_bins_);
 }
 
 double LogHistogram::bin_hi(std::size_t bin) const {
-  return std::pow(10.0, static_cast<double>(bin + 1) / bins_per_decade_);
+  return std::pow(10.0, static_cast<double>(bin + 1) / decade_bins_);
 }
 
 double LogHistogram::bin_center(std::size_t bin) const {

@@ -41,8 +41,8 @@ class LinearHistogram {
 /// Fig. 14 where TTL=0 is plotted distinctly on a log axis.
 class LogHistogram {
  public:
-  /// bins_per_decade log10 bins covering [1, max]; values > max are clamped.
-  LogHistogram(double max, std::size_t bins_per_decade = 4);
+  /// decade_bins log10 bins covering [1, max]; values > max are clamped.
+  LogHistogram(double max, std::size_t decade_bins = 4);
 
   void add(double value, std::uint64_t weight = 1) noexcept;
 
@@ -57,7 +57,7 @@ class LogHistogram {
 
  private:
   double max_;
-  double bins_per_decade_;
+  double decade_bins_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t zero_ = 0;
   std::uint64_t total_ = 0;

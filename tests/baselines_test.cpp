@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -70,20 +71,28 @@ TEST(StandardizerTest, DimensionMismatchThrows) {
   EXPECT_THROW(standardizer.transform(bad), std::invalid_argument);
 }
 
-class BaselineAccuracyTest
-    : public ::testing::TestWithParam<
-          std::pair<const char*, std::unique_ptr<BinaryClassifier> (*)()>> {};
+struct ModelCase {
+  const char* name;
+  std::unique_ptr<BinaryClassifier> (*make)();
+};
+
+// CTest names each case after its printed parameter; gtest's default
+// print would embed the name's and the factory's addresses, which differ
+// on every run, so print the model name instead.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
+class BaselineAccuracyTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(BaselineAccuracyTest, LearnsSeparableBlobs) {
   const Dataset data = blobs(42);
-  auto model = GetParam().second();
+  auto model = GetParam().make();
   model->train(data);
-  EXPECT_GT(training_accuracy(*model, data), 0.95) << GetParam().first;
+  EXPECT_GT(training_accuracy(*model, data), 0.95) << GetParam().name;
 }
 
 TEST_P(BaselineAccuracyTest, ProbabilitiesInRange) {
   const Dataset data = blobs(43);
-  auto model = GetParam().second();
+  auto model = GetParam().make();
   model->train(data);
   Rng rng(7);
   for (int i = 0; i < 100; ++i) {
@@ -96,35 +105,28 @@ TEST_P(BaselineAccuracyTest, ProbabilitiesInRange) {
 }
 
 TEST_P(BaselineAccuracyTest, EmptyDatasetThrows) {
-  auto model = GetParam().second();
+  auto model = GetParam().make();
   EXPECT_THROW(model->train(Dataset(3)), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Models, BaselineAccuracyTest,
     ::testing::Values(
-        std::pair{"naive-bayes",
-                  +[]() -> std::unique_ptr<BinaryClassifier> {
+        ModelCase{"naive-bayes",
+                  []() -> std::unique_ptr<BinaryClassifier> {
                     return std::make_unique<GaussianNaiveBayes>();
                   }},
-        std::pair{"knn",
-                  +[]() -> std::unique_ptr<BinaryClassifier> {
+        ModelCase{"knn",
+                  []() -> std::unique_ptr<BinaryClassifier> {
                     return std::make_unique<KnnClassifier>(5);
                   }},
-        std::pair{"logistic",
-                  +[]() -> std::unique_ptr<BinaryClassifier> {
+        ModelCase{"logistic",
+                  []() -> std::unique_ptr<BinaryClassifier> {
                     return std::make_unique<LogisticRegression>();
                   }},
-        std::pair{"mlp", +[]() -> std::unique_ptr<BinaryClassifier> {
+        ModelCase{"mlp", []() -> std::unique_ptr<BinaryClassifier> {
                     return std::make_unique<Mlp>();
-                  }}),
-    [](const auto& info) {
-      std::string name(info.param.first);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+                  }}));
 
 TEST(NaiveBayesTest, RespectsPriors) {
   Rng rng(3);

@@ -188,118 +188,6 @@ TEST(ClusterTest, NullOrDuplicateObserverIsRejected) {
   EXPECT_EQ(cluster.tap_observer_count(), 1u);
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ClusterTest, LegacySinkShimsStillObserveBothDirections) {
-  const SyntheticAuthority authority = make_authority();
-  ClusterConfig config;
-  config.server_count = 1;
-  RdnsCluster cluster(config, authority);
-
-  std::vector<std::string> below_names;
-  std::vector<std::string> above_names;
-  cluster.set_below_sink([&below_names](SimTime, std::uint64_t,
-                                        const Question& q, RCode,
-                                        std::span<const ResourceRecord>) {
-    below_names.push_back(q.name.text());
-  });
-  cluster.set_above_sink([&above_names](SimTime, const Question& q, RCode,
-                                        std::span<const ResourceRecord>) {
-    above_names.push_back(q.name.text());
-  });
-  // The shims ride the batched tap, so they do not count as observers and
-  // deliver on flush, not per query.
-  EXPECT_EQ(cluster.tap_observer_count(), 0u);
-
-  cluster.query(1, question("a.example.com"), 0);   // miss
-  cluster.query(1, question("a.example.com"), 1);   // hit
-  cluster.flush_taps();
-  ASSERT_EQ(below_names.size(), 2u);
-  ASSERT_EQ(above_names.size(), 1u);
-  EXPECT_EQ(above_names[0], "a.example.com");
-}
-
-TEST(ClusterTest, LegacySinksForwardThroughTheBatchedTap) {
-  // The shim adapter is just another observer: a legacy sink pair and a
-  // first-class TapObserver must see the same events, in the same order,
-  // delivered by the same batch flushes.
-  const SyntheticAuthority authority = make_authority();
-  ClusterConfig config;
-  config.server_count = 1;
-  config.tap_batch_events = 3;  // force one mid-stream batch flush
-  RdnsCluster cluster(config, authority);
-
-  std::vector<std::string> sink_events;
-  cluster.set_below_sink([&sink_events](SimTime ts, std::uint64_t client,
-                                        const Question& q, RCode,
-                                        std::span<const ResourceRecord> rrs) {
-    sink_events.push_back("below " + std::to_string(ts) + " " +
-                          std::to_string(client) + " " + q.name.text() + " " +
-                          std::to_string(rrs.size()));
-  });
-  cluster.set_above_sink([&sink_events](SimTime ts, const Question& q, RCode,
-                                        std::span<const ResourceRecord> rrs) {
-    sink_events.push_back("above " + std::to_string(ts) + " 0 " +
-                          q.name.text() + " " + std::to_string(rrs.size()));
-  });
-
-  std::vector<std::string> observer_events;
-  std::size_t batches = 0;
-  FunctionTapObserver observer([&](const TapBatch& batch) {
-    ++batches;
-    for (const TapEvent& event : batch) {
-      observer_events.push_back(
-          (event.direction == TapDirection::kBelow ? "below " : "above ") +
-          std::to_string(event.ts) + " " + std::to_string(event.client_id) +
-          " " + event.question.name.text() + " " +
-          std::to_string(batch.answers(event).size()));
-    }
-  });
-  cluster.add_tap_observer(&observer);
-
-  cluster.query(1, question("a.example.com"), 0);  // miss: above + below
-  cluster.query(1, question("a.example.com"), 1);  // hit: below
-  EXPECT_EQ(batches, 1u);  // batch of 3 flushed mid-stream
-  EXPECT_EQ(sink_events, observer_events);
-  cluster.query(1, question("a.example.com"), 2);  // hit: below, buffered
-  cluster.flush_taps();
-  EXPECT_EQ(batches, 2u);
-  ASSERT_EQ(sink_events.size(), 4u);
-  EXPECT_EQ(sink_events, observer_events);
-}
-
-TEST(ClusterTest, ClearingLegacySinksFlushesAndUnregistersTheAdapter) {
-  const SyntheticAuthority authority = make_authority();
-  ClusterConfig config;
-  config.server_count = 1;
-  RdnsCluster cluster(config, authority);
-
-  std::size_t below_events = 0;
-  std::size_t above_events = 0;
-  cluster.set_below_sink(
-      [&below_events](SimTime, std::uint64_t, const Question&, RCode,
-                      std::span<const ResourceRecord>) { ++below_events; });
-  cluster.set_above_sink([&above_events](SimTime, const Question&, RCode,
-                                         std::span<const ResourceRecord>) {
-    ++above_events;
-  });
-  cluster.query(1, question("a.example.com"), 0);  // miss, buffered
-
-  // Changing a sink flushes first: both sinks see the buffered miss before
-  // the above sink is cleared.
-  cluster.set_above_sink(nullptr);  // adapter stays: below sink still set
-  EXPECT_EQ(below_events, 1u);
-  EXPECT_EQ(above_events, 1u);
-  cluster.set_below_sink(nullptr);  // last sink gone: unregister
-
-  // With the adapter unregistered nothing buffers or delivers any more.
-  cluster.query(1, question("b.example.com"), 1);
-  cluster.flush_taps();
-  EXPECT_EQ(below_events, 1u);
-  EXPECT_EQ(above_events, 1u);
-}
-#pragma GCC diagnostic pop
-
 TEST(ClusterTest, DnssecCountersTrackSignedMisses) {
   SyntheticAuthority authority;
   authority.register_zone(

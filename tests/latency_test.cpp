@@ -1,8 +1,7 @@
 // obs/latency: bucket math, quantile edge cases, shard-merge determinism,
 // the slow-query log, and (under TSan via the engine label) concurrent
-// record/snapshot safety.  Also pins the edge-case behavior of the
-// registry-histogram estimators (obs::estimate_quantile) the exposition
-// path shares with the recorder.
+// record/snapshot safety.  Also pins the edge cases of registry
+// histograms, which are the same recorder.
 #include "obs/latency.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,62 +207,105 @@ TEST(LatencySnapshot, DeltaSinceIsolatesNewCounts) {
   EXPECT_EQ(delta.counts[LatencyBuckets::index(300)], 1u);
 }
 
-TEST(LatencySnapshot, PublishToFeedsRegistryHistogram) {
-  MetricsRegistry registry;
-  Histogram& hist = registry.histogram("test.latency_ns", 1e10, 8);
-  LatencyRecorder recorder;
-  for (int i = 0; i < 1000; ++i) {
-    recorder.shard(0).record(10'000 + static_cast<std::uint64_t>(i));
+TEST(LatencyRecorder, RebuiltRecorderNeverInheritsAStaleShard) {
+  // A recorder built where a destroyed one lived must hand a long-lived
+  // thread its own shard, never the freed one (heap-use-after-free under
+  // ASan when shard bindings are cached per recorder address).
+  std::optional<LatencyRecorder> slot;
+  slot.emplace(2);
+  slot->thread_shard().record(5);
+  slot.reset();
+  slot.emplace(2);
+  slot->thread_shard().record(7);
+  const LatencySnapshot snap = slot->snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.min_ns, 7u);
+  EXPECT_EQ(snap.max_ns, 7u);
+}
+
+TEST(LatencyRecorder, SharedShardKeepsExtremesExact) {
+  // One shard, many writers: counts and sums are fetch_adds, and the CAS
+  // on min/max keeps the extremes exact under contention.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 10'000;
+  LatencyRecorder recorder(1);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&recorder, t]() {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        recorder.record(1 + i * kThreads + static_cast<std::uint64_t>(t));
+      }
+    });
   }
-  recorder.snapshot().publish_to(hist);
+  for (auto& w : writers) w.join();
+  const LatencySnapshot snap = recorder.snapshot();
+  const std::uint64_t n = kThreads * kPerThread;
+  EXPECT_EQ(snap.count, n);
+  EXPECT_EQ(snap.sum_ns, n * (n + 1) / 2);
+  EXPECT_EQ(recorder.total_ns(), n * (n + 1) / 2);
+  EXPECT_EQ(snap.min_ns, 1u);
+  EXPECT_EQ(snap.max_ns, n);
+}
+
+TEST(LatencySnapshot, RegistryHistogramIsTheRecorder) {
+  // Registry histograms keep the recorder's exact count and 1/32 buckets
+  // all the way to the snapshot the exporters read.
+  MetricsRegistry registry;
+  LatencyRecorder& hist = registry.histogram("test.latency_ns");
+  for (std::uint64_t i = 0; i < 1000; ++i) hist.record(10'000 + i);
   const MetricsSnapshot snap = registry.snapshot();
   const MetricSample* sample = snap.find("test.latency_ns");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->count, 1000u);
-  // The published quantile must land near the recorded range.
-  const double p50 = estimate_quantile(*sample, 0.5);
-  EXPECT_GT(p50, 5'000.0);
-  EXPECT_LT(p50, 20'000.0);
+  EXPECT_EQ(sample->distribution.counts, hist.snapshot().counts);
+  // Exact rank 500 is 10'499; the estimate stays within 1/32 of it.
+  EXPECT_NEAR(sample->distribution.quantile_ns(0.5), 10'499.0,
+              10'499.0 / 32);
 }
 
-// --- registry-histogram estimator edge cases -------------------------------
+// --- registry-histogram quantile edge cases --------------------------------
 
 TEST(EstimateQuantile, EmptyHistogramIsZero) {
   MetricsRegistry registry;
-  registry.histogram("h", 1e9, 4);
+  registry.histogram("h");
   const MetricsSnapshot snap = registry.snapshot();
   const MetricSample* sample = snap.find("h");
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(estimate_quantile(*sample, 0.5), 0.0);
-  const HistogramPercentiles p = estimate_percentiles(*sample);
+  EXPECT_EQ(sample->distribution.quantile_ns(0.5), 0.0);
+  const LatencyPercentiles p = sample->distribution.percentiles_seconds();
   EXPECT_EQ(p.p50, 0.0);
   EXPECT_EQ(p.p999, 0.0);
 }
 
-TEST(EstimateQuantile, OutOfRangeQReturnsZero) {
+TEST(EstimateQuantile, OutOfRangeQClampsToMinMax) {
   MetricsRegistry registry;
-  registry.histogram("h", 1e9, 4).record(123.0);
+  LatencyRecorder& hist = registry.histogram("h");
+  hist.record(123);
+  hist.record(4567);
   const MetricsSnapshot snap = registry.snapshot();
   const MetricSample* sample = snap.find("h");
   ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(estimate_quantile(*sample, 0.0), 0.0);
-  EXPECT_EQ(estimate_quantile(*sample, 1.0), 0.0);
-  EXPECT_EQ(estimate_quantile(*sample, -0.5), 0.0);
-  EXPECT_EQ(estimate_quantile(*sample, 1.5), 0.0);
+  const LatencySnapshot& d = sample->distribution;
+  EXPECT_EQ(d.quantile_ns(0.0), 123.0);
+  EXPECT_EQ(d.quantile_ns(-0.5), 123.0);
+  EXPECT_EQ(d.quantile_ns(1.0), 4567.0);
+  EXPECT_EQ(d.quantile_ns(1.5), 4567.0);
 }
 
 TEST(EstimateQuantile, SingleBucketBoundsEveryQuantile) {
   MetricsRegistry registry;
-  Histogram& hist = registry.histogram("h", 1e9, 4);
-  for (int i = 0; i < 100; ++i) hist.record(123.0);
+  LatencyRecorder& hist = registry.histogram("h");
+  for (int i = 0; i < 100; ++i) hist.record(123);
   const MetricsSnapshot snap = registry.snapshot();
   const MetricSample* sample = snap.find("h");
   ASSERT_NE(sample, nullptr);
-  ASSERT_EQ(sample->bins.size(), 1u);
+  const std::size_t bucket = LatencyBuckets::index(123);
   for (const double q : {0.001, 0.5, 0.999}) {
-    const double est = estimate_quantile(*sample, q);
-    EXPECT_GE(est, sample->bins[0].lo) << "q=" << q;
-    EXPECT_LE(est, sample->bins[0].hi) << "q=" << q;
+    const double est = sample->distribution.quantile_ns(q);
+    EXPECT_GE(est, static_cast<double>(LatencyBuckets::lower_bound(bucket)))
+        << "q=" << q;
+    EXPECT_LT(est, static_cast<double>(LatencyBuckets::upper_bound(bucket)))
+        << "q=" << q;
   }
 }
 

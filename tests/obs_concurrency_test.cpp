@@ -26,8 +26,8 @@ TEST(ObsConcurrency, SnapshotWhileRecording) {
   // Handles resolved up front, like every instrumentation site.
   Counter& counter = registry.counter("test.counter");
   Gauge& gauge = registry.gauge("test.gauge");
-  Timer& timer = registry.timer("test.timer");
-  Histogram& histogram = registry.histogram("test.histogram", 1e6);
+  LatencyRecorder& timer = registry.timer("test.timer");
+  LatencyRecorder& histogram = registry.histogram("test.histogram");
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -36,8 +36,8 @@ TEST(ObsConcurrency, SnapshotWhileRecording) {
       for (int i = 0; i < kOpsPerWriter; ++i) {
         counter.add();
         gauge.set(static_cast<double>(i));
-        timer.record_ns(static_cast<std::uint64_t>(i + 1));
-        if (i % 64 == 0) histogram.record(static_cast<double>(w * 100 + i));
+        timer.record(static_cast<std::uint64_t>(i + 1));
+        if (i % 64 == 0) histogram.record(static_cast<std::uint64_t>(w + i));
       }
     });
   }
@@ -71,6 +71,13 @@ TEST(ObsConcurrency, SnapshotWhileRecording) {
   ASSERT_NE(timed, nullptr);
   EXPECT_EQ(timed->count,
             static_cast<std::uint64_t>(kWriters) * kOpsPerWriter);
+  // Every writer recorded 1..kOpsPerWriter: exact sum and extremes.
+  const std::uint64_t per_writer =
+      static_cast<std::uint64_t>(kOpsPerWriter) * (kOpsPerWriter + 1) / 2;
+  EXPECT_EQ(timed->distribution.sum_ns, kWriters * per_writer);
+  EXPECT_EQ(timed->distribution.min_ns, 1u);
+  EXPECT_EQ(timed->distribution.max_ns,
+            static_cast<std::uint64_t>(kOpsPerWriter));
 }
 
 TEST(ObsConcurrency, TraceStreamConcurrentWriters) {
@@ -99,7 +106,7 @@ TEST(ObsConcurrency, TraceStreamConcurrentWriters) {
 TEST(ObsConcurrency, ProgressReporterWhileRecording) {
   MetricsRegistry registry;
   Counter& answered = registry.counter("cluster.below_answers");
-  Timer& shards = registry.timer("engine.shard");
+  LatencyRecorder& shards = registry.timer("engine.shard");
 
   std::FILE* sink = std::tmpfile();
   ASSERT_NE(sink, nullptr);
@@ -114,7 +121,7 @@ TEST(ObsConcurrency, ProgressReporterWhileRecording) {
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&] {
         for (int i = 0; i < kOpsPerWriter; ++i) answered.add();
-        shards.record_ns(1'000);
+        shards.record(1'000);
       });
     }
     for (std::thread& writer : writers) writer.join();

@@ -49,26 +49,31 @@ TEST(Gauge, SetAddSetMax) {
 }
 
 TEST(Timer, TracksCountTotalMinMax) {
-  Timer timer;
-  EXPECT_EQ(timer.count(), 0u);
-  EXPECT_EQ(timer.min_ns(), 0u);  // empty timer reports 0, not the sentinel
-  timer.record_ns(300);
-  timer.record_ns(100);
-  timer.record_ns(200);
-  EXPECT_EQ(timer.count(), 3u);
+  // A registry timer is the one histogram type: count, total and extremes
+  // are exact, not bucket estimates.
+  MetricsRegistry registry;
+  LatencyRecorder& timer = registry.timer("stage.span");
+  EXPECT_EQ(timer.snapshot().count, 0u);
+  EXPECT_EQ(timer.snapshot().min_ns, 0u);  // empty reports 0, not a sentinel
+  timer.record(300);
+  timer.record(100);
+  timer.record(200);
+  const LatencySnapshot snap = timer.snapshot();
+  EXPECT_EQ(snap.count, 3u);
   EXPECT_EQ(timer.total_ns(), 600u);
-  EXPECT_EQ(timer.min_ns(), 100u);
-  EXPECT_EQ(timer.max_ns(), 300u);
+  EXPECT_EQ(snap.sum_ns, 600u);
+  EXPECT_EQ(snap.min_ns, 100u);
+  EXPECT_EQ(snap.max_ns, 300u);
 }
 
 TEST(StageTimer, RecordsOneSpanAndIsIdempotent) {
-  Timer timer;
+  LatencyRecorder timer;
   {
     StageTimer span(&timer);
     span.stop();
     span.stop();  // second stop must not double-record
   }
-  EXPECT_EQ(timer.count(), 1u);
+  EXPECT_EQ(timer.snapshot().count, 1u);
 }
 
 TEST(StageTimer, NullTimerIsANoOp) {
@@ -77,13 +82,19 @@ TEST(StageTimer, NullTimerIsANoOp) {
   span.stop();  // must not crash
 }
 
-TEST(Histogram, RecordsThroughLogHistogram) {
-  Histogram hist(1000.0);
-  hist.record(0.0);
-  hist.record(10.0, 3);
-  const LogHistogram copy = hist.copy();
-  EXPECT_EQ(copy.zero_count(), 1u);
-  EXPECT_EQ(copy.total(), 4u);
+TEST(Histogram, RecordsExactCountSumAndExtremes) {
+  MetricsRegistry registry;
+  LatencyRecorder& hist = registry.histogram("stage.sizes");
+  hist.record(0);
+  for (int i = 0; i < 3; ++i) hist.record(10);
+  const LatencySnapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.count, 4u);
+  EXPECT_EQ(snap.sum_ns, 30u);
+  EXPECT_EQ(snap.min_ns, 0u);
+  EXPECT_EQ(snap.max_ns, 10u);
+  // Small values get exact buckets; zero is a value like any other.
+  EXPECT_EQ(snap.counts[LatencyBuckets::index(0)], 1u);
+  EXPECT_EQ(snap.counts[LatencyBuckets::index(10)], 3u);
 }
 
 TEST(MetricsRegistry, ReturnsStableReferences) {
@@ -102,6 +113,9 @@ TEST(MetricsRegistry, KindMismatchThrows) {
   EXPECT_THROW(registry.gauge("stage.metric"), std::logic_error);
   EXPECT_THROW(registry.timer("stage.metric"), std::logic_error);
   EXPECT_THROW(registry.histogram("stage.metric"), std::logic_error);
+  // Timers and histograms share a type but not a unit: still distinct.
+  registry.timer("stage.span");
+  EXPECT_THROW(registry.histogram("stage.span"), std::logic_error);
 }
 
 TEST(MetricsRegistry, ConcurrentRegistrationIsSafe) {
@@ -124,7 +138,7 @@ TEST(MetricsSnapshot, SortedByNameAcrossKinds) {
   MetricsRegistry registry;
   registry.gauge("b.gauge").set(1.0);
   registry.counter("a.counter").add(2);
-  registry.timer("c.timer").record_ns(5);
+  registry.timer("c.timer").record(5);
   const MetricsSnapshot snapshot = registry.snapshot();
   ASSERT_EQ(snapshot.samples.size(), 3u);
   EXPECT_EQ(snapshot.samples[0].name, "a.counter");
@@ -138,7 +152,7 @@ TEST(MetricsSnapshot, SortedByNameAcrossKinds) {
 TEST(JsonSnapshot, EmptyRegistryIsValidAndStable) {
   MetricsRegistry registry;
   const std::string json = to_json(registry.snapshot());
-  EXPECT_NE(json.find("\"schema\": \"dnsnoise-metrics-v1\""),
+  EXPECT_NE(json.find("\"schema\": \"dnsnoise-metrics-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"counters\": {}"), std::string::npos);
   EXPECT_EQ(json, to_json(registry.snapshot()));
@@ -152,8 +166,10 @@ TEST(JsonSnapshot, RoundTripIsByteIdentical) {
     registry.counter("cluster.server0.cache_hits").add(10);
     registry.counter("cluster.server1.cache_hits").add(20);
     registry.gauge("engine.shard0.wall_seconds").set(0.125);
-    registry.timer("miner.features").record_ns(1'000'000);
-    registry.histogram("cluster.tap_batch_size", 1e6).record(256.0, 4);
+    registry.timer("miner.features").record(1'000'000);
+    for (int i = 0; i < 4; ++i) {
+      registry.histogram("cluster.tap_batch_size").record(256);
+    }
   };
   MetricsRegistry one;
   MetricsRegistry two;
@@ -168,13 +184,24 @@ TEST(JsonSnapshot, SectionsCarryTheRightMetrics) {
   MetricsRegistry registry;
   registry.counter("stage.events").add(7);
   registry.gauge("stage.rate").set(1.5);
-  registry.timer("stage.span").record_ns(2'000'000'000);
-  registry.histogram("stage.sizes", 1e6).record(100.0);
+  registry.timer("stage.span").record(2'000'000'000);
+  registry.histogram("stage.sizes").record(100);
   const std::string json = to_json(registry.snapshot());
   EXPECT_NE(json.find("\"stage.events\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"stage.rate\": 1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"total_seconds\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"bins\": [{"), std::string::npos);
+  // Timers and histograms carry the same fields; timers in seconds.
+  EXPECT_NE(json.find("\"stage.span\": {\"count\": 1, "
+                      "\"total_seconds\": 2, \"min_seconds\": 2, "
+                      "\"max_seconds\": 2, \"p50_seconds\": 2, "
+                      "\"p90_seconds\": 2, \"p99_seconds\": 2, "
+                      "\"p999_seconds\": 2}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"stage.sizes\": {\"count\": 1, \"total\": 100, "
+                      "\"min\": 100, \"max\": 100, \"p50\": 100, "
+                      "\"p90\": 100, \"p99\": 100, \"p999\": 100}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(JsonSnapshot, MetaPairsAreEmbeddedSorted) {
@@ -220,8 +247,8 @@ TEST(JsonSnapshot, FormatDoubleHandlesNonFiniteValues) {
 
 TEST(JsonSnapshot, HistogramJsonCarriesPercentiles) {
   MetricsRegistry registry;
-  Histogram& histo = registry.histogram("resolver.upstream_us");
-  for (int i = 0; i < 100; ++i) histo.record(100.0);
+  LatencyRecorder& histo = registry.histogram("resolver.upstream_us");
+  for (int i = 0; i < 100; ++i) histo.record(100);
   const std::string json = to_json(registry.snapshot());
   EXPECT_NE(json.find("\"p50\": "), std::string::npos);
   EXPECT_NE(json.find("\"p90\": "), std::string::npos);
@@ -231,40 +258,45 @@ TEST(JsonSnapshot, HistogramJsonCarriesPercentiles) {
 
 TEST(JsonSnapshot, EstimateQuantileInterpolatesWithinBuckets) {
   MetricsRegistry registry;
-  Histogram& histo = registry.histogram("h");
-  for (int i = 0; i < 1000; ++i) histo.record(100.0);
+  LatencyRecorder& histo = registry.histogram("h");
+  for (int i = 0; i < 1000; ++i) histo.record(1008 + i % 16);
   const MetricsSnapshot snapshot = registry.snapshot();
   ASSERT_EQ(snapshot.samples.size(), 1u);
-  const MetricSample& sample = snapshot.samples[0];
-  // All mass sits in the log-bucket covering 100; every quantile must
-  // land inside that bucket's [lo, hi) bounds.
-  const HistogramPercentiles p = estimate_percentiles(sample);
-  for (const double q : {p.p50, p.p90, p.p99, p.p999}) {
-    EXPECT_GT(q, 0.0);
-    EXPECT_LE(q, 256.0);  // log2 bucket containing 100 ends at 128
-    EXPECT_GE(q, 64.0);
+  const LatencySnapshot& d = snapshot.samples[0].distribution;
+  // All mass sits in the 1/32-wide bucket [1008, 1024); every quantile
+  // must land inside it and inside the recorded range.
+  const std::size_t bucket = LatencyBuckets::index(1008);
+  ASSERT_EQ(bucket, LatencyBuckets::index(1023));
+  double prev = 0.0;
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    const double est = d.quantile_ns(q);
+    EXPECT_GE(est, static_cast<double>(LatencyBuckets::lower_bound(bucket)));
+    EXPECT_LT(est, static_cast<double>(LatencyBuckets::upper_bound(bucket)));
+    EXPECT_GE(est, 1008.0);
+    EXPECT_LE(est, 1023.0);
+    EXPECT_GE(est, prev);  // monotone in q
+    prev = est;
   }
-  // Percentiles are monotone in q.
-  EXPECT_LE(p.p50, p.p90);
-  EXPECT_LE(p.p90, p.p99);
-  EXPECT_LE(p.p99, p.p999);
 }
 
 TEST(JsonSnapshot, EstimateQuantileHandlesUnderflowAndEmpty) {
   MetricsRegistry registry;
-  Histogram& empty = registry.histogram("empty");
-  (void)empty;
-  Histogram& sub = registry.histogram("sub");
-  sub.record(0.25);  // below the first bucket boundary -> zero_count
+  registry.histogram("empty");
+  // Values below 1 are 0 in an integer recorder: exact bucket 0, no
+  // separate underflow bin.
+  registry.histogram("sub").record(0);
   const MetricsSnapshot snapshot = registry.snapshot();
   for (const MetricSample& sample : snapshot.samples) {
-    if (sample.name == "empty") {
-      EXPECT_EQ(estimate_quantile(sample, 0.5), 0.0);
-    } else if (sample.name == "sub") {
-      // Underflow bin reports 0 (values indistinguishable below 1).
-      EXPECT_EQ(estimate_quantile(sample, 0.5), 0.0);
-    }
+    EXPECT_EQ(sample.distribution.quantile_ns(0.5), 0.0) << sample.name;
   }
+  const std::string json = to_json(snapshot);
+  EXPECT_NE(json.find("\"empty\": {\"count\": 0, \"total\": 0, "
+                      "\"min\": 0, \"max\": 0, \"p50\": 0"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"sub\": {\"count\": 1, \"total\": 0"),
+            std::string::npos)
+      << json;
 }
 
 TEST(JsonSnapshot, WriteJsonFileRoundTrips) {

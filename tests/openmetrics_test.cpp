@@ -1,19 +1,24 @@
 // OpenMetrics exposition (obs/openmetrics): golden-text output for a known
-// registry, plus a parse-back pass that checks the invariants a scraper
-// relies on — every series belongs to a # TYPE family, histogram buckets
-// are cumulative and closed by le="+Inf", label values are escaped, and
-// the document ends with # EOF.
+// registry, a parse-back pass that checks the invariants a scraper relies
+// on — every series belongs to a # TYPE family, histogram buckets are
+// cumulative and closed by le="+Inf", label values are escaped, and the
+// document ends with # EOF — and the accuracy of the percentiles both
+// exporters publish.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/json_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
+#include "util/rng.h"
 
 namespace dnsnoise::obs {
 namespace {
@@ -42,7 +47,7 @@ TEST(OpenMetrics, GoldenExposition) {
   const std::string text = to_openmetrics(registry.snapshot());
   EXPECT_EQ(text,
             "# TYPE dnsnoise_telemetry info\n"
-            "dnsnoise_telemetry_info{schema=\"dnsnoise-openmetrics-v1\"} 1\n"
+            "dnsnoise_telemetry_info{schema=\"dnsnoise-openmetrics-v2\"} 1\n"
             "# TYPE dnsnoise_engine_shard0_wall_seconds gauge\n"
             "dnsnoise_engine_shard0_wall_seconds 1.5\n"
             "# TYPE dnsnoise_miner_findings counter\n"
@@ -61,36 +66,49 @@ TEST(OpenMetrics, ConstantLabelsAreStampedAndEscaped) {
   // The info series carries the constant labels plus the schema.
   EXPECT_NE(text.find("dnsnoise_telemetry_info{arch=\"x86\","
                       "bench=\"fig\\\"02\\\\x\",schema="
-                      "\"dnsnoise-openmetrics-v1\"} 1\n"),
+                      "\"dnsnoise-openmetrics-v2\"} 1\n"),
             std::string::npos);
 }
 
-TEST(OpenMetrics, TimerBecomesSummaryWithMinMaxGauges) {
+TEST(OpenMetrics, TimerBecomesSecondsHistogram) {
   MetricsRegistry registry;
-  registry.timer("engine.shard").record_ns(2'000'000'000ULL);
-  registry.timer("engine.shard").record_ns(1'000'000'000ULL);
+  registry.timer("engine.shard").record(2'000'000'000ULL);
+  registry.timer("engine.shard").record(1'000'000'000ULL);
   const std::string text = to_openmetrics(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE dnsnoise_engine_shard_seconds summary\n"),
+  EXPECT_NE(text.find("# TYPE dnsnoise_engine_shard_seconds histogram\n"),
             std::string::npos);
+  // One cumulative bucket per non-empty octave, edges in seconds.
+  EXPECT_NE(text.find("dnsnoise_engine_shard_seconds_bucket"
+                      "{le=\"1.073741824\"} 1\n"
+                      "dnsnoise_engine_shard_seconds_bucket"
+                      "{le=\"2.147483648\"} 2\n"
+                      "dnsnoise_engine_shard_seconds_bucket"
+                      "{le=\"+Inf\"} 2\n"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("dnsnoise_engine_shard_seconds_count 2\n"),
             std::string::npos);
   EXPECT_NE(text.find("dnsnoise_engine_shard_seconds_sum 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("dnsnoise_engine_shard_min_seconds 1\n"),
+  EXPECT_NE(text.find("# TYPE dnsnoise_engine_shard_seconds_percentile "
+                      "gauge\n"),
             std::string::npos);
-  EXPECT_NE(text.find("dnsnoise_engine_shard_max_seconds 2\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("dnsnoise_engine_shard_seconds_percentile"
+                      "{p=\"50\"} 1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(OpenMetrics, HistogramEmitsPercentileGauges) {
   MetricsRegistry registry;
-  Histogram& histo = registry.histogram("h");
-  for (int i = 0; i < 100; ++i) histo.record(100.0);
+  LatencyRecorder& histo = registry.histogram("h");
+  for (int i = 0; i < 100; ++i) histo.record(100);
   const std::string text = to_openmetrics(registry.snapshot());
   EXPECT_NE(text.find("# TYPE dnsnoise_h_percentile gauge\n"),
             std::string::npos);
-  EXPECT_NE(text.find("dnsnoise_h_percentile{p=\"50\"} "), std::string::npos);
-  EXPECT_NE(text.find("dnsnoise_h_percentile{p=\"99.9\"} "),
+  EXPECT_NE(text.find("dnsnoise_h_percentile{p=\"50\"} 100\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dnsnoise_h_percentile{p=\"99.9\"} 100\n"),
             std::string::npos);
 }
 
@@ -153,11 +171,11 @@ TEST(OpenMetrics, ParseBackChecksScraperInvariants) {
   MetricsRegistry registry;
   registry.counter("cluster.below_answers").add(42);
   registry.gauge("obs.run_active").set(1.0);
-  registry.timer("miner.mine").record_ns(5'000'000ULL);
-  Histogram& histo = registry.histogram("cluster.tap_batch_size");
-  histo.record(0.5);  // underflow
-  for (int i = 0; i < 10; ++i) histo.record(8.0);
-  for (int i = 0; i < 5; ++i) histo.record(500.0);
+  registry.timer("miner.mine").record(5'000'000ULL);
+  LatencyRecorder& histo = registry.histogram("cluster.tap_batch_size");
+  histo.record(0);
+  for (int i = 0; i < 10; ++i) histo.record(8);
+  for (int i = 0; i < 5; ++i) histo.record(500);
 
   const std::string text =
       to_openmetrics(registry.snapshot(), {{"run", "test"}});
@@ -188,24 +206,93 @@ TEST(OpenMetrics, ParseBackChecksScraperInvariants) {
     EXPECT_EQ(run->second, "test");
   }
 
-  // Histogram buckets: cumulative, monotone, closed by le="+Inf" whose
-  // value equals _count; _count equals total recorded observations.
-  const std::string family = "dnsnoise_cluster_tap_batch_size";
-  EXPECT_EQ(parsed.types[family], "histogram");
-  double prev = -1.0;
-  double inf_value = -1.0;
-  for (const ParsedSeries& series : parsed.series) {
-    if (series.name != family + "_bucket") continue;
-    EXPECT_GE(series.value, prev) << "bucket counts must be cumulative";
-    prev = series.value;
-    if (series.labels.at("le") == "+Inf") inf_value = series.value;
+  // Histogram buckets (timers included): cumulative, monotone, closed by
+  // le="+Inf" whose value equals _count; _count and _sum are exact.
+  const std::map<std::string, std::pair<double, double>> families = {
+      {"dnsnoise_cluster_tap_batch_size", {16.0, 2580.0}},
+      {"dnsnoise_miner_mine_seconds", {1.0, 0.005}}};
+  for (const auto& [family, expected] : families) {
+    EXPECT_EQ(parsed.types[family], "histogram") << family;
+    double prev = -1.0;
+    double inf_value = -1.0;
+    for (const ParsedSeries& series : parsed.series) {
+      if (series.name != family + "_bucket") continue;
+      EXPECT_GE(series.value, prev) << "bucket counts must be cumulative";
+      prev = series.value;
+      if (series.labels.at("le") == "+Inf") inf_value = series.value;
+    }
+    EXPECT_EQ(inf_value, expected.first) << family;
+    for (const ParsedSeries& series : parsed.series) {
+      if (series.name == family + "_count") {
+        EXPECT_EQ(series.value, expected.first) << family;
+      }
+      if (series.name == family + "_sum") {
+        EXPECT_DOUBLE_EQ(series.value, expected.second) << family;
+      }
+    }
   }
-  EXPECT_EQ(inf_value, 16.0);
   for (const ParsedSeries& series : parsed.series) {
-    if (series.name == family + "_count") EXPECT_EQ(series.value, 16.0);
-    if (series.name == family + "_sum") EXPECT_GT(series.value, 0.0);
     if (series.name == "dnsnoise_cluster_below_answers_total") {
       EXPECT_EQ(series.value, 42.0);
+    }
+  }
+}
+
+// --- Exported percentile accuracy ------------------------------------------
+
+/// The number after `"<key>": ` in the JSON object of metric `name`.
+double json_field(const std::string& json, const std::string& name,
+                  const std::string& key) {
+  const auto object = json.find("\"" + name + "\": {");
+  if (object == std::string::npos) return NAN;
+  const auto field = json.find("\"" + key + "\": ", object);
+  if (field == std::string::npos) return NAN;
+  return std::stod(json.substr(field + key.size() + 4));
+}
+
+/// The value of the exposition series line `series` (name plus labels).
+double exposition_value(const std::string& text, const std::string& series) {
+  const auto line = text.find("\n" + series + " ");
+  if (line == std::string::npos) return NAN;
+  return std::stod(text.substr(line + series.size() + 2));
+}
+
+TEST(ExportedPercentiles, WithinOneThirtySecondOfTheExactRank) {
+  // Point masses and uniform spans at latency scales: both exporters must
+  // publish p50/p99 within 1/32 of the exact rank value — the recorder's
+  // bucket bound, not a coarse re-binning of it.
+  Rng rng(2014);
+  std::map<std::string, std::vector<std::uint64_t>> inputs;
+  inputs["probe.point_1us_ns"].assign(1000, 1'000);
+  inputs["probe.point_250us_ns"].assign(1000, 250'000);
+  for (int i = 0; i < 10'000; ++i) {
+    inputs["probe.uniform_1_2us_ns"].push_back(1'000 + rng.below(1'001));
+    inputs["probe.uniform_40_60us_ns"].push_back(40'000 + rng.below(20'001));
+  }
+  MetricsRegistry registry;
+  for (const auto& [name, values] : inputs) {
+    auto& histogram = registry.histogram(name);
+    for (const std::uint64_t v : values) histogram.record(v);
+  }
+  const MetricsSnapshot snapshot = registry.snapshot();
+  const std::string json = to_json(snapshot);
+  const std::string text = to_openmetrics(snapshot);
+
+  for (auto& [name, values] : inputs) {
+    std::sort(values.begin(), values.end());
+    const std::string family = openmetrics_name(name) + "_percentile";
+    const std::pair<const char*, double> points[] = {{"50", 0.50},
+                                                     {"99", 0.99}};
+    for (const auto& [p, q] : points) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(values.size())));
+      const double exact = static_cast<double>(values[rank - 1]);
+      const double bound = exact / 32;
+      EXPECT_NEAR(json_field(json, name, std::string("p") + p), exact, bound)
+          << name << " JSON p" << p;
+      EXPECT_NEAR(exposition_value(text, family + "{p=\"" + p + "\"}"),
+                  exact, bound)
+          << name << " /metrics p" << p;
     }
   }
 }

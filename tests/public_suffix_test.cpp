@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 namespace dnsnoise {
@@ -108,6 +109,11 @@ struct SuffixCase {
   const char* suffix;
   const char* registrable;  // "" when none
 };
+
+// CTest names each case after its printed parameter; gtest's default
+// print of this struct is a byte dump of its pointers, which differs on
+// every run, so print the query name instead.
+void PrintTo(const SuffixCase& c, std::ostream* os) { *os << c.name; }
 
 class SuffixSweepTest : public ::testing::TestWithParam<SuffixCase> {};
 

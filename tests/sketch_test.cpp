@@ -17,7 +17,6 @@
 #include "obs/sketch/hll.h"
 #include "obs/sketch/spacesaving.h"
 #include "obs/sketch/traffic_sketch.h"
-#include "resolver/tap.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -220,17 +219,17 @@ TEST(Hll, ClearEmpties) {
 
 // --- TrafficSketch / plane --------------------------------------------------
 
-/// Feeds one below-direction answer event into `sketch`.
+/// Feeds one answered client query into `sketch` the way the cluster
+/// hook does: the qname interned into a bound source table, observe(),
+/// then a drain before the table goes away.
 void feed(TrafficSketch& sketch, SimTime ts, std::uint64_t client,
-          const std::string& qname, RCode rcode = RCode::NoError,
-          TapDirection direction = TapDirection::kBelow) {
-  TapEvent event;
-  event.ts = ts;
-  event.direction = direction;
-  event.client_id = client;
-  event.rcode = rcode;
-  ASSERT_TRUE(event.question.name.assign(qname));
-  sketch.on_tap_batch(TapBatch({&event, 1}, {}));
+          const std::string& qname, RCode rcode = RCode::NoError) {
+  NameTable source;
+  const NameId name = source.intern(qname);
+  sketch.bind_sources({&source});
+  sketch.observe(0, name, client, rcode, ts);
+  sketch.flush_pending();
+  sketch.bind_sources({});
 }
 
 TEST(TrafficPlane, CountsSharesAndHeavyHitters) {
@@ -246,9 +245,6 @@ TEST(TrafficPlane, CountsSharesAndHeavyHitters) {
   feed(shard, 20, 2, "www.stable.example");
   feed(shard, 21, 2, "www.stable.example");
   feed(shard, 22, 3, "missing.stable.example", RCode::NXDomain);
-  // Above-direction events are the cache-miss echo, never counted.
-  feed(shard, 23, 0, "www.stable.example", RCode::NoError,
-       TapDirection::kAbove);
 
   const TrafficSnapshot snap = plane.snapshot();
   EXPECT_EQ(snap.queries, 9u);
@@ -344,60 +340,6 @@ TEST(TrafficPlane, ShardMergeIsDeterministicAndSumsByText) {
   EXPECT_EQ(snap.top_qnames[1].name, "warm0.example");
   EXPECT_EQ(snap.top_qnames[2].name, "warm1.example");
   EXPECT_EQ(snap.top_qnames[3].name, "warm2.example");
-}
-
-TEST(TrafficPlane, HookPathMatchesTapPathByteForByte) {
-  // The production feed (bind_sources + observe + flush_pending) and the
-  // generic tap feed must serve byte-identical exports for the same event
-  // stream — same intern order, same classifier verdicts, same window.
-  // The stream wraps the 256-entry ring several times.
-  TrafficSketchConfig config;
-  config.top_k = 8;
-  config.interval_seconds = 10;
-  Rng rng(21);
-  ZipfSampler zipf(40, 1.0);
-  std::vector<std::string> pool;
-  for (int i = 0; i < 40; ++i) {
-    pool.push_back(i % 3 == 0
-                       ? "n" + std::to_string(i) + ".avqs.example"
-                       : "host" + std::to_string(i) + ".stable.example");
-  }
-  struct Event {
-    SimTime ts;
-    std::uint64_t client;
-    std::size_t name;
-    RCode rcode;
-  };
-  std::vector<Event> stream;
-  for (int i = 0; i < 700; ++i) {
-    stream.push_back({static_cast<SimTime>(i / 3), rng.below(16) + 1,
-                      zipf.sample(rng),
-                      i % 7 == 0 ? RCode::NXDomain : RCode::NoError});
-  }
-
-  TrafficSketchPlane tap_plane(config);
-  tap_plane.set_disposable_zones({"avqs.example"});
-  tap_plane.ensure_shards(1);
-  for (const Event& event : stream) {
-    feed(tap_plane.shard(0), event.ts, event.client, pool[event.name],
-         event.rcode);
-  }
-
-  TrafficSketchPlane hook_plane(config);
-  hook_plane.set_disposable_zones({"avqs.example"});
-  hook_plane.ensure_shards(1);
-  TrafficSketch& hook_shard = hook_plane.shard(0);
-  NameTable source;
-  std::vector<NameId> ids;
-  for (const std::string& name : pool) ids.push_back(source.intern(name));
-  hook_shard.bind_sources({&source});
-  for (const Event& event : stream) {
-    hook_shard.observe(0, ids[event.name], event.client, event.rcode,
-                       event.ts);
-  }
-  hook_shard.flush_pending();
-
-  EXPECT_EQ(tap_plane.to_json(), hook_plane.to_json());
 }
 
 TEST(TrafficPlane, RebindResolvesIdsThroughTheNewTables) {

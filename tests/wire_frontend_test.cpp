@@ -190,6 +190,33 @@ TEST_F(WireFrontendTest, ExportsServerMetrics) {
   EXPECT_EQ(metrics.counter("server.formerr").value(), 1u);
 }
 
+TEST_F(WireFrontendTest, StageLatencyLandsInTheRegistryPerFrontend) {
+  // Stage clocks go straight into the registry histograms (no flush), and
+  // stage_latency() reports only this frontend's queries even when an
+  // earlier frontend (an earlier served day) shared the registry.
+  obs::MetricsRegistry metrics;
+  std::vector<std::uint8_t> response;
+  WireFrontend& first = frontend(/*start=*/false, &metrics);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(handle(first, query_bytes("a.smoke.test"), response));
+  }
+  EXPECT_EQ(first.stage_latency().total.count, 3u);
+  EXPECT_EQ(metrics.histogram("server.latency.total_ns").snapshot().count,
+            3u);
+
+  WireFrontend& second = frontend(/*start=*/false, &metrics);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(handle(second, query_bytes("b.smoke.test"), response));
+  }
+  const StageLatencyBreakdown own = second.stage_latency();
+  EXPECT_EQ(own.decode.count, 2u);
+  EXPECT_EQ(own.cluster.count, 2u);
+  EXPECT_EQ(own.encode.count, 2u);
+  EXPECT_EQ(own.total.count, 2u);
+  EXPECT_EQ(metrics.histogram("server.latency.total_ns").snapshot().count,
+            5u);
+}
+
 // --- Malformed input: the crash contract -----------------------------------
 
 struct MalformedCase {

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Gate benchmark throughput regressions from BENCH_*.json snapshots.
 
-Compares the ``*_per_sec`` gauges of a current dnsnoise-metrics-v1 bench
+Compares the ``*_per_sec`` gauges of a current dnsnoise-metrics bench
 snapshot (written by bench/micro_throughput or bench/fig02_traffic_volume)
-against a committed baseline.  Higher is better; a gauge that dropped by
+against a committed baseline.  Both schema versions are accepted: the gate
+reads only the "gauges" section, which dnsnoise-metrics-v1 and -v2 share,
+so v1 baselines keep gating v2 runs.  Higher is better; a gauge that dropped by
 more than ``--threshold`` (default 30%) fails the check.
 
 ``*_allocs_per_query`` gauges are gated the other way round: lower is
@@ -48,12 +50,14 @@ import argparse
 import json
 import sys
 
+SCHEMAS = ("dnsnoise-metrics-v1", "dnsnoise-metrics-v2")
+
 
 def load_gauges(path, suffix):
     """Returns {name: value} for gauges of one snapshot ending in suffix."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != "dnsnoise-metrics-v1":
+    if doc.get("schema") not in SCHEMAS:
         raise ValueError(f"{path}: unexpected schema {doc.get('schema')!r}")
     gauges = doc.get("gauges")
     if not isinstance(gauges, dict):

@@ -23,6 +23,20 @@ def snapshot(gauges):
             "gauges": gauges, "timers": {}}
 
 
+def snapshot_v2(gauges):
+    """A dnsnoise-metrics-v2 snapshot: same gauges section, timers and
+    histograms reshaped around the one histogram type."""
+    return {"schema": "dnsnoise-metrics-v2", "counters": {},
+            "gauges": gauges,
+            "timers": {"miner.mine": {
+                "count": 1, "total_seconds": 0.5, "min_seconds": 0.5,
+                "max_seconds": 0.5, "p50_seconds": 0.5, "p90_seconds": 0.5,
+                "p99_seconds": 0.5, "p999_seconds": 0.5}},
+            "histograms": {"server.latency.total_ns": {
+                "count": 2, "total": 3000, "min": 1000, "max": 2000,
+                "p50": 1000, "p90": 2000, "p99": 2000, "p999": 2000}}}
+
+
 class CheckBenchRegressionTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -189,6 +203,45 @@ class CheckBenchRegressionTest(unittest.TestCase):
         current = self.path(
             "current.json",
             {"schema": "something-else", "gauges": {}})
+        baseline = self.path("baseline.json",
+                             snapshot({"a.events_per_sec": 1000.0}))
+        code, out = self.run_gate(current, baseline)
+        self.assertEqual(code, 2, out)
+
+    def test_v2_current_against_v1_baseline_passes(self):
+        # Committed baselines stay v1: the gate reads gauges only, and
+        # that section is the same in both versions.
+        current = self.path("current.json",
+                            snapshot_v2({"a.events_per_sec": 1000.0}))
+        baseline = self.path("baseline.json",
+                             snapshot({"a.events_per_sec": 900.0}))
+        code, out = self.run_gate(current, baseline)
+        self.assertEqual(code, 0, out)
+        self.assertIn("no regressions", out)
+
+    def test_v2_current_against_v1_baseline_still_gates(self):
+        current = self.path("current.json",
+                            snapshot_v2({"a.events_per_sec": 500.0}))
+        baseline = self.path("baseline.json",
+                             snapshot({"a.events_per_sec": 1000.0}))
+        code, out = self.run_gate(current, baseline)
+        self.assertEqual(code, 1, out)
+
+    def test_v2_against_v2_gates_latency(self):
+        current = self.path(
+            "current.json",
+            snapshot_v2({"loadgen.open.p99_latency_seconds": 0.900}))
+        baseline = self.path(
+            "baseline.json",
+            snapshot_v2({"loadgen.open.p99_latency_seconds": 0.100}))
+        code, out = self.run_gate(current, baseline)
+        self.assertEqual(code, 1, out)
+
+    def test_unknown_metrics_version_errors(self):
+        current = self.path(
+            "current.json",
+            {"schema": "dnsnoise-metrics-v3",
+             "gauges": {"a.events_per_sec": 1000.0}})
         baseline = self.path("baseline.json",
                              snapshot({"a.events_per_sec": 1000.0}))
         code, out = self.run_gate(current, baseline)
