@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <string>
 
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "ml/lad_tree.h"
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
@@ -26,11 +26,16 @@ inline ScenarioScale default_scale(std::uint64_t queries_per_day = 400'000) {
   return scale;
 }
 
-inline PipelineOptions default_options(
+/// Worker threads of every figure binary.  Threads only schedule the
+/// per-server shards, so the printed figures do not depend on this.
+inline constexpr std::size_t kBenchThreads = 4;
+
+/// A mining session at the default scaled-ISP volume.
+inline MiningSession default_session(
     std::uint64_t queries_per_day = 400'000) {
-  PipelineOptions options;
-  options.scale = default_scale(queries_per_day);
-  return options;
+  MiningSession session(default_scale(queries_per_day));
+  session.threads(kBenchThreads);
+  return session;
 }
 
 inline void print_header(const std::string& id, const std::string& title) {
@@ -60,27 +65,18 @@ inline std::string write_bench_json(const std::string& bench_name,
   return path;
 }
 
-/// Simulates one capture day of `date` (with warmup) and returns the
-/// cluster-wide cache stats; the capture is filled in place.
-inline DnsCacheStats capture_day(ScenarioDate date,
-                                 const PipelineOptions& options,
-                                 DayCapture& capture) {
-  Scenario scenario(date, options.scale);
-  return simulate_day(scenario, capture, options, scenario_day_index(date));
-}
-
 /// Trains the campaign's reference LAD tree the way the paper did: one
 /// model from one labeled day (we use the 11/14 scenario, nearest to the
 /// paper's 11/10 labeling date), then applied across all dates.
 inline LadTree train_reference_model(std::uint64_t queries_per_day = 400'000) {
-  PipelineOptions options = default_options(queries_per_day);
-  options.labeler.min_group_size = 10;
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
+  LabelerConfig labeler;
+  labeler.min_group_size = 10;
+  const ScenarioScale scale = default_scale(queries_per_day);
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  default_session(queries_per_day).simulate(ScenarioDate::kNov14, capture);
+  const Scenario scenario(ScenarioDate::kNov14, scale);
   const Dataset data = to_dataset(
-      label_zones(capture.tree(), capture.chr(), scenario, options.labeler));
+      label_zones(capture.tree(), capture.chr(), scenario, labeler));
   LadTree model;
   model.train(data);
   return model;

@@ -70,11 +70,12 @@ int main(int argc, char** argv) {
   // budget allows: more volume over a smaller namespace, a 2-server
   // cluster, and the disposable share of *volume* at its realistic small
   // value.
-  PipelineOptions options = default_options(1'500'000);
-  options.scale.population_scale = 0.25;
-  options.scale.disposable_traffic_multiplier = 0.12;
-  options.cluster.server_count = 2;
-  options.warmup_volume_fraction = 0.4;
+  ScenarioScale scale = default_scale(1'500'000);
+  scale.population_scale = 0.25;
+  scale.disposable_traffic_multiplier = 0.12;
+  ClusterConfig cluster;
+  cluster.server_count = 2;
+  const double warmup_fraction = 0.4;
 
   DayCapture capture;
 
@@ -91,10 +92,8 @@ int main(int argc, char** argv) {
   // One session for the whole campaign: with --serve its registry and
   // telemetry server persist across days, so counters accumulate and a
   // scraper sees the run continuously instead of per-day resets.
-  MiningSession session(options.scale);
-  session.cluster(options.cluster)
-      .warmup(true, options.warmup_volume_fraction)
-      .threads(4);
+  MiningSession session(scale);
+  session.cluster(cluster).warmup(true, warmup_fraction).threads(4);
   if (serve) {
     // The streaming introspection plane rides along: /traffic serves the
     // live dnsnoise-traffic-v1 sketch snapshot while the days simulate,
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
   for (int day = 0; day < days; ++day) {
     // Each day draws a fresh query stream; warmup pre-heats the caches so
     // every day runs at steady state.
-    ScenarioScale day_scale = options.scale;
+    ScenarioScale day_scale = scale;
     day_scale.traffic_stream = static_cast<std::uint64_t>(day);
     session.scale(day_scale);
     const bool traced = day == 0 && !trace_path.empty();
@@ -196,7 +195,7 @@ int main(int argc, char** argv) {
   // parallelism at 2, so the throughput runs use an 8-shard cluster; the
   // findings are thread-count invariant, so this is pure wall-clock
   // scheduling speedup.
-  ClusterConfig speed_cluster = options.cluster;
+  ClusterConfig speed_cluster = cluster;
   speed_cluster.server_count = 8;
   std::printf("\nSharded engine throughput (day 0 preset, %d RDNS shards):\n",
               static_cast<int>(speed_cluster.server_count));
@@ -204,14 +203,14 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry bench_registry;
   double base_seconds = 0.0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ScenarioScale day_scale = options.scale;
+    ScenarioScale day_scale = scale;
     day_scale.traffic_stream = 0;
     DayCapture bench_capture;
     const auto start = std::chrono::steady_clock::now();
     const EngineReport report =
         MiningSession(day_scale)
             .cluster(speed_cluster)
-            .warmup(true, options.warmup_volume_fraction)
+            .warmup(true, warmup_fraction)
             .threads(threads)
             .simulate(ScenarioDate::kDec30, bench_capture, base_day);
     const double seconds = std::chrono::duration<double>(

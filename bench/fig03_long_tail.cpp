@@ -15,9 +15,8 @@ using namespace dnsnoise::bench;
 namespace {
 
 void run_date(ScenarioDate date, double& tail_fraction, double& zero_dhr) {
-  const PipelineOptions options = default_options();
   DayCapture capture;
-  capture_day(date, options, capture);
+  default_session().simulate(date, capture);
 
   std::printf("--- %s ---\n", std::string(scenario_date_name(date)).c_str());
 

@@ -14,11 +14,11 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Fig. 4", "cache-hit-rate distribution (single day + aggregate)");
 
-  const PipelineOptions options = default_options();
+  MiningSession session = default_session();
 
   // (a) One day, 11/14 (our nearest scenario date to the paper's 11/10).
   DayCapture capture;
-  capture_day(ScenarioDate::kNov14, options, capture);
+  session.simulate(ScenarioDate::kNov14, capture);
   const double below_half = chr_fraction_below(capture.chr(), 0.5);
 
   std::printf("--- CHR CDF, %s ---\n",
@@ -35,7 +35,7 @@ int main() {
   for (const ScenarioDate date :
        {ScenarioDate::kSep13, ScenarioDate::kNov14, ScenarioDate::kNov29}) {
     DayCapture day;
-    capture_day(date, options, day);
+    session.simulate(date, day);
     const auto samples = day.chr().chr_distribution();
     aggregate.insert(aggregate.end(), samples.begin(), samples.end());
   }

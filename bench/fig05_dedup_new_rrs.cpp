@@ -14,8 +14,8 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Fig. 5", "new deduplicated RRs per day over 13 days");
 
-  PipelineOptions options = default_options(200'000);
-  options.warmup = false;  // dedup counts below-tap answers only
+  MiningSession session = default_session(200'000);
+  session.warmup(false);  // dedup counts below-tap answers only
 
   RpDnsDataset rpdns;
   struct DayCounts {
@@ -26,16 +26,13 @@ int main() {
   std::vector<DayCounts> per_day;
 
   for (int day = 0; day < 13; ++day) {
-    ScenarioScale scale = options.scale;
+    ScenarioScale scale = default_scale(200'000);
     scale.traffic_stream = static_cast<std::uint64_t>(day);
     // The Google-style experiment ramps up within the window (the paper's
     // Google tenant *grew* while everything else declined).
     scale.flagship_boost = 0.85 + 0.30 * static_cast<double>(day) / 12.0;
-    Scenario scenario(ScenarioDate::kDec30, scale);
-    PipelineOptions day_options = options;
-    day_options.scale = scale;
     DayCapture capture;
-    simulate_day(scenario, capture, day_options, day);
+    session.scale(scale).simulate(ScenarioDate::kDec30, capture, day);
 
     DayCounts counts;
     for (const auto& [key, rr_counts] : capture.chr().entries()) {

@@ -19,12 +19,12 @@ int main() {
   // CHR contrast needs many queries per popular hostname; run a bigger day
   // on a 2-server cluster (the paper's per-name query volumes are ~100x
   // ours, so this narrows the scale gap for the hit-rate comparison).
-  PipelineOptions options = default_options(800'000);
-  options.cluster.server_count = 2;
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
+  ClusterConfig cluster;
+  cluster.server_count = 2;
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  default_session(800'000).cluster(cluster).simulate(ScenarioDate::kNov14,
+                                                     capture);
+  const Scenario scenario(ScenarioDate::kNov14, default_scale(800'000));
 
   // The paper's negative class is the labeled Alexa-style zones, not the
   // rest of the traffic.

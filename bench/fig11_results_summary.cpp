@@ -19,23 +19,22 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Fig. 11", "measurement results summary");
 
-  PipelineOptions options = default_options(150'000);
   const LadTree campaign_model = train_reference_model();
-  options.pretrained = &campaign_model;
+  MiningSession session = default_session(150'000);
+  session.pretrained(&campaign_model);
 
   // Classifier accuracy via 10-fold CV on the Nov-14 labeled set.
   {
-    PipelineOptions cv_options = default_options();
-    cv_options.labeler.min_group_size = 10;
+    LabelerConfig labeler;
+    labeler.min_group_size = 10;
     // The paper's 398/401 zones were labeled by hand; a small labeling-
     // error rate keeps the CV numbers realistic rather than perfect.
-    cv_options.labeler.label_noise = 0.03;
-    Scenario scenario(ScenarioDate::kNov14, cv_options.scale);
+    labeler.label_noise = 0.03;
     DayCapture capture;
-    simulate_day(scenario, capture, cv_options,
-                 scenario_day_index(ScenarioDate::kNov14));
-    const Dataset data = to_dataset(label_zones(
-        capture.tree(), capture.chr(), scenario, cv_options.labeler));
+    default_session().simulate(ScenarioDate::kNov14, capture);
+    const Scenario scenario(ScenarioDate::kNov14, default_scale());
+    const Dataset data = to_dataset(
+        label_zones(capture.tree(), capture.chr(), scenario, labeler));
     const auto scores = cross_val_scores(
         data, [] { return std::make_unique<LadTree>(); }, 10, 2011);
     std::vector<int> labels;
@@ -59,7 +58,7 @@ int main() {
   double first_rr = 0.0;
   double last_rr = 0.0;
   for (const ScenarioDate date : kAllScenarioDates) {
-    const MiningDayResult result = run_mining_day(date, options);
+    const MiningDayResult result = session.run(date);
     const auto& psl = PublicSuffixList::builtin();
     for (const auto& finding : result.findings) {
       zones.insert(finding.zone + "#" + std::to_string(finding.depth));

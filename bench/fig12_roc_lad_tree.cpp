@@ -45,17 +45,16 @@ double cv_auc(const Dataset& data, const ClassifierFactory& factory,
 int main() {
   print_header("Fig. 12", "ROC of the LAD tree (10-fold CV) + model selection");
 
-  PipelineOptions options = default_options();
-  options.labeler.min_group_size = 10;
+  LabelerConfig labeler;
+  labeler.min_group_size = 10;
   // The paper's 398/401 zones were labeled by hand; a small labeling-error
   // rate keeps the CV numbers realistic rather than synthetic-perfect.
-  options.labeler.label_noise = 0.03;
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
+  labeler.label_noise = 0.03;
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  default_session().simulate(ScenarioDate::kNov14, capture);
+  const Scenario scenario(ScenarioDate::kNov14, default_scale());
   const auto labeled =
-      label_zones(capture.tree(), capture.chr(), scenario, options.labeler);
+      label_zones(capture.tree(), capture.chr(), scenario, labeler);
   const Dataset data = to_dataset(labeled);
   std::printf("Labeled zones: %zu (%zu disposable / %zu non-disposable)\n\n",
               data.size(), data.positives(), data.size() - data.positives());

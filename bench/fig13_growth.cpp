@@ -17,8 +17,8 @@ int main() {
   // The paper's protocol: one classifier, trained from the hand-labeled
   // zones of one day, applied across the whole 2011 campaign.
   const LadTree model = train_reference_model();
-  PipelineOptions options = default_options(150'000);
-  options.pretrained = &model;
+  MiningSession session = default_session(150'000);
+  session.pretrained(&model);
 
   TextTable table({"date", "queried", "resolved", "RRs", "zones_found",
                    "precision"});
@@ -30,7 +30,7 @@ int main() {
   double last_rrs = 0.0;
 
   for (const ScenarioDate date : kAllScenarioDates) {
-    const MiningDayResult result = run_mining_day(date, options);
+    const MiningDayResult result = session.run(date);
     const DayAggregates& agg = result.aggregates;
     const double queried = static_cast<double>(agg.disposable_queried) /
                            static_cast<double>(agg.unique_queried);

@@ -22,10 +22,9 @@ struct DateStats {
 };
 
 DateStats run_date(ScenarioDate date) {
-  const PipelineOptions options = default_options();
-  Scenario scenario(date, options.scale);
   DayCapture capture;
-  simulate_day(scenario, capture, options, scenario_day_index(date));
+  default_session().simulate(date, capture);
+  const Scenario scenario(date, default_scale());
   const auto is_disposable = [&scenario](const DomainName& name) {
     return scenario.truth().is_disposable_name(name);
   };

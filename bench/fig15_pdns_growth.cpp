@@ -15,8 +15,8 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Fig. 15", "pDNS-DB bootstrap: new RRs per day by class");
 
-  PipelineOptions options = default_options(200'000);
-  options.warmup = false;
+  MiningSession session = default_session(200'000);
+  session.warmup(false);
 
   RpDnsDataset rpdns;
   std::uint64_t disposable_total = 0;
@@ -27,14 +27,12 @@ int main() {
   std::vector<DayCounts> per_day;
 
   for (int day = 0; day < 13; ++day) {
-    ScenarioScale scale = options.scale;
+    ScenarioScale scale = default_scale(200'000);
     scale.traffic_stream = static_cast<std::uint64_t>(day);
     scale.flagship_boost = 0.85 + 0.30 * static_cast<double>(day) / 12.0;
-    Scenario scenario(ScenarioDate::kDec30, scale);
-    PipelineOptions day_options = options;
-    day_options.scale = scale;
     DayCapture capture;
-    simulate_day(scenario, capture, day_options, day);
+    session.scale(scale).simulate(ScenarioDate::kDec30, capture, day);
+    const Scenario scenario(ScenarioDate::kDec30, scale);
 
     DayCounts counts;
     for (const auto& [key, rr_counts] : capture.chr().entries()) {

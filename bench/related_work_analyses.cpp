@@ -19,12 +19,13 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Sec. II-B", "treetop taxonomy and the covert-channel bound");
 
-  PipelineOptions options = default_options(250'000);
-  options.capture.keep_fpdns = true;
-  Scenario scenario(ScenarioDate::kDec30, options.scale);
-  DayCapture capture(options.capture);
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kDec30));
+  DayCaptureConfig capture_config;
+  capture_config.keep_fpdns = true;
+  DayCapture capture(capture_config);
+  default_session(250'000)
+      .capture_config(capture_config)
+      .simulate(ScenarioDate::kDec30, capture);
+  const Scenario scenario(ScenarioDate::kDec30, default_scale(250'000));
 
   const auto is_disposable = [&scenario](const DomainName& name) {
     return scenario.truth().is_disposable_name(name);

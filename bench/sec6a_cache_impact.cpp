@@ -22,15 +22,18 @@ struct RunResult {
 
 RunResult run(std::size_t capacity, double disposable_multiplier,
               bool low_priority = false) {
-  PipelineOptions options = default_options(250'000);
-  options.scale.disposable_traffic_multiplier = disposable_multiplier;
-  options.cluster.cache.capacity = capacity;
-  options.cluster.cache.low_priority_disposable = low_priority;
-  Scenario scenario(ScenarioDate::kDec30, options.scale);
+  ScenarioScale scale = default_scale(250'000);
+  scale.disposable_traffic_multiplier = disposable_multiplier;
+  ClusterConfig cluster;
+  cluster.cache.capacity = capacity;
+  cluster.cache.low_priority_disposable = low_priority;
   DayCapture capture;
   RunResult result;
-  result.stats = simulate_day(scenario, capture, options,
-                              scenario_day_index(ScenarioDate::kDec30));
+  result.stats = default_session()
+                     .scale(scale)
+                     .cluster(cluster)
+                     .simulate(ScenarioDate::kDec30, capture)
+                     .counters.stats;
   result.above = capture.above_series().sum_total();
   result.below = capture.below_series().sum_total();
   return result;

@@ -28,21 +28,17 @@ struct RunResult {
 };
 
 RunResult run(ScenarioDate date, double disposable_multiplier) {
-  PipelineOptions options = default_options(250'000);
-  options.scale.disposable_traffic_multiplier = disposable_multiplier;
-  Scenario scenario(date, options.scale);
-
-  RdnsCluster cluster(options.cluster, scenario.authority());
-  scenario.traffic().run_day(scenario_day_index(date),
-                             [&cluster](SimTime ts, std::uint64_t client,
-                                        const QuerySpec& query) {
-                               cluster.query(
-                                   client,
-                                   {DomainName(query.qname), query.qtype}, ts);
-                             });
-  return {cluster.dnssec_validations(),
-          cluster.dnssec_disposable_validations(), cluster.answered_misses(),
-          cluster.disposable_answered_misses()};
+  ScenarioScale scale = default_scale(250'000);
+  scale.disposable_traffic_multiplier = disposable_multiplier;
+  DayCapture capture;
+  const ShardCounters counters = default_session()
+                                     .scale(scale)
+                                     .warmup(false)
+                                     .simulate(date, capture)
+                                     .counters;
+  return {counters.dnssec_validations,
+          counters.dnssec_disposable_validations, counters.answered_misses,
+          counters.disposable_answered_misses};
 }
 
 }  // namespace

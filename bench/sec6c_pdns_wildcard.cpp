@@ -17,8 +17,8 @@ using namespace dnsnoise::bench;
 int main() {
   print_header("Sec. VI-C", "pDNS-DB wildcard aggregation of disposable RRs");
 
-  PipelineOptions options = default_options(200'000);
-  options.warmup = false;
+  MiningSession session = default_session(200'000);
+  session.warmup(false);
 
   // Mine the folding rules once on day 1, then bootstrap both databases
   // over 6 days of traffic.
@@ -27,14 +27,14 @@ int main() {
   std::optional<FindingIndex> index;
 
   for (int day = 0; day < 6; ++day) {
-    ScenarioScale scale = options.scale;
+    ScenarioScale scale = default_scale(200'000);
     scale.traffic_stream = static_cast<std::uint64_t>(day);
-    PipelineOptions day_options = options;
-    day_options.scale = scale;
+    session.scale(scale);
     DayCapture capture;
     if (day == 0) {
-      const MiningDayResult result =
-          run_mining_day(ScenarioDate::kDec30, day_options, &capture);
+      const MiningDayResult result = session.run(
+          ScenarioDate::kDec30, capture,
+          scenario_day_index(ScenarioDate::kDec30));
       for (const auto& finding : result.findings) {
         raw.add_rule({finding.zone, finding.depth});
         folded.add_rule({finding.zone, finding.depth});
@@ -43,8 +43,7 @@ int main() {
       std::printf("Mined %zu disposable (zone, depth) rules on day 1.\n\n",
                   result.findings.size());
     } else {
-      Scenario scenario(ScenarioDate::kDec30, scale);
-      simulate_day(scenario, capture, day_options, day);
+      session.simulate(ScenarioDate::kDec30, capture, day);
     }
     for (const auto& [key, counts] : capture.chr().entries()) {
       const auto name = DomainName::parse(key.name);

@@ -16,15 +16,16 @@ int main() {
   print_header("Table I", "disposable RRs in the low-lookup-volume tail");
 
   const LadTree model = train_reference_model();
-  PipelineOptions options = default_options(150'000);
-  options.pretrained = &model;
+  MiningSession session = default_session(150'000);
+  session.pretrained(&model);
   TextTable table({"date", "volume<10", "%_of_tail_disposable",
                    "%_disposable_in_tail"});
   double first_share = 0.0;
   double last_share = 0.0;
   for (const ScenarioDate date : kAllScenarioDates) {
     DayCapture capture;
-    const MiningDayResult result = run_mining_day(date, options, &capture);
+    const MiningDayResult result =
+        session.run(date, capture, scenario_day_index(date));
     const FindingIndex index(result.findings);
     const TailComposition row = lookup_tail_composition(
         capture.chr(),

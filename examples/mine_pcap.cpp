@@ -17,7 +17,7 @@
 #include <fstream>
 
 #include "dns/wire.h"
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "netio/capture.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -29,33 +29,32 @@ namespace {
 const Ipv4 kResolverIp = Ipv4::from_octets(10, 0, 0, 53);
 const Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
 
-PipelineOptions small_day() {
-  PipelineOptions options;
-  options.scale.queries_per_day = 90'000;
-  options.scale.client_count = 4'000;
-  options.scale.population_scale = 0.5;
-  options.labeler.min_group_size = 8;
-  return options;
+ScenarioScale small_day() {
+  ScenarioScale scale;
+  scale.queries_per_day = 90'000;
+  scale.client_count = 4'000;
+  scale.population_scale = 0.5;
+  return scale;
 }
 
 /// Step 1: train on the labeled day and persist the model.
 std::vector<std::uint8_t> train_and_serialize() {
-  const PipelineOptions options = small_day();
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  MiningSession(small_day()).threads(4).simulate(ScenarioDate::kNov14,
+                                                 capture);
+  const Scenario scenario(ScenarioDate::kNov14, small_day());
+  LabelerConfig labeler;
+  labeler.min_group_size = 8;
   LadTree model;
-  model.train(to_dataset(label_zones(capture.tree(), capture.chr(), scenario,
-                                     options.labeler)));
+  model.train(to_dataset(
+      label_zones(capture.tree(), capture.chr(), scenario, labeler)));
   return model.serialize();
 }
 
 /// Step 2: a pcap of one (synthetic) day of tap traffic.
 std::vector<std::uint8_t> capture_day_as_pcap() {
-  PipelineOptions options = small_day();
-  Scenario scenario(ScenarioDate::kDec30, options.scale);
-  RdnsCluster cluster(options.cluster, scenario.authority());
+  Scenario scenario(ScenarioDate::kDec30, small_day());
+  RdnsCluster cluster(ClusterConfig{}, scenario.authority());
   PcapWriter writer;
   std::uint16_t txid = 0;
   FunctionTapObserver pcap_tap([&](const TapBatch& batch) {
@@ -77,8 +76,8 @@ std::vector<std::uint8_t> capture_day_as_pcap() {
     }
   });
   cluster.add_tap_observer(&pcap_tap);
-  scenario.traffic().run_day(
-      scenario_day_index(ScenarioDate::kDec30),
+  scenario.traffic().run_day_shard(
+      scenario_day_index(ScenarioDate::kDec30), {},
       [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
         cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
       });

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 
 #include "dns/wire.h"
@@ -63,13 +64,19 @@ int main(int argc, char** argv) {
   });
   cluster.add_tap_observer(&pcap_tap);
 
-  scenario.traffic().run_day(0, [&cluster](SimTime ts, std::uint64_t client,
-                                           const QuerySpec& query) {
-    if (ts >= kSecondsPerHour) return;  // keep the capture to one hour
-    cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
-  });
+  scenario.traffic().run_day_shard(
+      0, {},
+      [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        if (ts >= kSecondsPerHour) return;  // keep the capture to one hour
+        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+      });
   cluster.flush_taps();
-  writer.save(path);
+  try {
+    writer.save(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pcap_pipeline: %s\n", e.what());
+    return 1;
+  }
   std::printf("Wrote %s packets (%s bytes) to %s\n",
               with_commas(writer.packet_count()).c_str(),
               with_commas(writer.bytes().size()).c_str(), path.c_str());

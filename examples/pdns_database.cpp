@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <optional>
 
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "pdns/pdns_db.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -18,10 +18,11 @@
 using namespace dnsnoise;
 
 int main() {
-  PipelineOptions options;
-  options.scale.queries_per_day = 120'000;
-  options.scale.client_count = 6'000;
-  options.warmup = false;
+  ScenarioScale scale;
+  scale.queries_per_day = 120'000;
+  scale.client_count = 6'000;
+  MiningSession session(scale);
+  session.warmup(false).threads(4);
 
   PassiveDnsDb raw(/*wildcard_folding=*/false);
   PassiveDnsDb folded(/*wildcard_folding=*/true);
@@ -30,15 +31,14 @@ int main() {
   std::string sample_popular = "mail.google.com";
 
   for (int day = 0; day < 3; ++day) {
-    ScenarioScale scale = options.scale;
     scale.traffic_stream = static_cast<std::uint64_t>(day);
-    PipelineOptions day_options = options;
-    day_options.scale = scale;
+    session.scale(scale);
     DayCapture capture;
     if (day == 0) {
       // Mine the disposable zones once, install them as folding rules.
-      const MiningDayResult result =
-          run_mining_day(ScenarioDate::kDec30, day_options, &capture);
+      const MiningDayResult result = session.run(
+          ScenarioDate::kDec30, capture,
+          scenario_day_index(ScenarioDate::kDec30));
       for (const auto& finding : result.findings) {
         folded.add_rule({finding.zone, finding.depth});
       }
@@ -48,8 +48,7 @@ int main() {
                   result.findings.size(),
                   percent(result.evaluation.finding_precision()).c_str());
     } else {
-      Scenario scenario(ScenarioDate::kDec30, scale);
-      simulate_day(scenario, capture, day_options, day);
+      session.simulate(ScenarioDate::kDec30, capture, day);
     }
     for (const auto& [key, counts] : capture.chr().entries()) {
       const auto name = DomainName::parse(key.name);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <utility>
 
+#include "engine/drive.h"
 #include "engine/thread_pool.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
@@ -181,14 +182,6 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     report.error = "cluster server_count must be >= 1";
     return report;
   }
-  if (shard_count > 1 &&
-      options_.cluster.balancing != Balancing::kClientHash) {
-    report.status = MiningDayStatus::kInvalidConfig;
-    report.error =
-        "sharding by server requires client-hash balancing (kClientHash); "
-        "random/round-robin balancing depends on the global query order";
-    return report;
-  }
   if (options_.scale.queries_per_day == 0) {
     report.status = MiningDayStatus::kEmptyCapture;
     report.error = "scenario volume is zero; nothing to capture";
@@ -251,27 +244,17 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
       shard_config.trace = trace;
       RdnsCluster cluster(shard_config, scenario.authority());
       const TrafficGenerator::ShardSpec spec{shard_count, index};
-      std::uint64_t fed = 0;
-      Question question;  // scratch reused across the shard's day
+      Question question;  // parse scratch reused across the shard's days
       obs::Heartbeat heartbeat(engine_heartbeat);
       heartbeat.beat();
-      const auto feed = [&cluster, &fed, &question, &heartbeat](
-                            SimTime ts, std::uint64_t client,
-                            const QuerySpec& query) {
-        heartbeat.tick();
-        if (!question.name.assign(query.qname)) return;
-        question.type = query.qtype;
-        cluster.query_view(client, question, ts);
-        ++fed;
-      };
       if (options_.warmup) {
-        // Same reduced-volume warmup day the classic pipeline runs, shard
-        // filtered: warm clients hash into the same partition, so each
-        // shard cache warms exactly like its server would.
+        // A reduced-volume preceding day, shard filtered: warm clients
+        // hash into the same partition, so each shard cache warms exactly
+        // like its server would.  Its queries are not part of the day.
         Scenario warm(date, warmup_scale(options_.scale,
                                          options_.warmup_volume_fraction));
-        warm.traffic().run_day_shard(day_index - 1, spec, feed);
-        fed = 0;  // warmup queries are not part of the day
+        drive_day(warm.traffic(), cluster, day_index - 1, spec, question,
+                  &heartbeat);
       }
       shard.capture.start_day(day_index);
       shard.capture.attach(cluster);
@@ -285,7 +268,9 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
       // through an uninstrumented generator.
       scenario.traffic().set_metrics(metrics);
       scenario.traffic().set_trace(trace, static_cast<std::uint32_t>(index));
-      scenario.traffic().run_day_shard(day_index, spec, feed);
+      const std::uint64_t fed = drive_day(scenario.traffic(), cluster,
+                                          day_index, spec, question,
+                                          &heartbeat);
       cluster.flush_taps();
       if (sketch_shard != nullptr) cluster.set_traffic_sketch(nullptr);
       shard.capture.detach(cluster);

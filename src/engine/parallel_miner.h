@@ -1,11 +1,10 @@
-// Sharded parallel mining engine — the redesigned front door of the daily
-// pipeline.
+// Sharded parallel mining engine — the front door of the daily pipeline.
 //
 // MiningSession is a fluent builder over PipelineOptions plus a thread
-// count.  run() executes the same logical day as run_mining_day, but:
+// count, and the one way to run a simulated day:
 //
 //   * the simulated day is partitioned by RDNS server (one shard per
-//     server; requires client-hash balancing for server_count > 1),
+//     server; clients reach servers by client hash),
 //   * each shard runs on the work-stealing pool with its own Scenario,
 //     single-server RdnsCluster (seed split per shard, see
 //     ClusterConfig::for_shard) and thread-local DayCapture,
@@ -147,9 +146,12 @@ class MiningSession {
     return sketch_.get();
   }
 
-  /// Simulates one sharded day into `capture` (start_day(day_index)-reset
-  /// here, the engine's single reset point — mirrors simulate_day), without
-  /// mining.  On a non-ok() report the capture contents are unspecified.
+  /// Simulates one sharded day into `capture` without mining.  `capture`
+  /// is reset exactly once, here, via DayCapture::start_day(day_index) —
+  /// the single documented reset point: per-day state is cleared, the
+  /// cumulative rpDNS store is kept.  Warmup traffic only warms the
+  /// caches; the capture sees the measured day alone.  On a non-ok()
+  /// report the capture contents are unspecified.
   EngineReport simulate(ScenarioDate date, DayCapture& capture,
                         std::int64_t day_index);
   /// Same, with day_index = scenario_day_index(date).

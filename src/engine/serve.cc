@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "engine/drive.h"
 #include "engine/parallel_miner.h"
 #include "obs/heartbeat.h"
 #include "obs/sketch/traffic_sketch.h"
@@ -31,12 +32,18 @@ ServedMiningDay::ServedMiningDay(
   obs::Heartbeat heartbeat(options_.metrics, "cluster");
   heartbeat.beat();
   if (options_.warmup) {
-    // The same reduced-volume warmup day simulate_day runs, in-process and
-    // before the capture attaches: caches reach steady state identically
-    // whether the measured day then arrives in-process or over the wire.
-    Scenario warm(date, warmup_scale(scenario_.scale(),
-                                     options_.warmup_volume_fraction));
-    drive_day(warm.traffic(), *cluster_, day_index_ - 1, &heartbeat);
+    // The engine's warmup, in-process and before the capture attaches:
+    // server i gets shard i's stream from its own warmup Scenario (the
+    // zone models' state is per shard there too), so every cache reaches
+    // the state its engine shard's cache reaches.
+    const std::size_t servers = cluster_config.server_count;
+    Question question;  // parse scratch shared by every server's warmup
+    for (std::size_t i = 0; i < servers; ++i) {
+      Scenario warm(date, warmup_scale(scenario_.scale(),
+                                       options_.warmup_volume_fraction));
+      drive_day(warm.traffic(), *cluster_, day_index_ - 1, {servers, i},
+                question, &heartbeat);
+    }
   }
 
   capture_.start_day(day_index_);

@@ -2,20 +2,21 @@
 // (DESIGN.md §14).
 //
 // A ServedMiningDay is the socket-fed twin of MiningSession::run(): it
-// builds the day's Scenario and RdnsCluster, runs the usual in-process
-// warmup day, attaches the DayCapture tap, then starts a
-// resolver/wire_frontend serving RFC 1035 queries over UDP (+ TCP
-// fallback) instead of driving the generator loop itself.  Every served
-// query flows through the same RdnsCluster::query_view path, so the
-// batched tap, metrics, and heartbeats observe wire traffic exactly as
-// they observe in-process traffic.  finish() stops serving, flushes the
-// tap, and runs the standard post-capture mining half
-// (finish_mining_day with the engine's parallel zone fan-out).
+// builds the day's Scenario and one multi-server RdnsCluster, warms server
+// i in-process with the engine's shard-i warmup stream, attaches the
+// DayCapture tap, then starts a resolver/wire_frontend serving RFC 1035
+// queries over UDP (+ TCP fallback) instead of driving the generator loop
+// itself.  Every served query flows through the same
+// RdnsCluster::query_view path, so the batched tap, metrics, and
+// heartbeats observe wire traffic exactly as they observe in-process
+// traffic.  finish() stops serving, flushes the tap, and runs the standard
+// post-capture mining half (finish_mining_day with the engine's parallel
+// zone fan-out).
 //
-// Golden contract: replaying a captured day's (ts, client, query) stream
-// through the socket in timestamp order — replay metadata attached, one
-// lockstep client — yields findings byte-identical to simulate_day over
-// the same stream (WireGolden.* tests).
+// Golden contract: replaying the engine's shard streams of a day through
+// the socket, merged in timestamp order — replay metadata attached, one
+// lockstep client — yields a capture and findings byte-identical to
+// MiningSession::run on the same day (WireGolden.* tests).
 #pragma once
 
 #include <cstdint>
@@ -62,11 +63,12 @@ struct DnsServerOptions {
 /// MiningSession::serve), send wire queries at udp_port(), then finish().
 class ServedMiningDay {
  public:
-  /// Builds scenario + cluster, runs the in-process warmup day, attaches
-  /// the capture, and starts serving.  On failure ok() is false and
-  /// error() has the reason; finish() then returns a non-ok result.
-  /// With `telemetry` set, the frontend's slow-query log is published on
-  /// GET /slowlog for the day's lifetime (detached on finish/destroy).
+  /// Builds scenario + cluster, runs the in-process warmup day (server i
+  /// gets the engine's shard-i warmup stream), attaches the capture, and
+  /// starts serving.  On failure ok() is false and error() has the reason;
+  /// finish() then returns a non-ok result.  With `telemetry` set, the
+  /// frontend's slow-query log is published on GET /slowlog for the day's
+  /// lifetime (detached on finish/destroy).
   ServedMiningDay(ScenarioDate date, const PipelineOptions& options,
                   std::size_t threads, const DnsServerOptions& server,
                   std::shared_ptr<obs::TelemetryServer> telemetry = nullptr);

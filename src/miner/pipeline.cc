@@ -3,80 +3,10 @@
 #include "obs/heartbeat.h"
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
-#include "obs/sketch/traffic_sketch.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
 namespace dnsnoise {
-
-ScenarioScale warmup_scale(const ScenarioScale& scale,
-                           double volume_fraction) {
-  ScenarioScale warm = scale;
-  warm.queries_per_day = static_cast<std::uint64_t>(
-      static_cast<double>(warm.queries_per_day) * volume_fraction);
-  warm.traffic_stream ^= 0xbeefcafeULL;
-  return warm;
-}
-
-void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
-               std::int64_t day, obs::Heartbeat* heartbeat) {
-  Question question;  // scratch reused across the day (zero-alloc re-parse)
-  traffic.run_day(day, [&cluster, &question, heartbeat](
-                           SimTime ts, std::uint64_t client,
-                           const QuerySpec& query) {
-    if (heartbeat != nullptr) heartbeat->tick();
-    if (!question.name.assign(query.qname)) {
-      return;  // generators only emit valid names; belt and braces
-    }
-    question.type = query.qtype;
-    cluster.query_view(client, question, ts);
-  });
-}
-
-DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
-                           const PipelineOptions& options,
-                           std::int64_t day_index) {
-  ClusterConfig cluster_config = options.cluster;
-  cluster_config.metrics = options.metrics;
-  cluster_config.trace = options.trace;
-  RdnsCluster cluster(cluster_config, scenario.authority());
-  scenario.traffic().set_metrics(options.metrics);
-  scenario.traffic().set_trace(options.trace);
-  obs::Heartbeat heartbeat(options.metrics, "cluster");
-  heartbeat.beat();
-  const obs::StageTimer simulate_span(
-      options.metrics != nullptr ? &options.metrics->timer("cluster.simulate")
-                                 : nullptr);
-  obs::TraceSpan simulate_trace(
-      options.trace != nullptr
-          ? &options.trace->stream(obs::TraceStage::kCluster, 0)
-          : nullptr,
-      options.trace, obs::TraceOp::kClusterSimulate);
-  if (options.warmup) {
-    // Warm the caches with a reduced-volume preceding day.
-    Scenario warm(scenario.date(),
-                  warmup_scale(scenario.scale(),
-                               options.warmup_volume_fraction));
-    drive_day(warm.traffic(), cluster, day_index - 1, &heartbeat);
-  }
-  capture.start_day(day_index);
-  capture.attach(cluster);
-  // The traffic plane rides the cluster's wait-free hook: one cluster,
-  // one writer, so the classic path feeds shard 0.
-  obs::TrafficSketch* sketch_shard = nullptr;
-  if (options.sketch != nullptr) {
-    options.sketch->ensure_shards(1);
-    sketch_shard = &options.sketch->shard(0);
-    cluster.set_traffic_sketch(sketch_shard);
-  }
-  drive_day(scenario.traffic(), cluster, day_index, &heartbeat);
-  // Flush pending tap batches and detach: the capture may outlive this
-  // cluster.
-  cluster.flush_taps();
-  if (sketch_shard != nullptr) cluster.set_traffic_sketch(nullptr);
-  capture.detach(cluster);
-  return cluster.aggregate_stats();
-}
 
 MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
@@ -166,20 +96,6 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
     result.trace_json = obs::to_json(trace->snapshot());
   }
   return result;
-}
-
-MiningDayResult run_mining_day(ScenarioDate date,
-                               const PipelineOptions& options,
-                               DayCapture* capture) {
-  // /healthz (when a caller serves this registry) reads "active" for the
-  // duration of the run.
-  const obs::RunActiveScope run_active(options.metrics);
-
-  Scenario scenario(date, options.scale);
-  DayCapture local_capture(options.capture);
-  DayCapture& tap = capture != nullptr ? *capture : local_capture;
-  simulate_day(scenario, tap, options, scenario_day_index(date));
-  return finish_mining_day(tap, scenario, options);
 }
 
 }  // namespace dnsnoise

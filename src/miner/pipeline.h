@@ -1,7 +1,8 @@
 // End-to-end daily mining pipeline (paper Fig. 10): traffic -> RDNS cluster
 // -> monitoring tap -> domain name tree + CHR -> classifier -> ranked
-// disposable zones.  This is the orchestration the examples and benches
-// build on.
+// disposable zones.  This header holds the day's options, its result, and
+// the post-capture mining half; MiningSession (engine/parallel_miner.h)
+// runs the day.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include "workload/scenario.h"
 
 namespace dnsnoise::obs {
-class Heartbeat;
 class MetricsRegistry;
 class TraceCollector;
 class TrafficSketchPlane;
@@ -32,7 +32,7 @@ struct PipelineOptions {
   LabelerConfig labeler;
   MinerConfig miner;
   LadTreeConfig model;
-  /// When set, run_mining_day mines with this already-trained classifier
+  /// When set, the day is mined with this already-trained classifier
   /// instead of training a fresh one from the day's labels — the paper's
   /// actual protocol (one model, applied across the 11-month campaign).
   /// Must outlive the call.
@@ -41,13 +41,15 @@ struct PipelineOptions {
   bool warmup = true;
   double warmup_volume_fraction = 0.5;
   DayCaptureConfig capture;
-  /// Opt-in observability sink (DESIGN.md §10): when set, every pipeline
-  /// stage — workload generation, the RDNS cluster, the miner stages — is
-  /// instrumented into this registry, and the final snapshot lands in
+  /// Opt-in observability sink (DESIGN.md §10), owned by
+  /// MiningSession::enable_metrics: when set, every pipeline stage —
+  /// workload generation, the RDNS cluster, the engine, the miner stages —
+  /// is instrumented into this registry, and the final snapshot lands in
   /// MiningDayResult::metrics_json.  Must outlive the run.  Null (the
   /// default) disables all instrumentation.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Opt-in event tracing (DESIGN.md §12): when set, every stage records
+  /// Opt-in event tracing (DESIGN.md §12), owned by
+  /// MiningSession::enable_tracing: when set, every stage records
   /// spans/instants into this collector — head-sampled workload/cluster
   /// per-query spans plus the miner stage spans — and the final trace
   /// snapshot lands in MiningDayResult::trace_json
@@ -55,12 +57,13 @@ struct PipelineOptions {
   /// run.  Null (the default) disables all tracing; enabled, mining
   /// results are provably unchanged (TracePipeline.* tests).
   obs::TraceCollector* trace = nullptr;
-  /// Opt-in streaming traffic introspection (DESIGN.md §17): when set,
-  /// the measured day's below-stream answers additionally feed this
-  /// sketch plane (shard 0 on the classic single-cluster path; one shard
-  /// per engine shard in MiningSession).  Must outlive the run.  Null
-  /// (the default) attaches nothing — zero hot-path overhead — and
-  /// findings are byte-identical either way (TrafficPlane.* tests).
+  /// Opt-in streaming traffic introspection (DESIGN.md §17), owned by
+  /// MiningSession::enable_traffic_sketch: when set, the measured day's
+  /// below-stream answers additionally feed this sketch plane (one shard
+  /// per engine shard; shard 0 on a served day's single cluster).  Must
+  /// outlive the run.  Null (the default) attaches nothing — zero hot-path
+  /// overhead — and findings are byte-identical either way
+  /// (TrafficPlane.* tests).
   obs::TrafficSketchPlane* sketch = nullptr;
 };
 
@@ -81,8 +84,8 @@ enum class MiningDayStatus {
   /// The day's capture held no resolved names (e.g. a zero-volume scale);
   /// labeling/training on it would silently produce a degenerate model.
   kEmptyCapture,
-  /// The requested configuration cannot run (engine: non-client-hash
-  /// balancing with more than one shard, zero threads, ...).
+  /// The requested configuration cannot run (zero threads, zero
+  /// servers, ...).
   kInvalidConfig,
 };
 
@@ -106,39 +109,6 @@ struct MiningDayResult {
   bool ok() const noexcept { return status == MiningDayStatus::kOk; }
 };
 
-/// Runs one full mining day for `date`: simulate, label, train a fresh LAD
-/// tree (or apply options.pretrained), run Algorithm 1, evaluate against
-/// ground truth, and compute the day's disposable-share aggregates.
-/// `capture`, when provided, receives the day's tap data for further
-/// analysis.  Returns a non-ok() result instead of mining when the day's
-/// capture is empty.
-MiningDayResult run_mining_day(ScenarioDate date,
-                               const PipelineOptions& options = {},
-                               DayCapture* capture = nullptr);
-
-/// The reduced-volume warmup day run before a measured day: the same zone
-/// population (same seed), `volume_fraction` of the queries, and a
-/// distinct query stream, so disposable names are not re-queried.
-ScenarioScale warmup_scale(const ScenarioScale& scale, double volume_fraction);
-
-/// Feeds one generated day of `traffic` into `cluster`.  `heartbeat`
-/// (null-gated) ticks once per query, keeping its stage alive on /healthz.
-void drive_day(TrafficGenerator& traffic, RdnsCluster& cluster,
-               std::int64_t day, obs::Heartbeat* heartbeat = nullptr);
-
-/// Simulates one day of `scenario` traffic into `capture` (with optional
-/// warmup day at reduced volume), without mining.  Returns the cluster's
-/// aggregate cache stats.
-///
-/// `capture` is taken by reference and reset exactly once, here, via
-/// DayCapture::start_day(day_index) — the single documented reset point:
-/// per-day state (tree, CHR, series, name sets, fpDNS) is cleared, the
-/// cumulative rpDNS store is kept.  Warmup traffic runs before the reset,
-/// so it warms the caches without polluting the capture.
-DnsCacheStats simulate_day(Scenario& scenario, DayCapture& capture,
-                           const PipelineOptions& options,
-                           std::int64_t day_index);
-
 /// Alternative mining strategy for finish_mining_day: produce findings from
 /// the (tree, chr) pair using `miner`.  Must be output-equivalent to
 /// DisposableZoneMiner::mine (the engine supplies a parallel fan-out).
@@ -146,11 +116,11 @@ using MineFn = std::function<std::vector<DisposableZoneFinding>(
     const DisposableZoneMiner& miner, DomainNameTree& tree,
     const CacheHitRateTracker& chr)>;
 
-/// The post-capture half of a mining day, shared by run_mining_day and the
-/// sharded engine: label zones, train (or reuse options.pretrained), mine
-/// via `mine` (serial DisposableZoneMiner::mine when empty), evaluate, and
-/// compute aggregates.  Returns kEmptyCapture without mining when `tap`
-/// saw no resolved names.
+/// The post-capture half of a mining day, shared by MiningSession::run and
+/// ServedMiningDay::finish: label zones, train (or reuse
+/// options.pretrained), mine via `mine` (serial DisposableZoneMiner::mine
+/// when empty), evaluate, and compute aggregates.  Returns kEmptyCapture
+/// without mining when `tap` saw no resolved names.
 MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
                                   const MineFn& mine = {});

@@ -8,7 +8,6 @@ std::string_view trace_op_name(TraceOp op) noexcept {
   switch (op) {
     case TraceOp::kWorkloadDay: return "workload.day";
     case TraceOp::kWorkloadSample: return "workload.sample";
-    case TraceOp::kClusterSimulate: return "cluster.simulate";
     case TraceOp::kClusterQuery: return "cluster.query";
     case TraceOp::kEngineShard: return "engine.shard";
     case TraceOp::kEngineMerge: return "engine.merge";

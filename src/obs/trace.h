@@ -56,7 +56,6 @@ enum class TraceStage : std::uint8_t {
 enum class TraceOp : std::uint8_t {
   kWorkloadDay = 0,      // one span per generated (shard-)day
   kWorkloadSample,       // sampled query generation span
-  kClusterSimulate,      // classic pipeline: whole simulated day
   kClusterQuery,         // sampled client query span (hit/miss/nx outcome)
   kEngineShard,          // one span per shard simulation
   kEngineMerge,          // shard-merge span
@@ -98,7 +97,8 @@ struct TraceEvent {
     const std::size_t n = text.size() < sizeof(label) - 1
                               ? text.size()
                               : sizeof(label) - 1;
-    std::memcpy(label, text.data(), n);
+    // An empty view may carry a null data(), which memcpy must not see.
+    if (n != 0) std::memcpy(label, text.data(), n);
     label[n] = '\0';
   }
 };

@@ -11,9 +11,7 @@ namespace dnsnoise {
 RdnsCluster::RdnsCluster(const ClusterConfig& config,
                          const SyntheticAuthority& authority)
     : authority_(authority),
-      balancing_(config.balancing),
-      tap_batch_events_(std::max<std::size_t>(config.tap_batch_events, 1)),
-      rng_(config.seed) {
+      tap_batch_events_(std::max<std::size_t>(config.tap_batch_events, 1)) {
   if (config.server_count == 0) {
     throw std::invalid_argument("RdnsCluster: server_count must be > 0");
   }
@@ -108,22 +106,6 @@ void RdnsCluster::buffer_tap_event(SimTime ts, TapDirection direction,
   tap_answers_.insert(tap_answers_.end(), answers.begin(), answers.end());
   tap_events_.push_back(std::move(event));
   if (tap_events_.size() >= tap_batch_events_) flush_taps();
-}
-
-std::size_t RdnsCluster::pick_server(std::uint64_t client_id) {
-  switch (balancing_) {
-    case Balancing::kClientHash:
-      // Must match the traffic shard routing: see shard_of() in util/rng.h.
-      return shard_of(client_id, caches_.size());
-    case Balancing::kRandom:
-      return static_cast<std::size_t>(rng_.below(caches_.size()));
-    case Balancing::kRoundRobin: {
-      const std::size_t server = round_robin_next_;
-      round_robin_next_ = (round_robin_next_ + 1) % caches_.size();
-      return server;
-    }
-  }
-  return 0;
 }
 
 QueryView RdnsCluster::query_view(std::uint64_t client_id,

@@ -1,8 +1,8 @@
 // Recursive DNS server cluster simulator.
 //
 // Reproduces the paper's vantage point (Section III-A): client queries are
-// load-balanced across a cluster of recursive servers, each with an
-// independent cache.  Observers subscribe to the two answer streams the
+// load-balanced by client hash across a cluster of recursive servers, each
+// with an independent cache.  Observers subscribe to the two answer streams the
 // monitoring tap records — "below" (server -> client) and "above"
 // (authority -> server) — and to nothing else, exactly like the paper's
 // black-box view.  Delivery is batched through the TapObserver API (see
@@ -30,17 +30,13 @@ class TrafficSketch;
 
 namespace dnsnoise {
 
-/// How client queries are spread over the cluster.
-enum class Balancing : std::uint8_t {
-  kClientHash,  // sticky: hash(client) -> server (typical anycast/LB setup)
-  kRandom,      // independent per query
-  kRoundRobin,
-};
-
 struct ClusterConfig {
+  /// Servers, each with its own cache.  A client always reaches the same
+  /// server, shard_of(client, server_count) (util/rng.h) — the typical
+  /// anycast/load-balancer setup, and the split the engine shards by.
   std::size_t server_count = 4;
-  Balancing balancing = Balancing::kClientHash;
   DnsCacheConfig cache;
+  /// Phase seed of the per-server trace sampling (see `trace`).
   std::uint64_t seed = 1;
   /// Tap events buffered before observers receive a batch.  Larger batches
   /// amortize dispatch further at the cost of arena memory; 1 degenerates
@@ -64,9 +60,9 @@ struct ClusterConfig {
   obs::TraceCollector* trace = nullptr;
 
   /// The configuration of one shard of this cluster: a single-server slice
-  /// whose RNG stream is split off the cluster seed per shard index (never
-  /// the shared seed itself — sibling shards must not correlate).  The
-  /// engine builds one RdnsCluster per shard from these.
+  /// whose seed is split off the cluster seed per shard index (never the
+  /// shared seed itself — sibling shards must not correlate).  The engine
+  /// builds one RdnsCluster per shard from these.
   ClusterConfig for_shard(std::size_t shard_index) const {
     ClusterConfig shard = *this;
     shard.server_count = 1;
@@ -205,11 +201,8 @@ class RdnsCluster {
   };
 
   const SyntheticAuthority& authority_;
-  Balancing balancing_;
   std::size_t tap_batch_events_;
   std::vector<DnsCache> caches_;
-  Rng rng_;
-  std::size_t round_robin_next_ = 0;
   std::vector<TapObserver*> observers_;
   std::vector<TapEvent> tap_events_;
   std::vector<ResourceRecord> tap_answers_;
@@ -230,7 +223,9 @@ class RdnsCluster {
   obs::Counter* above_answers_metric_ = nullptr;
   obs::LatencyRecorder* tap_batch_size_ = nullptr;
 
-  std::size_t pick_server(std::uint64_t client_id);
+  std::size_t pick_server(std::uint64_t client_id) const noexcept {
+    return shard_of(client_id, caches_.size());
+  }
   void buffer_tap_event(SimTime ts, TapDirection direction,
                         std::uint64_t client_id, const Question& question,
                         RCode rcode, std::span<const ResourceRecord> answers);

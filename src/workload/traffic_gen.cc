@@ -25,8 +25,6 @@ void TrafficGenerator::add_model(std::shared_ptr<ZoneModel> model,
   cumulative_weights_.push_back(base + weight);
 }
 
-std::size_t TrafficGenerator::pick_model() { return pick_model(rng_); }
-
 std::size_t TrafficGenerator::pick_model(Rng& rng) const {
   const double u = rng.uniform() * cumulative_weights_.back();
   const auto it = std::upper_bound(cumulative_weights_.begin(),
@@ -65,49 +63,6 @@ std::uint64_t TrafficGenerator::client_id_for_rank(
     std::size_t rank) const noexcept {
   // Stable opaque IDs; never 0 (0 marks "no client" in above-tap entries).
   return 1 + mix64(config_.seed ^ (0xc11e57ULL + rank));
-}
-
-void TrafficGenerator::run_day(std::int64_t day, const QuerySink& sink) {
-  if (models_.empty()) {
-    throw std::logic_error("TrafficGenerator: no models registered");
-  }
-  if (days_generated_ != nullptr) days_generated_->add();
-  obs::TraceSpan day_span(trace_stream_, trace_, obs::TraceOp::kWorkloadDay);
-  day_span.annotate({}, 0, obs::TraceOutcome::kNone,
-                    static_cast<std::uint64_t>(day));
-  const SimTime day_start = day * kSecondsPerDay;
-  const double diurnal_total = config_.diurnal.total();
-  QuerySpec query;  // reused across every query of the day
-  for (int hour = 0; hour < 24; ++hour) {
-    const auto count = static_cast<std::uint64_t>(
-        static_cast<double>(config_.queries_per_day) *
-            config_.diurnal.weight(hour) / diurnal_total +
-        0.5);
-    if (count == 0) continue;
-    const SimTime hour_start = day_start + hour * kSecondsPerHour;
-    const double spacing =
-        static_cast<double>(kSecondsPerHour) / static_cast<double>(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      // Evenly paced with sub-slot jitter: ordered without a sort.
-      const SimTime ts =
-          hour_start +
-          static_cast<SimTime>((static_cast<double>(i) + rng_.uniform()) *
-                               spacing);
-      const std::uint64_t client =
-          client_id_for_rank(client_activity_.sample(rng_));
-      const bool traced =
-          trace_stream_ != nullptr && trace_sampler_.sample();
-      const std::uint64_t sample_start = traced ? trace_->now_ns() : 0;
-      models_[pick_model()]->sample_query_into(query, rng_);
-      if (traced) {
-        trace_stream_->span(obs::TraceOp::kWorkloadSample, sample_start,
-                            trace_->now_ns() - sample_start, query.qname,
-                            static_cast<std::uint16_t>(query.qtype));
-      }
-      if (queries_generated_ != nullptr) queries_generated_->add();
-      sink(std::min(ts, day_start + kSecondsPerDay - 1), client, query);
-    }
-  }
 }
 
 void TrafficGenerator::run_day_shard(std::int64_t day, const ShardSpec& shard,

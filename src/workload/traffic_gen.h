@@ -46,22 +46,25 @@ class TrafficGenerator {
   using QuerySink = std::function<void(SimTime ts, std::uint64_t client_id,
                                        const QuerySpec& query)>;
 
-  /// Generates one day of queries in non-decreasing timestamp order.
-  void run_day(std::int64_t day, const QuerySink& sink);
-
   /// One shard of a client-hash partitioned day (see util/rng.h shard_of).
+  /// The default spec is the whole day.
   struct ShardSpec {
     std::size_t count = 1;  // total shards (RDNS server count)
     std::size_t index = 0;  // this shard, in [0, count)
   };
 
-  /// Generates the subset of run_day's stream whose clients hash to
-  /// `shard.index` (shard_of(client, shard.count)).  Each query slot derives
-  /// its own RNG stream from (day, slot), so a slot's timestamp, client and
-  /// query are identical no matter which shard — or run_day-equivalent
-  /// single stream — draws them.  Concatenating all shards therefore yields
-  /// a client-partition of one fixed day; it is NOT the same stream run_day
-  /// produces from its single sequential RNG.
+  /// Generates, in non-decreasing timestamp order, the queries of `day`
+  /// whose clients hash to `shard.index` (shard_of(client, shard.count)).
+  ///
+  /// Each query slot of the day derives its own RNG stream from (day,
+  /// slot), so a slot's timestamp, client and tenant choice are the same
+  /// whichever shard draws it: the shards of one day split its (timestamp,
+  /// client) sequence, with nothing lost or repeated.  The query itself is
+  /// not fixed by the slot — disposable tenants re-query names from their
+  /// own window of recently emitted names, so it also depends on what the
+  /// generator emitted before.  The generator's root stream is only
+  /// forked, never advanced, so the stream of a freshly built generator
+  /// depends only on (seed, day, shard).
   void run_day_shard(std::int64_t day, const ShardSpec& shard,
                      const QuerySink& sink);
 
@@ -96,7 +99,6 @@ class TrafficGenerator {
   obs::TraceStream* trace_stream_ = nullptr;
   obs::TraceSampler trace_sampler_;
 
-  std::size_t pick_model();
   std::size_t pick_model(Rng& rng) const;
 };
 

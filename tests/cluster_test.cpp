@@ -10,6 +10,13 @@ namespace {
 
 Question question(const char* name) { return {DomainName(name), RRType::A}; }
 
+/// The first client id the cluster routes to `server` of `server_count`.
+std::uint64_t client_on(std::size_t server, std::size_t server_count) {
+  std::uint64_t client = 1;
+  while (shard_of(client, server_count) != server) ++client;
+  return client;
+}
+
 SyntheticAuthority make_authority() {
   SyntheticAuthority authority;
   authority.register_zone(DomainName("example.com"),
@@ -37,7 +44,6 @@ TEST(ClusterTest, ClientHashIsSticky) {
   const SyntheticAuthority authority = make_authority();
   ClusterConfig config;
   config.server_count = 8;
-  config.balancing = Balancing::kClientHash;
   RdnsCluster cluster(config, authority);
   std::set<std::size_t> servers;
   for (int i = 0; i < 20; ++i) {
@@ -46,29 +52,17 @@ TEST(ClusterTest, ClientHashIsSticky) {
   EXPECT_EQ(servers.size(), 1u);
 }
 
-TEST(ClusterTest, RoundRobinCyclesServers) {
-  const SyntheticAuthority authority = make_authority();
-  ClusterConfig config;
-  config.server_count = 3;
-  config.balancing = Balancing::kRoundRobin;
-  RdnsCluster cluster(config, authority);
-  std::vector<std::size_t> servers;
-  for (int i = 0; i < 6; ++i) {
-    servers.push_back(cluster.query(1, question("www.example.com"), i).server);
-  }
-  EXPECT_EQ(servers, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
-}
-
 TEST(ClusterTest, IndependentCachesMissIndependently) {
-  // Different servers have different caches: a round-robin client misses
-  // once per server.
+  // Different servers have different caches: one client per server, each
+  // asking twice, misses once per server.
   const SyntheticAuthority authority = make_authority();
   ClusterConfig config;
   config.server_count = 3;
-  config.balancing = Balancing::kRoundRobin;
   RdnsCluster cluster(config, authority);
   for (int i = 0; i < 6; ++i) {
-    cluster.query(1, question("www.example.com"), i);
+    const std::uint64_t client = client_on(i % 3, 3);
+    EXPECT_EQ(cluster.query(client, question("www.example.com"), i).server,
+              static_cast<std::size_t>(i % 3));
   }
   EXPECT_EQ(cluster.above_answers(), 3u);  // one cold miss per server
 }
@@ -209,11 +203,12 @@ TEST(ClusterTest, AggregateStats) {
   const SyntheticAuthority authority = make_authority();
   ClusterConfig config;
   config.server_count = 2;
-  config.balancing = Balancing::kRoundRobin;
   RdnsCluster cluster(config, authority);
-  cluster.query(1, question("a.example.com"), 0);
-  cluster.query(1, question("a.example.com"), 1);  // other server: miss
-  cluster.query(1, question("a.example.com"), 2);  // first server: hit
+  const std::uint64_t first = client_on(0, 2);
+  const std::uint64_t second = client_on(1, 2);
+  cluster.query(first, question("a.example.com"), 0);
+  cluster.query(second, question("a.example.com"), 1);  // other server: miss
+  cluster.query(first, question("a.example.com"), 2);   // first server: hit
   const DnsCacheStats stats = cluster.aggregate_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);

@@ -1,11 +1,10 @@
 // Golden mining-day regression tests.
 //
-// These pin the exact observable output of a fixed-seed mining day — the
-// classic single-stream pipeline and the sharded engine — so hot-path
-// refactors (name interning, flat tree, intrusive LRU) can prove they are
-// behavior-preserving byte for byte: findings, tree/CHR tallies, cache
-// stats, hourly series, and the deterministic counter section of the
-// metrics snapshot.
+// These pin the exact observable output of a fixed-seed mining day on the
+// sharded engine, so hot-path refactors (name interning, flat tree,
+// intrusive LRU) can prove they are behavior-preserving byte for byte:
+// findings, tree/CHR tallies, cache stats, hourly series, and the
+// deterministic counter section of the metrics snapshot.
 //
 // To regenerate after an *intentional* behavior change, run with
 // DNSNOISE_GOLDEN_PRINT=1 and paste the printed literals below.
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/parallel_miner.h"
-#include "miner/pipeline.h"
 
 namespace dnsnoise {
 namespace {
@@ -89,32 +87,27 @@ ScenarioScale golden_scale() {
   return scale;
 }
 
-std::string classic_fingerprint() {
-  PipelineOptions options;
-  options.scale = golden_scale();
-  options.cluster.cache.capacity = 1 << 14;
-  DayCapture capture;
-  const MiningDayResult result =
-      run_mining_day(ScenarioDate::kDec30, options, &capture);
-  std::string out;
-  out += "status:" + std::to_string(static_cast<int>(result.status)) + "\n";
-  append_capture(out, capture);
-  append_result(out, result);
-  return out;
-}
+struct EngineFingerprint {
+  std::string capture;  // tree / chr / uniq / below / above tallies
+  std::string result;   // status, findings, aggregates, counters
+};
 
-std::string engine_fingerprint() {
+EngineFingerprint engine_fingerprint() {
   ClusterConfig cluster;
   cluster.server_count = 4;
   cluster.cache.capacity = 1 << 14;
   MiningSession session(golden_scale());
   session.cluster(cluster).threads(2).enable_metrics(true);
-  const MiningDayResult result = session.run(ScenarioDate::kDec30);
-  std::string out;
-  out += "status:" + std::to_string(static_cast<int>(result.status)) + "\n";
-  append_result(out, result);
-  out += counters_section(result.metrics_json);
-  out += '\n';
+  DayCapture capture;
+  const MiningDayResult result = session.run(
+      ScenarioDate::kDec30, capture, scenario_day_index(ScenarioDate::kDec30));
+  EngineFingerprint out;
+  append_capture(out.capture, capture);
+  out.result +=
+      "status:" + std::to_string(static_cast<int>(result.status)) + "\n";
+  append_result(out.result, result);
+  out.result += counters_section(result.metrics_json);
+  out.result += '\n';
   return out;
 }
 
@@ -127,22 +120,16 @@ bool print_mode() {
 // (PR 2 state); the hot-path refactor must reproduce them exactly.
 #include "golden_pipeline_expected.inc"
 
-TEST(GoldenPipelineTest, ClassicDayIsByteIdentical) {
-  const std::string got = classic_fingerprint();
-  if (print_mode()) {
-    std::printf("=== classic ===\n%s=== end ===\n", got.c_str());
-    GTEST_SKIP() << "print mode";
-  }
-  EXPECT_EQ(got, std::string(kGoldenClassic));
-}
-
 TEST(GoldenPipelineTest, ShardedEngineDayIsByteIdentical) {
-  const std::string got = engine_fingerprint();
+  const EngineFingerprint got = engine_fingerprint();
   if (print_mode()) {
-    std::printf("=== engine ===\n%s=== end ===\n", got.c_str());
+    std::printf("=== engine capture ===\n%s=== end ===\n",
+                got.capture.c_str());
+    std::printf("=== engine ===\n%s=== end ===\n", got.result.c_str());
     GTEST_SKIP() << "print mode";
   }
-  EXPECT_EQ(got, std::string(kGoldenEngine));
+  EXPECT_EQ(got.capture, std::string(kGoldenEngineCapture));
+  EXPECT_EQ(got.result, std::string(kGoldenEngine));
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include "analytics/measurements.h"
 #include "dns/wire.h"
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "netio/capture.h"
 
 namespace dnsnoise {
@@ -54,10 +54,11 @@ TEST(IntegrationTest, PcapRoundTripMatchesDirectCapture) {
   });
   cluster.add_tap_observer(&pcap_writer);
 
-  scenario.traffic().run_day(0, [&cluster](SimTime ts, std::uint64_t client,
-                                           const QuerySpec& query) {
-    cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
-  });
+  scenario.traffic().run_day_shard(
+      0, {},
+      [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+      });
   cluster.flush_taps();
 
   // Replay the pcap through the capture pipeline into a second DayCapture.
@@ -107,11 +108,9 @@ TEST(IntegrationTest, CachingShapesAreVisibleInSmallRun) {
   scale.queries_per_day = 120'000;
   scale.client_count = 4'000;
   scale.population_scale = 0.3;
-  Scenario scenario(ScenarioDate::kDec30, scale);
-  PipelineOptions options;
-  options.scale = scale;
   DayCapture capture;
-  simulate_day(scenario, capture, options, scenario_day_index(ScenarioDate::kDec30));
+  ASSERT_TRUE(
+      MiningSession(scale).simulate(ScenarioDate::kDec30, capture).ok());
 
   // Caching shrinks the above stream.  The magnitude is scale-limited (the
   // paper's 10x gap needs ISP volumes; see EXPERIMENTS.md), but the

@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <set>
 
 #include "dns/ip.h"
 #include "dns/wire.h"
@@ -176,25 +175,6 @@ TEST(MessageFactoryTest, ResponseEchoesQuestion) {
   EXPECT_TRUE(response.header.ra);
   EXPECT_EQ(response.header.rcode, RCode::NXDomain);
   EXPECT_EQ(response.questions, query.questions);
-}
-
-// --------------------------------------------------------------------------
-// Cluster corner: random balancing spreads load.
-
-TEST(ClusterBalancingTest, RandomPolicyUsesAllServers) {
-  SyntheticAuthority authority;
-  authority.register_zone(DomainName("example.com"),
-                          SyntheticAuthority::make_flat_a_zone(300));
-  ClusterConfig config;
-  config.server_count = 4;
-  config.balancing = Balancing::kRandom;
-  RdnsCluster cluster(config, authority);
-  std::set<std::size_t> servers;
-  for (int i = 0; i < 200; ++i) {
-    servers.insert(
-        cluster.query(1, {DomainName("w.example.com"), RRType::A}, i).server);
-  }
-  EXPECT_EQ(servers.size(), 4u);
 }
 
 // --------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // trained classifier applied to other dates, the paper's deployment mode).
 #include <gtest/gtest.h>
 
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "ml/lad_tree.h"
 #include "resolver/dns_cache.h"
 
@@ -104,24 +104,26 @@ TEST(LowPriorityCacheTest, PolicyOffDisplacesUsefulEntries) {
 // Cross-date model transfer (the paper's one-model campaign)
 
 TEST(ModelTransferTest, NovemberModelMinesOtherDatesWithHighPrecision) {
-  PipelineOptions train_options;
-  train_options.scale.queries_per_day = 90'000;
-  train_options.scale.client_count = 4'000;
-  train_options.scale.population_scale = 0.5;
-  train_options.labeler.min_group_size = 8;
+  ScenarioScale scale;
+  scale.queries_per_day = 90'000;
+  scale.client_count = 4'000;
+  scale.population_scale = 0.5;
+  LabelerConfig labeler;
+  labeler.min_group_size = 8;
+  MiningSession session(scale);
+  session.labeler(labeler).threads(2);
 
-  Scenario november(ScenarioDate::kNov14, train_options.scale);
   DayCapture capture;
-  simulate_day(november, capture, train_options,
-               scenario_day_index(ScenarioDate::kNov14));
+  ASSERT_TRUE(session.simulate(ScenarioDate::kNov14, capture).ok());
+  const Scenario november(ScenarioDate::kNov14, scale);
   LadTree model;
-  model.train(to_dataset(label_zones(capture.tree(), capture.chr(), november,
-                                     train_options.labeler)));
+  model.train(to_dataset(
+      label_zones(capture.tree(), capture.chr(), november, labeler)));
 
+  session.pretrained(&model);
   for (const ScenarioDate date : {ScenarioDate::kFeb01, ScenarioDate::kDec30}) {
-    PipelineOptions apply_options = train_options;
-    apply_options.pretrained = &model;
-    const MiningDayResult result = run_mining_day(date, apply_options);
+    const MiningDayResult result = session.run(date);
+    ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_GT(result.evaluation.findings, 20u) << scenario_date_name(date);
     EXPECT_GT(result.evaluation.finding_precision(), 0.9)
         << scenario_date_name(date);
@@ -129,27 +131,27 @@ TEST(ModelTransferTest, NovemberModelMinesOtherDatesWithHighPrecision) {
 }
 
 TEST(ModelTransferTest, SerializedModelMinesIdentically) {
-  PipelineOptions options;
-  options.scale.queries_per_day = 60'000;
-  options.scale.client_count = 3'000;
-  options.scale.population_scale = 0.4;
-  options.labeler.min_group_size = 8;
+  ScenarioScale scale;
+  scale.queries_per_day = 60'000;
+  scale.client_count = 3'000;
+  scale.population_scale = 0.4;
+  LabelerConfig labeler;
+  labeler.min_group_size = 8;
+  MiningSession session(scale);
+  session.threads(2);
 
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  ASSERT_TRUE(session.simulate(ScenarioDate::kNov14, capture).ok());
+  const Scenario scenario(ScenarioDate::kNov14, scale);
   LadTree model;
-  model.train(to_dataset(label_zones(capture.tree(), capture.chr(), scenario,
-                                     options.labeler)));
+  model.train(to_dataset(
+      label_zones(capture.tree(), capture.chr(), scenario, labeler)));
   const auto restored = LadTree::deserialize(model.serialize());
   ASSERT_TRUE(restored);
 
   // Mining with the restored model yields the exact same findings.
   DayCapture capture2;
-  Scenario scenario2(ScenarioDate::kNov14, options.scale);
-  simulate_day(scenario2, capture2, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  ASSERT_TRUE(session.simulate(ScenarioDate::kNov14, capture2).ok());
   const DisposableZoneMiner original_miner(model);
   const DisposableZoneMiner restored_miner(*restored);
   auto findings_a = original_miner.mine(capture.tree(), capture.chr());

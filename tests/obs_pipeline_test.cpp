@@ -65,6 +65,11 @@ TEST(ObsPipeline, SnapshotCoversAllFourStages) {
             std::string::npos);
   EXPECT_NE(result.metrics_json.find("\"miner.zones_visited\""),
             std::string::npos);
+  ASSERT_NE(snapshot.find("miner.mine"), nullptr);
+  // Tap batches were sized and recorded.
+  const obs::MetricSample* batches = snapshot.find("cluster.tap_batch_size");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_GT(batches->count, 0u);
 }
 
 TEST(ObsPipeline, WorkloadCountersMatchEngineReport) {
@@ -148,30 +153,6 @@ TEST(ObsPipeline, MetricsDoNotChangeFindings) {
     EXPECT_DOUBLE_EQ(without.findings[i].confidence,
                      with.findings[i].confidence);
   }
-}
-
-TEST(ObsPipeline, ClassicPipelinePathIsInstrumentedToo) {
-  obs::MetricsRegistry registry;
-  PipelineOptions options;
-  options.scale = small_scale();
-  options.cluster = small_cluster();
-  options.warmup = false;
-  options.metrics = &registry;
-  const MiningDayResult result = run_mining_day(ScenarioDate::kNov14, options);
-  ASSERT_TRUE(result.ok()) << result.error;
-  ASSERT_FALSE(result.metrics_json.empty());
-
-  const obs::MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_TRUE(has_sample_with_prefix(snapshot, "workload."));
-  EXPECT_TRUE(has_sample_with_prefix(snapshot, "cluster."));
-  EXPECT_TRUE(has_sample_with_prefix(snapshot, "miner."));
-  ASSERT_NE(snapshot.find("cluster.simulate"), nullptr);
-  EXPECT_EQ(snapshot.find("cluster.simulate")->count, 1u);
-  ASSERT_NE(snapshot.find("miner.mine"), nullptr);
-  // Tap batches were sized and recorded.
-  const obs::MetricSample* batches = snapshot.find("cluster.tap_batch_size");
-  ASSERT_NE(batches, nullptr);
-  EXPECT_GT(batches->count, 0u);
 }
 
 TEST(ObsPipeline, ReenablingResetsTheRegistry) {

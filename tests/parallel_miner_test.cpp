@@ -123,32 +123,6 @@ TEST(ParallelMinerTest, ZeroVolumeScenarioReportsEmptyCapture) {
   EXPECT_TRUE(result.findings.empty());
 }
 
-TEST(ParallelMinerTest, NonClientHashBalancingIsRejectedWhenSharded) {
-  ClusterConfig cluster = small_cluster();
-  cluster.balancing = Balancing::kRandom;
-  MiningSession session(small_scale());
-  session.cluster(cluster).threads(2).warmup(false);
-  DayCapture capture;
-  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
-}
-
-TEST(ParallelMinerTest, SingleShardAcceptsAnyBalancing) {
-  ScenarioScale scale = small_scale();
-  scale.queries_per_day = 5'000;
-  ClusterConfig cluster;
-  cluster.server_count = 1;
-  cluster.balancing = Balancing::kRandom;
-  MiningSession session(scale);
-  session.cluster(cluster).threads(2).warmup(false);
-  DayCapture capture;
-  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
-  EXPECT_TRUE(report.ok()) << report.error;
-  EXPECT_EQ(report.shard_count, 1u);
-  EXPECT_GT(report.queries, 0u);
-}
-
 TEST(ParallelMinerTest, ZeroThreadsIsInvalidConfig) {
   MiningSession session(small_scale());
   session.cluster(small_cluster()).threads(0);
@@ -156,17 +130,6 @@ TEST(ParallelMinerTest, ZeroThreadsIsInvalidConfig) {
   const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
-}
-
-TEST(ParallelMinerTest, RunMiningDayStillReportsEmptyCapture) {
-  // The classic path shares the status channel.
-  PipelineOptions options;
-  options.scale.queries_per_day = 0;
-  options.warmup = false;
-  const MiningDayResult result =
-      run_mining_day(ScenarioDate::kNov14, options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status, MiningDayStatus::kEmptyCapture);
 }
 
 }  // namespace

@@ -4,18 +4,24 @@
 
 #include <algorithm>
 
+#include "engine/parallel_miner.h"
 #include "ml/eval.h"
 
 namespace dnsnoise {
 namespace {
 
-PipelineOptions small_options() {
-  PipelineOptions options;
-  options.scale.queries_per_day = 90'000;
-  options.scale.client_count = 4'000;
-  options.scale.population_scale = 0.5;
-  options.labeler.min_group_size = 8;
-  return options;
+ScenarioScale small_scale() {
+  ScenarioScale scale;
+  scale.queries_per_day = 90'000;
+  scale.client_count = 4'000;
+  scale.population_scale = 0.5;
+  return scale;
+}
+
+LabelerConfig small_labeler() {
+  LabelerConfig labeler;
+  labeler.min_group_size = 8;
+  return labeler;
 }
 
 class PipelineTest : public ::testing::Test {
@@ -23,8 +29,10 @@ class PipelineTest : public ::testing::Test {
   static const MiningDayResult& result() {
     // One shared end-to-end run; the assertions below each check one
     // contract of the pipeline.
-    static const MiningDayResult shared =
-        run_mining_day(ScenarioDate::kNov14, small_options());
+    static const MiningDayResult shared = MiningSession(small_scale())
+                                              .labeler(small_labeler())
+                                              .threads(2)
+                                              .run(ScenarioDate::kNov14);
     return shared;
   }
 };
@@ -116,13 +124,14 @@ TEST(PipelineUnitTest, EvaluateFindingsMatching) {
 
 TEST(PipelineUnitTest, CrossValidationHitsPaperBands) {
   // Paper Fig. 12: theta=0.5 gives ~97% TPR at ~1% FPR on 10-fold CV.
-  PipelineOptions options = small_options();
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
   DayCapture capture;
-  simulate_day(scenario, capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  ASSERT_TRUE(MiningSession(small_scale())
+                  .threads(2)
+                  .simulate(ScenarioDate::kNov14, capture)
+                  .ok());
+  const Scenario scenario(ScenarioDate::kNov14, small_scale());
   const auto labeled =
-      label_zones(capture.tree(), capture.chr(), scenario, options.labeler);
+      label_zones(capture.tree(), capture.chr(), scenario, small_labeler());
   const Dataset data = to_dataset(labeled);
   const auto scores = cross_val_scores(
       data, [] { return std::make_unique<LadTree>(); }, 10, 2011);
@@ -138,18 +147,16 @@ TEST(PipelineUnitTest, CrossValidationHitsPaperBands) {
 }
 
 TEST(PipelineUnitTest, WarmupReducesColdMisses) {
-  PipelineOptions with_warmup = small_options();
-  with_warmup.scale.queries_per_day = 20'000;
-  PipelineOptions without = with_warmup;
-  without.warmup = false;
+  ScenarioScale scale = small_scale();
+  scale.queries_per_day = 20'000;
+  MiningSession session(scale);
 
-  Scenario s1(ScenarioDate::kFeb01, with_warmup.scale);
   DayCapture c1;
-  simulate_day(s1, c1, with_warmup, 0);
+  ASSERT_TRUE(session.warmup(true).simulate(ScenarioDate::kFeb01, c1, 0).ok());
 
-  Scenario s2(ScenarioDate::kFeb01, without.scale);
   DayCapture c2;
-  simulate_day(s2, c2, without, 0);
+  ASSERT_TRUE(
+      session.warmup(false).simulate(ScenarioDate::kFeb01, c2, 0).ok());
 
   // With warm caches, fewer above-answers for the same below volume.
   EXPECT_LT(c1.above_series().sum_total(), c2.above_series().sum_total());

@@ -4,28 +4,32 @@
 // degrades gracefully rather than collapsing.
 #include <gtest/gtest.h>
 
-#include "miner/pipeline.h"
+#include "engine/parallel_miner.h"
 #include "ml/lad_tree.h"
 #include "util/rng.h"
 
 namespace dnsnoise {
 namespace {
 
-PipelineOptions small_options() {
-  PipelineOptions options;
-  options.scale.queries_per_day = 90'000;
-  options.scale.client_count = 4'000;
-  options.scale.population_scale = 0.5;
-  options.labeler.min_group_size = 8;
-  return options;
+ScenarioScale small_scale() {
+  ScenarioScale scale;
+  scale.queries_per_day = 90'000;
+  scale.client_count = 4'000;
+  scale.population_scale = 0.5;
+  return scale;
+}
+
+LabelerConfig small_labeler() {
+  LabelerConfig labeler;
+  labeler.min_group_size = 8;
+  return labeler;
 }
 
 /// Simulates a day while dropping a fraction of tap events (independently
 /// per direction), as a lossy SPAN port would.
 void simulate_lossy_day(Scenario& scenario, DayCapture& capture,
-                        const PipelineOptions& options, std::int64_t day,
-                        double loss, std::uint64_t seed) {
-  RdnsCluster cluster(options.cluster, scenario.authority());
+                        std::int64_t day, double loss, std::uint64_t seed) {
+  RdnsCluster cluster(ClusterConfig{}, scenario.authority());
   Rng drop_rng(seed);
   FunctionTapObserver lossy_tap([&](const TapBatch& batch) {
     for (const TapEvent& event : batch) {
@@ -40,10 +44,11 @@ void simulate_lossy_day(Scenario& scenario, DayCapture& capture,
     }
   });
   cluster.add_tap_observer(&lossy_tap);
-  scenario.traffic().run_day(day, [&cluster](SimTime ts, std::uint64_t client,
-                                             const QuerySpec& query) {
-    cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
-  });
+  scenario.traffic().run_day_shard(
+      day, {},
+      [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+      });
   cluster.flush_taps();
   cluster.remove_tap_observer(&lossy_tap);
 }
@@ -52,26 +57,24 @@ class TapLossTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(TapLossTest, MinerSurvivesPacketLoss) {
   const double loss = GetParam();
-  const PipelineOptions options = small_options();
 
   // Train on a clean day (the analyst labels from a reliable collection),
   // then mine a lossy day.
-  Scenario train_scenario(ScenarioDate::kNov14, options.scale);
   DayCapture train_capture;
-  simulate_day(train_scenario, train_capture, options,
-               scenario_day_index(ScenarioDate::kNov14));
+  ASSERT_TRUE(MiningSession(small_scale())
+                  .simulate(ScenarioDate::kNov14, train_capture)
+                  .ok());
+  const Scenario train_scenario(ScenarioDate::kNov14, small_scale());
   LadTree model;
   model.train(to_dataset(label_zones(train_capture.tree(),
                                      train_capture.chr(), train_scenario,
-                                     options.labeler)));
+                                     small_labeler())));
 
-  ScenarioScale lossy_scale = options.scale;
+  ScenarioScale lossy_scale = small_scale();
   lossy_scale.traffic_stream = 99;
   Scenario lossy_scenario(ScenarioDate::kDec30, lossy_scale);
   DayCapture lossy_capture;
-  PipelineOptions lossy_options = options;
-  lossy_options.scale = lossy_scale;
-  simulate_lossy_day(lossy_scenario, lossy_capture, lossy_options,
+  simulate_lossy_day(lossy_scenario, lossy_capture,
                      scenario_day_index(ScenarioDate::kDec30), loss, 7);
 
   const DisposableZoneMiner miner(model);
@@ -90,9 +93,10 @@ INSTANTIATE_TEST_SUITE_P(LossRates, TapLossTest,
                          ::testing::Values(0.0, 0.1, 0.3));
 
 TEST(ArchetypeBreakdownTest, DiscoveredZonesSpanTheTaxonomy) {
-  const PipelineOptions options = small_options();
-  const MiningDayResult result =
-      run_mining_day(ScenarioDate::kDec30, options);
+  MiningSession session(small_scale());
+  session.labeler(small_labeler());
+  const MiningDayResult result = session.run(ScenarioDate::kDec30);
+  ASSERT_TRUE(result.ok()) << result.error;
   const auto& by_archetype = result.evaluation.discovered_by_archetype;
   // The five industries of the synthetic zoo are all represented.
   std::size_t total = 0;

@@ -115,12 +115,16 @@ TEST(ScenarioTest, TrafficStreamVariesQueriesOnly) {
   // ...but different query streams.
   std::vector<std::string> qa;
   std::vector<std::string> qb;
-  sa.traffic().run_day(0, [&qa](SimTime, std::uint64_t, const QuerySpec& q) {
-    qa.push_back(q.qname);
-  });
-  sb.traffic().run_day(0, [&qb](SimTime, std::uint64_t, const QuerySpec& q) {
-    qb.push_back(q.qname);
-  });
+  sa.traffic().run_day_shard(
+      0, {},
+      [&qa](SimTime, std::uint64_t, const QuerySpec& q) {
+        qa.push_back(q.qname);
+      });
+  sb.traffic().run_day_shard(
+      0, {},
+      [&qb](SimTime, std::uint64_t, const QuerySpec& q) {
+        qb.push_back(q.qname);
+      });
   EXPECT_NE(qa, qb);
 }
 
@@ -134,13 +138,13 @@ TEST(ScenarioTest, SampleDayHasPaperLikeMix) {
   Scenario scenario(ScenarioDate::kDec30, scale);
   std::size_t total = 0;
   std::size_t disposable = 0;
-  scenario.traffic().run_day(0, [&](SimTime, std::uint64_t,
-                                    const QuerySpec& q) {
-    ++total;
-    const auto name = DomainName::parse(q.qname);
-    ASSERT_TRUE(name) << q.qname;
-    if (scenario.truth().is_disposable_name(*name)) ++disposable;
-  });
+  scenario.traffic().run_day_shard(
+      0, {}, [&](SimTime, std::uint64_t, const QuerySpec& q) {
+        ++total;
+        const auto name = DomainName::parse(q.qname);
+        ASSERT_TRUE(name) << q.qname;
+        if (scenario.truth().is_disposable_name(*name)) ++disposable;
+      });
   const double share = static_cast<double>(disposable) /
                        static_cast<double>(total);
   EXPECT_GT(share, 0.02);

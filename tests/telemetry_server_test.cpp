@@ -432,7 +432,13 @@ TEST(TelemetryPipeline, SessionServesLiveMetricsAndConcurrentScrapes) {
   EXPECT_NE(trace.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(trace.find("dnsnoise-trace-v1"), std::string::npos);
   const std::string health = http_get(port, "/healthz");
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(health.find("\"status\": \"idle\""), std::string::npos);
+  const std::string metrics = http_get(port, "/metrics");
+  EXPECT_NE(metrics.find("# TYPE dnsnoise_obs_heartbeat_engine gauge\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE dnsnoise_miner_mine_seconds histogram\n"),
+            std::string::npos);
 }
 
 TEST(TelemetryPipeline, TelemetryDoesNotChangeFindings) {
@@ -454,37 +460,6 @@ TEST(TelemetryPipeline, TelemetryDoesNotChangeFindings) {
     EXPECT_DOUBLE_EQ(without.findings[i].confidence,
                      with.findings[i].confidence);
   }
-}
-
-TEST(TelemetryPipeline, ClassicPipelineServesForTheRunDuration) {
-  // The classic run_mining_day path owns no server: a caller serves the
-  // registry it passes in, and the run leaves its heartbeat gauges and a
-  // dropped run-active flag behind for /healthz.
-  obs::MetricsRegistry registry;
-  TelemetryServer server(registry);  // port 0 -> ephemeral
-  ASSERT_TRUE(server.start()) << server.error();
-  PipelineOptions options;
-  options.scale = small_scale();
-  options.cluster = small_cluster();
-  options.warmup = false;
-  options.metrics = &registry;
-  const MiningDayResult result = run_mining_day(ScenarioDate::kNov14, options);
-  ASSERT_TRUE(result.ok()) << result.error;
-  const obs::MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_NE(snapshot.find("obs.heartbeat.cluster"), nullptr);
-  EXPECT_NE(snapshot.find("obs.heartbeat.miner"), nullptr);
-  const obs::MetricSample* active = snapshot.find(obs::kRunActiveGauge);
-  ASSERT_NE(active, nullptr);
-  EXPECT_EQ(active->value, 0.0);
-
-  const std::string metrics = http_get(server.port(), "/metrics");
-  EXPECT_NE(metrics.find("# TYPE dnsnoise_obs_heartbeat_cluster gauge\n"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE dnsnoise_miner_mine_seconds histogram\n"),
-            std::string::npos);
-  const std::string health = http_get(server.port(), "/healthz");
-  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(health.find("\"status\": \"idle\""), std::string::npos);
 }
 
 TEST(TelemetryPipeline, ReenablingMetricsRebindsTheServer) {

@@ -1,6 +1,5 @@
 // End-to-end tracing: enabling the collector must never change mining
-// results (classic and sharded paths), the recorded trace content must be
-// thread-count invariant, and run() must carry a valid dnsnoise-trace-v1
+// results, the recorded trace content must be thread-count invariant, and run() must carry a valid dnsnoise-trace-v1
 // export covering all four pipeline stages.
 
 #include <gtest/gtest.h>
@@ -70,27 +69,6 @@ TEST(TracePipeline, TracingDoesNotChangeShardedFindings) {
   traced.cluster(small_cluster()).warmup(false).threads(2).enable_tracing(
       true, 16);
   const MiningDayResult with = traced.run(ScenarioDate::kNov14);
-  ASSERT_TRUE(with.ok()) << with.error;
-
-  ASSERT_GT(without.findings.size(), 0u);
-  EXPECT_EQ(findings_fingerprint(without), findings_fingerprint(with));
-  EXPECT_FALSE(with.trace_json.empty());
-}
-
-TEST(TracePipeline, TracingDoesNotChangeClassicFindings) {
-  PipelineOptions options;
-  options.scale = small_scale();
-  options.cluster = small_cluster();
-  options.warmup = false;
-  const MiningDayResult without =
-      run_mining_day(ScenarioDate::kNov14, options);
-  ASSERT_TRUE(without.ok()) << without.error;
-
-  obs::TraceConfig config;
-  config.sample_every_n = 16;
-  obs::TraceCollector collector(config);
-  options.trace = &collector;
-  const MiningDayResult with = run_mining_day(ScenarioDate::kNov14, options);
   ASSERT_TRUE(with.ok()) << with.error;
 
   ASSERT_GT(without.findings.size(), 0u);

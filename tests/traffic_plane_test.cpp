@@ -174,24 +174,5 @@ TEST(TrafficPlaneEngine, LiveScrapeServesStableDocAndGauges) {
             std::string::npos);
 }
 
-TEST(TrafficPlaneEngine, ClassicPipelinePathFeedsShardZero) {
-  // The non-engine path (simulate_day via PipelineOptions::sketch) must
-  // feed the plane too — one cluster, shard 0.
-  obs::TrafficSketchPlane plane;
-  PipelineOptions options;
-  options.scale = small_scale();
-  options.warmup = false;
-  options.sketch = &plane;
-  Scenario scenario(ScenarioDate::kNov14, options.scale);
-  DayCapture capture(options.capture);
-  (void)simulate_day(scenario, capture, options,
-                     scenario_day_index(ScenarioDate::kNov14));
-  EXPECT_EQ(plane.shard_count(), 1u);
-  const obs::TrafficSnapshot snap = plane.snapshot();
-  EXPECT_GT(snap.queries, 0u);
-  EXPECT_GT(snap.distinct_qnames, 0.0);
-  EXPECT_FALSE(snap.top_qnames.empty());
-}
-
 }  // namespace
 }  // namespace dnsnoise

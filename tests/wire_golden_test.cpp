@@ -1,13 +1,15 @@
 // The server mode's golden contract (DESIGN.md §14): a mining day whose
-// queries arrive entirely over the UDP socket produces findings
-// byte-identical to the same day driven in-process.
+// queries arrive entirely over the UDP socket produces a capture and
+// findings byte-identical to MiningSession::run on the same day.
 //
-// The wire path replays the scenario's recorded (ts, client, query) stream
-// through net::DnsWireClient in timestamp order, attaching replay metadata
-// so the frontend feeds RdnsCluster::query_view the exact same arguments
-// the in-process drive loop passes.  Everything downstream — tap capture,
-// tree, CHR, labeling, training, parallel mining, evaluation — then runs
-// unchanged, so any fingerprint divergence localizes to the wire layer.
+// The wire path replays the engine's per-shard (ts, client, query) streams,
+// merged in timestamp order, through net::DnsWireClient, attaching replay
+// metadata so the frontend feeds RdnsCluster::query_view the exact same
+// arguments the engine's drive loop passes.  Everything downstream — tap
+// capture, tree, CHR, labeling, training, parallel mining, evaluation —
+// then runs unchanged, so any fingerprint divergence localizes to the wire
+// layer.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/parallel_miner.h"
-#include "miner/pipeline.h"
 #include "net/udp_client.h"
 
 namespace dnsnoise {
@@ -80,39 +81,38 @@ struct RecordedQuery {
 TEST(WireGolden, SocketDayMatchesInProcessDayByteForByte) {
   const ScenarioDate date = ScenarioDate::kSep13;
   const std::int64_t day_index = scenario_day_index(date);
-  PipelineOptions options;
-  options.scale = wire_scale();
-  options.cluster.server_count = 2;
+  ClusterConfig cluster;
+  cluster.server_count = 2;
 
-  // Record the day's query stream from a scratch scenario.  Same (date,
-  // scale) => the generator emits the identical stream in every path.
+  // Record the engine's shard streams, each from its own fresh scenario as
+  // the engine builds one per shard, and merge them in timestamp order.
+  // The stable sort keeps each shard's order, and shard order on ties.
   std::vector<RecordedQuery> stream;
-  {
-    Scenario recorder(date, options.scale);
-    recorder.traffic().run_day(
-        day_index, [&stream](SimTime ts, std::uint64_t client,
-                             const QuerySpec& query) {
+  for (std::size_t shard = 0; shard < cluster.server_count; ++shard) {
+    Scenario recorder(date, wire_scale());
+    recorder.traffic().run_day_shard(
+        day_index, {cluster.server_count, shard},
+        [&stream](SimTime ts, std::uint64_t client, const QuerySpec& query) {
           stream.push_back({ts, client, query.qname, query.qtype});
         });
   }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const RecordedQuery& a, const RecordedQuery& b) {
+                     return a.ts < b.ts;
+                   });
   ASSERT_GT(stream.size(), 1000u);
 
-  // Path A: classic in-process pipeline.
-  Scenario in_process(date, options.scale);
-  DayCapture capture_a(options.capture);
-  simulate_day(in_process, capture_a, options, day_index);
-  const MiningDayResult result_a =
-      finish_mining_day(capture_a, in_process, options);
+  // Path A: the in-process engine day.
+  MiningSession session;
+  session.scale(wire_scale()).cluster(cluster).threads(2);
+  DayCapture capture_a;
+  const MiningDayResult result_a = session.run(date, capture_a, day_index);
   ASSERT_TRUE(result_a.ok()) << result_a.error;
 
   // Path B: same day, every query a real RFC 1035 datagram.
   DnsServerOptions server;
   server.socket_shards = 2;
-  MiningSession session;
-  session.scale(options.scale)
-      .cluster(options.cluster)
-      .threads(2)
-      .enable_dns_server(true, 0, server);
+  session.enable_dns_server(true, 0, server);
   const auto day = session.serve(date);
   ASSERT_NE(day, nullptr);
   ASSERT_TRUE(day->ok()) << day->error();
