@@ -7,8 +7,8 @@
 namespace dnsnoise {
 
 // Both parse entry points funnel into scan_into: one pass of the
-// vectorized dot-scan kernel (kernels::normalize_name) classifies,
-// lowercases, and splits 16/32 bytes per step, emitting the label-start
+// dot-scan kernel (kernels::normalize_name) classifies, lowercases, and
+// splits the name (16 bytes per step on x86-64), emitting the label-start
 // offsets directly — the per-character isalnum/tolower loop is gone.
 bool DomainName::scan_into(std::string_view text) {
   if (!text.empty() && text.back() == '.') text.remove_suffix(1);

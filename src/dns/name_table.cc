@@ -8,12 +8,11 @@ namespace dnsnoise {
 
 void entropy_many(std::span<const NameId> ids, const NameTable& table,
                   std::span<double> out) noexcept {
-  const kernels::DispatchLevel level = kernels::hist_level();
   kernels::CharHist hist;
   kernels::hist_init(hist);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const std::string_view text = table.name(ids[i]);
-    kernels::hist_build_at(level, hist, text);
+    kernels::hist_build(hist, text);
     out[i] = kernels::entropy_from_hist(hist, text.size());
     kernels::hist_reset(hist);
   }

@@ -30,8 +30,8 @@
 // an endpoint does not recognize are ignored, so scrapers may append
 // ?format=... style noise.
 //
-// Obs contract: strictly opt-in (MiningSession::enable_telemetry /
-// PipelineOptions::telemetry_port), zero hot-path overhead — every
+// Obs contract: strictly opt-in (MiningSession::enable_telemetry, or a
+// caller-owned server over a registry), zero hot-path overhead — every
 // snapshot is taken on the scrape thread via the registry's established
 // concurrent-snapshot path, no new locks touch the query path, and
 // mining findings are bit-identical with the server on or off

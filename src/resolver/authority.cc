@@ -12,18 +12,14 @@ void SyntheticAuthority::register_zone(const DomainName& apex,
 
 AuthorityAnswer SyntheticAuthority::resolve(const Question& question,
                                             SimTime now) const {
-  ++queries_;
   // Longest-suffix (most specific apex) match.
   const std::size_t labels = question.name.label_count();
   for (std::size_t k = labels; k >= 1; --k) {
     const std::string apex(question.name.nld_view(k));
     if (const auto it = zones_.find(apex); it != zones_.end()) {
-      AuthorityAnswer answer = it->second(question, now);
-      if (answer.rcode == RCode::NXDomain) ++nxdomains_;
-      return answer;
+      return it->second(question, now);
     }
   }
-  ++nxdomains_;
   return AuthorityAnswer{};
 }
 

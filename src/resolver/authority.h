@@ -37,11 +37,11 @@ class SyntheticAuthority {
   void register_zone(const DomainName& apex, Handler handler);
 
   /// Resolves a question: the handler of the most specific registered apex
-  /// enclosing qname, else NXDOMAIN.
+  /// enclosing qname, else NXDOMAIN.  Writes nothing, so threads may share
+  /// one authority once its zones are registered (handlers must be pure
+  /// functions of the question, as every built-in one is).
   AuthorityAnswer resolve(const Question& question, SimTime now) const;
 
-  std::uint64_t queries() const noexcept { return queries_; }
-  std::uint64_t nxdomains() const noexcept { return nxdomains_; }
   std::size_t zone_count() const noexcept { return zones_.size(); }
 
   /// Deterministic A-record zone: every name under the apex resolves to a
@@ -51,8 +51,6 @@ class SyntheticAuthority {
 
  private:
   std::unordered_map<std::string, Handler> zones_;
-  mutable std::uint64_t queries_ = 0;
-  mutable std::uint64_t nxdomains_ = 0;
 };
 
 /// Stable pseudo-random IPv4 for a name (public, shared by zone models).

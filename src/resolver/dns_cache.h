@@ -7,10 +7,9 @@
 //
 // Internally keyed on (NameId, qtype): qnames are interned once into a
 // per-cache NameTable, the LRU is probed with the precomputed name hash,
-// and the hot lookup/insert path takes string_views — no QuestionKey
+// and the lookup/insert API takes string_views — no QuestionKey
 // construction, no string copies.  A lookup for a never-interned name is a
-// miss without touching the LRU at all.  The QuestionKey overloads remain
-// as compatibility shims.
+// miss without touching the LRU at all.
 #pragma once
 
 #include <cstdint>
@@ -119,20 +118,6 @@ class DnsCache {
 
   /// Inserts a negative (NXDOMAIN) entry if negative caching is enabled.
   void insert_negative(std::string_view name, RRType type, SimTime now);
-
-  // --- QuestionKey compatibility shims -------------------------------------
-
-  const CachedAnswer* lookup(const QuestionKey& key, SimTime now) {
-    return lookup(key.name, key.type, now);
-  }
-  void insert_positive(const QuestionKey& key,
-                       std::vector<ResourceRecord> answers, SimTime now,
-                       bool disposable_hint = false) {
-    insert_positive(key.name, key.type, answers, now, disposable_hint);
-  }
-  void insert_negative(const QuestionKey& key, SimTime now) {
-    insert_negative(key.name, key.type, now);
-  }
 
   // -------------------------------------------------------------------------
 

@@ -76,8 +76,7 @@ class TapBatch {
   std::span<const ResourceRecord> answers_;
 };
 
-/// Interface for tap consumers.  Replaces the deprecated per-answer
-/// BelowSink/AboveSink std::function pair.
+/// Interface for tap consumers.
 class TapObserver {
  public:
   virtual ~TapObserver() = default;
@@ -86,8 +85,7 @@ class TapObserver {
   virtual void on_tap_batch(const TapBatch& batch) = 0;
 };
 
-/// Adapts a callable to TapObserver — convenient for tests and examples
-/// that previously passed lambdas to set_below_sink/set_above_sink.
+/// Adapts a callable to TapObserver — convenient for tests and examples.
 class FunctionTapObserver final : public TapObserver {
  public:
   explicit FunctionTapObserver(std::function<void(const TapBatch&)> fn)

@@ -7,8 +7,7 @@
 namespace dnsnoise {
 
 double shannon_entropy(std::string_view s) noexcept {
-  // Histogram + shared LUT reducer at the runtime-dispatched kernel level
-  // (scalar/SSE2/AVX2); all levels are bit-identical (DESIGN.md §15).
+  // Scalar histogram + count-indexed LUT reducer (DESIGN.md §15).
   return kernels::shannon_entropy(s);
 }
 

@@ -1,8 +1,8 @@
 #include "util/simd/kernels.h"
 
-#include <atomic>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/simd/kernels_internal.h"
@@ -11,52 +11,30 @@ namespace dnsnoise::kernels {
 
 namespace {
 
-DispatchLevel best_supported() noexcept {
-#if defined(DNSNOISE_KERNELS_X86)
-  if (__builtin_cpu_supports("avx2")) return DispatchLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return DispatchLevel::kSse2;
-#endif
-  return DispatchLevel::kScalar;
-}
+// Character classes of the scalar scan: the LDH+underscore superset
+// DomainName accepts, plus the dot.
+constexpr std::uint8_t kClassAllowed = 1;  // alnum, '-', '_'
+constexpr std::uint8_t kClassDot = 2;
 
-/// Active state: the dispatch level plus whether it was *forced* (env var
-/// or set_active_level) rather than auto-detected.  Forced levels apply
-/// to every kernel; the auto default applies the measured per-kernel
-/// rules (hist_level).  Packed into one byte: bit 7 = forced.
-constexpr std::uint8_t kForcedBit = 0x80;
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned char c = '0'; c <= '9'; ++c) t[c] = kClassAllowed;
+  for (unsigned char c = 'a'; c <= 'z'; ++c) t[c] = kClassAllowed;
+  for (unsigned char c = 'A'; c <= 'Z'; ++c) t[c] = kClassAllowed;
+  t[static_cast<unsigned char>('-')] = kClassAllowed;
+  t[static_cast<unsigned char>('_')] = kClassAllowed;
+  t[static_cast<unsigned char>('.')] = kClassDot;
+  return t;
+}();
 
-/// Initial state: best the CPU supports, optionally clamped — and marked
-/// forced — by the DNSNOISE_KERNEL_LEVEL env var (scalar|sse2|avx2).  An
-/// env request for an unavailable level is ignored rather than crashing
-/// the process.
-std::uint8_t initial_state() noexcept {
-  const DispatchLevel best = best_supported();
-  if (const char* env = std::getenv("DNSNOISE_KERNEL_LEVEL")) {
-    DispatchLevel wanted = best;
-    bool recognized = false;
-    if (std::strcmp(env, "scalar") == 0) {
-      wanted = DispatchLevel::kScalar;
-      recognized = true;
-    }
-    if (std::strcmp(env, "sse2") == 0) {
-      wanted = DispatchLevel::kSse2;
-      recognized = true;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      wanted = DispatchLevel::kAvx2;
-      recognized = true;
-    }
-    if (recognized && wanted <= best) {
-      return static_cast<std::uint8_t>(wanted) | kForcedBit;
-    }
+constexpr std::array<char, 256> kLowerTable = [] {
+  std::array<char, 256> t{};
+  for (std::size_t c = 0; c < t.size(); ++c) t[c] = static_cast<char>(c);
+  for (unsigned char c = 'A'; c <= 'Z'; ++c) {
+    t[c] = static_cast<char>(c + 32);
   }
-  return static_cast<std::uint8_t>(best);
-}
-
-std::atomic<std::uint8_t>& active_slot() noexcept {
-  static std::atomic<std::uint8_t> slot{initial_state()};
-  return slot;
-}
+  return t;
+}();
 
 /// Count-indexed k*log2(k) and log2(k) lookups.  Counts and lengths above
 /// 255 (longer than any DNS name) fall back to direct std::log2.
@@ -90,72 +68,24 @@ CharHist& scratch_hist() noexcept {
 
 }  // namespace
 
-const char* level_name(DispatchLevel level) noexcept {
-  switch (level) {
-    case DispatchLevel::kSse2:
-      return "sse2";
-    case DispatchLevel::kAvx2:
-      return "avx2";
-    case DispatchLevel::kScalar:
-      break;
-  }
+const char* scan_kernel() noexcept {
+#if defined(DNSNOISE_KERNELS_SSE2)
+  return "sse2";
+#else
   return "scalar";
-}
-
-DispatchLevel active_level() noexcept {
-  return static_cast<DispatchLevel>(
-      active_slot().load(std::memory_order_relaxed) & ~kForcedBit);
-}
-
-bool level_available(DispatchLevel level) noexcept {
-  return level <= best_supported();
-}
-
-bool set_active_level(DispatchLevel level) noexcept {
-  if (!level_available(level)) return false;
-  active_slot().store(static_cast<std::uint8_t>(level) | kForcedBit,
-                      std::memory_order_relaxed);
-  return true;
-}
-
-DispatchLevel hist_level() noexcept {
-  const std::uint8_t state = active_slot().load(std::memory_order_relaxed);
-  if ((state & kForcedBit) != 0) {
-    return static_cast<DispatchLevel>(state & ~kForcedBit);
-  }
-  // Measured rule: at DNS label/name sizes the distinct-symbol count is
-  // close to the length, so one broadcast-compare per distinct symbol
-  // does more work than one counter increment per byte.  The scalar loop
-  // wins on both short labels and full names; the vector histograms stay
-  // reachable for forced runs and parity tests.
-  return DispatchLevel::kScalar;
+#endif
 }
 
 void hist_init(CharHist& hist) noexcept {
   std::memset(&hist, 0, sizeof(hist));
 }
 
-void hist_build_at(DispatchLevel level, CharHist& hist,
-                   std::string_view s) noexcept {
-#if defined(DNSNOISE_KERNELS_X86)
-  switch (level) {
-    case DispatchLevel::kAvx2:
-      detail::hist_build_avx2(hist, s);
-      return;
-    case DispatchLevel::kSse2:
-      detail::hist_build_sse2(hist, s);
-      return;
-    case DispatchLevel::kScalar:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  detail::hist_build_scalar(hist, s);
-}
-
 void hist_build(CharHist& hist, std::string_view s) noexcept {
-  hist_build_at(hist_level(), hist, s);
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    ++hist.counts[c];
+    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
+  }
 }
 
 void hist_reset(CharHist& hist) noexcept {
@@ -198,60 +128,34 @@ double entropy_from_hist(const CharHist& hist, std::uint64_t total) noexcept {
   return h > 0.0 ? h : 0.0;
 }
 
-double shannon_entropy_at(DispatchLevel level, std::string_view s) noexcept {
+double shannon_entropy(std::string_view s) noexcept {
   CharHist& hist = scratch_hist();
-  hist_build_at(level, hist, s);
+  hist_build(hist, s);
   const double h = entropy_from_hist(hist, s.size());
   hist_reset(hist);
   return h;
 }
 
-double shannon_entropy(std::string_view s) noexcept {
-  return shannon_entropy_at(hist_level(), s);
-}
-
 void entropy_many(std::span<const std::string_view> strings,
                   std::span<double> out) noexcept {
-  const DispatchLevel level = hist_level();
   CharHist& hist = scratch_hist();
   for (std::size_t i = 0; i < strings.size(); ++i) {
-    hist_build_at(level, hist, strings[i]);
+    hist_build(hist, strings[i]);
     out[i] = entropy_from_hist(hist, strings[i].size());
     hist_reset(hist);
   }
 }
 
-NameScan normalize_name_at(DispatchLevel level, std::string_view in, char* out,
-                           std::uint16_t* offsets) noexcept {
-#if defined(DNSNOISE_KERNELS_X86)
-  switch (level) {
-    case DispatchLevel::kAvx2:
-      return detail::normalize_name_avx2(in, out, offsets);
-    case DispatchLevel::kSse2:
-      return detail::normalize_name_sse2(in, out, offsets);
-    case DispatchLevel::kScalar:
-      break;
-  }
-#else
-  (void)level;
-#endif
-  return detail::normalize_name_scalar(in, out, offsets);
-}
-
 NameScan normalize_name(std::string_view in, char* out,
                         std::uint16_t* offsets) noexcept {
-  return normalize_name_at(active_level(), in, out, offsets);
+#if defined(DNSNOISE_KERNELS_SSE2)
+  return detail::normalize_name_sse2(in, out, offsets);
+#else
+  return detail::normalize_name_scalar(in, out, offsets);
+#endif
 }
 
 namespace detail {
-
-void hist_build_scalar(CharHist& hist, std::string_view s) noexcept {
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
-    ++hist.counts[c];
-    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-}
 
 NameScan normalize_name_scalar(std::string_view in, char* out,
                                std::uint16_t* offsets) noexcept {

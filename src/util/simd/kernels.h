@@ -1,20 +1,20 @@
-// dnsnoise::kernels — vectorized batch kernels for the mining hot path.
+// dnsnoise::kernels — batch kernels for the mining hot path.
 //
 // The LAD miner spends its time in three embarrassingly data-parallel
 // loops: per-label character histograms (Shannon entropy, Section V-A2),
 // batched entropy over interned label/name arrays, and the dot-scan that
-// normalizes every DomainName the capture path decodes.  This layer gives
-// each of them an SSE2 and an AVX2 kernel behind one runtime-dispatched
-// API with a portable scalar fallback.
+// normalizes every DomainName the capture path decodes.  Each job has one
+// implementation, chosen at build time (DESIGN.md §15):
+//  - histograms and entropy: the scalar counting loop on every target
+//    (vector histograms lose to it at DNS label and name sizes);
+//  - the name dot-scan: the SSE2 kernel on x86-64, whose ABI guarantees
+//    SSE2, and the scalar scan on every other target and in builds
+//    configured with -DDNSNOISE_DISABLE_SIMD=ON.
 //
-// Determinism contract (DESIGN.md §15): a kernel may vectorize only the
-// *integer* part of the work — byte counts, presence bitmaps, class
-// masks, label offsets — which is bit-exact regardless of lane width.
-// Every floating-point reduction (entropy_from_hist) is shared scalar
-// code compiled once, summing in a fixed order (ascending byte value), so
-// scalar, SSE2, and AVX2 produce bit-identical doubles by construction.
-// The parity tests in tests/simd_kernels_test.cpp enforce this across
-// every available dispatch level.
+// Determinism contract: the SSE2 scan vectorizes only integer work (class
+// masks, label offsets), so both builds produce byte-identical names,
+// findings and goldens.  tests/simd_kernels_test.cpp runs the SSE2 scan
+// against the scalar one wherever the build compiles it.
 #pragma once
 
 #include <cstddef>
@@ -24,37 +24,8 @@
 
 namespace dnsnoise::kernels {
 
-// ---------------------------------------------------------------------------
-// Runtime CPU dispatch
-
-enum class DispatchLevel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// Human-readable level name ("scalar", "sse2", "avx2").
-const char* level_name(DispatchLevel level) noexcept;
-
-/// The level all un-suffixed kernels run at.  Resolved once on first use:
-/// the best level the CPU supports, clamped by the DNSNOISE_KERNEL_LEVEL
-/// environment variable (scalar|sse2|avx2) and by builds configured with
-/// -DDNSNOISE_DISABLE_SIMD=ON (scalar only).
-DispatchLevel active_level() noexcept;
-
-/// True if `level` can run on this build + CPU (kScalar always can).
-bool level_available(DispatchLevel level) noexcept;
-
-/// Forces the active level (tests/benches).  Returns false and leaves the
-/// level unchanged if `level` is unavailable.  A forced level also applies
-/// to the histogram kernels (see hist_level).  Not safe to call while
-/// other threads are inside kernels.
-bool set_active_level(DispatchLevel level) noexcept;
-
-/// The level hist_build / shannon_entropy / entropy_many actually run at.
-/// When a level was forced (DNSNOISE_KERNEL_LEVEL or set_active_level)
-/// this is the forced level; otherwise it is kScalar regardless of CPU:
-/// the broadcast-compare histograms measure *slower* than the scalar
-/// counting loop at DNS label/name sizes, where the distinct-symbol count
-/// is close to the length (measured rule, DESIGN.md §15).  The normalize
-/// kernel always runs at active_level(), where vectors win.
-DispatchLevel hist_level() noexcept;
+/// The name-scan kernel this build compiled in: "sse2" or "scalar".
+const char* scan_kernel() noexcept;
 
 // ---------------------------------------------------------------------------
 // Character histograms
@@ -75,12 +46,7 @@ void hist_init(CharHist& hist) noexcept;
 
 /// Fills counts/present for the bytes of `s`.  Requires a clean workspace
 /// (fresh hist_init or hist_reset); does not accumulate across strings.
-/// All dispatch levels produce identical counts and bitmap.
 void hist_build(CharHist& hist, std::string_view s) noexcept;
-
-/// hist_build at an explicit level (parity tests and benches).
-void hist_build_at(DispatchLevel level, CharHist& hist,
-                   std::string_view s) noexcept;
 
 /// Clears only the buckets hist_build touched (O(distinct symbols)).
 void hist_reset(CharHist& hist) noexcept;
@@ -88,8 +54,8 @@ void hist_reset(CharHist& hist) noexcept;
 // ---------------------------------------------------------------------------
 // Shannon entropy
 //
-// entropy_from_hist is the *shared* floating-point reducer: it walks the
-// presence bitmap in ascending byte order and computes
+// entropy_from_hist walks the presence bitmap in ascending byte order and
+// computes
 //   H = log2(n) - (sum_c count_c * log2(count_c)) / n
 // with the count-indexed k*log2(k) lookup table (counts above the table
 // fall back to direct log2).  One-symbol strings return exactly 0 and the
@@ -100,11 +66,8 @@ void hist_reset(CharHist& hist) noexcept;
 /// length the histogram was built from.
 double entropy_from_hist(const CharHist& hist, std::uint64_t total) noexcept;
 
-/// One-shot entropy of `s` at the active dispatch level.
+/// One-shot entropy of `s`.
 double shannon_entropy(std::string_view s) noexcept;
-
-/// One-shot entropy at an explicit level (parity tests).
-double shannon_entropy_at(DispatchLevel level, std::string_view s) noexcept;
 
 /// Batched entropy: out[i] = entropy of strings[i].  One workspace is
 /// reused across the whole batch, so per-string setup cost vanishes;
@@ -116,10 +79,11 @@ void entropy_many(std::span<const std::string_view> strings,
 // ---------------------------------------------------------------------------
 // Domain-name normalization scan
 //
-// The vectorized replacement for DomainName's per-character parse loop:
-// classifies 16/32 bytes per step (allowed LDH+underscore set, dots,
-// uppercase), lowercases into `out`, and emits label-start offsets while
-// validating label lengths (1..63) exactly like the scalar parser.
+// The replacement for DomainName's per-character parse loop: classifies
+// bytes (allowed LDH+underscore set, dots, uppercase), lowercases into
+// `out`, and emits label-start offsets while validating label lengths
+// (1..63) exactly like the scalar parser.  The SSE2 build classifies 16
+// bytes per step.
 
 struct NameScan {
   bool ok = false;               // false: bad char, empty label, label > 63
@@ -132,9 +96,5 @@ struct NameScan {
 /// the contents of out/offsets are unspecified.
 NameScan normalize_name(std::string_view in, char* out,
                         std::uint16_t* offsets) noexcept;
-
-/// normalize_name at an explicit level (parity tests).
-NameScan normalize_name_at(DispatchLevel level, std::string_view in, char* out,
-                           std::uint16_t* offsets) noexcept;
 
 }  // namespace dnsnoise::kernels

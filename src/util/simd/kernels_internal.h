@@ -1,14 +1,11 @@
-// Internal plumbing shared by the kernel dispatch layer (kernels.cc) and
-// the per-ISA translation units (kernels_sse2.cc, kernels_avx2.cc).
-//
-// Everything here is integer bookkeeping: character class tables, the
-// label-offset walk over dot bitmasks, and the scalar reference kernels
-// the SIMD paths fall back to for oversized inputs.  Keeping the shared
-// pieces integer-only is what makes cross-level bit-exactness automatic
-// (see the determinism contract in kernels.h).
+// Internal plumbing shared by the scalar name scan (kernels.cc) and the
+// SSE2 one (kernels_sse2.cc): the build-time kernel choice and the
+// label-offset walk over dot bitmasks.  Everything here is integer
+// bookkeeping, which is what makes the two scans byte-identical (see the
+// determinism contract in kernels.h).  tests/simd_kernels_test.cpp
+// includes this header to run both scans side by side.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -16,34 +13,15 @@
 
 #include "util/simd/kernels.h"
 
+// x86-64's ABI guarantees SSE2, so the SSE2 scan needs no ISA flag and no
+// CPU check.  DNSNOISE_DISABLE_SIMD is a public definition of
+// dnsnoise_util, so every TU that includes this header agrees on the
+// choice.
+#if defined(__x86_64__) && !defined(DNSNOISE_DISABLE_SIMD)
+#define DNSNOISE_KERNELS_SSE2 1
+#endif
+
 namespace dnsnoise::kernels::detail {
-
-// --- character classes (the LDH+underscore superset DomainName accepts) ----
-
-inline constexpr std::uint8_t kClassAllowed = 1;  // alnum, '-', '_'
-inline constexpr std::uint8_t kClassDot = 2;
-
-inline constexpr std::array<std::uint8_t, 256> kCharClass = [] {
-  std::array<std::uint8_t, 256> t{};
-  for (int c = '0'; c <= '9'; ++c) t[static_cast<std::size_t>(c)] = kClassAllowed;
-  for (int c = 'a'; c <= 'z'; ++c) t[static_cast<std::size_t>(c)] = kClassAllowed;
-  for (int c = 'A'; c <= 'Z'; ++c) t[static_cast<std::size_t>(c)] = kClassAllowed;
-  t[static_cast<std::size_t>('-')] = kClassAllowed;
-  t[static_cast<std::size_t>('_')] = kClassAllowed;
-  t[static_cast<std::size_t>('.')] = kClassDot;
-  return t;
-}();
-
-inline constexpr std::array<char, 256> kLowerTable = [] {
-  std::array<char, 256> t{};
-  for (int c = 0; c < 256; ++c) t[static_cast<std::size_t>(c)] = static_cast<char>(c);
-  for (int c = 'A'; c <= 'Z'; ++c) {
-    t[static_cast<std::size_t>(c)] = static_cast<char>(c + 32);
-  }
-  return t;
-}();
-
-// --- label bookkeeping shared by the scalar and vector dot-scans ----------
 
 struct ScanState {
   std::size_t label_start = 0;
@@ -74,18 +52,13 @@ inline NameScan finish_scan(std::size_t n, const ScanState& st) noexcept {
   return {true, static_cast<std::uint16_t>(st.label_count)};
 }
 
-// --- per-level kernels ----------------------------------------------------
-
-void hist_build_scalar(CharHist& hist, std::string_view s) noexcept;
+/// The portable scan: every target without SSE2, and the reference the
+/// parity tests hold the SSE2 scan to.
 NameScan normalize_name_scalar(std::string_view in, char* out,
                                std::uint16_t* offsets) noexcept;
 
-#if defined(DNSNOISE_KERNELS_X86)
-void hist_build_sse2(CharHist& hist, std::string_view s) noexcept;
-void hist_build_avx2(CharHist& hist, std::string_view s) noexcept;
+#if defined(DNSNOISE_KERNELS_SSE2)
 NameScan normalize_name_sse2(std::string_view in, char* out,
-                             std::uint16_t* offsets) noexcept;
-NameScan normalize_name_avx2(std::string_view in, char* out,
                              std::uint16_t* offsets) noexcept;
 #endif
 

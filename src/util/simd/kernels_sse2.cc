@@ -1,12 +1,13 @@
-// SSE2 kernels: 16-byte character classification for the name dot-scan
-// and broadcast-compare byte histograms for short strings.
+// The SSE2 name dot-scan: 16-byte character classification, the x86-64
+// build's normalize_name (kernels_internal.h decides; on every other
+// target this file compiles to nothing).
 //
-// Everything computed here is integer (counts, masks, offsets), so the
-// outputs are bit-identical to the scalar kernels; the parity tests
-// assert exactly that.
+// Everything computed here is integer (class masks, offsets), so the
+// output is byte-identical to the scalar scan; the parity tests assert
+// exactly that.
 #include "util/simd/kernels_internal.h"
 
-#if defined(DNSNOISE_KERNELS_X86)
+#if defined(DNSNOISE_KERNELS_SSE2)
 
 #include <emmintrin.h>
 
@@ -14,53 +15,6 @@
 #include <cstring>
 
 namespace dnsnoise::kernels::detail {
-
-namespace {
-
-inline std::uint32_t eq_mask(__m128i v, __m128i needle) noexcept {
-  return static_cast<std::uint32_t>(
-      _mm_movemask_epi8(_mm_cmpeq_epi8(needle, v)));
-}
-
-}  // namespace
-
-void hist_build_sse2(CharHist& hist, std::string_view s) noexcept {
-  const std::size_t n = s.size();
-  if (n == 0) return;
-  // Beyond four vectors the broadcast-compare sweep loses to plain
-  // counting; names cap at 253 bytes, labels at 63, so this covers the
-  // label path entirely and most full names.
-  if (n > 64) {
-    hist_build_scalar(hist, s);
-    return;
-  }
-  alignas(16) unsigned char buf[64] = {};
-  std::memcpy(buf, s.data(), n);
-  const std::size_t chunks = (n + 15) / 16;
-  __m128i v[4];
-  for (std::size_t j = 0; j < chunks; ++j) {
-    v[j] = _mm_load_si128(reinterpret_cast<const __m128i*>(buf + 16 * j));
-  }
-  // Mask-consume loop: exactly one broadcast-compare per *distinct*
-  // symbol.  `remaining` holds the not-yet-counted byte positions; each
-  // pass counts every occurrence of the lowest remaining position's byte
-  // and clears them all at once, so there is no per-position branch for
-  // the predictor to miss on high-entropy labels.
-  std::uint64_t remaining =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  while (remaining != 0) {
-    const unsigned char c = buf[std::countr_zero(remaining)];
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
-    std::uint64_t eq = 0;
-    for (std::size_t j = 0; j < chunks; ++j) {
-      eq |= static_cast<std::uint64_t>(eq_mask(v[j], needle)) << (16 * j);
-    }
-    const std::uint64_t hits = eq & remaining;
-    remaining ^= hits;
-    hist.counts[c] = static_cast<std::uint32_t>(std::popcount(hits));
-    hist.present[c >> 6] |= std::uint64_t{1} << (c & 63);
-  }
-}
 
 NameScan normalize_name_sse2(std::string_view in, char* out,
                              std::uint16_t* offsets) noexcept {
@@ -121,4 +75,4 @@ NameScan normalize_name_sse2(std::string_view in, char* out,
 
 }  // namespace dnsnoise::kernels::detail
 
-#endif  // DNSNOISE_KERNELS_X86
+#endif  // DNSNOISE_KERNELS_SSE2

@@ -9,14 +9,21 @@ std::vector<ResourceRecord> one_answer(const char* name, std::uint32_t ttl) {
   return {{DomainName(name), RRType::A, ttl, "192.0.2.7"}};
 }
 
-QuestionKey key_of(const char* name) { return {name, RRType::A}; }
+/// Inserts one A record for `name`; returns the resident entry or nullptr.
+const CachedAnswer* insert_a(DnsCache& cache, const char* name,
+                             std::uint32_t ttl, SimTime now,
+                             bool disposable_hint = false) {
+  std::vector<ResourceRecord> answers = one_answer(name, ttl);
+  return cache.insert_positive(name, RRType::A, answers, now,
+                               disposable_hint);
+}
 
 TEST(DnsCacheTest, MissThenHit) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("www.example.com");
-  EXPECT_EQ(cache.lookup(key, 0), nullptr);
-  cache.insert_positive(key, one_answer("www.example.com", 300), 0);
-  const CachedAnswer* hit = cache.lookup(key, 100);
+  const char* name = "www.example.com";
+  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
+  insert_a(cache, name, 300, 0);
+  const CachedAnswer* hit = cache.lookup(name, RRType::A, 100);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rcode, RCode::NoError);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -25,10 +32,10 @@ TEST(DnsCacheTest, MissThenHit) {
 
 TEST(DnsCacheTest, TtlExpiry) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("a.example.com");
-  cache.insert_positive(key, one_answer("a.example.com", 60), 0);
-  EXPECT_NE(cache.lookup(key, 59), nullptr);
-  EXPECT_EQ(cache.lookup(key, 60), nullptr);  // expired exactly at TTL
+  const char* name = "a.example.com";
+  insert_a(cache, name, 60, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 59), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 60), nullptr);  // expired at TTL
   EXPECT_EQ(cache.stats().expired_misses, 1u);
   // Expired entries are erased on access.
   EXPECT_EQ(cache.size(), 0u);
@@ -36,10 +43,10 @@ TEST(DnsCacheTest, TtlExpiry) {
 
 TEST(DnsCacheTest, ZeroTtlNotCached) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("zero.example.com");
-  cache.insert_positive(key, one_answer("zero.example.com", 0), 0);
+  const char* name = "zero.example.com";
+  insert_a(cache, name, 0, 0);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(key, 0), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
@@ -48,10 +55,10 @@ TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
   config.capacity = 16;
   config.min_ttl = 5;
   DnsCache cache(config);
-  const QuestionKey key = key_of("clamped.example.com");
-  cache.insert_positive(key, one_answer("clamped.example.com", 0), 0);
-  EXPECT_NE(cache.lookup(key, 4), nullptr);
-  EXPECT_EQ(cache.lookup(key, 5), nullptr);
+  const char* name = "clamped.example.com";
+  insert_a(cache, name, 0, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 4), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 5), nullptr);
 }
 
 TEST(DnsCacheTest, MaxTtlClamp) {
@@ -59,10 +66,10 @@ TEST(DnsCacheTest, MaxTtlClamp) {
   config.capacity = 16;
   config.max_ttl = 100;
   DnsCache cache(config);
-  const QuestionKey key = key_of("huge.example.com");
-  cache.insert_positive(key, one_answer("huge.example.com", 1'000'000), 0);
-  EXPECT_NE(cache.lookup(key, 99), nullptr);
-  EXPECT_EQ(cache.lookup(key, 100), nullptr);
+  const char* name = "huge.example.com";
+  insert_a(cache, name, 1'000'000, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 99), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 100), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlAcrossRRsOfSet) {
@@ -71,18 +78,18 @@ TEST(DnsCacheTest, MinTtlAcrossRRsOfSet) {
       {DomainName("m.example.com"), RRType::A, 300, "192.0.2.1"},
       {DomainName("m.example.com"), RRType::A, 30, "192.0.2.2"},
   };
-  const QuestionKey key = key_of("m.example.com");
-  cache.insert_positive(key, std::move(answers), 0);
-  EXPECT_NE(cache.lookup(key, 29), nullptr);
-  EXPECT_EQ(cache.lookup(key, 30), nullptr);
+  const char* name = "m.example.com";
+  cache.insert_positive(name, RRType::A, answers, 0);
+  EXPECT_NE(cache.lookup(name, RRType::A, 29), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheDisabledByDefault) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("nx.example.com");
-  cache.insert_negative(key, 0);
+  const char* name = "nx.example.com";
+  cache.insert_negative(name, RRType::A, 0);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(key, 1), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 1), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheEnabled) {
@@ -91,12 +98,12 @@ TEST(DnsCacheTest, NegativeCacheEnabled) {
   config.negative_cache = true;
   config.negative_ttl = 30;
   DnsCache cache(config);
-  const QuestionKey key = key_of("nx.example.com");
-  cache.insert_negative(key, 0);
-  const CachedAnswer* hit = cache.lookup(key, 10);
+  const char* name = "nx.example.com";
+  cache.insert_negative(name, RRType::A, 0);
+  const CachedAnswer* hit = cache.lookup(name, RRType::A, 10);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rcode, RCode::NXDomain);
-  EXPECT_EQ(cache.lookup(key, 30), nullptr);
+  EXPECT_EQ(cache.lookup(name, RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, PrematureEvictionAccounting) {
@@ -104,10 +111,9 @@ TEST(DnsCacheTest, PrematureEvictionAccounting) {
   DnsCacheConfig config;
   config.capacity = 2;
   DnsCache cache(config);
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 1000), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 1000), 0,
-                        /*disposable_hint=*/true);
-  cache.insert_positive(key_of("c.com"), one_answer("c.com", 1000), 0);
+  insert_a(cache, "a.com", 1000, 0);
+  insert_a(cache, "b.com", 1000, 0, /*disposable_hint=*/true);
+  insert_a(cache, "c.com", 1000, 0);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().premature_evictions, 1u);
   // The evicted entry ("a.com") was not disposable.
@@ -118,36 +124,37 @@ TEST(DnsCacheTest, ExpiredEvictionIsNotPremature) {
   DnsCacheConfig config;
   config.capacity = 2;
   DnsCache cache(config);
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 10), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 1000), 0);
+  insert_a(cache, "a.com", 10, 0);
+  insert_a(cache, "b.com", 1000, 0);
   // Advance time past a.com's TTL before forcing the eviction.
-  (void)cache.lookup(key_of("b.com"), 500);
-  cache.insert_positive(key_of("c.com"), one_answer("c.com", 1000), 500);
+  (void)cache.lookup("b.com", RRType::A, 500);
+  insert_a(cache, "c.com", 1000, 500);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().premature_evictions, 0u);
 }
 
 TEST(DnsCacheTest, HitRateComputation) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  const QuestionKey key = key_of("h.example.com");
-  (void)cache.lookup(key, 0);  // miss
-  cache.insert_positive(key, one_answer("h.example.com", 100), 0);
-  (void)cache.lookup(key, 1);  // hit
-  (void)cache.lookup(key, 2);  // hit
-  (void)cache.lookup(key, 3);  // hit
+  const char* name = "h.example.com";
+  (void)cache.lookup(name, RRType::A, 0);  // miss
+  insert_a(cache, name, 100, 0);
+  (void)cache.lookup(name, RRType::A, 1);  // hit
+  (void)cache.lookup(name, RRType::A, 2);  // hit
+  (void)cache.lookup(name, RRType::A, 3);  // hit
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.75);
 }
 
 TEST(DnsCacheTest, EmptyAnswerNotCached) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  cache.insert_positive(key_of("e.com"), {}, 0);
+  std::vector<ResourceRecord> none;
+  EXPECT_EQ(cache.insert_positive("e.com", RRType::A, none, 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(DnsCacheTest, ForEachVisitsEntries) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  cache.insert_positive(key_of("a.com"), one_answer("a.com", 100), 0);
-  cache.insert_positive(key_of("b.com"), one_answer("b.com", 100), 0);
+  insert_a(cache, "a.com", 100, 0);
+  insert_a(cache, "b.com", 100, 0);
   std::size_t count = 0;
   cache.for_each([&count](const QuestionKey&, const CachedAnswer&) {
     ++count;
@@ -163,9 +170,7 @@ TEST(DnsCacheTest, StringViewPathMatchesQuestionKeyPath) {
   ASSERT_NE(resident, nullptr);
   EXPECT_TRUE(answers.empty());  // consumed on successful insert
   ASSERT_EQ(resident->answers.size(), 1u);
-  // Both lookup flavours resolve to the same resident entry.
   EXPECT_EQ(cache.lookup("sv.example.com", RRType::A, 10), resident);
-  EXPECT_EQ(cache.lookup(key_of("sv.example.com"), 10), resident);
   // Same name, different qtype is a distinct key.
   EXPECT_EQ(cache.lookup("sv.example.com", RRType::AAAA, 10), nullptr);
 }

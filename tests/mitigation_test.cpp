@@ -63,8 +63,12 @@ TEST(PutColdTest, RespectsCapacityAndListener) {
 // --------------------------------------------------------------------------
 // DnsCache low-priority policy
 
-std::vector<ResourceRecord> one_answer(const char* name) {
-  return {{DomainName(name), RRType::A, 1000, "192.0.2.7"}};
+/// Inserts one A record for `name` at time 0.
+void insert_a(DnsCache& cache, const std::string& name,
+              bool disposable_hint = false) {
+  std::vector<ResourceRecord> answers = {
+      {DomainName(name), RRType::A, 1000, "192.0.2.7"}};
+  cache.insert_positive(name, RRType::A, answers, 0, disposable_hint);
 }
 
 TEST(LowPriorityCacheTest, DisposableEntriesNeverDisplaceUsefulOnes) {
@@ -72,15 +76,13 @@ TEST(LowPriorityCacheTest, DisposableEntriesNeverDisplaceUsefulOnes) {
   config.capacity = 2;
   config.low_priority_disposable = true;
   DnsCache cache(config);
-  cache.insert_positive({"useful.com", RRType::A}, one_answer("useful.com"),
-                        0);
+  insert_a(cache, "useful.com");
   // A stream of disposable inserts churns only the cold slot.
   for (int i = 0; i < 10; ++i) {
     const std::string name = "d" + std::to_string(i) + ".zone.com";
-    cache.insert_positive({name, RRType::A}, one_answer(name.c_str()), 0,
-                          /*disposable_hint=*/true);
+    insert_a(cache, name, /*disposable_hint=*/true);
   }
-  EXPECT_NE(cache.lookup({"useful.com", RRType::A}, 1), nullptr);
+  EXPECT_NE(cache.lookup("useful.com", RRType::A, 1), nullptr);
   EXPECT_EQ(cache.stats().premature_nondisposable_evictions, 0u);
   EXPECT_EQ(cache.stats().evictions, 9u);
 }
@@ -89,14 +91,12 @@ TEST(LowPriorityCacheTest, PolicyOffDisplacesUsefulEntries) {
   DnsCacheConfig config;
   config.capacity = 2;
   DnsCache cache(config);
-  cache.insert_positive({"useful.com", RRType::A}, one_answer("useful.com"),
-                        0);
+  insert_a(cache, "useful.com");
   for (int i = 0; i < 10; ++i) {
     const std::string name = "d" + std::to_string(i) + ".zone.com";
-    cache.insert_positive({name, RRType::A}, one_answer(name.c_str()), 0,
-                          /*disposable_hint=*/true);
+    insert_a(cache, name, /*disposable_hint=*/true);
   }
-  EXPECT_EQ(cache.lookup({"useful.com", RRType::A}, 1), nullptr);
+  EXPECT_EQ(cache.lookup("useful.com", RRType::A, 1), nullptr);
   EXPECT_GE(cache.stats().premature_nondisposable_evictions, 1u);
 }
 
