@@ -370,6 +370,47 @@ void BM_ClusterQueryHot(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterQueryHot);
 
+void BM_ClusterQueryCaptured(benchmark::State& state) {
+  // BM_ClusterQueryHot with a DayCapture on the tap: every hit copies its
+  // question and answer into the cluster's tap arena, and every 256 events
+  // the capture consumes a batch.  Time is frozen, so after the warm pass
+  // the arena slots, the capture's name tables, tree nodes and CHR entries
+  // all exist and a captured query allocates nothing; the gate pins that.
+  SyntheticAuthority authority;
+  authority.register_zone(DomainName("example.com"),
+                          SyntheticAuthority::make_flat_a_zone(300));
+  ClusterConfig config;
+  config.cache.capacity = 1 << 16;
+  RdnsCluster cluster(config, authority);
+  DayCapture capture;
+  capture.attach(cluster);
+  Rng rng(6);
+  std::vector<Question> questions;
+  for (int i = 0; i < 2000; ++i) {
+    questions.push_back(
+        {DomainName("h" + std::to_string(rng.below(500)) + ".example.com"),
+         RRType::A});
+  }
+  for (std::size_t i = 0; i < questions.size(); ++i) {
+    cluster.query_view(i, questions[i], 0);  // warm: cache + capture names
+  }
+  cluster.flush_taps();
+  std::size_t i = 0;
+  const std::uint64_t allocs_before = alloc_count();
+  for (auto _ : state) {
+    const QueryView view =
+        cluster.query_view(i, questions[i % questions.size()], 0);
+    benchmark::DoNotOptimize(view.answers.data());
+    ++i;
+  }
+  cluster.flush_taps();
+  report_allocs_per_query(state, allocs_before,
+                          static_cast<std::uint64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  capture.detach(cluster);
+}
+BENCHMARK(BM_ClusterQueryCaptured);
+
 void BM_SketchUpdate(benchmark::State& state) {
   // Amortized per-event cost of the traffic plane's production feed in
   // isolation: observe() is a ring append; every 256 events the ring

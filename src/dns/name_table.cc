@@ -79,9 +79,9 @@ std::uint32_t NameTable::Pool::find(std::string_view s) const noexcept {
   }
 }
 
-std::uint32_t NameTable::Pool::intern(std::string_view s, StringArena& arena) {
+std::uint32_t NameTable::Pool::intern(std::string_view s, std::uint64_t h,
+                                      StringArena& arena) {
   if (slots_.empty()) grow_slots(16);
-  const std::uint64_t h = fnv1a64(s);
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(h) & mask;
   while (true) {

@@ -87,7 +87,16 @@ class NameTable {
   /// Interns `name` (which must already be normalized: lowercase, no
   /// trailing dot) and returns its dense id.  Idempotent; a repeated intern
   /// of a known name is allocation-free.
-  NameId intern(std::string_view name) { return names_.intern(name, arena_); }
+  NameId intern(std::string_view name) {
+    return names_.intern(name, fnv1a64(name), arena_);
+  }
+
+  /// intern() for a name whose hash is already known: `hash` must be
+  /// fnv1a64(name), e.g. another table's name_hash() when merging tables,
+  /// so the name bytes are not hashed again.
+  NameId intern(std::string_view name, std::uint64_t hash) {
+    return names_.intern(name, hash, arena_);
+  }
 
   /// Id of `name` if already interned, else kInvalidNameId.  Never
   /// allocates.
@@ -117,7 +126,7 @@ class NameTable {
   // --- Labels (optional pool) ----------------------------------------------
 
   LabelId intern_label(std::string_view label) {
-    return labels_.intern(label, arena_);
+    return labels_.intern(label, fnv1a64(label), arena_);
   }
   LabelId find_label(std::string_view label) const noexcept {
     return labels_.find(label);
@@ -138,7 +147,8 @@ class NameTable {
   /// implementation for the name pool and the label pool.
   class Pool {
    public:
-    std::uint32_t intern(std::string_view s, StringArena& arena);
+    std::uint32_t intern(std::string_view s, std::uint64_t hash,
+                         StringArena& arena);
     std::uint32_t find(std::string_view s) const noexcept;
     std::string_view text(std::uint32_t id) const noexcept {
       return recs_[id].text;

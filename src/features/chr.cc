@@ -55,12 +55,12 @@ CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
   return entries_.back().second;
 }
 
-void CacheHitRateTracker::record_below(std::string_view name, RRType type,
+bool CacheHitRateTracker::record_below(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
   Counts& counts = entry_for(name, type, rdata);
   if (counts.below + counts.above == 0) counts.ttl = ttl;
-  ++counts.below;
+  return counts.below++ == 0;
 }
 
 void CacheHitRateTracker::record_above(std::string_view name, RRType type,

@@ -45,7 +45,10 @@ class CacheHitRateTracker {
   CacheHitRateTracker(CacheHitRateTracker&&) = default;
   CacheHitRateTracker& operator=(CacheHitRateTracker&&) = default;
 
-  void record_below(std::string_view name, RRType type, std::string_view rdata,
+  /// Counts one below sighting of the RR.  Returns true when it is the
+  /// RR's first below sighting of the day (an above sighting before it does
+  /// not count), so callers can do per-RR first-sight work exactly once.
+  bool record_below(std::string_view name, RRType type, std::string_view rdata,
                     std::uint32_t ttl = 0);
   void record_above(std::string_view name, RRType type, std::string_view rdata,
                     std::uint32_t ttl = 0);

@@ -29,18 +29,30 @@ void DayCapture::start_day(std::int64_t day_index) {
   chr_ = CacheHitRateTracker();
   below_ = HourlySeries();
   above_ = HourlySeries();
-  queried_.clear();
-  resolved_.clear();
+  queried_ = NameTable();
+  resolved_ = NameTable();
   fpdns_.clear();
 }
+
+namespace {
+
+/// Interns every name of `from` into `into` in id order, reusing the
+/// stored hashes.
+void merge_names(NameTable& into, const NameTable& from) {
+  for (NameId id = 0; id < from.size(); ++id) {
+    into.intern(from.name(id), from.name_hash(id));
+  }
+}
+
+}  // namespace
 
 void DayCapture::merge_from(const DayCapture& other) {
   tree_.merge_from(other.tree_);
   chr_.merge_from(other.chr_);
   below_ += other.below_;
   above_ += other.above_;
-  queried_.insert(other.queried_.begin(), other.queried_.end());
-  resolved_.insert(other.resolved_.begin(), other.resolved_.end());
+  merge_names(queried_, other.queried_);
+  merge_names(resolved_, other.resolved_);
   fpdns_.append(other.fpdns_);
   rpdns_.merge_from(other.rpdns_);
 }
@@ -62,16 +74,19 @@ void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
                                   ? 1
                                   : static_cast<std::uint64_t>(answers.size());
   bump(below_, ts, units, nx, question.name);
-  queried_.insert(question.name.text());
+  queried_.intern(question.name.text());
   if (config_.keep_fpdns) {
     fpdns_.add_response(ts, client_id, FpDirection::kBelow, question, rcode,
                         answers);
   }
   if (nx) return;
   for (const ResourceRecord& rr : answers) {
-    chr_.record_below(rr.name.text(), rr.type, rr.rdata, rr.ttl);
-    tree_.insert(rr.name);
-    resolved_.insert(rr.name.text());
+    // The tree and the resolved set depend only on the set of RRs seen
+    // below, so only an RR's first below sighting can change them.
+    if (chr_.record_below(rr.name.text(), rr.type, rr.rdata, rr.ttl)) {
+      tree_.insert(rr.name);
+      resolved_.intern(rr.name.text());
+    }
     if (config_.feed_rpdns) {
       rpdns_.add(RRKey(rr), config_.day_index);
     }

@@ -7,13 +7,20 @@
 // queried/resolved name sets, and optionally the raw fpDNS entries and
 // rpDNS/pDNS-DB feeds.  Captures are mergeable: the sharded engine runs one
 // DayCapture per RDNS-server shard and unions them (see merge_from).
+//
+// Hot path (DESIGN.md §11.5): the queried and resolved name sets are
+// interned NameTables, so re-seeing a name is one probe and allocates
+// nothing.  The tree and the resolved set depend only on the set of RRs
+// seen below, so on_below walks the tree and interns the resolved name
+// only on an RR's first below sighting (CacheHitRateTracker::record_below
+// reports it); an RR seen above first still counts on its first below
+// sighting, and one seen only above never does.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
-#include <unordered_set>
 
+#include "dns/name_table.h"
 #include "features/chr.h"
 #include "features/domain_tree.h"
 #include "pdns/fpdns.h"
@@ -112,12 +119,12 @@ class DayCapture final : public TapObserver {
   /// Unique names successfully resolved this day.
   std::size_t unique_resolved() const noexcept { return resolved_.size(); }
 
-  const std::unordered_set<std::string>& queried_names() const noexcept {
-    return queried_;
-  }
-  const std::unordered_set<std::string>& resolved_names() const noexcept {
-    return resolved_;
-  }
+  /// The day's queried and resolved names, interned in first-sight order
+  /// (ids 0..size()-1).  After a shard merge the order is shard 0's names,
+  /// then shard 1's new ones, and so on: a function of the shard streams,
+  /// never of the thread count.
+  const NameTable& queried_names() const noexcept { return queried_; }
+  const NameTable& resolved_names() const noexcept { return resolved_; }
 
  private:
   DayCaptureConfig config_;
@@ -127,8 +134,8 @@ class DayCapture final : public TapObserver {
   FpDnsDataset fpdns_;
   HourlySeries below_;
   HourlySeries above_;
-  std::unordered_set<std::string> queried_;
-  std::unordered_set<std::string> resolved_;
+  NameTable queried_;
+  NameTable resolved_;
 
   static void bump(HourlySeries& series, SimTime ts, std::uint64_t units,
                    bool nx, const DomainName& qname);

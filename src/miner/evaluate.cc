@@ -11,10 +11,10 @@ FindingIndex::FindingIndex(std::span<const DisposableZoneFinding> findings) {
 
 bool FindingIndex::is_disposable(const DomainName& name) const {
   const std::size_t depth = name.label_count();
+  if (depth < 2) return false;
   for (std::size_t k = depth - 1; k >= 1; --k) {
-    const auto it = rules_.find(std::string(name.nld_view(k)));
+    const auto it = rules_.find(name.nld_view(k));
     if (it != rules_.end() && it->second.contains(depth)) return true;
-    if (k == 1) break;
   }
   return false;
 }

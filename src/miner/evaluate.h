@@ -11,6 +11,7 @@
 
 #include "dns/public_suffix.h"
 #include "miner/algorithm1.h"
+#include "util/strings.h"
 #include "workload/scenario.h"
 
 namespace dnsnoise {
@@ -21,13 +22,17 @@ class FindingIndex {
   explicit FindingIndex(std::span<const DisposableZoneFinding> findings);
 
   /// True when the name's depth and an enclosing zone match some finding.
+  /// A finding's zone is a proper suffix of the names it covers, so names
+  /// of fewer than two labels (the root, a bare TLD) match nothing.
   bool is_disposable(const DomainName& name) const;
 
   std::size_t size() const noexcept { return count_; }
 
  private:
-  // zone text -> set of group depths.
-  std::unordered_map<std::string, std::unordered_set<std::size_t>> rules_;
+  // zone text -> set of group depths; probed with string_view suffixes.
+  std::unordered_map<std::string, std::unordered_set<std::size_t>, StringHash,
+                     std::equal_to<>>
+      rules_;
   std::size_t count_ = 0;
 };
 

@@ -76,17 +76,21 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   agg.unique_queried = tap.unique_queried();
   agg.unique_resolved = tap.unique_resolved();
   agg.unique_rrs = tap.chr().unique_rrs();
-  for (const std::string& name : tap.queried_names()) {
-    const auto parsed = DomainName::parse(name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_queried;
+  // One scratch name is re-assigned per tested name: no parse allocates.
+  DomainName scratch;
+  const auto disposable = [&index, &scratch](std::string_view name) {
+    return scratch.assign(name) && index.is_disposable(scratch);
+  };
+  const NameTable& queried = tap.queried_names();
+  for (NameId id = 0; id < queried.size(); ++id) {
+    if (disposable(queried.name(id))) ++agg.disposable_queried;
   }
-  for (const std::string& name : tap.resolved_names()) {
-    const auto parsed = DomainName::parse(name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_resolved;
+  const NameTable& resolved = tap.resolved_names();
+  for (NameId id = 0; id < resolved.size(); ++id) {
+    if (disposable(resolved.name(id))) ++agg.disposable_resolved;
   }
   for (const auto& [key, counts] : tap.chr().entries()) {
-    const auto parsed = DomainName::parse(key.name);
-    if (parsed && index.is_disposable(*parsed)) ++agg.disposable_rrs;
+    if (disposable(key.name)) ++agg.disposable_rrs;
   }
   // Snapshot last, so the mining-stage timers above are included.
   if (metrics != nullptr) {

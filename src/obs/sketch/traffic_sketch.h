@@ -61,6 +61,7 @@
 #include "obs/sketch/hll.h"
 #include "obs/sketch/spacesaving.h"
 #include "util/sim_time.h"
+#include "util/strings.h"
 
 namespace dnsnoise::obs {
 
@@ -129,14 +130,8 @@ struct TrafficSnapshot {
 /// Zone set the live classifier matches label suffixes against
 /// (heterogeneous lookup: membership tests take string_views of the
 /// event qname, no per-query allocation).
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
 using DisposableZoneSet =
-    std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>;
+    std::unordered_set<std::string, StringHash, std::equal_to<>>;
 
 /// One shard's sketch set, fed through the cluster hook
 /// (RdnsCluster::set_traffic_sketch).  Single-writer per the plane's

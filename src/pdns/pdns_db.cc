@@ -14,21 +14,21 @@ std::size_t PassiveDnsDb::rule_count() const noexcept {
 
 const std::string* PassiveDnsDb::match_rule(const DomainName& qname) const {
   const std::size_t depth = qname.label_count();
+  // A rule's zone is a proper suffix of the names it covers.
+  if (depth < 2) return nullptr;
   // Walk enclosing zones from most to least specific; a rule matches when
   // the group depth equals the name's own depth.
   for (std::size_t k = depth - 1; k >= 1; --k) {
-    const std::string zone(qname.nld_view(k));
-    const auto it = rules_.find(zone);
+    const auto it = rules_.find(qname.nld_view(k));
     if (it != rules_.end() && it->second.contains(depth)) {
       return &it->first;
     }
-    if (k == 1) break;
   }
   return nullptr;
 }
 
 std::string PassiveDnsDb::stored_name(const DomainName& qname) const {
-  if (!folding_ || qname.label_count() < 2) return qname.text();
+  if (!folding_) return qname.text();
   const std::string* zone = match_rule(qname);
   if (zone == nullptr) return qname.text();
   return "*." + *zone;

@@ -16,6 +16,7 @@
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "pdns/rpdns.h"
+#include "util/strings.h"
 
 namespace dnsnoise {
 
@@ -63,8 +64,11 @@ class PassiveDnsDb {
 
  private:
   bool folding_;
-  // zone text -> set of group depths mined as disposable under it.
-  std::unordered_map<std::string, std::unordered_set<std::size_t>> rules_;
+  // zone text -> set of group depths mined as disposable under it; probed
+  // with string_view suffixes.
+  std::unordered_map<std::string, std::unordered_set<std::size_t>, StringHash,
+                     std::equal_to<>>
+      rules_;
   RpDnsDataset store_;
   std::uint64_t folded_additions_ = 0;
 

@@ -12,11 +12,12 @@ void SyntheticAuthority::register_zone(const DomainName& apex,
 
 AuthorityAnswer SyntheticAuthority::resolve(const Question& question,
                                             SimTime now) const {
-  // Longest-suffix (most specific apex) match.
+  // Longest-suffix (most specific apex) match, probing with views of the
+  // qname's suffixes.
   const std::size_t labels = question.name.label_count();
   for (std::size_t k = labels; k >= 1; --k) {
-    const std::string apex(question.name.nld_view(k));
-    if (const auto it = zones_.find(apex); it != zones_.end()) {
+    if (const auto it = zones_.find(question.name.nld_view(k));
+        it != zones_.end()) {
       return it->second(question, now);
     }
   }

@@ -16,6 +16,7 @@
 #include "dns/message.h"
 #include "dns/rr.h"
 #include "util/sim_time.h"
+#include "util/strings.h"
 
 namespace dnsnoise {
 
@@ -50,7 +51,8 @@ class SyntheticAuthority {
                                   bool dnssec_signed = false);
 
  private:
-  std::unordered_map<std::string, Handler> zones_;
+  std::unordered_map<std::string, Handler, StringHash, std::equal_to<>>
+      zones_;
 };
 
 /// Stable pseudo-random IPv4 for a name (public, shared by zone models).

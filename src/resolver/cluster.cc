@@ -81,31 +81,38 @@ void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
 
 void RdnsCluster::flush_taps() {
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
-  if (tap_events_.empty()) return;
-  if (tap_batch_size_ != nullptr) {
-    tap_batch_size_->record(tap_events_.size());
-  }
-  const TapBatch batch(tap_events_, tap_answers_);
+  if (tap_event_count_ == 0) return;
+  if (tap_batch_size_ != nullptr) tap_batch_size_->record(tap_event_count_);
+  const TapBatch batch{std::span(tap_events_).first(tap_event_count_),
+                       std::span(tap_answers_).first(tap_answer_count_)};
   for (TapObserver* observer : observers_) observer->on_tap_batch(batch);
-  tap_events_.clear();
-  tap_answers_.clear();
+  // Empty the batch but keep its slots for the next one to reuse.
+  tap_event_count_ = 0;
+  tap_answer_count_ = 0;
 }
 
 void RdnsCluster::buffer_tap_event(SimTime ts, TapDirection direction,
                                    std::uint64_t client_id,
                                    const Question& question, RCode rcode,
                                    std::span<const ResourceRecord> answers) {
-  TapEvent event;
+  if (tap_event_count_ == tap_events_.size()) tap_events_.emplace_back();
+  TapEvent& event = tap_events_[tap_event_count_++];
   event.ts = ts;
   event.direction = direction;
   event.client_id = client_id;
   event.rcode = rcode;
   event.question = question;
-  event.answer_offset = static_cast<std::uint32_t>(tap_answers_.size());
+  event.answer_offset = static_cast<std::uint32_t>(tap_answer_count_);
   event.answer_count = static_cast<std::uint32_t>(answers.size());
-  tap_answers_.insert(tap_answers_.end(), answers.begin(), answers.end());
-  tap_events_.push_back(std::move(event));
-  if (tap_events_.size() >= tap_batch_events_) flush_taps();
+  for (const ResourceRecord& rr : answers) {
+    if (tap_answer_count_ == tap_answers_.size()) {
+      tap_answers_.push_back(rr);
+    } else {
+      tap_answers_[tap_answer_count_] = rr;
+    }
+    ++tap_answer_count_;
+  }
+  if (tap_event_count_ >= tap_batch_events_) flush_taps();
 }
 
 QueryView RdnsCluster::query_view(std::uint64_t client_id,

@@ -204,8 +204,16 @@ class RdnsCluster {
   std::size_t tap_batch_events_;
   std::vector<DnsCache> caches_;
   std::vector<TapObserver*> observers_;
+  // Tap arena: the pending batch is the first tap_event_count_ events and
+  // tap_answer_count_ answers.  Slots outlive flush_taps() and are
+  // copy-assigned in place, so once the slots have grown to the day's
+  // names, buffering an event allocates nothing.  They hold copies, never
+  // views of a cache entry: a later query of the same batch may expire
+  // and erase that entry before the batch is delivered.
   std::vector<TapEvent> tap_events_;
   std::vector<ResourceRecord> tap_answers_;
+  std::size_t tap_event_count_ = 0;
+  std::size_t tap_answer_count_ = 0;
   // Owns the answers of the last uncacheable miss so QueryView can alias
   // them (reused across queries; see QueryView lifetime contract).
   std::vector<ResourceRecord> miss_answers_;

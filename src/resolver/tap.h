@@ -14,7 +14,12 @@
 //    exactly, so batch size never changes what an observer accumulates.
 //  - A batch and everything it references (events, questions, answer RRs)
 //    is only valid for the duration of on_tap_batch(); observers must copy
-//    what they keep.
+//    what they keep.  The cluster reuses the batch's storage: its event
+//    and answer slots outlive a flush and the next batch copy-assigns into
+//    them, so a steady-state day buffers events without allocating.  The
+//    slots are copies, never views of cache entries, because a later query
+//    of the same batch may expire and erase the entry an event answered
+//    from.
 //  - Delivery happens when the batch fills (ClusterConfig::tap_batch_events)
 //    and on RdnsCluster::flush_taps(); removing an observer or destroying
 //    the cluster flushes first, so no event is ever silently dropped.

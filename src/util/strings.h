@@ -1,11 +1,23 @@
 // String helpers shared across modules.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace dnsnoise {
+
+/// Transparent string hash: an unordered container keyed by std::string
+/// with StringHash and std::equal_to<> takes string_view probes, so a
+/// lookup never materializes a std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Splits `s` on every occurrence of `sep`; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);

@@ -1,6 +1,7 @@
 #include "workload/zone_model.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace dnsnoise {
 
@@ -9,12 +10,19 @@ namespace {
 /// Deterministic pooled rdata value `idx` for a zone: disposable operators
 /// answer from a small set of signal values (e.g. McAfee's 127.0.0.0/16
 /// classification codes), so rdata cardinality is far below name
-/// cardinality.
-std::string pooled_rdata(const std::string& apex, std::size_t idx,
+/// cardinality.  The value is keyed by "<apex>#<idx>", spelled on the
+/// stack so that answering builds no key string.
+std::string pooled_rdata(std::string_view apex, std::size_t idx,
                          RRType type) {
-  const std::string key = apex + "#" + std::to_string(idx);
-  return type == RRType::AAAA ? synthetic_aaaa_rdata(key)
-                              : synthetic_a_rdata(key);
+  // The apex passed DomainName validation: at most kMaxTextLength
+  // characters plus a trailing dot.
+  char key[DomainName::kMaxTextLength + 2 + 20];
+  char* end = std::copy(apex.begin(), apex.end(), key);
+  *end++ = '#';
+  end = std::to_chars(end, key + sizeof(key), idx).ptr;
+  const std::string_view view(key, static_cast<std::size_t>(end - key));
+  return type == RRType::AAAA ? synthetic_aaaa_rdata(view)
+                              : synthetic_a_rdata(view);
 }
 
 std::size_t pool_index(std::string_view qname, std::size_t pool) {
@@ -82,6 +90,7 @@ void DisposableZoneModel::install(SyntheticAuthority& authority) const {
     const std::size_t records =
         std::max<std::size_t>(1, std::min(cfg.rr_per_answer, cfg.rdata_pool));
     const RRType type = q.type == RRType::AAAA ? RRType::AAAA : RRType::A;
+    answer.answers.reserve(records);
     for (std::size_t j = 0; j < records; ++j) {
       ResourceRecord rr;
       rr.name = q.name;

@@ -25,6 +25,7 @@
 #include "dns/rr.h"
 #include "resolver/authority.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/zipf.h"
 #include "workload/label_gen.h"
 
@@ -35,25 +36,6 @@ struct QuerySpec {
   std::string qname;
   RRType qtype = RRType::A;
 };
-
-namespace detail {
-
-/// Heterogeneous string hashing/equality so name sets can be probed with
-/// string_views (no per-lookup std::string materialization).
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(fnv1a64(s));
-  }
-};
-struct TransparentStringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept {
-    return a == b;
-  }
-};
-
-}  // namespace detail
 
 /// Interface: a tenant of the synthetic namespace.
 class ZoneModel {
@@ -202,9 +184,7 @@ class OtherSitesModel final : public ZoneModel {
   std::string site_domain(std::size_t i) const;
 
  private:
-  using SiteSet =
-      std::unordered_set<std::string, detail::TransparentStringHash,
-                         detail::TransparentStringEq>;
+  using SiteSet = std::unordered_set<std::string, StringHash, std::equal_to<>>;
 
   /// Appends site_domain(i) without allocating.
   void append_site_domain(std::size_t i, std::string& out) const;

@@ -19,6 +19,14 @@ TEST(ChrTest, CountsBelowAndAbove) {
   EXPECT_EQ(tracker.unique_rrs(), 1u);
 }
 
+TEST(ChrTest, RecordBelowReportsFirstBelowSighting) {
+  CacheHitRateTracker tracker;
+  tracker.record_above("a.com", RRType::A, "1.1.1.1");  // miss: above first
+  EXPECT_TRUE(tracker.record_below("a.com", RRType::A, "1.1.1.1"));
+  EXPECT_FALSE(tracker.record_below("a.com", RRType::A, "1.1.1.1"));
+  EXPECT_TRUE(tracker.record_below("a.com", RRType::A, "2.2.2.2"));
+}
+
 TEST(ChrTest, DistinctRdataAreDistinctRrs) {
   CacheHitRateTracker tracker;
   tracker.record_below("a.com", RRType::A, "1.1.1.1");

@@ -31,6 +31,51 @@ TEST(DayCaptureTest, BelowEventsBuildTreeAndChr) {
   EXPECT_EQ(counts->ttl, 60u);
 }
 
+// The tree and the resolved set change only on an RR's first below
+// sighting (see DayCapture::on_below).
+TEST(DayCaptureTest, AnswerSeenAboveThenBelowIsResolved) {
+  DayCapture capture;
+  // A cache miss: the authority's answer is seen above, then below.
+  capture.on_above(100, question("a.example.com"), RCode::NoError,
+                   answer_rrs("a.example.com", 60));
+  capture.on_below(100, 1, question("a.example.com"), RCode::NoError,
+                   answer_rrs("a.example.com", 60));
+  EXPECT_EQ(capture.unique_resolved(), 1u);
+  EXPECT_EQ(capture.tree().black_count(), 1u);
+  const DomainNameTree::Node* node =
+      capture.tree().find(DomainName("a.example.com"));
+  ASSERT_NE(node, nullptr);
+  EXPECT_TRUE(node->black);
+}
+
+TEST(DayCaptureTest, AnswerSeenOnlyAboveIsNotResolved) {
+  DayCapture capture;
+  capture.on_above(100, question("a.example.com"), RCode::NoError,
+                   answer_rrs("a.example.com", 60));
+  EXPECT_EQ(capture.unique_resolved(), 0u);
+  EXPECT_EQ(capture.tree().black_count(), 0u);
+  EXPECT_EQ(capture.chr().unique_rrs(), 1u);
+}
+
+TEST(DayCaptureTest, RepeatedBelowSightingsOnlyCount) {
+  DayCapture capture;
+  capture.on_below(100, 1, question("a.example.com"), RCode::NoError,
+                   answer_rrs("a.example.com", 60));
+  const std::size_t nodes = capture.tree().node_count();
+  const std::size_t black = capture.tree().black_count();
+  for (int i = 0; i < 3; ++i) {
+    capture.on_below(200 + i, 2, question("a.example.com"), RCode::NoError,
+                     answer_rrs("a.example.com", 60));
+  }
+  EXPECT_EQ(capture.tree().node_count(), nodes);
+  EXPECT_EQ(capture.tree().black_count(), black);
+  EXPECT_EQ(capture.unique_resolved(), 1u);
+  const auto* counts =
+      capture.chr().find({"a.example.com", RRType::A, "10.0.0.1"});
+  ASSERT_NE(counts, nullptr);
+  EXPECT_EQ(counts->below, 4u);
+}
+
 TEST(DayCaptureTest, NxdomainCountsAsQueriedNotResolved) {
   DayCapture capture;
   capture.on_below(100, 1, question("nx.example.com"), RCode::NXDomain, {});

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "miner/evaluate.h"
 #include "ml/baselines.h"
 #include "util/rng.h"
 
@@ -148,6 +150,21 @@ TEST(CrossValTest, InvalidArgsThrow) {
   };
   EXPECT_THROW(cross_val_scores(data, factory, 1, 0), std::invalid_argument);
   EXPECT_THROW(cross_val_scores(data, factory, 5, 0), std::invalid_argument);
+}
+
+// --------------------------------------------------------------------------
+// FindingIndex (miner/evaluate.h)
+
+TEST(FindingIndexTest, RootAndSingleLabelNamesMatchNoRule) {
+  std::vector<DisposableZoneFinding> findings(2);
+  findings[0].zone = "com";
+  findings[0].depth = 1;
+  findings[1].zone = "example.com";
+  findings[1].depth = 3;
+  const FindingIndex index(findings);
+  EXPECT_FALSE(index.is_disposable(DomainName(".")));
+  EXPECT_FALSE(index.is_disposable(DomainName("com")));
+  EXPECT_TRUE(index.is_disposable(DomainName("a.example.com")));
 }
 
 }  // namespace

@@ -155,6 +155,17 @@ TEST(PdnsDbTest, UnrelatedNamesUntouched) {
   EXPECT_EQ(db.stored_name(DomainName("www.example.com")), "www.example.com");
 }
 
+TEST(PdnsDbTest, RootAndSingleLabelNamesMatchNoRule) {
+  PassiveDnsDb db(true);
+  db.add_rule({"com", 1});
+  db.add_rule({"com", 2});
+  EXPECT_EQ(db.stored_name(DomainName(".")), "");
+  EXPECT_EQ(db.stored_name(DomainName("com")), "com");
+  EXPECT_TRUE(db.add(DomainName("."), RRType::A, "10.0.0.1", 1));
+  EXPECT_TRUE(db.add(DomainName("com"), RRType::A, "10.0.0.1", 1));
+  EXPECT_EQ(db.folded_additions(), 0u);
+}
+
 TEST(PdnsDbTest, FoldingCollapsesStorage) {
   PassiveDnsDb raw(false);
   PassiveDnsDb folded(true);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "dns/wire.h"
+#include "engine/parallel_miner.h"
 #include "net/udp_client.h"
 #include "obs/metrics.h"
 #include "resolver/wire_frontend.h"
@@ -372,6 +373,66 @@ TEST_F(WireFrontendTest, TcpTransportNeverTruncates) {
   EXPECT_FALSE(decoded->header.tc);
   EXPECT_EQ(decoded->answers.size(), kFatAnswerCount);
   EXPECT_GT(response.size(), 512u);
+}
+
+// --- Served day ---------------------------------------------------------------
+
+TEST(ServedDayTest, RootQuestionDoesNotStallFinish) {
+  // A "." question decodes, resolves NXDOMAIN and is tapped as a queried
+  // name with no labels; mining the day must still finish.
+  const ScenarioDate date = ScenarioDate::kSep13;
+  const std::int64_t day_index = scenario_day_index(date);
+  ScenarioScale scale;
+  scale.queries_per_day = 12'000;
+  scale.client_count = 800;
+  scale.population_scale = 0.35;
+  ClusterConfig cluster;
+  cluster.server_count = 1;
+
+  struct Recorded {
+    SimTime ts;
+    std::uint64_t client;
+    std::string qname;
+    RRType qtype;
+  };
+  std::vector<Recorded> stream;
+  Scenario recorder(date, scale);
+  recorder.traffic().run_day_shard(
+      day_index, {1, 0},
+      [&stream](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        stream.push_back({ts, client, query.qname, query.qtype});
+      });
+  ASSERT_GT(stream.size(), 1000u);
+
+  MiningSession session;
+  session.scale(scale).cluster(cluster).threads(1);
+  session.enable_dns_server(true);
+  const auto day = session.serve(date);
+  ASSERT_NE(day, nullptr);
+  ASSERT_TRUE(day->ok()) << day->error();
+  net::DnsWireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", day->udp_port(), day->tcp_port()));
+
+  std::uint16_t id = 1;
+  const auto send = [&](const DomainName& qname, RRType qtype, SimTime ts,
+                        std::uint64_t client_id) {
+    DnsMessage query = DnsMessage::make_query(id++, qname, qtype);
+    net::attach_replay_meta(query, {.ts = ts, .client_id = client_id});
+    return client.query(query, /*timeout_ms=*/5000);
+  };
+  const auto root = send(DomainName("."), RRType::A, stream.front().ts, 1);
+  ASSERT_TRUE(root.has_value()) << client.error();
+  EXPECT_EQ(root->response.header.rcode, RCode::NXDomain);
+  for (const Recorded& q : stream) {
+    const auto qname = DomainName::parse(q.qname);
+    if (!qname) continue;
+    ASSERT_TRUE(send(*qname, q.qtype, q.ts, q.client).has_value())
+        << q.qname << ": " << client.error();
+  }
+
+  const MiningDayResult result = day->finish();
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_NE(day->capture().queried_names().find(""), kInvalidNameId);
 }
 
 }  // namespace
