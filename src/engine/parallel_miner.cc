@@ -8,7 +8,7 @@
 #include "engine/thread_pool.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
+#include "obs/stage_span.h"
 #include "obs/telemetry_server.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -84,14 +84,6 @@ MiningSession& MiningSession::enable_tracing(bool enabled,
     trace_ = nullptr;
   }
   options_.trace = trace_.get();
-  return *this;
-}
-
-MiningSession& MiningSession::enable_progress(bool enabled,
-                                              double interval_seconds) {
-  progress_ = enabled;
-  progress_interval_seconds_ = interval_seconds;
-  if (enabled && metrics_ == nullptr) enable_metrics();
   return *this;
 }
 
@@ -201,21 +193,7 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
   }
 
   obs::MetricsRegistry* const metrics = metrics_.get();
-  obs::LatencyRecorder* const shard_timer =
-      metrics != nullptr ? &metrics->timer("engine.shard") : nullptr;
   obs::TraceCollector* const trace = trace_.get();
-
-  // The heartbeat only loads the pre-resolved handles it captures here;
-  // shards keep hammering their relaxed atomics, no lock is shared.
-  std::unique_ptr<obs::ProgressReporter> progress;
-  if (progress_ && metrics != nullptr) {
-    obs::ProgressConfig progress_config;
-    progress_config.interval_seconds = progress_interval_seconds_;
-    progress_config.expected_queries = options_.scale.queries_per_day;
-    progress_config.shard_count = shard_count;
-    progress =
-        std::make_unique<obs::ProgressReporter>(*metrics, progress_config);
-  }
   // All shards beat the one "engine" gauge (atomic store, last writer
   // wins) — any progress keeps the stage fresh on /healthz.
   obs::Gauge* const engine_heartbeat =
@@ -226,14 +204,14 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
   const auto run_shard = [&](std::size_t index) {
     ShardResult& shard = shards[index];
     try {
-      obs::StageTimer shard_span(shard_timer);
-      obs::TraceSpan shard_trace(
+      obs::StageSpan shard_span(
+          metrics,
           trace != nullptr
               ? &trace->stream(obs::TraceStage::kEngine,
                                static_cast<std::uint32_t>(index))
               : nullptr,
           trace, obs::TraceOp::kEngineShard);
-      shard_trace.annotate({}, 0, obs::TraceOutcome::kNone, index);
+      shard_span.annotate({}, 0, obs::TraceOutcome::kNone, index);
       // Every shard builds its own Scenario: zone models mutate while
       // sampling and the authority keeps lookup counters, so sharing one
       // instance across workers would race.  Same (date, scale) => same
@@ -284,10 +262,13 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
       shard.counters.disposable_answered_misses =
           cluster.disposable_answered_misses();
       queries.fetch_add(fed, std::memory_order_relaxed);
+      // The gauge repeats the span's own reading, so it equals the shard's
+      // engine.shard timer sample and trace span to the nanosecond.
+      const std::uint64_t shard_ns = shard_span.stop();
       if (metrics != nullptr) {
         metrics->gauge("engine.shard" + std::to_string(index) +
                        ".wall_seconds")
-            .set(shard_span.elapsed_seconds());
+            .set(static_cast<double>(shard_ns) / 1e9);
       }
     } catch (const std::exception& e) {
       shard.error = e.what();
@@ -305,13 +286,10 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     for (std::size_t i = 0; i < shard_count; ++i) run_shard(i);
   }
 
-  if (progress) progress->stop();
-
   std::string merge_error;
   {
-    const obs::StageTimer merge_span(
-        metrics != nullptr ? &metrics->timer("engine.merge") : nullptr);
-    const obs::TraceSpan merge_trace(
+    const obs::StageSpan merge_span(
+        metrics,
         trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                          : nullptr,
         trace, obs::TraceOp::kEngineMerge);
@@ -382,10 +360,9 @@ std::vector<DisposableZoneFinding> mine_zones_parallel(
     const CacheHitRateTracker& chr, const PublicSuffixList& psl,
     std::size_t threads) {
   obs::MetricsRegistry* const metrics = miner.config().metrics;
-  const obs::StageTimer classify_span(
-      metrics != nullptr ? &metrics->timer("engine.classify") : nullptr);
   obs::TraceCollector* const trace = miner.config().trace;
-  const obs::TraceSpan classify_trace(
+  const obs::StageSpan classify_span(
+      metrics,
       trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                        : nullptr,
       trace, obs::TraceOp::kEngineClassify);

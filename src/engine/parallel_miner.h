@@ -87,13 +87,6 @@ class MiningSession {
   /// trace content as threads(1).  Re-enabling resets collected events.
   MiningSession& enable_tracing(bool enabled = true,
                                 std::uint64_t sample_every_n = 64);
-  /// Opt-in live heartbeat: while simulate()/run() shards execute, a
-  /// background thread rewrites one stderr status line (answered queries,
-  /// queries/sec, shards done, ETA) every `interval_seconds`.  Reads
-  /// pre-resolved metric handles only — no new hot-path locks — and
-  /// auto-enables metrics if they are off.
-  MiningSession& enable_progress(bool enabled = true,
-                                 double interval_seconds = 1.0);
   /// Opt-in live telemetry endpoint (DESIGN.md §13): starts a
   /// session-lifetime HTTP server on 127.0.0.1:<port> (0 picks an
   /// ephemeral port, see telemetry()->port()) serving GET /metrics
@@ -196,8 +189,6 @@ class MiningSession {
   std::shared_ptr<obs::TelemetryServer> telemetry_;
   std::uint16_t telemetry_port_ = 0;
   double telemetry_stall_seconds_ = 30.0;
-  bool progress_ = false;
-  double progress_interval_seconds_ = 1.0;
 };
 
 /// Parallel drop-in for DisposableZoneMiner::mine: fans mine_zone over the

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
+#include "obs/stage_span.h"
 
 namespace dnsnoise {
 
@@ -26,9 +27,10 @@ void DisposableZoneMiner::mine_zone(
     DomainNameTree& tree, DomainNameTree::Node& zone,
     const CacheHitRateTracker& chr,
     std::vector<DisposableZoneFinding>& out) const {
-  // One span per top-level (effective-2LD) walk; the recursion below goes
-  // through mine_zone_walk so subzones don't open nested spans.
-  obs::TraceSpan zone_span(trace_stream_, config_.trace,
+  // One span per top-level (effective-2LD) walk, traced only: miner.zone
+  // has no registry timer.  The recursion below goes through
+  // mine_zone_walk so subzones don't open nested spans.
+  obs::StageSpan zone_span(nullptr, trace_stream_, config_.trace,
                            obs::TraceOp::kMinerZone);
   if (trace_stream_ != nullptr) {
     zone_span.annotate(DomainNameTree::full_name(zone), 0,
@@ -58,7 +60,7 @@ void DisposableZoneMiner::mine_zone_walk(
     if (nodes.size() < config_.min_group_size) continue;
     GroupFeatures features;
     {
-      const obs::StageTimer span(features_timer_);
+      const obs::StageSpan span(features_timer_);
       features = compute_group_features(nodes, zone.depth, chr, scratch);
     }
     if (groups_classified_ != nullptr) groups_classified_->add();

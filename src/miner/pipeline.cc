@@ -3,6 +3,7 @@
 #include "obs/heartbeat.h"
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
+#include "obs/stage_span.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
@@ -12,9 +13,6 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
                                   const MineFn& mine) {
   obs::MetricsRegistry* const metrics = options.metrics;
-  const auto stage_timer = [metrics](const char* name) {
-    return metrics != nullptr ? &metrics->timer(name) : nullptr;
-  };
   obs::TraceCollector* const trace = options.trace;
   obs::TraceStream* const trace_stream =
       trace != nullptr ? &trace->stream(obs::TraceStage::kMiner, 0) : nullptr;
@@ -35,16 +33,16 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
     return result;
   }
   {
-    const obs::StageTimer span(stage_timer("miner.label"));
-    const obs::TraceSpan tspan(trace_stream, trace, obs::TraceOp::kMinerLabel);
+    const obs::StageSpan span(metrics, trace_stream, trace,
+                              obs::TraceOp::kMinerLabel);
     result.labeled =
         label_zones(tap.tree(), tap.chr(), scenario, options.labeler);
   }
   LadTree own_model(options.model);
   const BinaryClassifier* model = options.pretrained;
   if (model == nullptr) {
-    const obs::StageTimer span(stage_timer("miner.train"));
-    const obs::TraceSpan tspan(trace_stream, trace, obs::TraceOp::kMinerTrain);
+    const obs::StageSpan span(metrics, trace_stream, trace,
+                              obs::TraceOp::kMinerTrain);
     own_model.train(to_dataset(result.labeled));
     model = &own_model;
   }
@@ -55,15 +53,14 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   const DisposableZoneMiner miner(*model, miner_config);
   heartbeat.beat();
   {
-    const obs::StageTimer span(stage_timer("miner.mine"));
-    const obs::TraceSpan tspan(trace_stream, trace, obs::TraceOp::kMinerMine);
+    const obs::StageSpan span(metrics, trace_stream, trace,
+                              obs::TraceOp::kMinerMine);
     result.findings = mine ? mine(miner, tap.tree(), tap.chr())
                            : miner.mine(tap.tree(), tap.chr());
   }
   {
-    const obs::StageTimer span(stage_timer("miner.evaluate"));
-    const obs::TraceSpan tspan(trace_stream, trace,
-                               obs::TraceOp::kMinerEvaluate);
+    const obs::StageSpan span(metrics, trace_stream, trace,
+                              obs::TraceOp::kMinerEvaluate);
     result.evaluation = evaluate_findings(result.findings, scenario.truth());
   }
   if (metrics != nullptr) {

@@ -1,5 +1,4 @@
-// Pipeline observability: a lock-cheap metrics registry with RAII stage
-// timers.
+// Pipeline observability: a lock-cheap metrics registry.
 //
 // The registry is the single sink every pipeline stage reports into —
 // workload generation, the RDNS cluster, the sharded engine, and the miner
@@ -14,7 +13,9 @@
 //     atomics; timers and histograms are the one sharded histogram type,
 //     obs/latency's LatencyRecorder (1/32-wide buckets, exact
 //     count/sum/min/max), recorded per query by the wire front-end and per
-//     batch/group/shard by the pipeline stages.
+//     batch/group/shard by the pipeline stages.  A stage's timer is fed by
+//     obs/stage_span's StageSpan, which records the same duration into the
+//     stage's trace stream when tracing is on.
 //   * Registration is slow-path only.  counter()/gauge()/timer()/histogram()
 //     take a mutex and return a stable reference; call them once at
 //     attach/construction time and cache the pointer, never per event.
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,41 +67,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// RAII wall-clock span over a pipeline stage.  A null timer disables the
-/// span entirely — the clock is never read, so instrumented code paths cost
-/// one predictable branch when metrics are off.
-class StageTimer {
- public:
-  explicit StageTimer(LatencyRecorder* timer) noexcept : timer_(timer) {
-    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~StageTimer() { stop(); }
-
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
-  /// Records the span now instead of at scope exit.  Idempotent.
-  void stop() noexcept {
-    if (timer_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - start_);
-    timer_->record(static_cast<std::uint64_t>(ns.count()));
-    timer_ = nullptr;
-  }
-
-  /// Seconds elapsed so far (0 when disabled).
-  double elapsed_seconds() const noexcept {
-    if (timer_ == nullptr) return 0.0;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  LatencyRecorder* timer_;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer, kHistogram };
 
 /// One metric frozen out of the registry.  Which fields are meaningful
@@ -139,7 +104,7 @@ class MetricsRegistry {
   /// name is already registered with a different kind.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// A histogram of nanosecond spans, exported in seconds (StageTimer
+  /// A histogram of nanosecond spans, exported in seconds (StageSpan
   /// feeds it).
   LatencyRecorder& timer(std::string_view name);
   /// A histogram of unitless values (batch sizes, nanosecond latencies),

@@ -4,10 +4,13 @@
 // a TraceCollector owns one fixed-capacity ring buffer ("stream") per
 // (pipeline stage, shard) pair, and instrumented sites append begin/end
 // spans or instant events carrying the stage, shard, a name label, qtype,
-// cache outcome, and a numeric id.  obs/trace_export serializes the frozen
-// collector to Chrome-trace-event / Perfetto-compatible JSON
-// (dnsnoise-trace-v1) and a text timeline summary.  Design constraints
-// mirror the metrics layer (DESIGN.md §12 owns the details):
+// cache outcome, and a numeric id.  Stage spans (engine.shard, miner.mine,
+// miner.zone, workload.day, ...) are recorded through obs/stage_span's
+// StageSpan, which times the registry timer from the same clock pair;
+// per-query spans and instants call TraceStream directly.
+// obs/trace_export serializes the frozen collector to Chrome-trace-event /
+// Perfetto-compatible JSON (dnsnoise-trace-v1).  Design constraints mirror
+// the metrics layer (DESIGN.md §12 owns the details):
 //
 //   * Disabled must cost nothing.  Every site holds a nullable TraceStream
 //     pointer and does nothing when it is null; no clock read, no atomic.
@@ -120,7 +123,8 @@ struct TraceConfig {
 /// concurrently (a torn event).  Shared-stream sites must therefore keep
 /// ring_capacity far above writer count; dropped() > 0 on a shared stream
 /// means the ring wrapped and that margin should be checked (the exporter
-/// surfaces it as dropped_events / a text-summary warning).  Reads
+/// surfaces it as meta.dropped_events, which dnsnoise-inspect summary turns
+/// into a warning).  Reads
 /// (snapshot) must only happen after writers quiesced — the collector is
 /// frozen between pipeline phases, never mid-phase.
 class TraceStream {
@@ -239,9 +243,14 @@ class TraceCollector {
 
   /// Steady-clock nanoseconds since the collector was constructed.
   std::uint64_t now_ns() const noexcept {
+    return since_epoch_ns(std::chrono::steady_clock::now());
+  }
+  /// Nanoseconds from the collector's construction to `t`, a reading
+  /// taken at or after it (StageSpan converts its opening read).
+  std::uint64_t since_epoch_ns(
+      std::chrono::steady_clock::time_point t) const noexcept {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
             .count());
   }
 
@@ -268,58 +277,6 @@ class TraceCollector {
   std::map<std::pair<std::uint8_t, std::uint32_t>,
            std::unique_ptr<TraceStream>>
       streams_;
-};
-
-/// RAII span helper mirroring StageTimer: a null stream disables the span
-/// entirely (no clock read).  Annotations may be set any time before the
-/// span closes; the label is copied (truncated to TraceEvent capacity), so
-/// passing a transient string is safe even though the span records at
-/// scope exit.
-class TraceSpan {
- public:
-  TraceSpan(TraceStream* stream, TraceCollector* collector,
-            TraceOp op) noexcept
-      : stream_(stream), collector_(collector), op_(op) {
-    if (stream_ != nullptr) start_ns_ = collector_->now_ns();
-  }
-  ~TraceSpan() { stop(); }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  void annotate(std::string_view label, std::uint16_t qtype = 0,
-                TraceOutcome outcome = TraceOutcome::kNone,
-                std::uint64_t id = kTraceNoId) noexcept {
-    if (stream_ == nullptr) return;
-    // Copied, not referenced: the span usually records at scope exit,
-    // after a caller-local label string has been destroyed.
-    label_len_ = label.size() < sizeof(label_) - 1 ? label.size()
-                                                   : sizeof(label_) - 1;
-    if (label_len_ != 0) std::memcpy(label_, label.data(), label_len_);
-    qtype_ = qtype;
-    outcome_ = outcome;
-    id_ = id;
-  }
-
-  /// Records the span now instead of at scope exit.  Idempotent.
-  void stop() noexcept {
-    if (stream_ == nullptr) return;
-    stream_->span(op_, start_ns_, collector_->now_ns() - start_ns_,
-                  std::string_view(label_, label_len_), qtype_, outcome_,
-                  id_);
-    stream_ = nullptr;
-  }
-
- private:
-  TraceStream* stream_;
-  TraceCollector* collector_;
-  TraceOp op_;
-  std::uint64_t start_ns_ = 0;
-  char label_[sizeof(TraceEvent::label)] = {};
-  std::size_t label_len_ = 0;
-  std::uint16_t qtype_ = 0;
-  TraceOutcome outcome_ = TraceOutcome::kNone;
-  std::uint64_t id_ = kTraceNoId;
 };
 
 }  // namespace dnsnoise::obs

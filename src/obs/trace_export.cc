@@ -1,10 +1,8 @@
 #include "obs/trace_export.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
-#include <vector>
 
 #include "obs/json_writer.h"
 
@@ -136,90 +134,6 @@ std::string to_json(const TraceSnapshot& snapshot,
     append_event(out, entry, first);
   }
   out += "\n  ]\n}\n";
-  return out;
-}
-
-std::string to_text_summary(const TraceSnapshot& snapshot,
-                            std::size_t top_n) {
-  struct OpStats {
-    std::uint64_t spans = 0;
-    std::uint64_t instants = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t max_ns = 0;
-  };
-  // Keyed (stage, op) so the report groups by pipeline stage.
-  std::map<std::pair<std::uint8_t, std::uint8_t>, OpStats> stats;
-  std::vector<const TraceSnapshotEvent*> spans;
-  for (const TraceSnapshotEvent& entry : snapshot.events) {
-    OpStats& s = stats[{static_cast<std::uint8_t>(entry.stage),
-                        static_cast<std::uint8_t>(entry.event.op)}];
-    if (entry.event.instant) {
-      ++s.instants;
-    } else {
-      ++s.spans;
-      s.total_ns += entry.event.dur_ns;
-      s.max_ns = std::max(s.max_ns, entry.event.dur_ns);
-      spans.push_back(&entry);
-    }
-  }
-
-  char line[160];
-  std::string out = "trace summary: " + std::to_string(snapshot.events.size()) +
-                    " events, sample_every_n=" +
-                    std::to_string(snapshot.config.sample_every_n) +
-                    ", dropped=" + std::to_string(snapshot.dropped) + "\n";
-  if (snapshot.dropped > 0) {
-    out += "warning: ring buffer wrapped (" + std::to_string(snapshot.dropped) +
-           " events lost); raise ring_capacity or sample_every_n — shared "
-           "streams with concurrent writers must never wrap\n";
-  }
-  out += "\nper-stage wall breakdown:\n";
-  std::uint8_t last_stage = 0;
-  for (const auto& [key, s] : stats) {
-    if (key.first != last_stage) {
-      last_stage = key.first;
-      out += "  [";
-      out += trace_stage_name(static_cast<TraceStage>(key.first));
-      out += "]\n";
-    }
-    const std::string op{trace_op_name(static_cast<TraceOp>(key.second))};
-    // A bucket may hold spans, instants, or (in principle) both; print a
-    // line per kind so neither count is silently discarded.
-    if (s.spans > 0) {
-      std::snprintf(line, sizeof(line),
-                    "    %-24s %8" PRIu64 " spans  total %10.3f ms  avg "
-                    "%10.3f us  max %10.3f us\n",
-                    op.c_str(), s.spans,
-                    static_cast<double>(s.total_ns) / 1e6,
-                    static_cast<double>(s.total_ns) /
-                        static_cast<double>(s.spans) / 1e3,
-                    static_cast<double>(s.max_ns) / 1e3);
-      out += line;
-    }
-    if (s.instants > 0) {
-      std::snprintf(line, sizeof(line), "    %-24s %8" PRIu64 " instants\n",
-                    op.c_str(), s.instants);
-      out += line;
-    }
-  }
-
-  std::sort(spans.begin(), spans.end(),
-            [](const TraceSnapshotEvent* a, const TraceSnapshotEvent* b) {
-              if (a->event.dur_ns != b->event.dur_ns) {
-                return a->event.dur_ns > b->event.dur_ns;
-              }
-              return a->event.ts_ns < b->event.ts_ns;
-            });
-  if (spans.size() > top_n) spans.resize(top_n);
-  out += "\ntop " + std::to_string(spans.size()) + " slowest spans:\n";
-  for (const TraceSnapshotEvent* entry : spans) {
-    const std::string op{trace_op_name(entry->event.op)};
-    std::snprintf(line, sizeof(line),
-                  "  %12.3f us  %-24s shard %-3u %s\n",
-                  static_cast<double>(entry->event.dur_ns) / 1e3, op.c_str(),
-                  entry->shard, entry->event.label);
-    out += line;
-  }
   return out;
 }
 

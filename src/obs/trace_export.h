@@ -1,4 +1,4 @@
-// Stable JSON + text export of a TraceSnapshot.
+// Stable JSON export of a TraceSnapshot.
 //
 // to_json emits schema dnsnoise-trace-v1, a Chrome-trace-event /
 // Perfetto-compatible document (load it in chrome://tracing or ui.perfetto.dev):
@@ -27,12 +27,11 @@
 // when unset — so serializing the same snapshot twice yields
 // byte-identical text (the metrics exporter's stability contract).
 //
-// to_text_summary renders the per-stage wall breakdown and top-N slowest
-// spans for terminal use; tools/dnsnoise-inspect reimplements the same
-// views (plus diff) over the JSON files.
+// tools/dnsnoise-inspect renders the terminal views over this JSON: `summary`
+// prints the per-stage wall breakdown, the top-N slowest spans and a warning
+// when meta.dropped_events is above 0; `diff` compares two traces.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <string>
 
@@ -45,10 +44,5 @@ namespace dnsnoise::obs {
 /// schema above.
 std::string to_json(const TraceSnapshot& snapshot,
                     const std::map<std::string, std::string>& meta = {});
-
-/// Compact text timeline summary: per-op span totals grouped by stage,
-/// then the `top_n` slowest spans.
-std::string to_text_summary(const TraceSnapshot& snapshot,
-                            std::size_t top_n = 10);
 
 }  // namespace dnsnoise::obs

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "obs/stage_span.h"
 
 namespace dnsnoise {
 
@@ -74,7 +75,8 @@ void TrafficGenerator::run_day_shard(std::int64_t day, const ShardSpec& shard,
     throw std::invalid_argument("TrafficGenerator: bad shard spec");
   }
   if (days_generated_ != nullptr) days_generated_->add();
-  obs::TraceSpan day_span(trace_stream_, trace_, obs::TraceOp::kWorkloadDay);
+  obs::StageSpan day_span(nullptr, trace_stream_, trace_,
+                          obs::TraceOp::kWorkloadDay);
   day_span.annotate({}, 0, obs::TraceOutcome::kNone,
                     static_cast<std::uint64_t>(day));
   const SimTime day_start = day * kSecondsPerDay;

@@ -1,18 +1,15 @@
 // Concurrency contracts of the observability layer, written to run under
 // TSan (labeled `engine` so the sanitizer CI job picks it up): snapshots
-// and the progress reporter must be safe while shard workers hammer the
-// hot recording paths.
+// must be safe while shard workers hammer the hot recording paths.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "obs/json_snapshot.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 
 namespace dnsnoise::obs {
@@ -41,8 +38,8 @@ TEST(ObsConcurrency, SnapshotWhileRecording) {
       }
     });
   }
-  // Snapshot + serialize concurrently with the writers — the progress
-  // reporter and a mid-run exporter do exactly this.
+  // Snapshot + serialize concurrently with the writers — a /metrics
+  // scrape and a mid-run exporter do exactly this.
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const MetricsSnapshot snapshot = registry.snapshot();
@@ -101,36 +98,6 @@ TEST(ObsConcurrency, TraceStreamConcurrentWriters) {
   EXPECT_EQ(stream.dropped(), 0u);
   EXPECT_EQ(collector.snapshot().events.size(),
             static_cast<std::size_t>(kWriters) * 1'000);
-}
-
-TEST(ObsConcurrency, ProgressReporterWhileRecording) {
-  MetricsRegistry registry;
-  Counter& answered = registry.counter("cluster.below_answers");
-  LatencyRecorder& shards = registry.timer("engine.shard");
-
-  std::FILE* sink = std::tmpfile();
-  ASSERT_NE(sink, nullptr);
-  ProgressConfig config;
-  config.interval_seconds = 0.001;  // hammer the reader
-  config.expected_queries = kWriters * kOpsPerWriter;
-  config.shard_count = kWriters;
-  config.out = sink;
-  {
-    ProgressReporter reporter(registry, config);
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w) {
-      writers.emplace_back([&] {
-        for (int i = 0; i < kOpsPerWriter; ++i) answered.add();
-        shards.record(1'000);
-      });
-    }
-    for (std::thread& writer : writers) writer.join();
-    reporter.stop();
-    reporter.stop();  // idempotent
-  }
-  // The reporter printed at least the final line.
-  EXPECT_GT(std::ftell(sink), 0);
-  std::fclose(sink);
 }
 
 }  // namespace

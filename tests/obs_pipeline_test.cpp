@@ -65,7 +65,25 @@ TEST(ObsPipeline, SnapshotCoversAllFourStages) {
             std::string::npos);
   EXPECT_NE(result.metrics_json.find("\"miner.zones_visited\""),
             std::string::npos);
-  ASSERT_NE(snapshot.find("miner.mine"), nullptr);
+  // Every stage timer of the day, by count: one engine.shard span per
+  // shard, one span per once-a-day stage, one miner.features span per
+  // classified group.  A renamed stage fails here instead of silently
+  // moving its seconds to another layer.
+  const auto timer_count = [&snapshot](std::string_view name) {
+    const obs::MetricSample* sample = snapshot.find(name);
+    EXPECT_TRUE(sample != nullptr && sample->kind == obs::MetricKind::kTimer)
+        << name;
+    return sample != nullptr ? sample->count : 0;
+  };
+  EXPECT_EQ(timer_count("engine.shard"), small_cluster().server_count);
+  for (const char* name : {"engine.merge", "engine.classify", "miner.label",
+                           "miner.train", "miner.mine", "miner.evaluate"}) {
+    EXPECT_EQ(timer_count(name), 1u) << name;
+  }
+  const obs::MetricSample* groups = snapshot.find("miner.groups_classified");
+  ASSERT_NE(groups, nullptr);
+  EXPECT_GT(groups->count, 0u);
+  EXPECT_EQ(timer_count("miner.features"), groups->count);
   // Tap batches were sized and recorded.
   const obs::MetricSample* batches = snapshot.find("cluster.tap_batch_size");
   ASSERT_NE(batches, nullptr);

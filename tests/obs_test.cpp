@@ -66,22 +66,6 @@ TEST(Timer, TracksCountTotalMinMax) {
   EXPECT_EQ(snap.max_ns, 300u);
 }
 
-TEST(StageTimer, RecordsOneSpanAndIsIdempotent) {
-  LatencyRecorder timer;
-  {
-    StageTimer span(&timer);
-    span.stop();
-    span.stop();  // second stop must not double-record
-  }
-  EXPECT_EQ(timer.snapshot().count, 1u);
-}
-
-TEST(StageTimer, NullTimerIsANoOp) {
-  StageTimer span(nullptr);
-  EXPECT_DOUBLE_EQ(span.elapsed_seconds(), 0.0);
-  span.stop();  // must not crash
-}
-
 TEST(Histogram, RecordsExactCountSumAndExtremes) {
   MetricsRegistry registry;
   LatencyRecorder& hist = registry.histogram("stage.sizes");

@@ -1,6 +1,8 @@
 // End-to-end tracing: enabling the collector must never change mining
-// results, the recorded trace content must be thread-count invariant, and run() must carry a valid dnsnoise-trace-v1
-// export covering all four pipeline stages.
+// results, the recorded trace content must be thread-count invariant,
+// run() must carry a valid dnsnoise-trace-v1 export covering all four
+// pipeline stages, and every stage span must be the same measurement as
+// its registry timer.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "engine/parallel_miner.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
@@ -137,6 +140,53 @@ TEST(TracePipeline, RunCoversAllFourStages) {
   EXPECT_NE(result.trace_json.find("\"engine.shard\""), std::string::npos);
   EXPECT_NE(result.trace_json.find("\"miner.zone\""), std::string::npos);
   EXPECT_NE(result.trace_json.find("\"workload.sample\""), std::string::npos);
+}
+
+TEST(TracePipeline, OneMeasurementPerStage) {
+  MiningSession session(small_scale());
+  session.cluster(small_cluster())
+      .warmup(false)
+      .threads(2)
+      .enable_metrics()
+      .enable_tracing(true, 16);
+  const MiningDayResult result = session.run(ScenarioDate::kNov14);
+  ASSERT_TRUE(result.ok()) << result.error;
+
+  const obs::TraceSnapshot trace = session.trace()->snapshot();
+  // A wrapped ring would have lost spans the sums below need.
+  ASSERT_EQ(trace.dropped, 0u);
+  obs::MetricsRegistry& metrics = *session.metrics();
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
+  for (const obs::TraceOp op :
+       {obs::TraceOp::kEngineShard, obs::TraceOp::kEngineMerge,
+        obs::TraceOp::kEngineClassify, obs::TraceOp::kMinerLabel,
+        obs::TraceOp::kMinerTrain, obs::TraceOp::kMinerMine,
+        obs::TraceOp::kMinerEvaluate}) {
+    const std::string name(obs::trace_op_name(op));
+    std::uint64_t spans = 0;
+    std::uint64_t span_ns = 0;
+    for (const obs::TraceSnapshotEvent& entry : trace.events) {
+      if (entry.event.op != op || entry.event.instant) continue;
+      ++spans;
+      span_ns += entry.event.dur_ns;
+    }
+    ASSERT_NE(snapshot.find(name), nullptr) << name;
+    EXPECT_GT(spans, 0u) << name;
+    EXPECT_EQ(spans, snapshot.find(name)->count) << name;
+    EXPECT_EQ(span_ns, metrics.timer(name).total_ns()) << name;
+  }
+  // Each shard's wall gauge is its span's reading, in seconds.
+  std::size_t shards = 0;
+  for (const obs::TraceSnapshotEvent& entry : trace.events) {
+    if (entry.event.op != obs::TraceOp::kEngineShard) continue;
+    ++shards;
+    const obs::MetricSample* wall = snapshot.find(
+        "engine.shard" + std::to_string(entry.shard) + ".wall_seconds");
+    ASSERT_NE(wall, nullptr) << entry.shard;
+    EXPECT_EQ(wall->value, static_cast<double>(entry.event.dur_ns) / 1e9)
+        << entry.shard;
+  }
+  EXPECT_EQ(shards, small_cluster().server_count);
 }
 
 TEST(TracePipeline, QuerySpansCarryCacheOutcomes) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Contract tests for tools/dnsnoise-inspect's metrics views.
+"""Contract tests for tools/dnsnoise-inspect's metrics and trace views.
 
 Runs the tool as a subprocess against fixture snapshots of both metrics
-schema versions, and loads it as a module to check the OpenMetrics
-parse-back on an exposition in the obs/openmetrics layout.  Registered
-with ctest as ``tools.dnsnoise_inspect``.
+schema versions and of a dnsnoise-trace-v1 export, and loads it as a
+module to check the OpenMetrics parse-back on an exposition in the
+obs/openmetrics layout.  Registered with ctest as
+``tools.dnsnoise_inspect``.
 """
 
 import importlib.machinery
@@ -85,8 +86,32 @@ dnsnoise_obs_run_active 0
 # EOF
 """
 
+# The obs/trace_export layout: a 2.5 us cluster query span on shard 1, a
+# 1 ms engine merge span, and one miner instant.
+TRACE = {
+    "schema": "dnsnoise-trace-v1",
+    "displayTimeUnit": "ms",
+    "meta": {"dropped_events": "0", "ring_capacity": "32768",
+             "sample_every_n": "64"},
+    "traceEvents": [
+        {"name": "process_name", "ph": "M", "pid": 2, "tid": 0,
+         "args": {"name": "cluster"}},
+        {"name": "thread_name", "ph": "M", "pid": 2, "tid": 1,
+         "args": {"name": "shard1"}},
+        {"name": "cluster.query", "cat": "cluster", "ph": "X",
+         "ts": 1234.567, "dur": 2.5, "pid": 2, "tid": 1,
+         "args": {"label": "x.ads.example", "qtype": 1, "outcome": "miss",
+                  "id": 42}},
+        {"name": "engine.merge", "cat": "engine", "ph": "X", "ts": 5000.0,
+         "dur": 1000.0, "pid": 3, "tid": 0},
+        {"name": "miner.decolor", "cat": "miner", "ph": "i", "s": "t",
+         "ts": 9000.0, "pid": 4, "tid": 0,
+         "args": {"label": "ads.example", "id": 17}},
+    ],
+}
 
-class InspectMetricsTest(unittest.TestCase):
+
+class InspectTestCase(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
@@ -101,6 +126,9 @@ class InspectMetricsTest(unittest.TestCase):
         result = subprocess.run([sys.executable, TOOL, *args],
                                 capture_output=True, text=True)
         return result.returncode, result.stdout + result.stderr
+
+
+class InspectMetricsTest(InspectTestCase):
 
     def test_summary_renders_v2_histograms(self):
         code, out = self.run_tool("summary", self.path("v2.json", V2))
@@ -167,6 +195,44 @@ class InspectMetricsTest(unittest.TestCase):
         labelled = EXPOSITION.replace('{p="99"}', '{run="x",p="99"}')
         doc = load_tool().parse_openmetrics(labelled, "scrape")
         self.assertEqual(doc["timers"]["miner_mine"]["p99_seconds"], 0.5)
+
+
+class InspectTraceTest(InspectTestCase):
+    def summary(self, doc):
+        code, out = self.run_tool("summary", self.path("trace.json", doc),
+                                  "--top", "5")
+        self.assertEqual(code, 0, out)
+        return out.splitlines()
+
+    def test_summary_groups_ops_under_their_stage(self):
+        lines = self.summary(TRACE)
+        breakdown = lines[lines.index("per-stage wall breakdown:") + 1:]
+        stages = [i for i, l in enumerate(breakdown) if l.startswith("  [")]
+        self.assertEqual([breakdown[i] for i in stages],
+                         ["  [cluster]", "  [engine]", "  [miner]"])
+        self.assertIn("cluster.query", breakdown[stages[0] + 1])
+        self.assertIn("1 spans", breakdown[stages[0] + 1])
+        self.assertIn("engine.merge", breakdown[stages[1] + 1])
+
+    def test_summary_counts_instants(self):
+        line = next(l for l in self.summary(TRACE) if "miner.decolor" in l)
+        self.assertIn("1 instants", line)
+
+    def test_summary_lists_the_slowest_span_first(self):
+        lines = self.summary(TRACE)
+        top = lines.index("top 2 slowest spans:")
+        self.assertIn("engine.merge", lines[top + 1])
+        self.assertIn("cluster.query", lines[top + 2])
+        self.assertIn("x.ads.example", lines[top + 2])
+
+    def test_summary_warns_only_when_events_were_dropped(self):
+        self.assertFalse(any(l.startswith("warning:")
+                             for l in self.summary(TRACE)))
+        wrapped = dict(TRACE, meta=dict(TRACE["meta"], dropped_events="3"))
+        warnings = [l for l in self.summary(wrapped)
+                    if l.startswith("warning:")]
+        self.assertEqual(len(warnings), 1)
+        self.assertIn("ring buffer wrapped (3 events lost)", warnings[0])
 
 
 if __name__ == "__main__":
