@@ -17,9 +17,10 @@ namespace {
 void show(const char* title, DisposableZoneConfig config, NamePattern pattern,
           Rng& rng) {
   DisposableZoneModel model(std::move(config), std::move(pattern));
+  RecentNames recent;
   std::printf("(%s)\n", title);
   for (int i = 0; i < 4; ++i) {
-    std::printf("  %s\n", model.sample_query(rng).qname.c_str());
+    std::printf("  %s\n", model.sample_query(rng, recent).qname.c_str());
   }
   std::printf("\n");
 }

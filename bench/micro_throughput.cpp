@@ -184,6 +184,18 @@ void BM_DomainNameParse(benchmark::State& state) {
 }
 BENCHMARK(BM_DomainNameParse);
 
+void BM_ZipfSample(benchmark::State& state) {
+  // One client draw of the day-volume workload: 150k clients, exponent
+  // 0.8, through the guide table (a full-CDF binary search is ~5x slower).
+  const ZipfSampler zipf(150'000, 0.8);
+  Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.sample(rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ZipfSample);
+
 void BM_ShannonEntropy(benchmark::State& state) {
   Rng rng(2);
   const std::string label = rng.hex_string(26);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "engine/drive.h"
@@ -160,6 +161,13 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture) {
 
 EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
                                      std::int64_t day_index) {
+  std::optional<Scenario> scenario;
+  return simulate_day(date, capture, day_index, scenario);
+}
+
+EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
+                                         std::int64_t day_index,
+                                         std::optional<Scenario>& scenario) {
   EngineReport report;
   const std::size_t shard_count = options_.cluster.server_count;
   report.shard_count = shard_count;
@@ -173,6 +181,15 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     report.status = MiningDayStatus::kInvalidConfig;
     report.error = "cluster server_count must be >= 1";
     return report;
+  }
+  std::optional<ScenarioScale> warm_scale;
+  if (options_.warmup) {
+    warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);
+    if (!warm_scale) {
+      report.status = MiningDayStatus::kInvalidConfig;
+      report.error = kBadWarmupFraction;
+      return report;
+    }
   }
   if (options_.scale.queries_per_day == 0) {
     report.status = MiningDayStatus::kEmptyCapture;
@@ -200,7 +217,44 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
       metrics != nullptr ? &obs::heartbeat_gauge(*metrics, "engine") : nullptr;
   const obs::RunActiveScope run_active(metrics);
 
+  // threads_ - 1 pool workers: the calling thread participates in
+  // parallel_for, so exactly threads_ workers touch shard state.
+  std::optional<ThreadPool> pool;
+  if (threads_ > 1 && shard_count > 1) {
+    pool.emplace(std::min(threads_ - 1, shard_count - 1), metrics);
+  }
+  TrafficGenerator::ParallelFor on_pool;
+  if (pool) {
+    on_pool = [&pool](std::size_t n,
+                      const std::function<void(std::size_t)>& body) {
+      pool->parallel_for(n, body);
+    };
+  }
+
+  // One read-only Scenario for every shard and the warmup, and one plan
+  // per generated day: each slot's client is drawn once, and each shard
+  // walks only its own slots.  The last shard out of its warmup frees the
+  // warmup day; the measured plan goes when the shards finish, before the
+  // merge needs the memory.
+  std::optional<TrafficGenerator> warm_traffic;
+  std::optional<DayPlan> warm_plan;
+  std::optional<DayPlan> plan;
+  try {
+    scenario.emplace(date, options_.scale);
+    if (warm_scale) {
+      warm_traffic.emplace(scenario->traffic_for(*warm_scale));
+      warm_plan.emplace(
+          warm_traffic->plan_day(day_index - 1, shard_count, on_pool));
+    }
+    plan.emplace(scenario->traffic().plan_day(day_index, shard_count, on_pool));
+  } catch (const std::exception& e) {
+    report.status = MiningDayStatus::kInvalidConfig;
+    report.error = e.what();
+    return report;
+  }
+
   std::atomic<std::uint64_t> queries{0};
+  std::atomic<std::size_t> warming{shard_count};
   const auto run_shard = [&](std::size_t index) {
     ShardResult& shard = shards[index];
     try {
@@ -212,27 +266,25 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
               : nullptr,
           trace, obs::TraceOp::kEngineShard);
       shard_span.annotate({}, 0, obs::TraceOutcome::kNone, index);
-      // Every shard builds its own Scenario: zone models mutate while
-      // sampling and the authority keeps lookup counters, so sharing one
-      // instance across workers would race.  Same (date, scale) => same
-      // zone population in every shard.
-      Scenario scenario(date, options_.scale);
       ClusterConfig shard_config = options_.cluster.for_shard(index);
       shard_config.metrics = metrics;
       shard_config.trace = trace;
-      RdnsCluster cluster(shard_config, scenario.authority());
-      const TrafficGenerator::ShardSpec spec{shard_count, index};
+      RdnsCluster cluster(shard_config, scenario->authority());
       Question question;  // parse scratch reused across the shard's days
       obs::Heartbeat heartbeat(engine_heartbeat);
       heartbeat.beat();
-      if (options_.warmup) {
+      if (warm_plan) {
         // A reduced-volume preceding day, shard filtered: warm clients
         // hash into the same partition, so each shard cache warms exactly
         // like its server would.  Its queries are not part of the day.
-        Scenario warm(date, warmup_scale(options_.scale,
-                                         options_.warmup_volume_fraction));
-        drive_day(warm.traffic(), cluster, day_index - 1, spec, question,
+        drive_day(*warm_traffic, *warm_plan, index, cluster, question,
                   &heartbeat);
+        // Every shard reads the warmup day before its decrement, so the
+        // last one out may free it.
+        if (warming.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          warm_plan.reset();
+          warm_traffic.reset();
+        }
       }
       shard.capture.start_day(day_index);
       shard.capture.attach(cluster);
@@ -242,13 +294,10 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
       obs::TrafficSketch* const sketch_shard =
           sketch != nullptr ? &sketch->shard(index) : nullptr;
       if (sketch_shard != nullptr) cluster.set_traffic_sketch(sketch_shard);
-      // Instrument the measured day only; warmup queries already fed above
-      // through an uninstrumented generator.
-      scenario.traffic().set_metrics(metrics);
-      scenario.traffic().set_trace(trace, static_cast<std::uint32_t>(index));
-      const std::uint64_t fed = drive_day(scenario.traffic(), cluster,
-                                          day_index, spec, question,
-                                          &heartbeat);
+      // Instrument the measured day only; the warmup fed uninstrumented.
+      const std::uint64_t fed =
+          drive_day(scenario->traffic(), *plan, index, cluster, question,
+                    &heartbeat, metrics, trace);
       cluster.flush_taps();
       if (sketch_shard != nullptr) cluster.set_traffic_sketch(nullptr);
       shard.capture.detach(cluster);
@@ -277,14 +326,12 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
     }
   };
 
-  if (threads_ > 1 && shard_count > 1) {
-    // threads_ - 1 pool workers: the calling thread participates in
-    // parallel_for, so exactly threads_ workers touch shard state.
-    ThreadPool pool(std::min(threads_ - 1, shard_count - 1), metrics);
-    pool.parallel_for(shard_count, run_shard);
+  if (pool) {
+    pool->parallel_for(shard_count, run_shard);
   } else {
     for (std::size_t i = 0; i < shard_count; ++i) run_shard(i);
   }
+  plan.reset();
 
   std::string merge_error;
   {
@@ -320,8 +367,8 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
   // Nested with simulate()'s scope (add/sub gauge), so /healthz sees the
   // run as active through the mining stages too.
   const obs::RunActiveScope run_active(metrics_.get());
-  Scenario scenario(date, options_.scale);
-  const EngineReport report = simulate(date, capture, day_index);
+  std::optional<Scenario> scenario;
+  const EngineReport report = simulate_day(date, capture, day_index, scenario);
   if (!report.ok()) {
     MiningDayResult result;
     result.status = report.status;
@@ -334,7 +381,8 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
     return mine_zones_parallel(miner, tree, chr, *options_.miner.psl,
                                threads_);
   };
-  MiningDayResult result = finish_mining_day(capture, scenario, options_, mine);
+  MiningDayResult result =
+      finish_mining_day(capture, *scenario, options_, mine);
   // finish_mining_day already froze the trace into result.trace_json;
   // serve that exact document on /trace.
   if (telemetry_ != nullptr && !result.trace_json.empty()) {

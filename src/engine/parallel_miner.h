@@ -5,9 +5,13 @@
 //
 //   * the simulated day is partitioned by RDNS server (one shard per
 //     server; clients reach servers by client hash),
-//   * each shard runs on the work-stealing pool with its own Scenario,
+//   * one Scenario is built per day and shared read-only by every shard;
+//     the day's slot plan draws each query slot's client once, in chunks
+//     on the engine pool, so each shard walks only its own slots,
+//   * each shard runs on the work-stealing pool with its own
 //     single-server RdnsCluster (seed split per shard, see
-//     ClusterConfig::for_shard) and thread-local DayCapture,
+//     ClusterConfig::for_shard), its own sampling state (the disposable
+//     tenants' recent-name windows) and thread-local DayCapture,
 //   * shard captures are merged in shard-index order (see shard_merge.h),
 //   * the classify stage fans Algorithm 1 over the effective-2LD zones on
 //     the same pool (subtrees are disjoint, so zone mining is race-free),
@@ -27,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "engine/serve.h"
@@ -70,6 +75,10 @@ class MiningSession {
   /// Worker threads for the shard and classify stages (>= 1).  Changes the
   /// schedule only, never the results.
   MiningSession& threads(std::size_t n);
+  /// Runs a reduced-volume warmup day through each shard's cache before
+  /// the measured day.  A NaN or negative fraction, or one whose volume
+  /// does not fit in a uint64_t, makes simulate()/run() return
+  /// kInvalidConfig and a served day report it through ok().
   MiningSession& warmup(bool enabled, double volume_fraction = 0.5);
   MiningSession& capture_config(const DayCaptureConfig& config);
   /// Opt-in observability (DESIGN.md §10): creates (or drops) the session's
@@ -173,6 +182,11 @@ class MiningSession {
   /// registry; called by enable_telemetry and by enable_metrics when a
   /// server is already running.
   void restart_telemetry();
+  /// simulate() into `scenario`, which it builds once the configuration
+  /// checks pass, so run() mines on the same Scenario.
+  EngineReport simulate_day(ScenarioDate date, DayCapture& capture,
+                            std::int64_t day_index,
+                            std::optional<Scenario>& scenario);
   /// Publishes the frozen trace snapshot to the telemetry server (no-op
   /// when either side is off).  Callers must have quiesced all trace
   /// writers first — shard workers joined — per the TraceCollector

@@ -17,32 +17,39 @@ ServedMiningDay::ServedMiningDay(
       threads_(threads == 0 ? 1 : threads),
       day_index_(scenario_day_index(date)),
       telemetry_(std::move(telemetry)),
-      scenario_(date, options.scale),
       capture_(options.capture) {
+  std::optional<ScenarioScale> warm_scale;
+  if (options_.warmup) {
+    warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);
+    if (!warm_scale) {
+      error_ = kBadWarmupFraction;
+      return;
+    }
+  }
+  scenario_.emplace(date, options_.scale);
   // Extra zones must exist before the cluster takes its (const, lock-free)
   // authority reference.
-  if (server.authority_hook) server.authority_hook(scenario_.authority_mut());
+  if (server.authority_hook) server.authority_hook(scenario_->authority_mut());
 
   ClusterConfig cluster_config = options_.cluster;
   cluster_config.metrics = options_.metrics;
   cluster_config.trace = options_.trace;
   cluster_ = std::make_unique<RdnsCluster>(cluster_config,
-                                           scenario_.authority());
+                                           scenario_->authority());
 
   obs::Heartbeat heartbeat(options_.metrics, "cluster");
   heartbeat.beat();
-  if (options_.warmup) {
+  if (warm_scale) {
     // The engine's warmup, in-process and before the capture attaches:
-    // server i gets shard i's stream from its own warmup Scenario (the
-    // zone models' state is per shard there too), so every cache reaches
-    // the state its engine shard's cache reaches.
+    // server i walks shard i of the engine's warmup plan with fresh
+    // sampling state, as engine shard i does, so every cache reaches the
+    // state its engine shard's cache reaches.
     const std::size_t servers = cluster_config.server_count;
+    const TrafficGenerator warm = scenario_->traffic_for(*warm_scale);
+    const DayPlan plan = warm.plan_day(day_index_ - 1, servers);
     Question question;  // parse scratch shared by every server's warmup
     for (std::size_t i = 0; i < servers; ++i) {
-      Scenario warm(date, warmup_scale(scenario_.scale(),
-                                       options_.warmup_volume_fraction));
-      drive_day(warm.traffic(), *cluster_, day_index_ - 1, {servers, i},
-                question, &heartbeat);
+      drive_day(warm, plan, i, *cluster_, question, &heartbeat);
     }
   }
 
@@ -92,6 +99,7 @@ void ServedMiningDay::detach_slowlog() {
 
 ServedMiningDay::~ServedMiningDay() {
   detach_slowlog();
+  if (frontend_ == nullptr) return;  // failed before anything was built
   frontend_->stop();
   if (attached_) {
     cluster_->flush_taps();
@@ -140,7 +148,7 @@ MiningDayResult ServedMiningDay::finish() {
   // trainer with no usable rows, which surfaces as a throw deep in
   // labeling/training.  That is an undermined day, not a crash.
   try {
-    result = finish_mining_day(capture_, scenario_, options_, mine);
+    result = finish_mining_day(capture_, *scenario_, options_, mine);
     if (options_.sketch != nullptr && result.ok()) {
       // The served day's mined zones arm the live classifier for the
       // next served day (MiningSession::run does the same).

@@ -2,9 +2,10 @@
 // (DESIGN.md §14).
 //
 // A ServedMiningDay is the socket-fed twin of MiningSession::run(): it
-// builds the day's Scenario and one multi-server RdnsCluster, warms server
-// i in-process with the engine's shard-i warmup stream, attaches the
-// DayCapture tap, then starts a resolver/wire_frontend serving RFC 1035
+// builds the day's one Scenario and one multi-server RdnsCluster, warms
+// server i in-process with the engine's shard-i warmup stream (one warmup
+// plan over the same Scenario), attaches the DayCapture tap, then starts
+// a resolver/wire_frontend serving RFC 1035
 // queries over UDP (+ TCP fallback) instead of driving the generator loop
 // itself.  Every served query flows through the same
 // RdnsCluster::query_view path, so the batched tap, metrics, and
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "miner/pipeline.h"
@@ -66,7 +68,10 @@ class ServedMiningDay {
   /// Builds scenario + cluster, runs the in-process warmup day (server i
   /// gets the engine's shard-i warmup stream), attaches the capture, and
   /// starts serving.  On failure ok() is false and error() has the reason;
-  /// finish() then returns a non-ok result.  With `telemetry` set, the
+  /// finish() then returns a non-ok result.  A bad warmup fraction fails
+  /// before anything is built (MiningSession::warmup), leaving no
+  /// frontend: udp_port() and tcp_port() read 0 and frontend() is only
+  /// valid while ok().  With `telemetry` set, the
   /// frontend's slow-query log is published on GET /slowlog for the day's
   /// lifetime (detached on finish/destroy).
   ServedMiningDay(ScenarioDate date, const PipelineOptions& options,
@@ -80,11 +85,14 @@ class ServedMiningDay {
   bool ok() const noexcept { return error_.empty(); }
   const std::string& error() const noexcept { return error_; }
 
-  std::uint16_t udp_port() const noexcept { return frontend_->udp_port(); }
-  std::uint16_t tcp_port() const noexcept { return frontend_->tcp_port(); }
+  std::uint16_t udp_port() const noexcept {
+    return frontend_ != nullptr ? frontend_->udp_port() : 0;
+  }
+  std::uint16_t tcp_port() const noexcept {
+    return frontend_ != nullptr ? frontend_->tcp_port() : 0;
+  }
   WireFrontend& frontend() noexcept { return *frontend_; }
   DayCapture& capture() noexcept { return capture_; }
-  Scenario& scenario() noexcept { return scenario_; }
   std::int64_t day_index() const noexcept { return day_index_; }
 
   /// Stops serving, flushes the tap, and mines the captured day (same
@@ -109,7 +117,7 @@ class ServedMiningDay {
   // Declaration order is load-bearing: the frontend references the
   // cluster (stop threads first), and the cluster's destructor flushes
   // into still-attached taps (capture must outlive it).
-  Scenario scenario_;
+  std::optional<Scenario> scenario_;
   DayCapture capture_;
   std::unique_ptr<RdnsCluster> cluster_;
   std::unique_ptr<WireFrontend> frontend_;

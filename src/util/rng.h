@@ -144,7 +144,7 @@ class Rng {
   std::string string_over(std::string_view alphabet, std::size_t length);
 
   /// Derive an independent child generator (stable under call order changes).
-  Rng fork(std::uint64_t stream) noexcept {
+  Rng fork(std::uint64_t stream) const noexcept {
     return Rng(mix64(state_[0] ^ mix64(stream ^ 0xd1b54a32d192ed03ULL)));
   }
 

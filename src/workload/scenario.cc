@@ -26,6 +26,16 @@ const DateInfo& date_info(ScenarioDate date) noexcept {
   return kDates[static_cast<std::size_t>(date)];
 }
 
+/// The query-stream knobs of `scale` on `date`.
+TrafficConfig traffic_config(ScenarioDate date, const ScenarioScale& scale) {
+  TrafficConfig config;
+  config.queries_per_day = scale.queries_per_day;
+  config.client_count = scale.client_count;
+  config.seed = scale.seed ^ (static_cast<std::uint64_t>(date) << 32) ^
+                mix64(0x7aff1c ^ scale.traffic_stream);
+  return config;
+}
+
 /// One (ttl, probability) policy table row.
 struct TtlRow {
   std::uint32_t ttl;
@@ -212,14 +222,15 @@ bool GroundTruth::is_disposable_name(const DomainName& name) const {
 }
 
 Scenario::Scenario(ScenarioDate date, const ScenarioScale& scale)
-    : date_(date), scale_(scale) {
-  TrafficConfig traffic_config;
-  traffic_config.queries_per_day = scale.queries_per_day;
-  traffic_config.client_count = scale.client_count;
-  traffic_config.seed = scale.seed ^ (static_cast<std::uint64_t>(date) << 32) ^
-                        mix64(0x7aff1c ^ scale.traffic_stream);
-  traffic_ = std::make_unique<TrafficGenerator>(traffic_config);
+    : date_(date),
+      scale_(scale),
+      traffic_(std::make_unique<TrafficGenerator>(
+          traffic_config(date, scale))) {
   build();
+}
+
+TrafficGenerator Scenario::traffic_for(const ScenarioScale& stream) const {
+  return traffic_->with_config(traffic_config(date_, stream));
 }
 
 bool Scenario::is_google_name(const DomainName& name) {

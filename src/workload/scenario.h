@@ -7,6 +7,11 @@
 // dates strictly extend earlier ones: the disposable-zone master list is
 // fixed, and date t activates a growing prefix of it, so "new zones appear
 // over the year" holds by construction.
+//
+// A built Scenario is immutable (authority_mut() aside, before serving):
+// zone models, weights, authority and truth are read-only, and traffic
+// walks keep their state to themselves, so one Scenario serves every
+// shard, warmup and served-day server of a day concurrently.
 #pragma once
 
 #include <array>
@@ -94,6 +99,13 @@ class Scenario {
   const ScenarioScale& scale() const noexcept { return scale_; }
 
   TrafficGenerator& traffic() noexcept { return *traffic_; }
+  const TrafficGenerator& traffic() const noexcept { return *traffic_; }
+  /// The traffic `stream` draws — its volume, client count and traffic
+  /// stream — over this scenario's zone population, which the returned
+  /// generator shares.  `stream`'s population knobs are not read: the
+  /// result equals Scenario(date(), stream).traffic() whenever they match
+  /// this scenario's.  The engine's warmup day draws its stream this way.
+  TrafficGenerator traffic_for(const ScenarioScale& stream) const;
   const SyntheticAuthority& authority() const noexcept { return authority_; }
   /// Mutable authority access for callers that extend the namespace before
   /// serving it (engine/serve.h authority hooks, CI smoke zones).  Zones

@@ -39,26 +39,20 @@ DisposableZoneModel::DisposableZoneModel(DisposableZoneConfig config,
                                          NamePattern pattern)
     : config_(std::move(config)),
       pattern_(std::move(pattern)),
-      apex_name_(config_.apex) {
-  recent_.reserve(config_.recent_window);
-}
+      apex_name_(config_.apex) {}
 
 std::size_t DisposableZoneModel::name_depth() const noexcept {
   return apex_name_.label_count() + pattern_.depth();
 }
 
-QuerySpec DisposableZoneModel::sample_query(Rng& rng) {
-  QuerySpec out;
-  sample_query_into(out, rng);
-  return out;
-}
-
-void DisposableZoneModel::sample_query_into(QuerySpec& out, Rng& rng) {
+void DisposableZoneModel::sample_query_into(QuerySpec& out, Rng& rng,
+                                            RecentNames& recent) const {
   out.qtype = config_.qtype;
+  std::vector<std::string>& names = recent.names;
   // Occasionally the generating software re-emits a recent name — the
   // paper notes disposable names are "not strictly looked up once".
-  if (!recent_.empty() && rng.chance(config_.repeat_probability)) {
-    out.qname = recent_[rng.below(recent_.size())];
+  if (!names.empty() && rng.chance(config_.repeat_probability)) {
+    out.qname = names[rng.below(names.size())];
     return;
   }
   out.qname.clear();
@@ -66,11 +60,12 @@ void DisposableZoneModel::sample_query_into(QuerySpec& out, Rng& rng) {
   out.qname.push_back('.');
   out.qname += config_.apex;
   if (config_.recent_window > 0) {
-    if (recent_.size() < config_.recent_window) {
-      recent_.push_back(out.qname);
+    if (names.size() < config_.recent_window) {
+      if (names.empty()) names.reserve(config_.recent_window);
+      names.push_back(out.qname);
     } else {
-      recent_[recent_next_] = out.qname;  // copy-assign reuses ring capacity
-      recent_next_ = (recent_next_ + 1) % config_.recent_window;
+      names[recent.next] = out.qname;  // copy-assign reuses ring capacity
+      recent.next = (recent.next + 1) % config_.recent_window;
     }
   }
 }
@@ -117,13 +112,8 @@ PopularZoneModel::PopularZoneModel(PopularZoneConfig config)
   }
 }
 
-QuerySpec PopularZoneModel::sample_query(Rng& rng) {
-  QuerySpec out;
-  sample_query_into(out, rng);
-  return out;
-}
-
-void PopularZoneModel::sample_query_into(QuerySpec& out, Rng& rng) {
+void PopularZoneModel::sample_query_into(QuerySpec& out, Rng& rng,
+                                         RecentNames&) const {
   const std::size_t rank = popularity_.sample(rng);
   out.qtype = rng.chance(config_.aaaa_fraction) ? RRType::AAAA : RRType::A;
   out.qname = hosts_[std::min(rank, hosts_.size() - 1)];
@@ -143,13 +133,8 @@ CdnZoneModel::CdnZoneModel(CdnZoneConfig config)
     : config_(std::move(config)),
       popularity_(std::max<std::size_t>(config_.shards, 1), config_.zipf_s) {}
 
-QuerySpec CdnZoneModel::sample_query(Rng& rng) {
-  QuerySpec out;
-  sample_query_into(out, rng);
-  return out;
-}
-
-void CdnZoneModel::sample_query_into(QuerySpec& out, Rng& rng) {
+void CdnZoneModel::sample_query_into(QuerySpec& out, Rng& rng,
+                                     RecentNames&) const {
   const std::size_t shard = popularity_.sample(rng);
   out.qtype = RRType::A;
   out.qname.clear();
@@ -190,13 +175,8 @@ std::string OtherSitesModel::site_domain(std::size_t i) const {
   return out;
 }
 
-QuerySpec OtherSitesModel::sample_query(Rng& rng) {
-  QuerySpec out;
-  sample_query_into(out, rng);
-  return out;
-}
-
-void OtherSitesModel::sample_query_into(QuerySpec& out, Rng& rng) {
+void OtherSitesModel::sample_query_into(QuerySpec& out, Rng& rng,
+                                        RecentNames&) const {
   const std::size_t site = popularity_.sample(rng);
   // Host index skews hard toward the site front page / www.
   const auto host = static_cast<std::size_t>(
@@ -244,13 +224,8 @@ void OtherSitesModel::install(SyntheticAuthority& authority) const {
 NxdomainModel::NxdomainModel(NxdomainConfig config)
     : config_(std::move(config)) {}
 
-QuerySpec NxdomainModel::sample_query(Rng& rng) {
-  QuerySpec out;
-  sample_query_into(out, rng);
-  return out;
-}
-
-void NxdomainModel::sample_query_into(QuerySpec& out, Rng& rng) {
+void NxdomainModel::sample_query_into(QuerySpec& out, Rng& rng,
+                                      RecentNames&) const {
   const std::size_t len =
       config_.min_len + rng.below(config_.max_len - config_.min_len + 1);
   out.qtype = RRType::A;

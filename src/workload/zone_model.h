@@ -37,7 +37,18 @@ struct QuerySpec {
   RRType qtype = RRType::A;
 };
 
-/// Interface: a tenant of the synthetic namespace.
+/// A disposable tenant's window of recently emitted names, which it
+/// re-queries now and then.  It is sampling state, not part of the zone
+/// population: every walk over a shard-day starts with empty windows, one
+/// per tenant, so the models themselves stay immutable and one population
+/// serves every shard concurrently.
+struct RecentNames {
+  std::vector<std::string> names;
+  std::size_t next = 0;  // ring position once the window is full
+};
+
+/// Interface: a tenant of the synthetic namespace.  Immutable once built;
+/// all per-walk state lives in the caller's RecentNames.
 class ZoneModel {
  public:
   virtual ~ZoneModel() = default;
@@ -48,14 +59,16 @@ class ZoneModel {
   /// Ground truth: does this tenant emit disposable names?
   virtual bool disposable() const noexcept = 0;
 
-  /// Draws one query.
-  virtual QuerySpec sample_query(Rng& rng) = 0;
+  /// Draws one query into `out`, reusing its buffers.  `recent` is this
+  /// tenant's window in the current walk; only disposable tenants use it.
+  virtual void sample_query_into(QuerySpec& out, Rng& rng,
+                                 RecentNames& recent) const = 0;
 
-  /// Draws one query into `out`, reusing its buffers.  Consumes exactly the
-  /// same RNG draws as sample_query(); the built-in models override this
-  /// with allocation-free samplers, the default forwards.
-  virtual void sample_query_into(QuerySpec& out, Rng& rng) {
-    out = sample_query(rng);
+  /// Draws one query (allocating convenience over sample_query_into).
+  QuerySpec sample_query(Rng& rng, RecentNames& recent) const {
+    QuerySpec out;
+    sample_query_into(out, rng, recent);
+    return out;
   }
 
   /// Registers this tenant's zones with the authority.
@@ -86,8 +99,8 @@ class DisposableZoneModel final : public ZoneModel {
 
   const std::string& name() const noexcept override { return config_.apex; }
   bool disposable() const noexcept override { return true; }
-  QuerySpec sample_query(Rng& rng) override;
-  void sample_query_into(QuerySpec& out, Rng& rng) override;
+  void sample_query_into(QuerySpec& out, Rng& rng,
+                         RecentNames& recent) const override;
   void install(SyntheticAuthority& authority) const override;
 
   const DisposableZoneConfig& config() const noexcept { return config_; }
@@ -98,8 +111,6 @@ class DisposableZoneModel final : public ZoneModel {
   DisposableZoneConfig config_;
   NamePattern pattern_;
   DomainName apex_name_;
-  std::vector<std::string> recent_;
-  std::size_t recent_next_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -120,8 +131,8 @@ class PopularZoneModel final : public ZoneModel {
 
   const std::string& name() const noexcept override { return config_.apex; }
   bool disposable() const noexcept override { return false; }
-  QuerySpec sample_query(Rng& rng) override;
-  void sample_query_into(QuerySpec& out, Rng& rng) override;
+  void sample_query_into(QuerySpec& out, Rng& rng,
+                         RecentNames& recent) const override;
   void install(SyntheticAuthority& authority) const override;
 
  private:
@@ -146,8 +157,8 @@ class CdnZoneModel final : public ZoneModel {
 
   const std::string& name() const noexcept override { return config_.apex; }
   bool disposable() const noexcept override { return false; }
-  QuerySpec sample_query(Rng& rng) override;
-  void sample_query_into(QuerySpec& out, Rng& rng) override;
+  void sample_query_into(QuerySpec& out, Rng& rng,
+                         RecentNames& recent) const override;
   void install(SyntheticAuthority& authority) const override;
 
  private:
@@ -176,8 +187,8 @@ class OtherSitesModel final : public ZoneModel {
 
   const std::string& name() const noexcept override { return label_; }
   bool disposable() const noexcept override { return false; }
-  QuerySpec sample_query(Rng& rng) override;
-  void sample_query_into(QuerySpec& out, Rng& rng) override;
+  void sample_query_into(QuerySpec& out, Rng& rng,
+                         RecentNames& recent) const override;
   void install(SyntheticAuthority& authority) const override;
 
   /// 2LD of site `i` (exposed for tests).
@@ -211,8 +222,8 @@ class NxdomainModel final : public ZoneModel {
 
   const std::string& name() const noexcept override { return label_; }
   bool disposable() const noexcept override { return false; }
-  QuerySpec sample_query(Rng& rng) override;
-  void sample_query_into(QuerySpec& out, Rng& rng) override;
+  void sample_query_into(QuerySpec& out, Rng& rng,
+                         RecentNames& recent) const override;
   /// Registers nothing: unclaimed names default to NXDOMAIN.
   void install(SyntheticAuthority&) const override {}
 

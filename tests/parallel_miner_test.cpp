@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -56,47 +59,54 @@ TEST(ParallelMinerTest, ThreadCountDoesNotChangeTheCapture) {
   capture_config.keep_fpdns = true;
   capture_config.feed_rpdns = true;
 
-  DayCapture one(capture_config);
-  DayCapture four(capture_config);
-  const EngineReport r1 = small_session(1)
-                              .capture_config(capture_config)
-                              .simulate(ScenarioDate::kNov14, one);
-  const EngineReport r4 = small_session(4)
-                              .capture_config(capture_config)
-                              .simulate(ScenarioDate::kNov14, four);
-  ASSERT_TRUE(r1.ok()) << r1.error;
-  ASSERT_TRUE(r4.ok()) << r4.error;
+  // With warmup on, four threads run warmups and measured days
+  // concurrently over the one shared zone population.
+  for (const bool warmup : {false, true}) {
+    SCOPED_TRACE(warmup ? "warmup on" : "warmup off");
+    DayCapture one(capture_config);
+    DayCapture four(capture_config);
+    const EngineReport r1 = small_session(1)
+                                .warmup(warmup)
+                                .capture_config(capture_config)
+                                .simulate(ScenarioDate::kNov14, one);
+    const EngineReport r4 = small_session(4)
+                                .warmup(warmup)
+                                .capture_config(capture_config)
+                                .simulate(ScenarioDate::kNov14, four);
+    ASSERT_TRUE(r1.ok()) << r1.error;
+    ASSERT_TRUE(r4.ok()) << r4.error;
 
-  EXPECT_EQ(r1.queries, r4.queries);
-  EXPECT_EQ(r1.counters.below_answers, r4.counters.below_answers);
-  EXPECT_EQ(r1.counters.above_answers, r4.counters.above_answers);
-  EXPECT_EQ(r1.counters.stats.hits, r4.counters.stats.hits);
-  EXPECT_EQ(r1.counters.stats.misses, r4.counters.stats.misses);
+    EXPECT_EQ(r1.queries, r4.queries);
+    EXPECT_EQ(r1.counters.below_answers, r4.counters.below_answers);
+    EXPECT_EQ(r1.counters.above_answers, r4.counters.above_answers);
+    EXPECT_EQ(r1.counters.stats.hits, r4.counters.stats.hits);
+    EXPECT_EQ(r1.counters.stats.misses, r4.counters.stats.misses);
 
-  EXPECT_EQ(one.unique_queried(), four.unique_queried());
-  EXPECT_EQ(one.unique_resolved(), four.unique_resolved());
-  // Shard-order merging fixes the interning order, so the names must agree
-  // id by id.
-  EXPECT_EQ(names_in_id_order(one.queried_names()),
-            names_in_id_order(four.queried_names()));
-  EXPECT_EQ(names_in_id_order(one.resolved_names()),
-            names_in_id_order(four.resolved_names()));
-  EXPECT_EQ(one.tree().black_count(), four.tree().black_count());
-  EXPECT_EQ(one.tree().node_count(), four.tree().node_count());
-  EXPECT_EQ(one.chr().unique_rrs(), four.chr().unique_rrs());
-  for (std::size_t h = 0; h < 24; ++h) {
-    EXPECT_EQ(one.below_series().total[h], four.below_series().total[h]);
-    EXPECT_EQ(one.above_series().total[h], four.above_series().total[h]);
+    EXPECT_EQ(one.unique_queried(), four.unique_queried());
+    EXPECT_EQ(one.unique_resolved(), four.unique_resolved());
+    // Shard-order merging fixes the interning order, so the names must
+    // agree id by id.
+    EXPECT_EQ(names_in_id_order(one.queried_names()),
+              names_in_id_order(four.queried_names()));
+    EXPECT_EQ(names_in_id_order(one.resolved_names()),
+              names_in_id_order(four.resolved_names()));
+    EXPECT_EQ(one.tree().black_count(), four.tree().black_count());
+    EXPECT_EQ(one.tree().node_count(), four.tree().node_count());
+    EXPECT_EQ(one.chr().unique_rrs(), four.chr().unique_rrs());
+    for (std::size_t h = 0; h < 24; ++h) {
+      EXPECT_EQ(one.below_series().total[h], four.below_series().total[h]);
+      EXPECT_EQ(one.above_series().total[h], four.above_series().total[h]);
+    }
+    // fpDNS entries are stable-sorted by time after the merge, so the two
+    // captures must agree entry by entry — the strongest identity check.
+    ASSERT_EQ(one.fpdns().size(), four.fpdns().size());
+    const auto lhs = one.fpdns().entries();
+    const auto rhs = four.fpdns().entries();
+    for (std::size_t i = 0; i < lhs.size(); ++i) {
+      ASSERT_EQ(lhs[i], rhs[i]) << "fpDNS entry " << i;
+    }
+    EXPECT_EQ(one.rpdns().unique_records(), four.rpdns().unique_records());
   }
-  // fpDNS entries are stable-sorted by time after the merge, so the two
-  // captures must agree entry by entry — the strongest identity check.
-  ASSERT_EQ(one.fpdns().size(), four.fpdns().size());
-  const auto lhs = one.fpdns().entries();
-  const auto rhs = four.fpdns().entries();
-  for (std::size_t i = 0; i < lhs.size(); ++i) {
-    ASSERT_EQ(lhs[i], rhs[i]) << "fpDNS entry " << i;
-  }
-  EXPECT_EQ(one.rpdns().unique_records(), four.rpdns().unique_records());
 }
 
 TEST(ParallelMinerTest, ThreadCountDoesNotChangeTheFindings) {
@@ -142,6 +152,42 @@ TEST(ParallelMinerTest, ZeroThreadsIsInvalidConfig) {
   const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+}
+
+TEST(ParallelMinerTest, InvalidWarmupFractionIsInvalidConfig) {
+  // Each fraction would size the warmup day by an undefined cast — a
+  // NaN or negative volume, or one past uint64_t — and used to hang the
+  // day; it must be refused before any Scenario is built.
+  for (const double fraction :
+       {-0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e30}) {
+    SCOPED_TRACE(fraction);
+    const auto start = std::chrono::steady_clock::now();
+    MiningSession session = small_session(2);
+    session.warmup(true, fraction).enable_dns_server(true);
+
+    DayCapture capture;
+    const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
+    EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+    EXPECT_FALSE(report.error.empty());
+
+    const MiningDayResult result = session.run(ScenarioDate::kNov14);
+    EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig);
+    EXPECT_FALSE(result.error.empty());
+
+    // A served day warms up through the same check and reports through
+    // ok() without binding a socket.
+    const std::unique_ptr<ServedMiningDay> day =
+        session.serve(ScenarioDate::kNov14);
+    ASSERT_NE(day, nullptr);
+    EXPECT_FALSE(day->ok());
+    EXPECT_EQ(day->error(), report.error);
+    EXPECT_EQ(day->udp_port(), 0);
+    EXPECT_EQ(day->finish().status, MiningDayStatus::kInvalidConfig);
+
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+  }
 }
 
 }  // namespace

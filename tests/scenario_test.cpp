@@ -128,6 +128,36 @@ TEST(ScenarioTest, TrafficStreamVariesQueriesOnly) {
   EXPECT_NE(qa, qb);
 }
 
+TEST(ScenarioTest, TrafficForSharesThePopulation) {
+  // Another stream over a built scenario's tenants is the stream a
+  // scenario built for that scale would draw.
+  ScenarioScale scale;
+  scale.queries_per_day = 3000;
+  scale.population_scale = 0.05;
+  ScenarioScale stream = scale;
+  stream.queries_per_day = 1500;
+  stream.traffic_stream = 9;
+  const Scenario scenario(ScenarioDate::kNov14, scale);
+  const Scenario fresh(ScenarioDate::kNov14, stream);
+  const TrafficGenerator shared = scenario.traffic_for(stream);
+  ASSERT_EQ(shared.model_count(), fresh.traffic().model_count());
+  EXPECT_EQ(&shared.model(0), &scenario.traffic().model(0));
+  const auto record = [](const TrafficGenerator& traffic) {
+    std::vector<std::string> out;
+    traffic.run_day_shard(5, {2, 1},
+                          [&out](SimTime ts, std::uint64_t client,
+                                 const QuerySpec& q) {
+                            out.push_back(std::to_string(ts) + " " +
+                                          std::to_string(client) + " " +
+                                          q.qname);
+                          });
+    return out;
+  };
+  const std::vector<std::string> expected = record(fresh.traffic());
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(record(shared), expected);
+}
+
 TEST(ScenarioTest, SampleDayHasPaperLikeMix) {
   // Light end-to-end sanity: on a small day, disposable names are a
   // nontrivial minority of queried names and NXDOMAINs exist.

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include "workload/scenario.h"
 
 namespace dnsnoise {
 namespace {
@@ -18,16 +21,16 @@ class CountingModel final : public ZoneModel {
   explicit CountingModel(std::string name) : name_(std::move(name)) {}
   const std::string& name() const noexcept override { return name_; }
   bool disposable() const noexcept override { return false; }
-  QuerySpec sample_query(Rng&) override {
+  void sample_query_into(QuerySpec& out, Rng&, RecentNames&) const override {
     ++samples_;
-    return {"host." + name_, RRType::A};
+    out = {"host." + name_, RRType::A};
   }
   void install(SyntheticAuthority&) const override {}
   std::uint64_t samples() const noexcept { return samples_; }
 
  private:
   std::string name_;
-  std::uint64_t samples_ = 0;
+  mutable std::uint64_t samples_ = 0;  // walks here run on one thread
 };
 
 TrafficConfig small_config() {
@@ -145,6 +148,37 @@ TEST(TrafficGenTest, ShardsSplitTheDayWithNothingLostOrRepeated) {
   }
 }
 
+TEST(TrafficGenTest, PlanDoesNotDependOnChunkSchedule) {
+  // Each slot's client is drawn from its own stream, so a plan whose
+  // chunks run in reverse order walks exactly like a serial one.
+  TrafficConfig config = small_config();
+  config.queries_per_day = 100'000;  // several plan chunks
+  TrafficGenerator gen(config);
+  gen.add_model(std::make_shared<CountingModel>("a.com"), 1.0);
+  gen.add_model(std::make_shared<CountingModel>("b.com"), 2.0);
+  const TrafficGenerator::ParallelFor reversed =
+      [](std::size_t n, const std::function<void(std::size_t)>& body) {
+        for (std::size_t i = n; i > 0; --i) body(i - 1);
+      };
+  const DayPlan serial = gen.plan_day(4, 3);
+  const DayPlan scheduled = gen.plan_day(4, 3, reversed);
+  using Slot = std::tuple<SimTime, std::uint64_t, std::string>;
+  const auto walk = [&gen](const DayPlan& plan, std::size_t index) {
+    std::vector<Slot> slots;
+    gen.run_planned_shard(plan, index,
+                          [&slots](SimTime ts, std::uint64_t client,
+                                   const QuerySpec& q) {
+                            slots.emplace_back(ts, client, q.qname);
+                          });
+    return slots;
+  };
+  for (std::size_t index = 0; index < 3; ++index) {
+    const std::vector<Slot> expected = walk(serial, index);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(walk(scheduled, index), expected) << "shard " << index;
+  }
+}
+
 TEST(TrafficGenTest, ClientIdsAreStableAndNonZero) {
   const TrafficGenerator gen(small_config());
   EXPECT_NE(gen.client_id_for_rank(0), 0u);
@@ -175,6 +209,88 @@ TEST(TrafficGenTest, ErrorsOnBadUsage) {
   EXPECT_THROW(gen.add_model(nullptr, 1.0), std::invalid_argument);
   EXPECT_THROW(gen.add_model(std::make_shared<CountingModel>("x"), 0.0),
                std::invalid_argument);
+}
+
+/// Digest of one shard-day's (ts, client, qtype, qname) sequence, drawn
+/// from a freshly built Scenario as an engine shard draws it.
+struct ShardStream {
+  std::uint64_t queries = 0;
+  std::uint64_t digest = 0;
+};
+
+ShardStream shard_stream(const ScenarioScale& scale, std::int64_t day,
+                         std::size_t count, std::size_t index) {
+  Scenario scenario(ScenarioDate::kDec30, scale);
+  ShardStream out;
+  scenario.traffic().run_day_shard(
+      day, {count, index},
+      [&out](SimTime ts, std::uint64_t client, const QuerySpec& q) {
+        ++out.queries;
+        out.digest = mix64(out.digest ^ static_cast<std::uint64_t>(ts));
+        out.digest = mix64(out.digest ^ client);
+        out.digest = mix64(out.digest ^ static_cast<std::uint64_t>(q.qtype));
+        out.digest = mix64(out.digest ^ fnv1a64(q.qname));
+      });
+  return out;
+}
+
+TEST(TrafficGenTest, ShardStreamsArePinned) {
+  // The golden engine day (golden_pipeline_test) and its warmup day: half
+  // the volume on the distinct warmup stream, the day before.
+  ScenarioScale measured;
+  measured.queries_per_day = 30'000;
+  measured.client_count = 1'500;
+  ScenarioScale warmup = measured;
+  warmup.queries_per_day = 15'000;
+  warmup.traffic_stream ^= 0xbeefcafeULL;
+  const std::int64_t day = scenario_day_index(ScenarioDate::kDec30);
+
+  struct Pinned {
+    bool warmup;
+    std::size_t count;
+    std::size_t index;
+    std::uint64_t queries;
+    std::uint64_t digest;
+  };
+  static constexpr Pinned kPinned[] = {
+      {false, 1, 0, 29997, 0x0ffe9e03df164bf4ULL},
+      {false, 4, 0, 6636, 0x1ad962465ae6ab0aULL},
+      {false, 4, 1, 9402, 0xf82fb2068c0c49b4ULL},
+      {false, 4, 2, 6390, 0x8b469d2130740fcbULL},
+      {false, 4, 3, 7569, 0x6e58532fef901d5aULL},
+      {false, 8, 0, 3374, 0x44120c8ce76b6792ULL},
+      {false, 8, 1, 4862, 0xaa59e6b340183ad1ULL},
+      {false, 8, 2, 3600, 0x9f6a83576d6bdf48ULL},
+      {false, 8, 3, 4339, 0xa5fcaa634cd75481ULL},
+      {false, 8, 4, 3262, 0x26bceb2bba31e53cULL},
+      {false, 8, 5, 4540, 0xff07ee20e12a72edULL},
+      {false, 8, 6, 2790, 0xce3a857a96b4b61bULL},
+      {false, 8, 7, 3230, 0xcd32a2b0f5090668ULL},
+      {true, 1, 0, 14999, 0x7776ba287be8901fULL},
+      {true, 4, 0, 4886, 0xabad7d9f44ec3a37ULL},
+      {true, 4, 1, 3710, 0x6b6c3e7c7f639aafULL},
+      {true, 4, 2, 3884, 0xb055aa9b22c5965bULL},
+      {true, 4, 3, 2519, 0x6f576df789964ec1ULL},
+      {true, 8, 0, 2490, 0x3264985fffb60dc3ULL},
+      {true, 8, 1, 2109, 0x118501bb45a0b7a4ULL},
+      {true, 8, 2, 2243, 0x632fc6716f64b4a9ULL},
+      {true, 8, 3, 1067, 0xa71fc605c8eac365ULL},
+      {true, 8, 4, 2396, 0xc332b118147660caULL},
+      {true, 8, 5, 1601, 0x26120983a3263a4bULL},
+      {true, 8, 6, 1641, 0x1d91483603360f05ULL},
+      {true, 8, 7, 1452, 0x505994647b993a34ULL},
+  };
+  for (const Pinned& pin : kPinned) {
+    const ShardStream got =
+        pin.warmup ? shard_stream(warmup, day - 1, pin.count, pin.index)
+                   : shard_stream(measured, day, pin.count, pin.index);
+    EXPECT_EQ(got.queries, pin.queries)
+        << (pin.warmup ? "warmup" : "measured") << " day, shard " << pin.index
+        << " of " << pin.count;
+    EXPECT_EQ(got.digest, pin.digest)
+        << (pin.warmup ? "warmup" : "measured") << " day, shard " << pin.index
+        << " of " << pin.count;
+  }
 }
 
 }  // namespace

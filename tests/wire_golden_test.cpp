@@ -84,12 +84,13 @@ TEST(WireGolden, SocketDayMatchesInProcessDayByteForByte) {
   ClusterConfig cluster;
   cluster.server_count = 2;
 
-  // Record the engine's shard streams, each from its own fresh scenario as
-  // the engine builds one per shard, and merge them in timestamp order.
-  // The stable sort keeps each shard's order, and shard order on ties.
+  // Record the engine's shard streams through the one-shard entry point,
+  // which walks the same day plan the engine's shards walk, and merge
+  // them in timestamp order.  The stable sort keeps each shard's order,
+  // and shard order on ties.
   std::vector<RecordedQuery> stream;
+  const Scenario recorder(date, wire_scale());
   for (std::size_t shard = 0; shard < cluster.server_count; ++shard) {
-    Scenario recorder(date, wire_scale());
     recorder.traffic().run_day_shard(
         day_index, {cluster.server_count, shard},
         [&stream](SimTime ts, std::uint64_t client, const QuerySpec& query) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -78,6 +81,50 @@ TEST(ZipfTest, SingleRank) {
 TEST(ZipfTest, InvalidArgumentsThrow) {
   EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfSampler(10, -0.5), std::invalid_argument);
+}
+
+TEST(ZipfTest, GuideTableMatchesLowerBound) {
+  // rank_of must return exactly what a binary search over the whole CDF
+  // returns, at the inputs where an off-by-one bucket would show: every
+  // bucket edge k/M, every CDF value, their neighbours, the ends of [0, 1),
+  // and a run of seeded draws.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 64u, 1000u, 75000u,
+                              150000u}) {
+    for (const double s : {0.0, 0.8, 1.0, 1.2, 3.0}) {
+      const ZipfSampler zipf(n, s);
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        total += 1.0 / std::pow(static_cast<double>(r + 1), s);
+        cdf[r] = total;
+      }
+      for (double& value : cdf) value /= total;
+      cdf.back() = 1.0;
+
+      std::size_t mismatches = 0;
+      const auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) return;
+        const auto expected = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        if (zipf.rank_of(u) != expected) ++mismatches;
+      };
+      const auto check_around = [&](double u) {
+        check(std::nextafter(u, -1.0));
+        check(u);
+        check(std::nextafter(u, 2.0));
+      };
+      const std::size_t buckets = std::bit_ceil(n);
+      for (std::size_t k = 0; k <= buckets; ++k) {
+        check_around(static_cast<double>(k) / static_cast<double>(buckets));
+      }
+      for (const double value : cdf) check_around(value);
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+      Rng rng(n * 31 + static_cast<std::uint64_t>(s * 10.0));
+      for (int i = 0; i < 200'000; ++i) check(rng.uniform());
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    }
+  }
 }
 
 class ZipfExponentTest : public ::testing::TestWithParam<double> {};

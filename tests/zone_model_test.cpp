@@ -21,8 +21,9 @@ TEST(DisposableZoneTest, NamesFallUnderApexAndParse) {
   config.repeat_probability = 0.0;
   auto model = make_disposable(config);
   Rng rng(1);
+  RecentNames recent;
   for (int i = 0; i < 200; ++i) {
-    const QuerySpec query = model.sample_query(rng);
+    const QuerySpec query = model.sample_query(rng, recent);
     const auto name = DomainName::parse(query.qname);
     ASSERT_TRUE(name) << query.qname;
     EXPECT_TRUE(name->is_within("avqs.vendor.com"));
@@ -37,8 +38,9 @@ TEST(DisposableZoneTest, MostNamesAreOneTime) {
   config.repeat_probability = 0.0;
   auto model = make_disposable(config);
   Rng rng(2);
+  RecentNames recent;
   std::set<std::string> names;
-  for (int i = 0; i < 1000; ++i) names.insert(model.sample_query(rng).qname);
+  for (int i = 0; i < 1000; ++i) names.insert(model.sample_query(rng, recent).qname);
   EXPECT_EQ(names.size(), 1000u);  // hex(16): collisions are negligible
 }
 
@@ -49,10 +51,11 @@ TEST(DisposableZoneTest, RepeatProbabilityReusesRecentNames) {
   config.recent_window = 16;
   auto model = make_disposable(config);
   Rng rng(3);
+  RecentNames recent;
   std::set<std::string> names;
   constexpr int kQueries = 2000;
   for (int i = 0; i < kQueries; ++i) {
-    names.insert(model.sample_query(rng).qname);
+    names.insert(model.sample_query(rng, recent).qname);
   }
   // Roughly half the queries are repeats.
   EXPECT_LT(names.size(), kQueries * 6 / 10);
@@ -68,9 +71,11 @@ TEST(DisposableZoneTest, AuthorityAnswersAreDeterministicAndPooled) {
   model.install(authority);
 
   Rng rng(4);
+
+  RecentNames recent;
   std::unordered_set<std::string> rdatas;
   for (int i = 0; i < 300; ++i) {
-    const QuerySpec query = model.sample_query(rng);
+    const QuerySpec query = model.sample_query(rng, recent);
     const Question question{DomainName(query.qname), query.qtype};
     const auto a1 = authority.resolve(question, 0);
     const auto a2 = authority.resolve(question, 999);
@@ -92,7 +97,8 @@ TEST(DisposableZoneTest, RoundRobinAnswerSets) {
   SyntheticAuthority authority;
   model.install(authority);
   Rng rng(5);
-  const QuerySpec query = model.sample_query(rng);
+  RecentNames recent;
+  const QuerySpec query = model.sample_query(rng, recent);
   const auto answer =
       authority.resolve({DomainName(query.qname), query.qtype}, 0);
   ASSERT_EQ(answer.answers.size(), 4u);
@@ -113,7 +119,8 @@ TEST(DisposableZoneTest, RrPerAnswerClampedToPool) {
   SyntheticAuthority authority;
   model.install(authority);
   Rng rng(6);
-  const QuerySpec query = model.sample_query(rng);
+  RecentNames recent;
+  const QuerySpec query = model.sample_query(rng, recent);
   const auto answer =
       authority.resolve({DomainName(query.qname), query.qtype}, 0);
   EXPECT_EQ(answer.answers.size(), 2u);
@@ -127,8 +134,9 @@ TEST(PopularZoneTest, FixedHostSetWithZipfPopularity) {
   PopularZoneModel model(config);
   EXPECT_FALSE(model.disposable());
   Rng rng(7);
+  RecentNames recent;
   std::map<std::string, int> counts;
-  for (int i = 0; i < 5000; ++i) ++counts[model.sample_query(rng).qname];
+  for (int i = 0; i < 5000; ++i) ++counts[model.sample_query(rng, recent).qname];
   EXPECT_LE(counts.size(), 10u);
   // The bare apex is rank 0 and must dominate.
   EXPECT_GT(counts["popular.com"], counts["www.popular.com"]);
@@ -143,7 +151,8 @@ TEST(PopularZoneTest, AaaaFraction) {
   config.aaaa_fraction = 1.0;
   PopularZoneModel model(config);
   Rng rng(8);
-  EXPECT_EQ(model.sample_query(rng).qtype, RRType::AAAA);
+  RecentNames recent;
+  EXPECT_EQ(model.sample_query(rng, recent).qtype, RRType::AAAA);
 }
 
 TEST(CdnZoneTest, ShardNames) {
@@ -153,8 +162,9 @@ TEST(CdnZoneTest, ShardNames) {
   CdnZoneModel model(config);
   EXPECT_FALSE(model.disposable());
   Rng rng(9);
+  RecentNames recent;
   for (int i = 0; i < 200; ++i) {
-    const QuerySpec query = model.sample_query(rng);
+    const QuerySpec query = model.sample_query(rng, recent);
     const auto name = DomainName::parse(query.qname);
     ASSERT_TRUE(name);
     EXPECT_TRUE(name->is_within("g.akamai.net"));
@@ -170,8 +180,10 @@ TEST(OtherSitesTest, OwnSitesResolveOthersDoNot) {
   model.install(authority);
 
   Rng rng(10);
+
+  RecentNames recent;
   for (int i = 0; i < 100; ++i) {
-    const QuerySpec query = model.sample_query(rng);
+    const QuerySpec query = model.sample_query(rng, recent);
     const auto answer =
         authority.resolve({DomainName(query.qname), query.qtype}, 0);
     EXPECT_EQ(answer.rcode, RCode::NoError) << query.qname;
@@ -203,9 +215,11 @@ TEST(NxdomainTest, NamesNeverResolve) {
   model.install(authority);  // no-op
 
   Rng rng(11);
+
+  RecentNames recent;
   int resolved = 0;
   for (int i = 0; i < 500; ++i) {
-    const QuerySpec query = model.sample_query(rng);
+    const QuerySpec query = model.sample_query(rng, recent);
     ASSERT_TRUE(DomainName::parse(query.qname)) << query.qname;
     if (authority.resolve({DomainName(query.qname), query.qtype}, 0).rcode ==
         RCode::NoError) {
