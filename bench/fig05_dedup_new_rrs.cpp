@@ -38,10 +38,8 @@ int main() {
     for (const auto& [key, rr_counts] : capture.chr().entries()) {
       if (!rpdns.add(key, day)) continue;
       ++counts.all;
-      const auto name = DomainName::parse(key.name);
-      if (!name) continue;
-      if (Scenario::is_google_name(*name)) ++counts.google;
-      if (Scenario::is_akamai_name(*name)) ++counts.akamai;
+      if (Scenario::is_google_name(key.name)) ++counts.google;
+      if (Scenario::is_akamai_name(key.name)) ++counts.akamai;
     }
     per_day.push_back(counts);
   }

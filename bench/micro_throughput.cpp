@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <new>
 
@@ -422,6 +423,43 @@ void BM_ClusterQueryCaptured(benchmark::State& state) {
   capture.detach(cluster);
 }
 BENCHMARK(BM_ClusterQueryCaptured);
+
+void BM_ClusterMiss(benchmark::State& state) {
+  // The disposable-name path: a flat zone, a 4,096-entry cache and a
+  // rotating pool of 1M names, so every query misses (its name left the
+  // cache ~1M queries ago) and its insert evicts the LRU tail.  After one
+  // warm rotation every name is interned in the cluster's table, and a
+  // miss — authority answer, cache insert, eviction — allocates nothing;
+  // the gate pins that.
+  SyntheticAuthority authority;
+  authority.register_zone(DomainName("example.com"),
+                          SyntheticAuthority::make_flat_a_zone(300));
+  ClusterConfig config;
+  config.server_count = 1;
+  config.cache.capacity = 4096;
+  RdnsCluster cluster(config, authority);
+  constexpr std::size_t kPool = 1 << 20;
+  Question question;
+  const auto query = [&](std::size_t i) {
+    char text[32] = {'n'};
+    char* end = std::to_chars(text + 1, text + 12, i % kPool).ptr;
+    constexpr std::string_view kZone = ".example.com";
+    end = std::copy(kZone.begin(), kZone.end(), end);
+    question.name.assign({text, static_cast<std::size_t>(end - text)});
+    return cluster.query_view(i, question, 0);
+  };
+  for (std::size_t i = 0; i < kPool; ++i) query(i);  // warm: intern all
+  std::size_t i = 0;
+  const std::uint64_t allocs_before = alloc_count();
+  for (auto _ : state) {
+    const QueryView view = query(i++);
+    benchmark::DoNotOptimize(view.answers.data());
+  }
+  report_allocs_per_query(state, allocs_before,
+                          static_cast<std::uint64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ClusterMiss);
 
 void BM_SketchUpdate(benchmark::State& state) {
   // Amortized per-event cost of the traffic plane's production feed in

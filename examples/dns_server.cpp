@@ -44,19 +44,13 @@ void register_smoke_zones(SyntheticAuthority& authority) {
   authority.register_zone(*DomainName::parse("smoke.test"),
                           SyntheticAuthority::make_flat_a_zone(60));
   authority.register_zone(
-      *DomainName::parse("fat.test"), [](const Question& question, SimTime) {
-        AuthorityAnswer answer;
-        answer.rcode = RCode::NoError;
+      *DomainName::parse("fat.test"),
+      [](const Question&, SimTime, AuthorityAnswer& out) {
+        out.rcode = RCode::NoError;
         for (int i = 0; i < 40; ++i) {
-          ResourceRecord rr;
-          rr.name = question.name;
-          rr.type = RRType::A;
-          rr.ttl = 60;
-          rr.rdata = "10.9." + std::to_string(i / 256) + "." +
-                     std::to_string(i % 256);
-          answer.answers.push_back(std::move(rr));
+          out.add_a(60, Ipv4::from_octets(10, 9, 0,
+                                          static_cast<std::uint8_t>(i)));
         }
-        return answer;
       });
 }
 

@@ -46,11 +46,12 @@ int main(int argc, char** argv) {
 
   FunctionTapObserver pcap_tap([&](const TapBatch& batch) {
     for (const TapEvent& event : batch) {
-      const auto answers = batch.answers(event);
+      std::vector<ResourceRecord> answers;
+      to_resource_records(batch.answers(event), batch.names(), answers);
       DnsMessage msg = DnsMessage::make_response(
-          DnsMessage::make_query(++txid, event.question.name,
-                                 event.question.type),
-          event.rcode, {answers.begin(), answers.end()});
+          DnsMessage::make_query(++txid, DomainName(batch.qname(event)),
+                                 event.qtype),
+          event.rcode, std::move(answers));
       if (event.direction == TapDirection::kBelow) {
         const Ipv4 client_ip{
             0xac100000u + static_cast<std::uint32_t>(event.client_id % 65000)};

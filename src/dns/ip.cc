@@ -1,7 +1,7 @@
 #include "dns/ip.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -30,10 +30,19 @@ std::optional<Ipv4> parse_ipv4(std::string_view text) noexcept {
 }
 
 std::string format_ipv4(Ipv4 ip) {
-  const auto o = ip.octets();
+  std::string out;
+  append_ipv4(out, ip);
+  return out;
+}
+
+void append_ipv4(std::string& out, Ipv4 ip) {
   char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", o[0], o[1], o[2], o[3]);
-  return buf;
+  char* end = buf;
+  for (const std::uint8_t octet : ip.octets()) {
+    if (end != buf) *end++ = '.';
+    end = std::to_chars(end, buf + sizeof(buf), octet).ptr;
+  }
+  out.append(buf, end);
 }
 
 std::optional<Ipv6> parse_ipv6(std::string_view text) noexcept {
@@ -87,6 +96,12 @@ std::optional<Ipv6> parse_ipv6(std::string_view text) noexcept {
 }
 
 std::string format_ipv6(const Ipv6& ip) {
+  std::string out;
+  append_ipv6(out, ip);
+  return out;
+}
+
+void append_ipv6(std::string& out, const Ipv6& ip) {
   std::array<std::uint16_t, 8> groups{};
   for (std::size_t i = 0; i < 8; ++i) {
     groups[i] = static_cast<std::uint16_t>((ip.bytes[i * 2] << 8) |
@@ -108,22 +123,24 @@ std::string format_ipv6(const Ipv6& ip) {
     }
     i = j;
   }
-  std::string out;
-  char buf[8];
+  // Spelled on the stack (at most 39 characters), appended in one piece.
+  char text[40];
+  char* end = text;
   for (int i = 0; i < 8;) {
     if (i == best_start) {
       // One colon closes the previous group, the second marks the gap.
-      out += "::";
+      *end++ = ':';
+      *end++ = ':';
       i += best_len;
-      if (i == 8) return out;
       continue;
     }
-    if (!out.empty() && out.back() != ':') out.push_back(':');
-    std::snprintf(buf, sizeof(buf), "%x", groups[static_cast<std::size_t>(i)]);
-    out += buf;
+    if (end != text && end[-1] != ':') *end++ = ':';
+    end = std::to_chars(end, text + sizeof(text),
+                        groups[static_cast<std::size_t>(i)], 16)
+              .ptr;
     ++i;
   }
-  return out;
+  out.append(text, end);
 }
 
 }  // namespace dnsnoise

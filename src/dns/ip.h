@@ -36,6 +36,9 @@ std::optional<Ipv4> parse_ipv4(std::string_view text) noexcept;
 /// Formats as dotted quad.
 std::string format_ipv4(Ipv4 ip);
 
+/// Appends the dotted quad to `out` (allocation-free once `out` has room).
+void append_ipv4(std::string& out, Ipv4 ip);
+
 /// IPv6 address as 16 network-order bytes.
 struct Ipv6 {
   std::array<std::uint8_t, 16> bytes{};
@@ -47,5 +50,8 @@ std::optional<Ipv6> parse_ipv6(std::string_view text) noexcept;
 
 /// Formats with best-effort '::' compression of the longest zero run.
 std::string format_ipv6(const Ipv6& ip);
+
+/// Appends format_ipv6(ip) to `out`.
+void append_ipv6(std::string& out, const Ipv6& ip);
 
 }  // namespace dnsnoise

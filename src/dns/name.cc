@@ -85,14 +85,13 @@ DomainName DomainName::parent() const {
   return out;
 }
 
-bool DomainName::is_within(std::string_view zone) const noexcept {
+bool name_within(std::string_view name, std::string_view zone) noexcept {
   if (zone.empty()) return true;  // everything is under the root
-  if (text_.size() < zone.size()) return false;
-  if (text_.size() == zone.size()) return text_ == zone;
+  if (name.size() < zone.size()) return false;
+  if (name.size() == zone.size()) return name == zone;
   // Must be a proper subdomain: suffix match at a label boundary.
-  const std::size_t cut = text_.size() - zone.size();
-  return text_[cut - 1] == '.' &&
-         std::string_view(text_).substr(cut) == zone;
+  const std::size_t cut = name.size() - zone.size();
+  return name[cut - 1] == '.' && name.substr(cut) == zone;
 }
 
 DomainName DomainName::child(std::string_view child_label) const {

@@ -17,6 +17,10 @@
 
 namespace dnsnoise {
 
+/// True if the normalized name `name` equals `zone` or is underneath it
+/// (suffix match at a label boundary).
+bool name_within(std::string_view name, std::string_view zone) noexcept;
+
 class DomainName {
  public:
   /// Maximum presentation length we accept (RFC 1035: 253 visible chars).
@@ -116,7 +120,9 @@ class DomainName {
   bool is_within(const DomainName& zone) const noexcept {
     return is_within(zone.text());
   }
-  bool is_within(std::string_view zone) const noexcept;
+  bool is_within(std::string_view zone) const noexcept {
+    return name_within(text_, zone);
+  }
 
   /// Name formed by prepending `child_label` (e.g. "www" + example.com).
   DomainName child(std::string_view child_label) const;

@@ -182,6 +182,11 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
     report.error = "cluster server_count must be >= 1";
     return report;
   }
+  if (const char* error = cache_config_error(options_.cluster.cache)) {
+    report.status = MiningDayStatus::kInvalidConfig;
+    report.error = error;
+    return report;
+  }
   std::optional<ScenarioScale> warm_scale;
   if (options_.warmup) {
     warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);

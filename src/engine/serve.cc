@@ -18,6 +18,10 @@ ServedMiningDay::ServedMiningDay(
       day_index_(scenario_day_index(date)),
       telemetry_(std::move(telemetry)),
       capture_(options.capture) {
+  if (const char* error = cache_config_error(options_.cluster.cache)) {
+    error_ = error;
+    return;
+  }
   std::optional<ScenarioScale> warm_scale;
   if (options_.warmup) {
     warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);

@@ -23,18 +23,14 @@ void CacheHitRateTracker::grow_slots(std::size_t min_slots) {
 }
 
 CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
-    std::string_view name, RRType type, std::string_view rdata) {
-  const std::uint64_t h = rr_hash(name, type, rdata);
+    const CompactRecord& rr, std::uint64_t h, const RRKey* text) {
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;
   while (true) {
     const std::uint32_t ref = slots_[i];
     if (ref == 0) break;
     const std::uint32_t idx = ref - 1;
-    if (hashes_[idx] == h) {
-      const RRKey& key = entries_[idx].first;
-      if (key.type == type && name == key.name && rdata == key.rdata) {
-        return entries_[idx].second;
-      }
+    if (hashes_[idx] == h && keys_[idx].same_rr(rr)) {
+      return entries_[idx].second;
     }
     i = (i + 1) & slot_mask_;
   }
@@ -45,35 +41,65 @@ CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
     while (slots_[i] != 0) i = (i + 1) & slot_mask_;
   }
   const auto idx = static_cast<std::uint32_t>(entries_.size());
-  entries_.emplace_back(RRKey{std::string(name), type, std::string(rdata)},
-                        Counts{});
+  if (text != nullptr) {
+    entries_.emplace_back(*text, Counts{});
+  } else {
+    entries_.emplace_back(to_rr_key(rr, names_), Counts{});
+  }
+  CompactRecord& key = keys_.emplace_back(rr);
+  key.ttl = 0;
   hashes_.push_back(h);
   slots_[i] = idx + 1;
-  const NameId id = names_.intern(name);
-  if (id >= by_name_.size()) by_name_.resize(id + 1);
-  by_name_[id].push_back(idx);
+  if (rr.owner >= chains_.size()) chains_.resize(rr.owner + 1);
+  Chain& chain = chains_[rr.owner];
+  if (chain.first == kNoEntry) {
+    chain.first = idx;
+  } else {
+    next_[chain.last] = idx;
+  }
+  chain.last = idx;
+  next_.push_back(kNoEntry);
   return entries_.back().second;
+}
+
+bool CacheHitRateTracker::record_below(const CompactRecord& rr) {
+  Counts& counts = entry_for(rr, rr_hash(rr, names_));
+  if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
+  return counts.below++ == 0;
+}
+
+void CacheHitRateTracker::record_above(const CompactRecord& rr) {
+  Counts& counts = entry_for(rr, rr_hash(rr, names_));
+  if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
+  ++counts.above;
 }
 
 bool CacheHitRateTracker::record_below(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  Counts& counts = entry_for(name, type, rdata);
-  if (counts.below + counts.above == 0) counts.ttl = ttl;
-  return counts.below++ == 0;
+  return record_below(compact_record(names_, name, type, ttl, rdata));
 }
 
 void CacheHitRateTracker::record_above(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  Counts& counts = entry_for(name, type, rdata);
-  if (counts.below + counts.above == 0) counts.ttl = ttl;
-  ++counts.above;
+  record_above(compact_record(names_, name, type, ttl, rdata));
 }
 
 void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other) {
-  for (const auto& [key, src] : other.entries_) {
-    Counts& dst = entry_for(key.name, key.type, key.rdata);
+  // Each of other's names is remapped once, reusing its stored hash; each
+  // RR then probes with other's stored hash (rr_hash is table-independent).
+  std::vector<NameId> remap(other.names_.size());
+  for (NameId id = 0; id < remap.size(); ++id) {
+    remap[id] =
+        names_.intern(other.names_.name(id), other.names_.name_hash(id));
+  }
+  for (std::size_t i = 0; i < other.entries_.size(); ++i) {
+    CompactRecord rr = other.keys_[i];
+    rr.owner = remap[rr.owner];
+    if (rr.form == RdataForm::kText) rr.set_text(remap[rr.text()]);
+    const auto& [key, src] = other.entries_[i];
+    Counts& dst = entry_for(rr, other.hashes_[i], &key);
     if (dst.below + dst.above == 0) dst.ttl = src.ttl;
     dst.below += src.below;
     dst.above += src.above;
@@ -82,18 +108,18 @@ void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other) {
 
 const CacheHitRateTracker::Counts* CacheHitRateTracker::find(
     const RRKey& key) const {
-  const std::uint64_t h = rr_hash(key.name, key.type, key.rdata);
+  CompactRecord rr;
+  if (!find_compact_record(names_, key.name, key.type, key.rdata, rr)) {
+    return nullptr;
+  }
+  const std::uint64_t h = rr_hash(rr, names_);
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;
   while (true) {
     const std::uint32_t ref = slots_[i];
     if (ref == 0) return nullptr;
     const std::uint32_t idx = ref - 1;
-    if (hashes_[idx] == h) {
-      const RRKey& stored = entries_[idx].first;
-      if (stored.type == key.type && stored.name == key.name &&
-          stored.rdata == key.rdata) {
-        return &entries_[idx].second;
-      }
+    if (hashes_[idx] == h && keys_[idx].same_rr(rr)) {
+      return &entries_[idx].second;
     }
     i = (i + 1) & slot_mask_;
   }
@@ -106,11 +132,11 @@ double CacheHitRateTracker::dhr(const Counts& counts) noexcept {
          static_cast<double>(counts.below);
 }
 
-std::span<const std::uint32_t> CacheHitRateTracker::rrs_of_name(
+CacheHitRateTracker::NameRrs CacheHitRateTracker::rrs_of_name(
     std::string_view name) const {
   const NameId id = names_.find(name);
-  if (id == kInvalidNameId || id >= by_name_.size()) return {};
-  return by_name_[id];
+  if (id == kInvalidNameId || id >= chains_.size()) return {};
+  return {next_.data(), chains_[id].first};
 }
 
 std::vector<double> CacheHitRateTracker::all_dhr() const {

@@ -9,12 +9,14 @@
 // i.e. the CHR *distribution* repeats an RR's DHR once per miss, exactly
 // the paper's black-box simplification of the renewal model.
 //
-// Hot-path layout (DESIGN.md §11): the RR index is a flat open-addressed
-// slot array probed with a precomputed (name, type, rdata) hash, and the
-// per-name index maps names through an interned NameTable to dense ids.
-// Re-recording an already-seen RR therefore compares string_views against
-// the stored entry and allocates nothing; only first observations
-// materialize strings.
+// Hot-path layout (DESIGN.md §11.5): RRs are keyed as compact records
+// (dns/rr.h) whose owner and text rdata are ids in the tracker's own
+// NameTable, in a flat open-addressed slot array probed with a hash built
+// from the table's stored text hashes.  Re-recording an already-seen RR
+// compares integers and allocates nothing; only an RR's first observation
+// materializes its presentation key for entries().  The hash is the same
+// in every table (rr_hash), so a merge remaps the other tracker's names
+// once and reuses its stored hashes.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,6 @@
 
 #include "dns/name_table.h"
 #include "dns/rr.h"
-#include "util/rng.h"
 
 namespace dnsnoise {
 
@@ -45,9 +46,24 @@ class CacheHitRateTracker {
   CacheHitRateTracker(CacheHitRateTracker&&) = default;
   CacheHitRateTracker& operator=(CacheHitRateTracker&&) = default;
 
-  /// Counts one below sighting of the RR.  Returns true when it is the
-  /// RR's first below sighting of the day (an above sighting before it does
-  /// not count), so callers can do per-RR first-sight work exactly once.
+  /// Interns a name or rdata text into names(), so a caller can key
+  /// records by this tracker's ids.  `hash` must be fnv1a64(text), e.g. a
+  /// source table's stored name_hash().
+  NameId intern(std::string_view text, std::uint64_t hash) {
+    return names_.intern(text, hash);
+  }
+  const NameTable& names() const noexcept { return names_; }
+
+  /// Counts one below sighting of `rr`, whose owner and text rdata are ids
+  /// in names() and whose TTL is recorded on the RR's first observation.
+  /// Returns true when it is the RR's first below sighting of the day (an
+  /// above sighting before it does not count), so callers can do per-RR
+  /// first-sight work exactly once.
+  bool record_below(const CompactRecord& rr);
+  void record_above(const CompactRecord& rr);
+
+  /// Presentation-form entry points: convert the RR once (compact_record,
+  /// interning into names()) and count it like the overloads above.
   bool record_below(std::string_view name, RRType type, std::string_view rdata,
                     std::uint32_t ttl = 0);
   void record_above(std::string_view name, RRType type, std::string_view rdata,
@@ -67,9 +83,54 @@ class CacheHitRateTracker {
   /// clamped at 0 when above > below).
   static double dhr(const Counts& counts) noexcept;
 
-  /// Indices (into entries()) of all RRs whose name is `name`.  Never
+  /// End of a chain of entries (see NameRrs).
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+
+  /// The entry indices of one name's RRs, in first-observation order: a
+  /// walk along a chain threaded through the entries, so indexing a name
+  /// allocates nothing.
+  class NameRrs {
+   public:
+    class iterator {
+     public:
+      iterator(const std::uint32_t* next, std::uint32_t at) noexcept
+          : next_(next), at_(at) {}
+
+      std::uint32_t operator*() const noexcept { return at_; }
+      iterator& operator++() noexcept {
+        at_ = next_[at_];
+        return *this;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) noexcept {
+        return a.at_ == b.at_;
+      }
+
+     private:
+      const std::uint32_t* next_;
+      std::uint32_t at_;
+    };
+
+    NameRrs() = default;
+    NameRrs(const std::uint32_t* next, std::uint32_t first) noexcept
+        : next_(next), first_(first) {}
+
+    iterator begin() const noexcept { return {next_, first_}; }
+    iterator end() const noexcept { return {next_, kNoEntry}; }
+    bool empty() const noexcept { return first_ == kNoEntry; }
+    std::size_t size() const noexcept {
+      std::size_t n = 0;
+      for (auto it = begin(); it != end(); ++it) ++n;
+      return n;
+    }
+
+   private:
+    const std::uint32_t* next_ = nullptr;
+    std::uint32_t first_ = kNoEntry;
+  };
+
+  /// The RRs (indices into entries()) whose name is `name`.  Never
   /// allocates.
-  std::span<const std::uint32_t> rrs_of_name(std::string_view name) const;
+  NameRrs rrs_of_name(std::string_view name) const;
 
   /// Flat access to every (key, counts) entry, in first-observation order.
   std::span<const std::pair<RRKey, Counts>> entries() const noexcept {
@@ -84,25 +145,28 @@ class CacheHitRateTracker {
   std::vector<double> chr_distribution() const;
 
  private:
-  static std::uint64_t rr_hash(std::string_view name, RRType type,
-                               std::string_view rdata) noexcept {
-    return mix64(fnv1a64(name) ^
-                 mix64(static_cast<std::uint64_t>(type) + 0x9e3779b9u) ^
-                 (fnv1a64(rdata) * 0x9e3779b97f4a7c15ull));
-  }
-
-  /// Counts slot for the RR, created on first observation.
-  Counts& entry_for(std::string_view name, RRType type,
-                    std::string_view rdata);
+  /// Counts slot for `rr` (hash `h`), created on first observation with
+  /// `text` as its presentation key, or one built from names_ if null.
+  Counts& entry_for(const CompactRecord& rr, std::uint64_t h,
+                    const RRKey* text = nullptr);
 
   void grow_slots(std::size_t min_slots);
 
+  /// One owner's chain of entries: first and last entry index.
+  struct Chain {
+    std::uint32_t first = kNoEntry;
+    std::uint32_t last = kNoEntry;
+  };
+
   std::vector<std::pair<RRKey, Counts>> entries_;
+  std::vector<CompactRecord> keys_;    // parallel to entries_; TTL unused
   std::vector<std::uint64_t> hashes_;  // parallel to entries_; never recomputed
   std::vector<std::uint32_t> slots_;   // entry index + 1; 0 = empty
   std::size_t slot_mask_ = 0;
-  NameTable names_{/*track_labels=*/false};
-  std::vector<std::vector<std::uint32_t>> by_name_;  // indexed by NameId
+  NameTable names_{/*track_labels=*/false};  // owners and text rdata
+  std::vector<Chain> chains_;          // indexed by owner id
+  std::vector<std::uint32_t> next_;    // parallel to entries_: same owner's
+                                       // next entry, or kNoEntry
 };
 
 }  // namespace dnsnoise

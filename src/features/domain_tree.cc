@@ -70,12 +70,15 @@ DomainNameTree::Node& DomainNameTree::child_of(Node& parent,
   return node;
 }
 
-DomainNameTree::Node& DomainNameTree::insert(const DomainName& name) {
+DomainNameTree::Node& DomainNameTree::insert(std::string_view name) {
   Node* node = root_;
-  const std::size_t labels = name.label_count();
   // Walk right-to-left: TLD first.
-  for (std::size_t i = 0; i < labels; ++i) {
-    node = &child_of(*node, name.label_from_right(i));
+  std::size_t end = name.size();
+  while (end > 0) {
+    const std::size_t dot = name.rfind('.', end - 1);
+    const std::size_t start = dot == std::string_view::npos ? 0 : dot + 1;
+    node = &child_of(*node, name.substr(start, end - start));
+    end = dot == std::string_view::npos ? 0 : dot;
   }
   if (node != root_) node->black = true;
   return *node;

@@ -82,7 +82,9 @@ class DomainNameTree {
   /// Inserts `name`, marking its node black.  Intermediate nodes stay
   /// white unless they are themselves inserted.  Allocation-free when the
   /// name's path already exists.
-  Node& insert(const DomainName& name);
+  Node& insert(const DomainName& name) { return insert(name.text()); }
+  /// insert() for a normalized name's text (lowercase, no trailing dot).
+  Node& insert(std::string_view name);
 
   /// Finds the node for `name`, or nullptr.  Never allocates.
   Node* find(const DomainName& name);

@@ -6,21 +6,132 @@ namespace dnsnoise {
 
 DayCapture::DayCapture(const DayCaptureConfig& config) : config_(config) {}
 
-void DayCapture::attach(RdnsCluster& cluster) { cluster.add_tap_observer(this); }
+void DayCapture::attach(RdnsCluster& cluster) {
+  release_source();
+  cluster.add_tap_observer(this);
+}
 
 void DayCapture::detach(RdnsCluster& cluster) {
   cluster.remove_tap_observer(this);
+  release_source();
 }
 
+void DayCapture::release_source() {
+  source_ = nullptr;
+  remap_ = {};  // frees the remap's memory, not just its contents
+}
+
+void DayCapture::bind_source(const NameTable& names) {
+  if (source_ != &names) {
+    release_source();
+    source_ = &names;
+  }
+  if (remap_.size() < names.size()) remap_.resize(names.size());
+}
+
+CompactRecord DayCapture::chr_key(const CompactRecord& rr,
+                                  const NameTable& names) {
+  const auto mapped = [&](NameId id) {
+    NameId& chr = remap_[id].chr;
+    if (chr == kInvalidNameId) {
+      chr = chr_.intern(names.name(id), names.name_hash(id));
+    }
+    return chr;
+  };
+  CompactRecord key = rr;
+  key.owner = mapped(rr.owner);
+  if (rr.form == RdataForm::kText) key.set_text(mapped(rr.text()));
+  return key;
+}
+
+namespace {
+
+void bump(HourlySeries& series, SimTime ts, std::uint64_t units, bool nx,
+          std::string_view qname) {
+  const auto hour = static_cast<std::size_t>(hour_of_day(ts));
+  series.total[hour] += units;
+  if (nx) series.nxdomain[hour] += units;
+  if (Scenario::is_google_name(qname)) series.google[hour] += units;
+  if (Scenario::is_akamai_name(qname)) series.akamai[hour] += units;
+}
+
+}  // namespace
+
 void DayCapture::on_tap_batch(const TapBatch& batch) {
+  const NameTable& names = batch.names();
+  bind_source(names);
   for (const TapEvent& event : batch) {
-    if (event.direction == TapDirection::kBelow) {
-      on_below(event.ts, event.client_id, event.question, event.rcode,
-               batch.answers(event));
-    } else {
-      on_above(event.ts, event.question, event.rcode, batch.answers(event));
+    const bool below = event.direction == TapDirection::kBelow;
+    const std::span<const CompactRecord> answers = batch.answers(event);
+    const std::string_view qname = names.name(event.qname);
+    const bool nx = event.rcode != RCode::NoError;
+    const std::uint64_t units =
+        nx || answers.empty() ? 1
+                              : static_cast<std::uint64_t>(answers.size());
+    bump(below ? below_ : above_, event.ts, units, nx, qname);
+    if (below && !remap_[event.qname].queried) {
+      remap_[event.qname].queried = true;
+      queried_.intern(qname, names.name_hash(event.qname));
+    }
+    if (config_.keep_fpdns) {
+      fp_question_.name.assign(qname);
+      fp_question_.type = event.qtype;
+      to_resource_records(answers, names, fp_answers_);
+      fpdns_.add_response(event.ts, event.client_id,
+                          below ? FpDirection::kBelow : FpDirection::kAbove,
+                          fp_question_, event.rcode, fp_answers_);
+    }
+    if (nx) continue;
+    for (const CompactRecord& rr : answers) {
+      const CompactRecord key = chr_key(rr, names);
+      if (!below) {
+        chr_.record_above(key);
+        continue;
+      }
+      // The tree and the resolved set depend only on the set of RRs seen
+      // below, so only an RR's first below sighting can change them.
+      if (chr_.record_below(key)) {
+        const std::string_view owner = names.name(rr.owner);
+        tree_.insert(owner);
+        resolved_.intern(owner, names.name_hash(rr.owner));
+      }
+      if (config_.feed_rpdns) {
+        rpdns_.add(to_rr_key(rr, names), config_.day_index);
+      }
     }
   }
+}
+
+void DayCapture::add_presentation(TapDirection direction, SimTime ts,
+                                  std::uint64_t client_id,
+                                  const Question& question, RCode rcode,
+                                  std::span<const ResourceRecord> answers) {
+  text_answers_.clear();
+  for (const ResourceRecord& rr : answers) {
+    text_answers_.push_back(compact_record(text_names_, rr.name.text(),
+                                           rr.type, rr.ttl, rr.rdata));
+  }
+  const TapEvent event{ts,
+                       client_id,
+                       text_names_.intern(question.name.text()),
+                       question.type,
+                       direction,
+                       rcode,
+                       0,
+                       static_cast<std::uint32_t>(text_answers_.size())};
+  on_tap_batch(TapBatch({&event, 1}, text_answers_, text_names_));
+}
+
+void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
+                          const Question& question, RCode rcode,
+                          std::span<const ResourceRecord> answers) {
+  add_presentation(TapDirection::kBelow, ts, client_id, question, rcode,
+                   answers);
+}
+
+void DayCapture::on_above(SimTime ts, const Question& question, RCode rcode,
+                          std::span<const ResourceRecord> answers) {
+  add_presentation(TapDirection::kAbove, ts, 0, question, rcode, answers);
 }
 
 void DayCapture::start_day(std::int64_t day_index) {
@@ -31,6 +142,8 @@ void DayCapture::start_day(std::int64_t day_index) {
   above_ = HourlySeries();
   queried_ = NameTable();
   resolved_ = NameTable();
+  release_source();
+  text_names_ = NameTable();
   fpdns_.clear();
 }
 
@@ -55,58 +168,6 @@ void DayCapture::merge_from(const DayCapture& other) {
   merge_names(resolved_, other.resolved_);
   fpdns_.append(other.fpdns_);
   rpdns_.merge_from(other.rpdns_);
-}
-
-void DayCapture::bump(HourlySeries& series, SimTime ts, std::uint64_t units,
-                      bool nx, const DomainName& qname) {
-  const auto hour = static_cast<std::size_t>(hour_of_day(ts));
-  series.total[hour] += units;
-  if (nx) series.nxdomain[hour] += units;
-  if (Scenario::is_google_name(qname)) series.google[hour] += units;
-  if (Scenario::is_akamai_name(qname)) series.akamai[hour] += units;
-}
-
-void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
-                          const Question& question, RCode rcode,
-                          std::span<const ResourceRecord> answers) {
-  const bool nx = rcode != RCode::NoError;
-  const std::uint64_t units = nx || answers.empty()
-                                  ? 1
-                                  : static_cast<std::uint64_t>(answers.size());
-  bump(below_, ts, units, nx, question.name);
-  queried_.intern(question.name.text());
-  if (config_.keep_fpdns) {
-    fpdns_.add_response(ts, client_id, FpDirection::kBelow, question, rcode,
-                        answers);
-  }
-  if (nx) return;
-  for (const ResourceRecord& rr : answers) {
-    // The tree and the resolved set depend only on the set of RRs seen
-    // below, so only an RR's first below sighting can change them.
-    if (chr_.record_below(rr.name.text(), rr.type, rr.rdata, rr.ttl)) {
-      tree_.insert(rr.name);
-      resolved_.intern(rr.name.text());
-    }
-    if (config_.feed_rpdns) {
-      rpdns_.add(RRKey(rr), config_.day_index);
-    }
-  }
-}
-
-void DayCapture::on_above(SimTime ts, const Question& question, RCode rcode,
-                          std::span<const ResourceRecord> answers) {
-  const bool nx = rcode != RCode::NoError;
-  const std::uint64_t units = nx || answers.empty()
-                                  ? 1
-                                  : static_cast<std::uint64_t>(answers.size());
-  bump(above_, ts, units, nx, question.name);
-  if (config_.keep_fpdns) {
-    fpdns_.add_response(ts, 0, FpDirection::kAbove, question, rcode, answers);
-  }
-  if (nx) return;
-  for (const ResourceRecord& rr : answers) {
-    chr_.record_above(rr.name.text(), rr.type, rr.rdata, rr.ttl);
-  }
 }
 
 }  // namespace dnsnoise

@@ -8,17 +8,22 @@
 // rpDNS/pDNS-DB feeds.  Captures are mergeable: the sharded engine runs one
 // DayCapture per RDNS-server shard and unions them (see merge_from).
 //
-// Hot path (DESIGN.md §11.5): the queried and resolved name sets are
-// interned NameTables, so re-seeing a name is one probe and allocates
-// nothing.  The tree and the resolved set depend only on the set of RRs
-// seen below, so on_below walks the tree and interns the resolved name
-// only on an RR's first below sighting (CacheHitRateTracker::record_below
-// reports it); an RR seen above first still counts on its first below
-// sighting, and one seen only above never does.
+// Hot path (DESIGN.md §11.5): tap events carry ids of the cluster's name
+// table, and the capture keeps a dense remap from those ids to its own —
+// whether the qname is already in the queried set, and its id in the CHR
+// tracker's table — so re-seeing a name or an RR is array indexing plus an
+// integer-keyed probe: no text is hashed or copied.  Text is written only
+// on first sight: a name into the queried set or the CHR table, an RR's
+// presentation key into the CHR entries.  The tree and the resolved set
+// depend only on the set of RRs seen below, so they are touched only on
+// an RR's first below sighting (CacheHitRateTracker::record_below reports
+// it); an RR seen above first still counts on its first below sighting,
+// and one seen only above never does.  The remap is freed on detach.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "dns/name_table.h"
 #include "features/chr.h"
@@ -76,14 +81,19 @@ class DayCapture final : public TapObserver {
   /// destroyed, which flushes to it).
   void attach(RdnsCluster& cluster);
 
-  /// Flushes pending cluster batches to this capture and unsubscribes.
+  /// Flushes pending cluster batches to this capture, unsubscribes, and
+  /// frees the id remap of the cluster's table.
   void detach(RdnsCluster& cluster);
 
-  /// TapObserver: dispatches each batched event into the per-direction
-  /// accumulators below.
+  /// TapObserver: accumulates each batched event.  The one accumulation
+  /// path: the presentation entry points below feed it too.  Batches of a
+  /// table other than the last one seen reset the id remap, so a capture
+  /// fed by a new cluster must be attach()ed to it or start_day()-reset.
   void on_tap_batch(const TapBatch& batch) override;
 
-  /// Direct sink entry points (exposed for pcap-driven ingestion paths).
+  /// Presentation entry points (pcap-driven ingestion, tests): one event
+  /// with presentation records, converted once through the capture's own
+  /// name table and accumulated exactly as a tap batch is.
   void on_below(SimTime ts, std::uint64_t client_id, const Question& question,
                 RCode rcode, std::span<const ResourceRecord> answers);
   void on_above(SimTime ts, const Question& question, RCode rcode,
@@ -91,8 +101,8 @@ class DayCapture final : public TapObserver {
 
   /// Advances to a new day.  This is the ONE reset point of a capture:
   /// clears all per-day state (tree, CHR, hourly series, name sets, fpDNS
-  /// entries) but keeps the cumulative cross-day rpDNS store.  Every
-  /// simulate/run entry point calls this before feeding a day.
+  /// entries, id remap) but keeps the cumulative cross-day rpDNS store.
+  /// Every simulate/run entry point calls this before feeding a day.
   void start_day(std::int64_t day_index);
 
   /// Unions another capture of the SAME day into this one: domain-tree
@@ -127,6 +137,22 @@ class DayCapture final : public TapObserver {
   const NameTable& resolved_names() const noexcept { return resolved_; }
 
  private:
+  /// What this capture already did with one source-table id.
+  struct Mapped {
+    NameId chr = kInvalidNameId;  // the id in chr_.names()
+    bool queried = false;         // interned into queried_
+  };
+
+  /// Points the remap at `names`, resetting it when the table changed,
+  /// and sizes it to the table.
+  void bind_source(const NameTable& names);
+  void release_source();
+  /// `rr` with its owner and text rdata remapped into chr_.names().
+  CompactRecord chr_key(const CompactRecord& rr, const NameTable& names);
+  void add_presentation(TapDirection direction, SimTime ts,
+                        std::uint64_t client_id, const Question& question,
+                        RCode rcode, std::span<const ResourceRecord> answers);
+
   DayCaptureConfig config_;
   DomainNameTree tree_;
   CacheHitRateTracker chr_;
@@ -136,9 +162,14 @@ class DayCapture final : public TapObserver {
   HourlySeries above_;
   NameTable queried_;
   NameTable resolved_;
-
-  static void bump(HourlySeries& series, SimTime ts, std::uint64_t units,
-                   bool nx, const DomainName& qname);
+  const NameTable* source_ = nullptr;
+  std::vector<Mapped> remap_;  // indexed by source NameId
+  // Presentation input: its names, and one event's compact answers.
+  NameTable text_names_;
+  std::vector<CompactRecord> text_answers_;
+  // fpDNS scratch (the feed speaks presentation form).
+  Question fp_question_;
+  std::vector<ResourceRecord> fp_answers_;
 };
 
 }  // namespace dnsnoise

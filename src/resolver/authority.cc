@@ -1,39 +1,76 @@
 #include "resolver/authority.h"
 
-#include "dns/ip.h"
+#include <algorithm>
+
 #include "util/rng.h"
 
 namespace dnsnoise {
 
+void AuthorityAnswer::add_a(std::uint32_t ttl, Ipv4 ip) {
+  CompactRecord& rr = records_.emplace_back();
+  rr.owner = qname_;
+  rr.type = RRType::A;
+  rr.form = RdataForm::kIpv4;
+  rr.ttl = ttl;
+  const auto octets = ip.octets();
+  std::copy(octets.begin(), octets.end(), rr.rdata.begin());
+}
+
+void AuthorityAnswer::add_aaaa(std::uint32_t ttl, const Ipv6& ip) {
+  CompactRecord& rr = records_.emplace_back();
+  rr.owner = qname_;
+  rr.type = RRType::AAAA;
+  rr.form = RdataForm::kIpv6;
+  rr.ttl = ttl;
+  rr.rdata = ip.bytes;
+}
+
+void AuthorityAnswer::add(RRType type, std::uint32_t ttl,
+                          std::string_view rdata) {
+  records_.push_back(compact_record(*names_, qname_, type, ttl, rdata));
+}
+
+void AuthorityAnswer::add(std::string_view owner, RRType type,
+                          std::uint32_t ttl, std::string_view rdata) {
+  records_.push_back(compact_record(*names_, owner, type, ttl, rdata));
+}
+
 void SyntheticAuthority::register_zone(const DomainName& apex,
                                        Handler handler) {
-  zones_[apex.text()] = std::move(handler);
+  const NameId id = apexes_.intern(apex.text());
+  if (id == handlers_.size()) {
+    handlers_.push_back(std::move(handler));
+  } else {
+    handlers_[id] = std::move(handler);
+  }
+  max_apex_labels_ = std::max(max_apex_labels_, apex.label_count());
 }
 
-AuthorityAnswer SyntheticAuthority::resolve(const Question& question,
-                                            SimTime now) const {
-  // Longest-suffix (most specific apex) match, probing with views of the
-  // qname's suffixes.
-  const std::size_t labels = question.name.label_count();
+void SyntheticAuthority::resolve(const Question& question, NameId qname,
+                                 SimTime now, AuthorityAnswer& out) const {
+  out.reset(qname);
+  // Longest-suffix (most specific apex) match.  No apex is longer than
+  // max_apex_labels_, so longer suffixes cannot match and are not hashed.
+  const std::size_t labels =
+      std::min(question.name.label_count(), max_apex_labels_);
   for (std::size_t k = labels; k >= 1; --k) {
-    if (const auto it = zones_.find(question.name.nld_view(k));
-        it != zones_.end()) {
-      return it->second(question, now);
+    const NameId zone = apexes_.find(question.name.nld_view(k));
+    if (zone != kInvalidNameId) {
+      handlers_[zone](question, now, out);
+      return;
     }
   }
-  return AuthorityAnswer{};
 }
 
-std::string synthetic_a_rdata(std::string_view qname) {
+Ipv4 synthetic_ipv4(std::string_view qname) {
   const std::uint64_t h = mix64(fnv1a64(qname));
   // Stay inside a documentation-friendly /8 to make synthetic data obvious.
-  const Ipv4 ip = Ipv4::from_octets(
-      10, static_cast<std::uint8_t>(h >> 16),
-      static_cast<std::uint8_t>(h >> 8), static_cast<std::uint8_t>(h));
-  return format_ipv4(ip);
+  return Ipv4::from_octets(10, static_cast<std::uint8_t>(h >> 16),
+                           static_cast<std::uint8_t>(h >> 8),
+                           static_cast<std::uint8_t>(h));
 }
 
-std::string synthetic_aaaa_rdata(std::string_view qname) {
+Ipv6 synthetic_ipv6(std::string_view qname) {
   const std::uint64_t h1 = mix64(fnv1a64(qname));
   const std::uint64_t h2 = mix64(h1);
   Ipv6 ip;
@@ -45,27 +82,28 @@ std::string synthetic_aaaa_rdata(std::string_view qname) {
     ip.bytes[4 + i] = static_cast<std::uint8_t>(h1 >> (i * 8));
     ip.bytes[10 + i] = static_cast<std::uint8_t>(h2 >> (i * 8));
   }
-  return format_ipv6(ip);
+  return ip;
+}
+
+std::string synthetic_a_rdata(std::string_view qname) {
+  return format_ipv4(synthetic_ipv4(qname));
+}
+
+std::string synthetic_aaaa_rdata(std::string_view qname) {
+  return format_ipv6(synthetic_ipv6(qname));
 }
 
 SyntheticAuthority::Handler SyntheticAuthority::make_flat_a_zone(
     std::uint32_t ttl, bool dnssec_signed) {
-  return [ttl, dnssec_signed](const Question& q, SimTime) {
-    AuthorityAnswer answer;
-    answer.rcode = RCode::NoError;
-    answer.dnssec_signed = dnssec_signed;
-    ResourceRecord rr;
-    rr.name = q.name;
-    rr.ttl = ttl;
+  return [ttl, dnssec_signed](const Question& q, SimTime,
+                              AuthorityAnswer& out) {
+    out.rcode = RCode::NoError;
+    out.dnssec_signed = dnssec_signed;
     if (q.type == RRType::AAAA) {
-      rr.type = RRType::AAAA;
-      rr.rdata = synthetic_aaaa_rdata(q.name.text());
+      out.add_aaaa(ttl, synthetic_ipv6(q.name.text()));
     } else {
-      rr.type = RRType::A;
-      rr.rdata = synthetic_a_rdata(q.name.text());
+      out.add_a(ttl, synthetic_ipv4(q.name.text()));
     }
-    answer.answers.push_back(std::move(rr));
-    return answer;
   };
 }
 

@@ -72,47 +72,30 @@ void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
   // while it was attached (same no-drop contract as remove_tap_observer).
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
   traffic_sketch_ = sketch;
-  if (sketch == nullptr) return;
-  std::vector<const NameTable*> tables;
-  tables.reserve(caches_.size());
-  for (const DnsCache& cache : caches_) tables.push_back(&cache.names());
-  sketch->bind_sources(std::move(tables));
+  if (sketch != nullptr) sketch->bind_sources({&names_});
 }
 
 void RdnsCluster::flush_taps() {
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
-  if (tap_event_count_ == 0) return;
-  if (tap_batch_size_ != nullptr) tap_batch_size_->record(tap_event_count_);
-  const TapBatch batch{std::span(tap_events_).first(tap_event_count_),
-                       std::span(tap_answers_).first(tap_answer_count_)};
+  if (tap_events_.empty()) return;
+  if (tap_batch_size_ != nullptr) tap_batch_size_->record(tap_events_.size());
+  const TapBatch batch{tap_events_, tap_answers_, names_};
   for (TapObserver* observer : observers_) observer->on_tap_batch(batch);
-  // Empty the batch but keep its slots for the next one to reuse.
-  tap_event_count_ = 0;
-  tap_answer_count_ = 0;
+  // Empty the batch but keep its capacity for the next one.
+  tap_events_.clear();
+  tap_answers_.clear();
 }
 
 void RdnsCluster::buffer_tap_event(SimTime ts, TapDirection direction,
-                                   std::uint64_t client_id,
-                                   const Question& question, RCode rcode,
-                                   std::span<const ResourceRecord> answers) {
-  if (tap_event_count_ == tap_events_.size()) tap_events_.emplace_back();
-  TapEvent& event = tap_events_[tap_event_count_++];
-  event.ts = ts;
-  event.direction = direction;
-  event.client_id = client_id;
-  event.rcode = rcode;
-  event.question = question;
-  event.answer_offset = static_cast<std::uint32_t>(tap_answer_count_);
-  event.answer_count = static_cast<std::uint32_t>(answers.size());
-  for (const ResourceRecord& rr : answers) {
-    if (tap_answer_count_ == tap_answers_.size()) {
-      tap_answers_.push_back(rr);
-    } else {
-      tap_answers_[tap_answer_count_] = rr;
-    }
-    ++tap_answer_count_;
-  }
-  if (tap_event_count_ >= tap_batch_events_) flush_taps();
+                                   std::uint64_t client_id, NameId qname,
+                                   RRType qtype, RCode rcode,
+                                   std::span<const CompactRecord> answers) {
+  tap_events_.push_back(
+      TapEvent{ts, client_id, qname, qtype, direction, rcode,
+               static_cast<std::uint32_t>(tap_answers_.size()),
+               static_cast<std::uint32_t>(answers.size())});
+  tap_answers_.insert(tap_answers_.end(), answers.begin(), answers.end());
+  if (tap_events_.size() >= tap_batch_events_) flush_taps();
 }
 
 QueryView RdnsCluster::query_view(std::uint64_t client_id,
@@ -131,62 +114,48 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
   const bool traced = trace != nullptr && trace->sampler.sample();
   const std::uint64_t trace_start = traced ? trace_->now_ns() : 0;
 
-  // Traffic-sketch hook: intern the qname up front — one pass over the
-  // name bytes, exactly what lookup()'s own probe costs — so the sketch
-  // can be handed a table-stable id once the outcome is known.  The
-  // interned probe reuses the stored hash instead of rehashing.
-  obs::TrafficSketch* const sketch = traffic_sketch_;
-  NameId sketch_name = kInvalidNameId;
-  const CachedAnswer* cached;
-  if (sketch == nullptr) {
-    cached = cache.lookup(qname, question.type, now);
-  } else {
-    sketch_name = cache.intern_name(qname);
-    cached = cache.lookup_interned(sketch_name, question.type, now);
-  }
+  // One intern per query: the id keys the cache, the authority's answer,
+  // the tap events and the traffic sketch, so the name bytes are hashed
+  // once here and never again on this query's path.
+  const NameId qid = names_.intern(qname);
+  const CachedAnswer* cached = cache.lookup(qid, question.type, now);
   if (cached != nullptr) {
     view.rcode = cached->rcode;
     view.cache_hit = true;
-    view.answers = cached->answers;
+    view.answers = cached->answers.span();
     if (metrics != nullptr) metrics->cache_hits->add();
   } else {
     // Cache miss: iterate to the authority; its answer is observed above.
-    AuthorityAnswer upstream = authority_.resolve(question, now);
-    view.rcode = upstream.rcode;
+    authority_.resolve(question, qid, now, upstream_);
+    view.rcode = upstream_.rcode;
     ++above_answers_;
     if (metrics != nullptr) {
       metrics->cache_misses->add();
       above_answers_metric_->add();
     }
-    if (upstream.rcode == RCode::NoError) {
+    if (upstream_.rcode == RCode::NoError) {
       ++answered_misses_;
-      if (upstream.disposable_zone) ++disposable_answered_misses_;
+      if (upstream_.disposable_zone) ++disposable_answered_misses_;
     }
-    if (upstream.dnssec_signed && upstream.rcode == RCode::NoError) {
+    if (upstream_.dnssec_signed && upstream_.rcode == RCode::NoError) {
       ++dnssec_validations_;
-      if (upstream.disposable_zone) ++dnssec_disposable_validations_;
+      if (upstream_.disposable_zone) ++dnssec_disposable_validations_;
     }
-    // Buffer the above-tap copy before the answers may be moved into the
-    // cache below.
     if (!observers_.empty()) {
-      buffer_tap_event(now, TapDirection::kAbove, 0, question, upstream.rcode,
-                       upstream.answers);
+      buffer_tap_event(now, TapDirection::kAbove, 0, qid, question.type,
+                       upstream_.rcode, upstream_.records());
     }
     const CachedAnswer* resident = nullptr;
-    if (upstream.rcode == RCode::NoError) {
-      resident = cache.insert_positive(qname, question.type, upstream.answers,
-                                       now, upstream.disposable_zone);
-    } else if (upstream.rcode == RCode::NXDomain) {
-      cache.insert_negative(qname, question.type, now);
+    if (upstream_.rcode == RCode::NoError) {
+      resident = cache.insert_positive(qid, question.type, upstream_.records(),
+                                       now, upstream_.disposable_zone);
+    } else if (upstream_.rcode == RCode::NXDomain) {
+      cache.insert_negative(qid, question.type, now);
     }
-    if (resident != nullptr) {
-      view.answers = resident->answers;
-    } else {
-      // Uncacheable (zero TTL / empty / error): park the answers in the
-      // scratch buffer so the view outlives `upstream`.
-      miss_answers_ = std::move(upstream.answers);
-      view.answers = miss_answers_;
-    }
+    // Uncacheable (zero TTL / empty / error): the view aliases the answer
+    // buffer, which lives until the next miss.
+    view.answers = resident != nullptr ? resident->answers.span()
+                                       : upstream_.records();
   }
 
   ++below_answers_;
@@ -195,12 +164,11 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
     if (view.rcode == RCode::NXDomain) metrics->nxdomain->add();
   }
   if (!observers_.empty()) {
-    buffer_tap_event(now, TapDirection::kBelow, client_id, question,
+    buffer_tap_event(now, TapDirection::kBelow, client_id, qid, question.type,
                      view.rcode, view.answers);
   }
-  if (sketch != nullptr && !qname.empty()) {
-    sketch->observe(static_cast<std::uint32_t>(view.server), sketch_name,
-                    client_id, view.rcode, now);
+  if (traffic_sketch_ != nullptr && !qname.empty()) {
+    traffic_sketch_->observe(0, qid, client_id, view.rcode, now);
   }
   if (traced) {
     const obs::TraceOutcome outcome =
@@ -221,7 +189,7 @@ QueryOutcome RdnsCluster::query(std::uint64_t client_id,
   outcome.rcode = view.rcode;
   outcome.cache_hit = view.cache_hit;
   outcome.server = view.server;
-  outcome.answers.assign(view.answers.begin(), view.answers.end());
+  to_resource_records(view.answers, names_, outcome.answers);
   return outcome;
 }
 

@@ -72,7 +72,8 @@ struct ClusterConfig {
   }
 };
 
-/// Result of one client query, as seen below the cluster.
+/// Result of one client query, as seen below the cluster, in presentation
+/// form (an edge: tests, examples).
 struct QueryOutcome {
   RCode rcode = RCode::NoError;
   bool cache_hit = false;
@@ -80,16 +81,17 @@ struct QueryOutcome {
   std::vector<ResourceRecord> answers;
 };
 
-/// Zero-copy variant of QueryOutcome: `answers` views storage owned by the
-/// cluster (the resident cache entry, or the cluster's miss scratch buffer)
-/// and stays valid until the next query()/query_view()/flush_taps() call on
-/// the same cluster.  The steady-state hit path hands out a view of the
-/// cache entry without copying a single record.
+/// Zero-copy variant of QueryOutcome: `answers` are compact records whose
+/// ids resolve through RdnsCluster::names(), viewing storage owned by the
+/// cluster (the resident cache entry, or the cluster's answer buffer for
+/// an uncacheable miss).  The view stays valid until the next
+/// query()/query_view()/flush_taps() call on the same cluster.  Neither a
+/// hit nor a miss copies a record onto the heap.
 struct QueryView {
   RCode rcode = RCode::NoError;
   bool cache_hit = false;
   std::size_t server = 0;
-  std::span<const ResourceRecord> answers;
+  std::span<const CompactRecord> answers;
 };
 
 class RdnsCluster {
@@ -125,11 +127,11 @@ class RdnsCluster {
   // --- Traffic-sketch hook (DESIGN.md §17) ---------------------------------
 
   /// Attaches the streaming traffic sketch to the dedicated wait-free
-  /// hook: every answered client query is recorded as (server, interned
-  /// cache NameId, client, rcode, ts) — a ring append, no event copies,
-  /// no extra hashing (the cache interns the qname in place of its normal
-  /// lookup probe).  The sketch's source tables are bound to this
-  /// cluster's caches; it must outlive the cluster or be detached first.
+  /// hook: every answered client query is recorded as (qname id, client,
+  /// rcode, ts) — a ring append, no event copies, no extra hashing (the
+  /// cluster interns every qname anyway).  The sketch's one source table
+  /// is bound to names(); it must outlive the cluster or be detached
+  /// first.
   /// Passing nullptr detaches, draining the sketch's pending ring so
   /// day-end exports observe every event.  Detached (the default), the
   /// hook costs exactly one predicted branch per query.  Writer-thread
@@ -140,17 +142,25 @@ class RdnsCluster {
     return traffic_sketch_;
   }
 
-  /// Resolves one client query at simulated time `now`.  Copies the answer
-  /// set into the outcome; hot callers should prefer query_view().
+  /// Resolves one client query at simulated time `now`.  Converts the
+  /// answer set to presentation records; hot callers use query_view().
   QueryOutcome query(std::uint64_t client_id, const Question& question,
                      SimTime now);
 
-  /// Resolves one client query without copying answers: on a cache hit the
-  /// returned view aliases the resident cache entry, on a miss it aliases
-  /// either the freshly inserted entry or the cluster's scratch buffer (for
-  /// uncacheable answers).  See QueryView for the lifetime contract.
+  /// Resolves one client query without copying answers: the qname is
+  /// interned once into names(), on a cache hit the returned view aliases
+  /// the resident cache entry, on a miss the authority writes into the
+  /// cluster's answer buffer and the view aliases either the freshly
+  /// inserted entry or that buffer (for uncacheable answers).  See
+  /// QueryView for the lifetime contract.
   QueryView query_view(std::uint64_t client_id, const Question& question,
                        SimTime now);
+
+  /// The one table of every qname, answer owner and text rdata this
+  /// cluster has seen, shared by all its servers.  Append-only: ids and
+  /// text views stay valid for the cluster's lifetime.  Not thread-safe
+  /// against a concurrent query_view().
+  const NameTable& names() const noexcept { return names_; }
 
   std::size_t server_count() const noexcept { return caches_.size(); }
   const DnsCacheStats& server_stats(std::size_t server) const {
@@ -202,21 +212,19 @@ class RdnsCluster {
 
   const SyntheticAuthority& authority_;
   std::size_t tap_batch_events_;
+  NameTable names_;
   std::vector<DnsCache> caches_;
+  // The authority writes each miss's answer here; it also backs the view
+  // of an uncacheable answer (see QueryView lifetime contract).
+  AuthorityAnswer upstream_{names_};
   std::vector<TapObserver*> observers_;
-  // Tap arena: the pending batch is the first tap_event_count_ events and
-  // tap_answer_count_ answers.  Slots outlive flush_taps() and are
-  // copy-assigned in place, so once the slots have grown to the day's
-  // names, buffering an event allocates nothing.  They hold copies, never
+  // Tap arena: the pending batch.  Both vectors keep their capacity
+  // across flush_taps(), so once they have grown to a batch's size,
+  // buffering an event allocates nothing.  The answers are copies, never
   // views of a cache entry: a later query of the same batch may expire
   // and erase that entry before the batch is delivered.
   std::vector<TapEvent> tap_events_;
-  std::vector<ResourceRecord> tap_answers_;
-  std::size_t tap_event_count_ = 0;
-  std::size_t tap_answer_count_ = 0;
-  // Owns the answers of the last uncacheable miss so QueryView can alias
-  // them (reused across queries; see QueryView lifetime contract).
-  std::vector<ResourceRecord> miss_answers_;
+  std::vector<CompactRecord> tap_answers_;
   obs::TrafficSketch* traffic_sketch_ = nullptr;
   std::uint64_t below_answers_ = 0;
   std::uint64_t above_answers_ = 0;
@@ -235,8 +243,8 @@ class RdnsCluster {
     return shard_of(client_id, caches_.size());
   }
   void buffer_tap_event(SimTime ts, TapDirection direction,
-                        std::uint64_t client_id, const Question& question,
-                        RCode rcode, std::span<const ResourceRecord> answers);
+                        std::uint64_t client_id, NameId qname, RRType qtype,
+                        RCode rcode, std::span<const CompactRecord> answers);
 };
 
 }  // namespace dnsnoise

@@ -8,20 +8,24 @@
 // disposable-domain load.
 //
 // Storage layout (the zero-allocation hot path, DESIGN.md §11): entries
-// live in a deque with intrusive index links forming the recency list, and
-// the key index is a flat open-addressed slot array sized once from the
-// capacity (power of two, linear probing, backward-shift deletion).  After
-// the cache has filled once, every get/put/evict cycle recycles entry
-// storage through a free list and never touches the allocator — unlike the
-// previous std::list + std::unordered_map layout, which allocated a list
-// node and a hash node per insert and rehashed under growth.
+// live in fixed-size blocks of up to 256 entries (stable addresses, one
+// allocation per block while the cache grows; a deque's 512-byte blocks
+// would hold only a handful of cache entries each) with intrusive index
+// links forming the recency list, and the key index is a flat
+// open-addressed slot array sized once from the capacity (power of two,
+// linear probing, backward-shift deletion).  After the cache has filled
+// once, every get/put/evict cycle recycles entry storage through a free
+// list and never touches the allocator — unlike the previous std::list +
+// std::unordered_map layout, which allocated a list node and a hash node
+// per insert and rehashed under growth.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -33,7 +37,10 @@ class LruCache {
  public:
   using EvictionListener = std::function<void(const Key&, const Value&)>;
 
-  explicit LruCache(std::size_t capacity) : capacity_(capacity) {
+  explicit LruCache(std::size_t capacity)
+      : capacity_(capacity),
+        block_shift_(static_cast<unsigned>(std::countr_zero(
+            std::bit_ceil(std::min<std::size_t>(capacity, kMaxBlock))))) {
     if (capacity == 0) throw std::invalid_argument("LruCache: capacity 0");
     // Slot array: one allocation for the cache's lifetime, sized so load
     // never exceeds 1/2 at full capacity — no rehash, ever.
@@ -58,7 +65,7 @@ class LruCache {
   Value* get(const Key& key) {
     const std::size_t slot = find_slot(key, hash_of(key));
     if (slot == kNoSlot) return nullptr;
-    Entry& entry = entries_[slots_[slot] - 1];
+    Entry& entry = at(slots_[slot] - 1);
     move_to_front(slots_[slot] - 1);
     return &entry.value;
   }
@@ -66,7 +73,7 @@ class LruCache {
   /// Lookup without touching recency.
   const Value* peek(const Key& key) const {
     const std::size_t slot = find_slot(key, hash_of(key));
-    return slot == kNoSlot ? nullptr : &entries_[slots_[slot] - 1].value;
+    return slot == kNoSlot ? nullptr : &at(slots_[slot] - 1).value;
   }
 
   /// Inserts or replaces; the entry becomes most-recently-used.  Evicts the
@@ -94,7 +101,8 @@ class LruCache {
   }
 
   void clear() noexcept {
-    entries_.clear();
+    blocks_.clear();
+    entry_count_ = 0;
     free_.clear();
     std::fill(slots_.begin(), slots_.end(), 0u);
     head_ = kNil;
@@ -105,14 +113,15 @@ class LruCache {
   /// Visits every (key, value), most-recently-used first.
   template <typename Visitor>
   void for_each(Visitor&& visit) const {
-    for (std::uint32_t i = head_; i != kNil; i = entries_[i].next) {
-      visit(entries_[i].key, entries_[i].value);
+    for (std::uint32_t i = head_; i != kNil; i = at(i).next) {
+      visit(at(i).key, at(i).value);
     }
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kMaxBlock = 256;  // entries per block
 
   struct Entry {
     Key key;
@@ -121,6 +130,25 @@ class LruCache {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
+
+  Entry& at(std::uint32_t index) noexcept {
+    return blocks_[index >> block_shift_]
+                  [index & ((std::uint32_t{1} << block_shift_) - 1)];
+  }
+  const Entry& at(std::uint32_t index) const noexcept {
+    return const_cast<LruCache*>(this)->at(index);
+  }
+
+  /// Index of a fresh entry slot at the end of the storage.
+  std::uint32_t grow() {
+    const auto index = static_cast<std::uint32_t>(entry_count_);
+    if ((entry_count_ >> block_shift_) == blocks_.size()) {
+      blocks_.push_back(
+          std::make_unique<Entry[]>(std::size_t{1} << block_shift_));
+    }
+    ++entry_count_;
+    return index;
+  }
 
   std::uint64_t hash_of(const Key& key) const {
     return static_cast<std::uint64_t>(hash_(key));
@@ -132,7 +160,7 @@ class LruCache {
     while (true) {
       const std::uint32_t ref = slots_[i];
       if (ref == 0) return kNoSlot;
-      const Entry& entry = entries_[ref - 1];
+      const Entry& entry = at(ref - 1);
       if (entry.hash == hash && entry.key == key) return i;
       i = (i + 1) & slot_mask_;
     }
@@ -144,7 +172,7 @@ class LruCache {
     while (true) {
       const std::uint32_t ref = slots_[i];
       if (ref == 0) break;
-      Entry& entry = entries_[ref - 1];
+      Entry& entry = at(ref - 1);
       if (entry.hash == hash && entry.key == key) {
         entry.value = std::move(value);
         if (cold) {
@@ -167,47 +195,46 @@ class LruCache {
     if (!free_.empty()) {
       index = free_.back();
       free_.pop_back();
-      Entry& entry = entries_[index];
-      entry.key = std::move(key);
-      entry.value = std::move(value);
-      entry.hash = hash;
     } else {
-      index = static_cast<std::uint32_t>(entries_.size());
-      entries_.push_back(Entry{std::move(key), std::move(value), hash});
+      index = grow();
     }
+    Entry& entry = at(index);
+    entry.key = std::move(key);
+    entry.value = std::move(value);
+    entry.hash = hash;
     slots_[i] = index + 1;
     link(index, cold);
     ++size_;
-    return &entries_[index].value;
+    return &entry.value;
   }
 
   /// Links entry `index` at the hot (front) or cold (back) end.
   void link(std::uint32_t index, bool cold) noexcept {
-    Entry& entry = entries_[index];
+    Entry& entry = at(index);
     if (cold) {
       entry.next = kNil;
       entry.prev = tail_;
-      if (tail_ != kNil) entries_[tail_].next = index;
+      if (tail_ != kNil) at(tail_).next = index;
       tail_ = index;
       if (head_ == kNil) head_ = index;
     } else {
       entry.prev = kNil;
       entry.next = head_;
-      if (head_ != kNil) entries_[head_].prev = index;
+      if (head_ != kNil) at(head_).prev = index;
       head_ = index;
       if (tail_ == kNil) tail_ = index;
     }
   }
 
   void unlink(std::uint32_t index) noexcept {
-    Entry& entry = entries_[index];
+    Entry& entry = at(index);
     if (entry.prev != kNil) {
-      entries_[entry.prev].next = entry.next;
+      at(entry.prev).next = entry.next;
     } else {
       head_ = entry.next;
     }
     if (entry.next != kNil) {
-      entries_[entry.next].prev = entry.prev;
+      at(entry.next).prev = entry.prev;
     } else {
       tail_ = entry.prev;
     }
@@ -236,7 +263,7 @@ class LruCache {
         const std::uint32_t ref = slots_[j];
         if (ref == 0) return;
         const std::size_t ideal =
-            static_cast<std::size_t>(entries_[ref - 1].hash) & slot_mask_;
+            static_cast<std::size_t>(at(ref - 1).hash) & slot_mask_;
         // Move j's entry into the hole iff the hole lies on its probe path
         // (cyclic interval ideal..j).
         const bool movable = i <= j ? (ideal <= i || ideal > j)
@@ -261,15 +288,15 @@ class LruCache {
   /// Returns entry storage to the free list (keeps capacity, drops values
   /// eagerly so evicted payloads don't linger).
   void release(std::uint32_t index) {
-    entries_[index].key = Key();
-    entries_[index].value = Value();
+    at(index).key = Key();
+    at(index).value = Value();
     free_.push_back(index);
     --size_;
   }
 
   void evict_one() {
     const std::uint32_t victim = tail_;
-    Entry& entry = entries_[victim];
+    Entry& entry = at(victim);
     if (listener_) listener_(entry.key, entry.value);
     unlink(victim);
     slot_erase(find_slot(entry.key, entry.hash));
@@ -278,9 +305,11 @@ class LruCache {
   }
 
   std::size_t capacity_;
-  // Deque keeps entry addresses stable while the storage grows toward
+  // Blocks keep entry addresses stable while the storage grows toward
   // capacity, so get()/peek() pointers survive unrelated growth.
-  std::deque<Entry> entries_;
+  unsigned block_shift_;  // log2 of entries per block
+  std::vector<std::unique_ptr<Entry[]>> blocks_;
+  std::size_t entry_count_ = 0;  // entries ever grown (live or free)
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> slots_;  // entry index + 1; 0 = empty
   std::size_t slot_mask_ = 0;

@@ -12,14 +12,20 @@
 //  - Events within a batch are in observation order; batches are delivered
 //    in order.  Concatenating all batches reproduces the per-event stream
 //    exactly, so batch size never changes what an observer accumulates.
-//  - A batch and everything it references (events, questions, answer RRs)
-//    is only valid for the duration of on_tap_batch(); observers must copy
-//    what they keep.  The cluster reuses the batch's storage: its event
-//    and answer slots outlive a flush and the next batch copy-assigns into
-//    them, so a steady-state day buffers events without allocating.  The
-//    slots are copies, never views of cache entries, because a later query
-//    of the same batch may expire and erase the entry an event answered
-//    from.
+//  - Events carry ids, not text: the qname and every answer record's owner
+//    and text rdata are NameIds of the cluster's one NameTable, which the
+//    batch hands out as names().  Answers are compact records (dns/rr.h).
+//  - A batch and everything it references (events, answer records, the
+//    name table and the ids' meaning) is only valid for the duration of
+//    on_tap_batch(); observers must copy or remap what they keep.  Within
+//    one cluster an id keeps its meaning for the cluster's lifetime, so
+//    an observer may cache per-id work across batches of the same table
+//    (DayCapture does), but never across clusters.  The cluster reuses the
+//    batch's storage: its event and answer slots outlive a flush and the
+//    next batch overwrites them, so a steady-state day buffers events
+//    without allocating.  The slots are copies, never views of cache
+//    entries, because a later query of the same batch may expire and
+//    erase the entry an event answered from.
 //  - Delivery happens when the batch fills (ClusterConfig::tap_batch_events)
 //    and on RdnsCluster::flush_taps(); removing an observer or destroying
 //    the cluster flushes first, so no event is ever silently dropped.
@@ -33,7 +39,7 @@
 #include <span>
 #include <utility>
 
-#include "dns/message.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "util/sim_time.h"
 
@@ -45,32 +51,44 @@ enum class TapDirection : std::uint8_t {
   kAbove,  // authority -> RDNS
 };
 
-/// One observed answer event.  Answer RRs live in the enclosing batch's
-/// arena (TapBatch::answers); an event only carries its slice bounds.
+/// One observed answer event.  Answer records live in the enclosing
+/// batch's arena (TapBatch::answers); an event only carries its slice
+/// bounds.
 struct TapEvent {
   SimTime ts = 0;
-  TapDirection direction = TapDirection::kBelow;
   std::uint64_t client_id = 0;  // anonymized; 0 for above events
+  NameId qname = kInvalidNameId;  // in TapBatch::names()
+  RRType qtype = RRType::A;
+  TapDirection direction = TapDirection::kBelow;
   RCode rcode = RCode::NoError;
-  Question question;
   std::uint32_t answer_offset = 0;  // into TapBatch::answers()
   std::uint32_t answer_count = 0;
 };
 
-/// A span of tap events plus the shared answer arena they index into.
+/// A span of tap events, the shared answer arena they index into, and the
+/// name table their ids resolve through.
 class TapBatch {
  public:
   TapBatch(std::span<const TapEvent> events,
-           std::span<const ResourceRecord> answers) noexcept
-      : events_(events), answers_(answers) {}
+           std::span<const CompactRecord> answers,
+           const NameTable& names) noexcept
+      : events_(events), answers_(answers), names_(&names) {}
 
   std::span<const TapEvent> events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
 
-  /// The answer RRs of one event of this batch.
-  std::span<const ResourceRecord> answers(const TapEvent& event) const {
+  /// The answer records of one event of this batch.
+  std::span<const CompactRecord> answers(const TapEvent& event) const {
     return answers_.subspan(event.answer_offset, event.answer_count);
+  }
+
+  /// The table every id of this batch resolves through.
+  const NameTable& names() const noexcept { return *names_; }
+
+  /// One event's question name as text.
+  std::string_view qname(const TapEvent& event) const noexcept {
+    return names_->name(event.qname);
   }
 
   auto begin() const noexcept { return events_.begin(); }
@@ -78,7 +96,8 @@ class TapBatch {
 
  private:
   std::span<const TapEvent> events_;
-  std::span<const ResourceRecord> answers_;
+  std::span<const CompactRecord> answers_;
+  const NameTable* names_;
 };
 
 /// Interface for tap consumers.

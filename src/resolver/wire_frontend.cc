@@ -226,15 +226,16 @@ bool WireFrontend::handle_query(std::span<const std::uint8_t> request,
     reply.questions.push_back(message->questions.front());
     const auto t_decoded = stage_now();
     {
-      // The cluster, its caches, and its tap observers are single-threaded
-      // by contract; serialize the round trip and copy the zero-copy view
-      // out before releasing (it aliases cluster scratch).
+      // The cluster, its caches, its name table and its tap observers are
+      // single-threaded by contract; serialize the round trip and convert
+      // the zero-copy view to presentation records before releasing (it
+      // aliases cluster storage, and its ids resolve through the table).
       const std::lock_guard<std::mutex> lock(cluster_mutex_);
       heartbeat_.tick();
       const QueryView view =
           cluster_.query_view(client_id, reply.questions.front(), ts);
       reply.header.rcode = view.rcode;
-      reply.answers.assign(view.answers.begin(), view.answers.end());
+      to_resource_records(view.answers, cluster_.names(), reply.answers);
     }
     const auto t_clustered = stage_now();
     bump(queries_, queries_metric_);

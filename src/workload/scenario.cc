@@ -233,13 +233,13 @@ TrafficGenerator Scenario::traffic_for(const ScenarioScale& stream) const {
   return traffic_->with_config(traffic_config(date_, stream));
 }
 
-bool Scenario::is_google_name(const DomainName& name) {
-  return name.is_within("google.com");
+bool Scenario::is_google_name(std::string_view name) {
+  return name_within(name, "google.com");
 }
 
-bool Scenario::is_akamai_name(const DomainName& name) {
+bool Scenario::is_akamai_name(std::string_view name) {
   for (const char* apex : kAkamai2Lds) {
-    if (name.is_within(apex)) return true;
+    if (name_within(name, apex)) return true;
   }
   return false;
 }

@@ -120,9 +120,10 @@ class Scenario {
     return popular_apexes_;
   }
 
-  /// Tenant attribution for the per-tenant figure series (Figs. 2, 5).
-  static bool is_google_name(const DomainName& name);
-  static bool is_akamai_name(const DomainName& name);
+  /// Tenant attribution for the per-tenant figure series (Figs. 2, 5), on
+  /// a normalized name's text.
+  static bool is_google_name(std::string_view name);
+  static bool is_akamai_name(std::string_view name);
 
  private:
   ScenarioDate date_;

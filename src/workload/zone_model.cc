@@ -7,23 +7,23 @@ namespace dnsnoise {
 
 namespace {
 
-/// Deterministic pooled rdata value `idx` for a zone: disposable operators
-/// answer from a small set of signal values (e.g. McAfee's 127.0.0.0/16
+/// Key of a zone's pooled rdata value `idx`: disposable operators answer
+/// from a small set of signal values (e.g. McAfee's 127.0.0.0/16
 /// classification codes), so rdata cardinality is far below name
-/// cardinality.  The value is keyed by "<apex>#<idx>", spelled on the
-/// stack so that answering builds no key string.
-std::string pooled_rdata(std::string_view apex, std::size_t idx,
-                         RRType type) {
+/// cardinality.  The value is keyed by "<apex>#<idx>", spelled into `buf`
+/// so that answering builds no key string.
+struct PoolKey {
   // The apex passed DomainName validation: at most kMaxTextLength
   // characters plus a trailing dot.
-  char key[DomainName::kMaxTextLength + 2 + 20];
-  char* end = std::copy(apex.begin(), apex.end(), key);
-  *end++ = '#';
-  end = std::to_chars(end, key + sizeof(key), idx).ptr;
-  const std::string_view view(key, static_cast<std::size_t>(end - key));
-  return type == RRType::AAAA ? synthetic_aaaa_rdata(view)
-                              : synthetic_a_rdata(view);
-}
+  char buf[DomainName::kMaxTextLength + 2 + 20];
+
+  std::string_view spell(std::string_view apex, std::size_t idx) {
+    char* end = std::copy(apex.begin(), apex.end(), buf);
+    *end++ = '#';
+    end = std::to_chars(end, buf + sizeof(buf), idx).ptr;
+    return {buf, static_cast<std::size_t>(end - buf)};
+  }
+};
 
 std::size_t pool_index(std::string_view qname, std::size_t pool) {
   return pool == 0 ? 0
@@ -72,11 +72,11 @@ void DisposableZoneModel::sample_query_into(QuerySpec& out, Rng& rng,
 
 void DisposableZoneModel::install(SyntheticAuthority& authority) const {
   const DisposableZoneConfig cfg = config_;
-  authority.register_zone(apex_name_, [cfg](const Question& q, SimTime) {
-    AuthorityAnswer answer;
-    answer.rcode = RCode::NoError;
-    answer.disposable_zone = true;
-    answer.dnssec_signed = cfg.dnssec_signed;
+  authority.register_zone(apex_name_, [cfg](const Question& q, SimTime,
+                                            AuthorityAnswer& out) {
+    out.rcode = RCode::NoError;
+    out.disposable_zone = true;
+    out.dnssec_signed = cfg.dnssec_signed;
     const std::size_t idx = pool_index(q.name.text(), cfg.rdata_pool);
     // A round-robin set: rr_per_answer distinct records from the rdata
     // pool.  Pooled rdata keeps zone-level rdata cardinality low (the
@@ -84,17 +84,16 @@ void DisposableZoneModel::install(SyntheticAuthority& authority) const {
     // still a distinct (name, rdata) RR because the name is one-time.
     const std::size_t records =
         std::max<std::size_t>(1, std::min(cfg.rr_per_answer, cfg.rdata_pool));
-    const RRType type = q.type == RRType::AAAA ? RRType::AAAA : RRType::A;
-    answer.answers.reserve(records);
+    PoolKey key;
     for (std::size_t j = 0; j < records; ++j) {
-      ResourceRecord rr;
-      rr.name = q.name;
-      rr.type = type;
-      rr.ttl = cfg.ttl;
-      rr.rdata = pooled_rdata(cfg.apex, (idx + j) % cfg.rdata_pool, type);
-      answer.answers.push_back(std::move(rr));
+      const std::string_view value =
+          key.spell(cfg.apex, (idx + j) % cfg.rdata_pool);
+      if (q.type == RRType::AAAA) {
+        out.add_aaaa(cfg.ttl, synthetic_ipv6(value));
+      } else {
+        out.add_a(cfg.ttl, synthetic_ipv4(value));
+      }
     }
-    return answer;
   });
 }
 
@@ -155,10 +154,13 @@ void CdnZoneModel::install(SyntheticAuthority& authority) const {
 OtherSitesModel::OtherSitesModel(OtherSitesConfig config)
     : config_(std::move(config)),
       popularity_(std::max<std::size_t>(config_.sites, 1), config_.zipf_s),
-      site_set_(std::make_shared<SiteSet>()) {
+      site_set_(std::make_shared<NameTable>()) {
   site_set_->reserve(config_.sites);
+  std::string site;
   for (std::size_t i = 0; i < config_.sites; ++i) {
-    site_set_->insert(site_domain(i));
+    site.clear();
+    append_site_domain(i, site);
+    site_set_->intern(site);
   }
 }
 
@@ -200,20 +202,19 @@ void OtherSitesModel::install(SyntheticAuthority& authority) const {
     auto sites = site_set_;
     const std::uint32_t ttl = config_.ttl;
     authority.register_zone(
-        tld_name, [sites, site_labels, ttl](const Question& q, SimTime) {
-          AuthorityAnswer answer;  // defaults to NXDOMAIN
-          if (q.name.label_count() < site_labels) return answer;
-          if (!sites->contains(q.name.nld_view(site_labels))) return answer;
-          answer.rcode = RCode::NoError;
-          ResourceRecord rr;
-          rr.name = q.name;
-          rr.type = q.type == RRType::AAAA ? RRType::AAAA : RRType::A;
-          rr.ttl = ttl;
-          rr.rdata = rr.type == RRType::AAAA
-                         ? synthetic_aaaa_rdata(q.name.text())
-                         : synthetic_a_rdata(q.name.text());
-          answer.answers.push_back(std::move(rr));
-          return answer;
+        tld_name, [sites, site_labels, ttl](const Question& q, SimTime,
+                                            AuthorityAnswer& out) {
+          // Unknown sites keep the reset answer: NXDOMAIN.
+          if (q.name.label_count() < site_labels) return;
+          if (sites->find(q.name.nld_view(site_labels)) == kInvalidNameId) {
+            return;
+          }
+          out.rcode = RCode::NoError;
+          if (q.type == RRType::AAAA) {
+            out.add_aaaa(ttl, synthetic_ipv6(q.name.text()));
+          } else {
+            out.add_a(ttl, synthetic_ipv4(q.name.text()));
+          }
         });
   }
 }

@@ -18,10 +18,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "dns/name.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "resolver/authority.h"
 #include "util/rng.h"
@@ -195,15 +195,15 @@ class OtherSitesModel final : public ZoneModel {
   std::string site_domain(std::size_t i) const;
 
  private:
-  using SiteSet = std::unordered_set<std::string, StringHash, std::equal_to<>>;
-
   /// Appends site_domain(i) without allocating.
   void append_site_domain(std::size_t i, std::string& out) const;
 
   OtherSitesConfig config_;
   std::string label_ = "other-sites";
   ZipfSampler popularity_;
-  std::shared_ptr<SiteSet> site_set_;
+  // Every site's 2LD, probed by the answering handler (which the
+  // authority may call from several shard threads: find() only reads).
+  std::shared_ptr<NameTable> site_set_;
 };
 
 // ---------------------------------------------------------------------------

@@ -105,11 +105,11 @@ TEST(ClusterTest, TapObserverSeesBothDirections) {
   FunctionTapObserver observer([&](const TapBatch& batch) {
     for (const TapEvent& event : batch) {
       if (event.direction == TapDirection::kBelow) {
-        below_names.push_back(event.question.name.text());
+        below_names.emplace_back(batch.qname(event));
         EXPECT_EQ(event.client_id, 1u);
         EXPECT_FALSE(batch.answers(event).empty());
       } else {
-        above_names.push_back(event.question.name.text());
+        above_names.emplace_back(batch.qname(event));
       }
     }
   });

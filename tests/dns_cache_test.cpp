@@ -2,28 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace dnsnoise {
 namespace {
 
-std::vector<ResourceRecord> one_answer(const char* name, std::uint32_t ttl) {
-  return {{DomainName(name), RRType::A, ttl, "192.0.2.7"}};
+/// The cache keys on ids of its owner's name table; tests own one.
+NameTable names;
+
+NameId id(const char* name) { return names.intern(name); }
+
+std::vector<CompactRecord> one_answer(const char* name, std::uint32_t ttl,
+                                      const char* rdata = "192.0.2.7") {
+  return {compact_record(names, name, RRType::A, ttl, rdata)};
 }
 
 /// Inserts one A record for `name`; returns the resident entry or nullptr.
 const CachedAnswer* insert_a(DnsCache& cache, const char* name,
                              std::uint32_t ttl, SimTime now,
                              bool disposable_hint = false) {
-  std::vector<ResourceRecord> answers = one_answer(name, ttl);
-  return cache.insert_positive(name, RRType::A, answers, now,
+  const std::vector<CompactRecord> answers = one_answer(name, ttl);
+  return cache.insert_positive(id(name), RRType::A, answers, now,
                                disposable_hint);
 }
 
 TEST(DnsCacheTest, MissThenHit) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
   const char* name = "www.example.com";
-  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 0), nullptr);
   insert_a(cache, name, 300, 0);
-  const CachedAnswer* hit = cache.lookup(name, RRType::A, 100);
+  const CachedAnswer* hit = cache.lookup(id(name), RRType::A, 100);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rcode, RCode::NoError);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -34,8 +44,8 @@ TEST(DnsCacheTest, TtlExpiry) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
   const char* name = "a.example.com";
   insert_a(cache, name, 60, 0);
-  EXPECT_NE(cache.lookup(name, RRType::A, 59), nullptr);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 60), nullptr);  // expired at TTL
+  EXPECT_NE(cache.lookup(id(name), RRType::A, 59), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 60), nullptr);  // expired at TTL
   EXPECT_EQ(cache.stats().expired_misses, 1u);
   // Expired entries are erased on access.
   EXPECT_EQ(cache.size(), 0u);
@@ -46,7 +56,7 @@ TEST(DnsCacheTest, ZeroTtlNotCached) {
   const char* name = "zero.example.com";
   insert_a(cache, name, 0, 0);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 0), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 0), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
@@ -57,8 +67,8 @@ TEST(DnsCacheTest, MinTtlClampHoldsRecordsLonger) {
   DnsCache cache(config);
   const char* name = "clamped.example.com";
   insert_a(cache, name, 0, 0);
-  EXPECT_NE(cache.lookup(name, RRType::A, 4), nullptr);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 5), nullptr);
+  EXPECT_NE(cache.lookup(id(name), RRType::A, 4), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 5), nullptr);
 }
 
 TEST(DnsCacheTest, MaxTtlClamp) {
@@ -68,28 +78,28 @@ TEST(DnsCacheTest, MaxTtlClamp) {
   DnsCache cache(config);
   const char* name = "huge.example.com";
   insert_a(cache, name, 1'000'000, 0);
-  EXPECT_NE(cache.lookup(name, RRType::A, 99), nullptr);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 100), nullptr);
+  EXPECT_NE(cache.lookup(id(name), RRType::A, 99), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 100), nullptr);
 }
 
 TEST(DnsCacheTest, MinTtlAcrossRRsOfSet) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> answers = {
-      {DomainName("m.example.com"), RRType::A, 300, "192.0.2.1"},
-      {DomainName("m.example.com"), RRType::A, 30, "192.0.2.2"},
+  const std::vector<CompactRecord> answers = {
+      compact_record(names, "m.example.com", RRType::A, 300, "192.0.2.1"),
+      compact_record(names, "m.example.com", RRType::A, 30, "192.0.2.2"),
   };
   const char* name = "m.example.com";
-  cache.insert_positive(name, RRType::A, answers, 0);
-  EXPECT_NE(cache.lookup(name, RRType::A, 29), nullptr);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 30), nullptr);
+  cache.insert_positive(id(name), RRType::A, answers, 0);
+  EXPECT_NE(cache.lookup(id(name), RRType::A, 29), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheDisabledByDefault) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
   const char* name = "nx.example.com";
-  cache.insert_negative(name, RRType::A, 0);
+  cache.insert_negative(id(name), RRType::A, 0);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 1), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 1), nullptr);
 }
 
 TEST(DnsCacheTest, NegativeCacheEnabled) {
@@ -99,11 +109,11 @@ TEST(DnsCacheTest, NegativeCacheEnabled) {
   config.negative_ttl = 30;
   DnsCache cache(config);
   const char* name = "nx.example.com";
-  cache.insert_negative(name, RRType::A, 0);
-  const CachedAnswer* hit = cache.lookup(name, RRType::A, 10);
+  cache.insert_negative(id(name), RRType::A, 0);
+  const CachedAnswer* hit = cache.lookup(id(name), RRType::A, 10);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rcode, RCode::NXDomain);
-  EXPECT_EQ(cache.lookup(name, RRType::A, 30), nullptr);
+  EXPECT_EQ(cache.lookup(id(name), RRType::A, 30), nullptr);
 }
 
 TEST(DnsCacheTest, PrematureEvictionAccounting) {
@@ -127,7 +137,7 @@ TEST(DnsCacheTest, ExpiredEvictionIsNotPremature) {
   insert_a(cache, "a.com", 10, 0);
   insert_a(cache, "b.com", 1000, 0);
   // Advance time past a.com's TTL before forcing the eviction.
-  (void)cache.lookup("b.com", RRType::A, 500);
+  (void)cache.lookup(id("b.com"), RRType::A, 500);
   insert_a(cache, "c.com", 1000, 500);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().premature_evictions, 0u);
@@ -136,18 +146,17 @@ TEST(DnsCacheTest, ExpiredEvictionIsNotPremature) {
 TEST(DnsCacheTest, HitRateComputation) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
   const char* name = "h.example.com";
-  (void)cache.lookup(name, RRType::A, 0);  // miss
+  (void)cache.lookup(id(name), RRType::A, 0);  // miss
   insert_a(cache, name, 100, 0);
-  (void)cache.lookup(name, RRType::A, 1);  // hit
-  (void)cache.lookup(name, RRType::A, 2);  // hit
-  (void)cache.lookup(name, RRType::A, 3);  // hit
+  (void)cache.lookup(id(name), RRType::A, 1);  // hit
+  (void)cache.lookup(id(name), RRType::A, 2);  // hit
+  (void)cache.lookup(id(name), RRType::A, 3);  // hit
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.75);
 }
 
 TEST(DnsCacheTest, EmptyAnswerNotCached) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> none;
-  EXPECT_EQ(cache.insert_positive("e.com", RRType::A, none, 0), nullptr);
+  EXPECT_EQ(cache.insert_positive(id("e.com"), RRType::A, {}, 0), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -156,7 +165,9 @@ TEST(DnsCacheTest, ForEachVisitsEntries) {
   insert_a(cache, "a.com", 100, 0);
   insert_a(cache, "b.com", 100, 0);
   std::size_t count = 0;
-  cache.for_each([&count](const QuestionKey&, const CachedAnswer&) {
+  cache.for_each([&count](NameId name, RRType type, const CachedAnswer&) {
+    EXPECT_TRUE(name == id("a.com") || name == id("b.com"));
+    EXPECT_EQ(type, RRType::A);
     ++count;
   });
   EXPECT_EQ(count, 2u);
@@ -164,51 +175,86 @@ TEST(DnsCacheTest, ForEachVisitsEntries) {
 
 TEST(DnsCacheTest, StringViewPathMatchesQuestionKeyPath) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> answers = one_answer("sv.example.com", 300);
+  const std::vector<CompactRecord> answers = one_answer("sv.example.com", 300);
   const CachedAnswer* resident =
-      cache.insert_positive("sv.example.com", RRType::A, answers, 0);
+      cache.insert_positive(id("sv.example.com"), RRType::A, answers, 0);
   ASSERT_NE(resident, nullptr);
-  EXPECT_TRUE(answers.empty());  // consumed on successful insert
   ASSERT_EQ(resident->answers.size(), 1u);
-  EXPECT_EQ(cache.lookup("sv.example.com", RRType::A, 10), resident);
+  EXPECT_TRUE(resident->answers[0].same_rr(answers[0]));
+  EXPECT_EQ(cache.lookup(id("sv.example.com"), RRType::A, 10), resident);
   // Same name, different qtype is a distinct key.
-  EXPECT_EQ(cache.lookup("sv.example.com", RRType::AAAA, 10), nullptr);
+  EXPECT_EQ(cache.lookup(id("sv.example.com"), RRType::AAAA, 10), nullptr);
 }
 
 TEST(DnsCacheTest, LookupOfNeverInternedNameCountsMiss) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> answers = one_answer("known.example.com", 300);
-  cache.insert_positive("known.example.com", RRType::A, answers, 0);
-  // The fast path rejects un-interned names before probing the LRU; the
-  // miss must still be accounted exactly like the legacy path did.
-  EXPECT_EQ(cache.lookup("unknown.example.com", RRType::A, 0), nullptr);
+  insert_a(cache, "known.example.com", 300, 0);
+  // A name the cache never stored is a plain miss, accounted exactly like
+  // any other.
+  EXPECT_EQ(cache.lookup(id("unknown.example.com"), RRType::A, 0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(DnsCacheTest, DeclinedInsertLeavesAnswersIntact) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> answers = one_answer("zero.example.com", 0);
-  // TTL 0 is not cacheable: insert_positive returns nullptr and must NOT
-  // have consumed the caller's answers (the cluster still serves them).
-  EXPECT_EQ(cache.insert_positive("zero.example.com", RRType::A, answers, 0),
-            nullptr);
+  const std::vector<CompactRecord> answers = one_answer("zero.example.com", 0);
+  // TTL 0 is not cacheable: insert_positive returns nullptr and leaves the
+  // caller's records alone (the cluster still serves them).
+  EXPECT_EQ(
+      cache.insert_positive(id("zero.example.com"), RRType::A, answers, 0),
+      nullptr);
   ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(answers[0].rdata, "192.0.2.7");
+  EXPECT_EQ(to_resource_record(answers[0], names).rdata, "192.0.2.7");
 }
 
 TEST(DnsCacheTest, ResidentPointerReflectsLatestInsert) {
   DnsCache cache(DnsCacheConfig{.capacity = 16});
-  std::vector<ResourceRecord> first = one_answer("up.example.com", 300);
-  std::vector<ResourceRecord> second = {
-      {DomainName("up.example.com"), RRType::A, 300, "198.51.100.9"}};
-  cache.insert_positive("up.example.com", RRType::A, first, 0);
+  const std::vector<CompactRecord> first = one_answer("up.example.com", 300);
+  const std::vector<CompactRecord> second =
+      one_answer("up.example.com", 300, "198.51.100.9");
+  cache.insert_positive(id("up.example.com"), RRType::A, first, 0);
   const CachedAnswer* resident =
-      cache.insert_positive("up.example.com", RRType::A, second, 1);
+      cache.insert_positive(id("up.example.com"), RRType::A, second, 1);
   ASSERT_NE(resident, nullptr);
   ASSERT_EQ(resident->answers.size(), 1u);
-  EXPECT_EQ(resident->answers[0].rdata, "198.51.100.9");
+  EXPECT_EQ(to_resource_record(resident->answers[0], names).rdata,
+            "198.51.100.9");
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(DnsCacheTest, LargeAnswerSetsSpillAndRoundTrip) {
+  // Sets up to CachedRecords::kInline live in the entry; larger ones spill
+  // to one heap block.  Both must hand back every record in order.
+  for (const std::size_t count : {std::size_t{1}, CachedRecords::kInline,
+                                  CachedRecords::kInline + 2}) {
+    DnsCache cache(DnsCacheConfig{.capacity = 16});
+    std::vector<CompactRecord> answers;
+    for (std::size_t i = 0; i < count; ++i) {
+      answers.push_back(compact_record(names, "set.example.com", RRType::A,
+                                       300,
+                                       "192.0.2." + std::to_string(i + 1)));
+    }
+    const CachedAnswer* resident =
+        cache.insert_positive(id("set.example.com"), RRType::A, answers, 0);
+    ASSERT_NE(resident, nullptr);
+    ASSERT_EQ(resident->answers.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(resident->answers[i].same_rr(answers[i])) << i;
+    }
+  }
+}
+
+TEST(DnsCacheTest, InvertedTtlClampIsRejected) {
+  // std::clamp with min > max is undefined; the cache refuses the config.
+  DnsCacheConfig config;
+  config.min_ttl = 600;
+  config.max_ttl = 60;
+  EXPECT_NE(cache_config_error(config), nullptr);
+  EXPECT_THROW(DnsCache{config}, std::invalid_argument);
+  config.max_ttl = 600;  // min == max is a fixed TTL, which is fine
+  EXPECT_EQ(cache_config_error(config), nullptr);
+  EXPECT_NO_THROW(DnsCache{config});
 }
 
 }  // namespace

@@ -35,11 +35,12 @@ TEST(IntegrationTest, PcapRoundTripMatchesDirectCapture) {
   std::uint16_t txid = 0;
   FunctionTapObserver pcap_writer([&](const TapBatch& batch) {
     for (const TapEvent& event : batch) {
-      const auto answers = batch.answers(event);
+      std::vector<ResourceRecord> answers;
+      to_resource_records(batch.answers(event), batch.names(), answers);
       DnsMessage msg = DnsMessage::make_response(
-          DnsMessage::make_query(++txid, event.question.name,
-                                 event.question.type),
-          event.rcode, {answers.begin(), answers.end()});
+          DnsMessage::make_query(++txid, DomainName(batch.qname(event)),
+                                 event.qtype),
+          event.rcode, std::move(answers));
       if (event.direction == TapDirection::kBelow) {
         const Ipv4 client_ip{
             kClientBase.value +

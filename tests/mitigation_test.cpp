@@ -63,12 +63,16 @@ TEST(PutColdTest, RespectsCapacityAndListener) {
 // --------------------------------------------------------------------------
 // DnsCache low-priority policy
 
+/// The cache keys on ids of its owner's name table.
+NameTable cache_names;
+
 /// Inserts one A record for `name` at time 0.
 void insert_a(DnsCache& cache, const std::string& name,
               bool disposable_hint = false) {
-  std::vector<ResourceRecord> answers = {
-      {DomainName(name), RRType::A, 1000, "192.0.2.7"}};
-  cache.insert_positive(name, RRType::A, answers, 0, disposable_hint);
+  const CompactRecord answer =
+      compact_record(cache_names, name, RRType::A, 1000, "192.0.2.7");
+  cache.insert_positive(answer.owner, RRType::A, {&answer, 1}, 0,
+                        disposable_hint);
 }
 
 TEST(LowPriorityCacheTest, DisposableEntriesNeverDisplaceUsefulOnes) {
@@ -82,7 +86,8 @@ TEST(LowPriorityCacheTest, DisposableEntriesNeverDisplaceUsefulOnes) {
     const std::string name = "d" + std::to_string(i) + ".zone.com";
     insert_a(cache, name, /*disposable_hint=*/true);
   }
-  EXPECT_NE(cache.lookup("useful.com", RRType::A, 1), nullptr);
+  EXPECT_NE(cache.lookup(cache_names.intern("useful.com"), RRType::A, 1),
+            nullptr);
   EXPECT_EQ(cache.stats().premature_nondisposable_evictions, 0u);
   EXPECT_EQ(cache.stats().evictions, 9u);
 }
@@ -96,7 +101,8 @@ TEST(LowPriorityCacheTest, PolicyOffDisplacesUsefulEntries) {
     const std::string name = "d" + std::to_string(i) + ".zone.com";
     insert_a(cache, name, /*disposable_hint=*/true);
   }
-  EXPECT_EQ(cache.lookup("useful.com", RRType::A, 1), nullptr);
+  EXPECT_EQ(cache.lookup(cache_names.intern("useful.com"), RRType::A, 1),
+            nullptr);
   EXPECT_GE(cache.stats().premature_nondisposable_evictions, 1u);
 }
 

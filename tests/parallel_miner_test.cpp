@@ -190,5 +190,32 @@ TEST(ParallelMinerTest, InvalidWarmupFractionIsInvalidConfig) {
   }
 }
 
+TEST(ParallelMinerTest, InvertedTtlClampIsInvalidConfig) {
+  // min_ttl > max_ttl makes the cache's TTL clamp undefined; every day
+  // runner refuses it before any Scenario is built.
+  ClusterConfig cluster = small_cluster();
+  cluster.cache.min_ttl = 600;
+  cluster.cache.max_ttl = 60;
+  MiningSession session = small_session(2);
+  session.cluster(cluster).enable_dns_server(true);
+
+  DayCapture capture;
+  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
+  EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+  EXPECT_EQ(report.error, cache_config_error(cluster.cache));
+
+  const MiningDayResult result = session.run(ScenarioDate::kNov14);
+  EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig);
+  EXPECT_EQ(result.error, report.error);
+
+  const std::unique_ptr<ServedMiningDay> day =
+      session.serve(ScenarioDate::kNov14);
+  ASSERT_NE(day, nullptr);
+  EXPECT_FALSE(day->ok());
+  EXPECT_EQ(day->error(), report.error);
+  EXPECT_EQ(day->udp_port(), 0);
+  EXPECT_EQ(day->finish().status, MiningDayStatus::kInvalidConfig);
+}
+
 }  // namespace
 }  // namespace dnsnoise

@@ -144,6 +144,13 @@ TEST(PcapTest, LoadMissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(PcapTest, LoadDirectoryThrows) {
+  // A directory opens as a stream whose reported size is huge: it must be
+  // refused like any other unreadable input, not sized into bad_alloc.
+  const std::filesystem::path dir = ::testing::TempDir();
+  EXPECT_THROW(PcapReader::load_file(dir.string()), std::runtime_error);
+}
+
 TEST(PcapTest, ZeroCopyViewsMatchCopies) {
   Rng rng(5);
   PcapWriter writer;

@@ -31,17 +31,19 @@ void simulate_lossy_day(Scenario& scenario, DayCapture& capture,
                         std::int64_t day, double loss, std::uint64_t seed) {
   RdnsCluster cluster(ClusterConfig{}, scenario.authority());
   Rng drop_rng(seed);
+  std::vector<TapEvent> kept;
+  std::vector<CompactRecord> kept_answers;
   FunctionTapObserver lossy_tap([&](const TapBatch& batch) {
+    kept.clear();
+    kept_answers.clear();
     for (const TapEvent& event : batch) {
       if (drop_rng.chance(loss)) continue;
-      if (event.direction == TapDirection::kBelow) {
-        capture.on_below(event.ts, event.client_id, event.question,
-                         event.rcode, batch.answers(event));
-      } else {
-        capture.on_above(event.ts, event.question, event.rcode,
-                         batch.answers(event));
-      }
+      const auto answers = batch.answers(event);
+      TapEvent& copy = kept.emplace_back(event);
+      copy.answer_offset = static_cast<std::uint32_t>(kept_answers.size());
+      kept_answers.insert(kept_answers.end(), answers.begin(), answers.end());
     }
+    capture.on_tap_batch(TapBatch(kept, kept_answers, batch.names()));
   });
   cluster.add_tap_observer(&lossy_tap);
   scenario.traffic().run_day_shard(

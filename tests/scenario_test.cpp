@@ -81,13 +81,13 @@ TEST(ScenarioTest, GroundTruthPredicate) {
 }
 
 TEST(ScenarioTest, TenantAttribution) {
-  EXPECT_TRUE(Scenario::is_google_name(DomainName("mail.google.com")));
-  EXPECT_TRUE(Scenario::is_google_name(
-      DomainName("p2.abc.def.123.i1.ds.ipv6-exp.l.google.com")));
-  EXPECT_FALSE(Scenario::is_google_name(DomainName("google.com.evil.org")));
-  EXPECT_TRUE(Scenario::is_akamai_name(DomainName("e1.g.akamai.net")));
-  EXPECT_TRUE(Scenario::is_akamai_name(DomainName("x.edgesuite.net")));
-  EXPECT_FALSE(Scenario::is_akamai_name(DomainName("akamai.evil.org")));
+  EXPECT_TRUE(Scenario::is_google_name("mail.google.com"));
+  EXPECT_TRUE(
+      Scenario::is_google_name("p2.abc.def.123.i1.ds.ipv6-exp.l.google.com"));
+  EXPECT_FALSE(Scenario::is_google_name("google.com.evil.org"));
+  EXPECT_TRUE(Scenario::is_akamai_name("e1.g.akamai.net"));
+  EXPECT_TRUE(Scenario::is_akamai_name("x.edgesuite.net"));
+  EXPECT_FALSE(Scenario::is_akamai_name("akamai.evil.org"));
 }
 
 TEST(ScenarioTest, DisposableMultiplierZeroRemovesDisposableTenants) {

@@ -33,19 +33,13 @@ class WireFrontendTest : public ::testing::Test {
                              SyntheticAuthority::make_flat_a_zone(60));
     authority_.register_zone(
         *DomainName::parse("fat.test"),
-        [](const Question& question, SimTime) {
-          AuthorityAnswer answer;
-          answer.rcode = RCode::NoError;
+        [](const Question&, SimTime, AuthorityAnswer& out) {
+          out.rcode = RCode::NoError;
           for (std::size_t i = 0; i < kFatAnswerCount; ++i) {
-            ResourceRecord rr;
-            rr.name = question.name;
-            rr.type = RRType::A;
-            rr.ttl = 60;
-            rr.rdata = "10.0." + std::to_string(i / 256) + "." +
-                       std::to_string(i % 256);
-            answer.answers.push_back(std::move(rr));
+            out.add_a(60, Ipv4::from_octets(
+                              10, 0, static_cast<std::uint8_t>(i / 256),
+                              static_cast<std::uint8_t>(i % 256)));
           }
-          return answer;
         });
     ClusterConfig config;
     config.server_count = 1;

@@ -6,6 +6,8 @@
 #include <set>
 #include <unordered_set>
 
+#include "resolve_helper.h"
+
 namespace dnsnoise {
 namespace {
 
@@ -77,8 +79,8 @@ TEST(DisposableZoneTest, AuthorityAnswersAreDeterministicAndPooled) {
   for (int i = 0; i < 300; ++i) {
     const QuerySpec query = model.sample_query(rng, recent);
     const Question question{DomainName(query.qname), query.qtype};
-    const auto a1 = authority.resolve(question, 0);
-    const auto a2 = authority.resolve(question, 999);
+    const auto a1 = resolve(authority, question, 0);
+    const auto a2 = resolve(authority, question, 999);
     ASSERT_EQ(a1.answers.size(), 1u);
     EXPECT_EQ(a1.answers[0].rdata, a2.answers[0].rdata);  // deterministic
     EXPECT_TRUE(a1.disposable_zone);
@@ -100,7 +102,7 @@ TEST(DisposableZoneTest, RoundRobinAnswerSets) {
   RecentNames recent;
   const QuerySpec query = model.sample_query(rng, recent);
   const auto answer =
-      authority.resolve({DomainName(query.qname), query.qtype}, 0);
+      resolve(authority, {DomainName(query.qname), query.qtype}, 0);
   ASSERT_EQ(answer.answers.size(), 4u);
   std::set<std::string> distinct;
   for (const auto& rr : answer.answers) {
@@ -122,7 +124,7 @@ TEST(DisposableZoneTest, RrPerAnswerClampedToPool) {
   RecentNames recent;
   const QuerySpec query = model.sample_query(rng, recent);
   const auto answer =
-      authority.resolve({DomainName(query.qname), query.qtype}, 0);
+      resolve(authority, {DomainName(query.qname), query.qtype}, 0);
   EXPECT_EQ(answer.answers.size(), 2u);
 }
 
@@ -185,12 +187,12 @@ TEST(OtherSitesTest, OwnSitesResolveOthersDoNot) {
   for (int i = 0; i < 100; ++i) {
     const QuerySpec query = model.sample_query(rng, recent);
     const auto answer =
-        authority.resolve({DomainName(query.qname), query.qtype}, 0);
+        resolve(authority, {DomainName(query.qname), query.qtype}, 0);
     EXPECT_EQ(answer.rcode, RCode::NoError) << query.qname;
     EXPECT_FALSE(answer.disposable_zone);
   }
   // Junk under a covered TLD gets NXDOMAIN from the TLD handler.
-  EXPECT_EQ(authority.resolve({DomainName("n0such5ite.com"), RRType::A}, 0)
+  EXPECT_EQ(resolve(authority, {DomainName("n0such5ite.com"), RRType::A}, 0)
                 .rcode,
             RCode::NXDomain);
 }
@@ -221,7 +223,7 @@ TEST(NxdomainTest, NamesNeverResolve) {
   for (int i = 0; i < 500; ++i) {
     const QuerySpec query = model.sample_query(rng, recent);
     ASSERT_TRUE(DomainName::parse(query.qname)) << query.qname;
-    if (authority.resolve({DomainName(query.qname), query.qtype}, 0).rcode ==
+    if (resolve(authority, {DomainName(query.qname), query.qtype}, 0).rcode ==
         RCode::NoError) {
       ++resolved;
     }
