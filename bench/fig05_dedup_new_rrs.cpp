@@ -36,10 +36,11 @@ int main() {
 
     DayCounts counts;
     for (const auto& [key, rr_counts] : capture.chr().entries()) {
-      if (!rpdns.add(key, day)) continue;
+      if (!rpdns.add(to_rr_key(key, capture.names()), day)) continue;
       ++counts.all;
-      if (Scenario::is_google_name(key.name)) ++counts.google;
-      if (Scenario::is_akamai_name(key.name)) ++counts.akamai;
+      const std::string_view name = capture.names().name(key.owner);
+      if (Scenario::is_google_name(name)) ++counts.google;
+      if (Scenario::is_akamai_name(name)) ++counts.akamai;
     }
     per_day.push_back(counts);
   }

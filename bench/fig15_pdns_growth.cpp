@@ -36,8 +36,8 @@ int main() {
 
     DayCounts counts;
     for (const auto& [key, rr_counts] : capture.chr().entries()) {
-      if (!rpdns.add(key, day)) continue;
-      const auto name = DomainName::parse(key.name);
+      if (!rpdns.add(to_rr_key(key, capture.names()), day)) continue;
+      const auto name = DomainName::parse(capture.names().name(key.owner));
       if (name && scenario.truth().is_disposable_name(*name)) {
         ++counts.disposable;
         ++disposable_total;

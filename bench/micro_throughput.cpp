@@ -236,8 +236,9 @@ void BM_GroupFeatures(benchmark::State& state) {
   // SoA extraction (gather + dedup + batched entropy + CHR reduce) with a
   // reused scratch, items = group members processed.
   Rng rng(8);
-  DomainNameTree tree;
-  CacheHitRateTracker chr;
+  NameTable names;
+  DomainNameTree tree(names);
+  CacheHitRateTracker chr(names);
   for (int i = 0; i < 5'000; ++i) {
     const std::string name = rng.hex_string(16) + ".avqs.example.com";
     tree.insert(DomainName(name));
@@ -248,13 +249,13 @@ void BM_GroupFeatures(benchmark::State& state) {
     state.SkipWithError("expected one effective 2LD");
     return;
   }
-  const auto groups = tree.black_descendants_by_depth(*zones[0]);
+  const auto groups = tree.black_descendants_by_depth(zones[0]);
   const auto deepest = groups.rbegin();
   GroupFeatureScratch scratch;
   const std::uint64_t allocs_before = alloc_count();
   for (auto _ : state) {
     const GroupFeatures features = compute_group_features(
-        deepest->second, zones[0]->depth, chr, scratch);
+        tree, deepest->second, tree.depth(zones[0]), chr, scratch);
     benchmark::DoNotOptimize(features.entropy_mean);
   }
   const auto items = static_cast<std::uint64_t>(state.iterations()) *
@@ -272,7 +273,8 @@ void BM_TreeInsert(benchmark::State& state) {
                        std::to_string(i % 50) + ".com");
   }
   for (auto _ : state) {
-    DomainNameTree tree;
+    NameTable table;
+    DomainNameTree tree(table);
     for (const DomainName& name : names) tree.insert(name);
     benchmark::DoNotOptimize(tree.black_count());
   }
@@ -288,7 +290,8 @@ void BM_ChrRecord(benchmark::State& state) {
     names.push_back(rng.hex_string(16) + ".zone.example.com");
   }
   for (auto _ : state) {
-    CacheHitRateTracker tracker;
+    NameTable table;
+    CacheHitRateTracker tracker(table);
     for (const std::string& name : names) {
       tracker.record_below(name, RRType::A, "10.0.0.1", 300);
     }
@@ -578,16 +581,17 @@ void BM_NameTableIntern(benchmark::State& state) {
 BENCHMARK(BM_NameTableIntern);
 
 void BM_TreeInsertSteady(benchmark::State& state) {
-  // Re-insert of an already-built tree: label interning and edge probing
-  // only, no node creation — the shape of a steady capture day where most
-  // names repeat.
+  // Re-insert of an already-built tree: one name lookup per insert, no
+  // node creation — the shape of a steady capture day where most names
+  // repeat.
   Rng rng(3);
   std::vector<DomainName> names;
   for (int i = 0; i < 10'000; ++i) {
     names.emplace_back(rng.hex_string(16) + ".avqs.vendor" +
                        std::to_string(i % 50) + ".com");
   }
-  DomainNameTree tree;
+  NameTable table;
+  DomainNameTree tree(table);
   for (const DomainName& name : names) tree.insert(name);
   const std::uint64_t allocs_before = alloc_count();
   for (auto _ : state) {
@@ -608,7 +612,8 @@ void BM_ChrRecordSteady(benchmark::State& state) {
   for (int i = 0; i < 10'000; ++i) {
     names.push_back(rng.hex_string(16) + ".zone.example.com");
   }
-  CacheHitRateTracker tracker;
+  NameTable table;
+  CacheHitRateTracker tracker(table);
   for (const std::string& name : names) {
     tracker.record_below(name, RRType::A, "10.0.0.1", 300);
   }

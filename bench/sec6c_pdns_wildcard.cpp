@@ -6,7 +6,6 @@
 // databases over 6 days — raw and wildcard-folding (rules = the miner's
 // findings) — and compare record counts and storage bytes.
 
-#include <optional>
 
 #include "bench_common.h"
 #include "pdns/pdns_db.h"
@@ -24,7 +23,6 @@ int main() {
   // over 6 days of traffic.
   PassiveDnsDb raw(/*wildcard_folding=*/false);
   PassiveDnsDb folded(/*wildcard_folding=*/true);
-  std::optional<FindingIndex> index;
 
   for (int day = 0; day < 6; ++day) {
     ScenarioScale scale = default_scale(200'000);
@@ -39,13 +37,13 @@ int main() {
         raw.add_rule({finding.zone, finding.depth});
         folded.add_rule({finding.zone, finding.depth});
       }
-      index.emplace(result.findings);
       std::printf("Mined %zu disposable (zone, depth) rules on day 1.\n\n",
                   result.findings.size());
     } else {
       session.simulate(ScenarioDate::kDec30, capture, day);
     }
-    for (const auto& [key, counts] : capture.chr().entries()) {
+    for (const auto& [rr, counts] : capture.chr().entries()) {
+      const RRKey key = to_rr_key(rr, capture.names());
       const auto name = DomainName::parse(key.name);
       if (!name) continue;
       raw.add(*name, key.type, key.rdata, day);
@@ -57,7 +55,7 @@ int main() {
   std::uint64_t raw_disposable = 0;
   raw.store().for_each([&](const RRKey& key, const RpDnsRecord&) {
     const auto name = DomainName::parse(key.name);
-    if (name && index->is_disposable(*name)) ++raw_disposable;
+    if (name && raw.matches_rule(*name)) ++raw_disposable;
   });
   std::uint64_t folded_wildcards = 0;
   folded.store().for_each([&](const RRKey& key, const RpDnsRecord&) {

@@ -26,10 +26,12 @@ int main() {
     DayCapture capture;
     const MiningDayResult result =
         session.run(date, capture, scenario_day_index(date));
-    const FindingIndex index(result.findings);
+    FindingCover cover(capture.tree(), result.findings);
     const TailComposition row = lookup_tail_composition(
         capture.chr(),
-        [&index](const DomainName& name) { return index.is_disposable(name); },
+        [&](const DomainName& name) {
+          return cover.covers(capture.names().find(name.text()));
+        },
         10);
     table.add_row({std::string(scenario_date_name(date)),
                    percent(row.tail_fraction, 2),

@@ -24,10 +24,10 @@ int main() {
     DayCapture capture;
     const MiningDayResult result =
         session.run(date, capture, scenario_day_index(date));
-    const FindingIndex index(result.findings);
+    FindingCover cover(capture.tree(), result.findings);
     const TailComposition row = zero_dhr_tail_composition(
-        capture.chr(), [&index](const DomainName& name) {
-          return index.is_disposable(name);
+        capture.chr(), [&](const DomainName& name) {
+          return cover.covers(capture.names().find(name.text()));
         });
     table.add_row({std::string(scenario_date_name(date)),
                    percent(row.tail_fraction, 2),

@@ -19,6 +19,7 @@
 #include "dns/wire.h"
 #include "engine/parallel_miner.h"
 #include "netio/capture.h"
+#include "util/file.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -107,13 +108,7 @@ int main() {
               with_commas(pcap.size()).c_str());
 
   // --- 3. Reload the model, replay the pcap, mine.
-  std::ifstream in(model_path, std::ios::binary | std::ios::ate);
-  std::vector<std::uint8_t> model_bytes(
-      static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(model_bytes.data()),
-          static_cast<std::streamsize>(model_bytes.size()));
-  const auto model = LadTree::deserialize(model_bytes);
+  const auto model = LadTree::deserialize(read_file(model_path));
   if (!model) {
     std::fprintf(stderr, "corrupt model file\n");
     return 1;

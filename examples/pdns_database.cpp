@@ -8,7 +8,6 @@
 // Run: ./build/examples/pdns_database
 
 #include <cstdio>
-#include <optional>
 
 #include "engine/parallel_miner.h"
 #include "pdns/pdns_db.h"
@@ -26,7 +25,6 @@ int main() {
 
   PassiveDnsDb raw(/*wildcard_folding=*/false);
   PassiveDnsDb folded(/*wildcard_folding=*/true);
-  std::optional<FindingIndex> mined;
   std::string sample_disposable;
   std::string sample_popular = "mail.google.com";
 
@@ -42,7 +40,6 @@ int main() {
       for (const auto& finding : result.findings) {
         folded.add_rule({finding.zone, finding.depth});
       }
-      mined.emplace(result.findings);
       std::printf("Day 1: mined %zu disposable zone rules "
                   "(precision vs ground truth: %s)\n",
                   result.findings.size(),
@@ -50,14 +47,15 @@ int main() {
     } else {
       session.simulate(ScenarioDate::kDec30, capture, day);
     }
-    for (const auto& [key, counts] : capture.chr().entries()) {
+    for (const auto& [rr, counts] : capture.chr().entries()) {
+      const RRKey key = to_rr_key(rr, capture.names());
       const auto name = DomainName::parse(key.name);
       if (!name) continue;
       raw.add(*name, key.type, key.rdata, day);
       folded.add(*name, key.type, key.rdata, day);
       if ((sample_disposable.empty() || name->label_count() >= 6) &&
-          sample_disposable.find(".avqs.") == std::string::npos && mined &&
-          mined->is_disposable(*name)) {
+          sample_disposable.find(".avqs.") == std::string::npos &&
+          folded.matches_rule(*name)) {
         sample_disposable = key.name;  // prefer a deep archetypal name
       }
     }

@@ -6,10 +6,11 @@ namespace dnsnoise {
 
 namespace {
 
-/// Parses and classifies an RR's name once per entry.
-bool entry_is_disposable(const RRKey& key,
+/// Parses and classifies an RR's owner once per entry.
+bool entry_is_disposable(const CacheHitRateTracker& chr,
+                         const CompactRecord& key,
                          const DisposablePredicate& is_disposable) {
-  const auto name = DomainName::parse(key.name);
+  const auto name = DomainName::parse(chr.names().name(key.owner));
   return name && is_disposable(*name);
 }
 
@@ -81,8 +82,9 @@ LabeledChrStudy labeled_chr_study(
   for (const auto& [key, counts] : chr.entries()) {
     if (counts.above == 0) continue;  // never missed: no CHR samples
     const double rate = CacheHitRateTracker::dhr(counts);
-    const bool disposable = entry_is_disposable(key, is_disposable);
-    if (!disposable && !entry_is_disposable(key, is_labeled_nondisposable)) {
+    const bool disposable = entry_is_disposable(chr, key, is_disposable);
+    if (!disposable &&
+        !entry_is_disposable(chr, key, is_labeled_nondisposable)) {
       continue;  // unlabeled traffic is not part of the Fig. 7 comparison
     }
     auto& bucket =
@@ -118,7 +120,7 @@ TailComposition lookup_tail_composition(
   const std::uint64_t total = chr.unique_rrs();
   for (const auto& [key, counts] : chr.entries()) {
     const bool in_tail = counts.below < threshold;
-    const bool is_disp = entry_is_disposable(key, is_disposable);
+    const bool is_disp = entry_is_disposable(chr, key, is_disposable);
     if (in_tail) ++tail;
     if (is_disp) ++disposable;
     if (in_tail && is_disp) ++tail_disposable;
@@ -148,7 +150,7 @@ TailComposition zero_dhr_tail_composition(
   const std::uint64_t total = chr.unique_rrs();
   for (const auto& [key, counts] : chr.entries()) {
     const bool in_tail = CacheHitRateTracker::dhr(counts) == 0.0;
-    const bool is_disp = entry_is_disposable(key, is_disposable);
+    const bool is_disp = entry_is_disposable(chr, key, is_disposable);
     if (in_tail) ++tail;
     if (is_disp) ++disposable;
     if (in_tail && is_disp) ++tail_disposable;
@@ -173,7 +175,7 @@ LogHistogram disposable_ttl_histogram(
     const CacheHitRateTracker& chr, const DisposablePredicate& is_disposable) {
   LogHistogram histogram(86400.0, 4);
   for (const auto& [key, counts] : chr.entries()) {
-    if (!entry_is_disposable(key, is_disposable)) continue;
+    if (!entry_is_disposable(chr, key, is_disposable)) continue;
     histogram.add(static_cast<double>(std::min<std::uint32_t>(counts.ttl,
                                                               86400)));
   }
@@ -186,7 +188,7 @@ double disposable_ttl_fraction_at_most(
   std::uint64_t total = 0;
   std::uint64_t at_most = 0;
   for (const auto& [key, counts] : chr.entries()) {
-    if (!entry_is_disposable(key, is_disposable)) continue;
+    if (!entry_is_disposable(chr, key, is_disposable)) continue;
     ++total;
     if (counts.ttl <= value) ++at_most;
   }

@@ -13,7 +13,7 @@
 namespace dnsnoise {
 
 /// Predicate deciding whether a resolved name is disposable — either the
-/// scenario ground truth or a mined FindingIndex, depending on the study.
+/// scenario ground truth or mined findings, depending on the study.
 using DisposablePredicate = std::function<bool(const DomainName&)>;
 
 // --------------------------------------------------------------------------

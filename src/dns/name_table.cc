@@ -45,7 +45,7 @@ std::string_view StringArena::store(std::string_view s) {
   return {dst, s.size()};
 }
 
-void NameTable::Pool::grow_slots(std::size_t min_slots) {
+void NameTable::grow_slots(std::size_t min_slots) {
   std::size_t n = 16;
   while (n < min_slots) n <<= 1;
   std::vector<std::uint32_t> fresh(n, 0);
@@ -58,14 +58,14 @@ void NameTable::Pool::grow_slots(std::size_t min_slots) {
   slots_.swap(fresh);
 }
 
-void NameTable::Pool::reserve(std::size_t count) {
+void NameTable::reserve(std::size_t count) {
   recs_.reserve(count);
   // 8/7 headroom keeps the table below the 7/8 growth trigger at `count`.
   const std::size_t wanted = count + count / 7 + 1;
   if (wanted > slots_.size()) grow_slots(wanted);
 }
 
-std::uint32_t NameTable::Pool::find(std::string_view s) const noexcept {
+NameId NameTable::find(std::string_view s) const noexcept {
   if (slots_.empty()) return kInvalidNameId;
   const std::uint64_t h = fnv1a64(s);
   const std::size_t mask = slots_.size() - 1;
@@ -79,8 +79,7 @@ std::uint32_t NameTable::Pool::find(std::string_view s) const noexcept {
   }
 }
 
-std::uint32_t NameTable::Pool::intern(std::string_view s, std::uint64_t h,
-                                      StringArena& arena) {
+NameId NameTable::intern(std::string_view s, std::uint64_t h) {
   if (slots_.empty()) grow_slots(16);
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = static_cast<std::size_t>(h) & mask;
@@ -92,13 +91,21 @@ std::uint32_t NameTable::Pool::intern(std::string_view s, std::uint64_t h,
     i = (i + 1) & mask;
   }
   const auto id = static_cast<std::uint32_t>(recs_.size());
-  recs_.push_back(Rec{arena.store(s), h});
+  recs_.push_back(Rec{arena_.store(s), h});
   slots_[i] = id + 1;
   // Grow past 7/8 load; reinserting re-probes every stored hash.
   if ((recs_.size() + recs_.size() / 7) >= slots_.size()) {
     grow_slots(slots_.size() * 2);
   }
   return id;
+}
+
+std::vector<NameId> NameTable::intern_all(const NameTable& other) {
+  std::vector<NameId> remap(other.size());
+  for (NameId id = 0; id < remap.size(); ++id) {
+    remap[id] = intern(other.recs_[id].text, other.recs_[id].hash);
+  }
+  return remap;
 }
 
 }  // namespace dnsnoise

@@ -1,22 +1,22 @@
 // NameTable: arena-backed string interning for the hot query path.
 //
 // Every subsystem that used to key hash maps on owned std::string copies
-// (resolver cache, CHR accounting, domain tree labels) can instead intern a
-// normalized name once and pass a dense 32-bit NameId around.  Interning
-// buys three things on the steady-state path:
+// (resolver cache, a day's capture) can instead intern a normalized name
+// once and pass a dense 32-bit NameId around.  Interning buys three
+// things on the steady-state path:
 //   1. zero allocations — a name seen before resolves to its id without
 //      touching the heap (open addressing over a flat slot array),
 //   2. precomputed hashes — the FNV-1a hash computed at intern time is
 //      stored per id, so downstream maps never rehash the bytes,
 //   3. stable views — interned bytes live in append-only arena chunks, so
 //      a string_view handed out by the table is valid for the table's
-//      lifetime (nodes and cache entries may hold it without copying).
+//      lifetime (cache entries and tree nodes may hold it without copying).
 //
 // Ids are dense and assigned in first-intern order, which makes them
 // deterministic for a fixed input stream; cross-shard determinism is
-// achieved by *remapping through the text* when merging (see
-// DomainNameTree::merge_from), never by comparing raw ids of different
-// tables.  See DESIGN.md §11 for the full determinism argument.
+// achieved by *remapping through the text* when merging (intern_all),
+// never by comparing raw ids of different tables.  See DESIGN.md §11 for
+// the full determinism argument.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +30,11 @@
 
 namespace dnsnoise {
 
-/// Dense handle of an interned full name (table-scoped, first-intern order).
+/// Dense handle of an interned string (table-scoped, first-intern order).
 using NameId = std::uint32_t;
-/// Dense handle of an interned single label (table-scoped).
-using LabelId = std::uint32_t;
 
-/// Sentinel for "not interned" (also the invalid LabelId).
-inline constexpr std::uint32_t kInvalidNameId = 0xffffffffu;
+/// Sentinel for "not interned".
+inline constexpr NameId kInvalidNameId = 0xffffffffu;
 
 /// Append-only byte arena: stable storage for interned strings.  Strings
 /// never move once stored, so views into the arena stay valid until the
@@ -71,113 +69,63 @@ struct NameRef {
 
 class NameTable {
  public:
-  /// `track_labels` additionally maintains the per-label pool (used by the
-  /// domain tree); tables that only intern full names (resolver cache, CHR)
-  /// leave it off and skip that memory entirely.
-  explicit NameTable(bool track_labels = false)
-      : track_labels_(track_labels) {}
+  NameTable() = default;
 
   NameTable(const NameTable&) = delete;
   NameTable& operator=(const NameTable&) = delete;
   NameTable(NameTable&&) = default;
   NameTable& operator=(NameTable&&) = default;
 
-  // --- Full names ----------------------------------------------------------
-
   /// Interns `name` (which must already be normalized: lowercase, no
   /// trailing dot) and returns its dense id.  Idempotent; a repeated intern
   /// of a known name is allocation-free.
-  NameId intern(std::string_view name) {
-    return names_.intern(name, fnv1a64(name), arena_);
-  }
+  NameId intern(std::string_view name) { return intern(name, fnv1a64(name)); }
 
   /// intern() for a name whose hash is already known: `hash` must be
   /// fnv1a64(name), e.g. another table's name_hash() when merging tables,
   /// so the name bytes are not hashed again.
-  NameId intern(std::string_view name, std::uint64_t hash) {
-    return names_.intern(name, hash, arena_);
-  }
+  NameId intern(std::string_view name, std::uint64_t hash);
+
+  /// Interns every string of `other` in id order, reusing its stored
+  /// hashes, and returns the map from other's ids to this table's.
+  std::vector<NameId> intern_all(const NameTable& other);
 
   /// Id of `name` if already interned, else kInvalidNameId.  Never
   /// allocates.
-  NameId find(std::string_view name) const noexcept {
-    return names_.find(name);
-  }
+  NameId find(std::string_view name) const noexcept;
 
   /// Stable text of an interned name.
-  std::string_view name(NameId id) const noexcept { return names_.text(id); }
+  std::string_view name(NameId id) const noexcept { return recs_[id].text; }
 
   /// Precomputed FNV-1a hash of an interned name.
-  std::uint64_t name_hash(NameId id) const noexcept {
-    return names_.hash(id);
-  }
+  std::uint64_t name_hash(NameId id) const noexcept { return recs_[id].hash; }
 
   /// Full (id, text, hash) view; interns when absent.
   NameRef ref(std::string_view name) {
     const NameId id = intern(name);
-    return NameRef{id, names_.text(id), names_.hash(id)};
+    return NameRef{id, recs_[id].text, recs_[id].hash};
   }
 
-  std::size_t size() const noexcept { return names_.size(); }
+  std::size_t size() const noexcept { return recs_.size(); }
 
-  /// Pre-sizes the name pool for `count` names (no rehash below that).
-  void reserve(std::size_t count) { names_.reserve(count); }
-
-  // --- Labels (optional pool) ----------------------------------------------
-
-  LabelId intern_label(std::string_view label) {
-    return labels_.intern(label, fnv1a64(label), arena_);
-  }
-  LabelId find_label(std::string_view label) const noexcept {
-    return labels_.find(label);
-  }
-  std::string_view label(LabelId id) const noexcept {
-    return labels_.text(id);
-  }
-  std::uint64_t label_hash(LabelId id) const noexcept {
-    return labels_.hash(id);
-  }
-  std::size_t label_count() const noexcept { return labels_.size(); }
-  bool tracks_labels() const noexcept { return track_labels_; }
+  /// Pre-sizes the table for `count` names (no rehash below that).
+  void reserve(std::size_t count);
 
   std::size_t bytes_used() const noexcept { return arena_.bytes_used(); }
 
  private:
-  /// One interning pool: dense records + open-addressed slot array.  Shared
-  /// implementation for the name pool and the label pool.
-  class Pool {
-   public:
-    std::uint32_t intern(std::string_view s, std::uint64_t hash,
-                         StringArena& arena);
-    std::uint32_t find(std::string_view s) const noexcept;
-    std::string_view text(std::uint32_t id) const noexcept {
-      return recs_[id].text;
-    }
-    std::uint64_t hash(std::uint32_t id) const noexcept {
-      return recs_[id].hash;
-    }
-    std::size_t size() const noexcept { return recs_.size(); }
-    void reserve(std::size_t count);
-
-   private:
-    struct Rec {
-      std::string_view text;  // stable view into the arena
-      std::uint64_t hash = 0;
-    };
-
-    std::vector<Rec> recs_;
-    // Open addressing, linear probing, power-of-two size.  A slot holds
-    // id + 1; 0 marks empty.  Grown at 7/8 load.
-    std::vector<std::uint32_t> slots_;
-
-    void grow_slots(std::size_t min_slots);
-    std::uint32_t* probe(std::uint64_t hash, std::string_view s) noexcept;
+  struct Rec {
+    std::string_view text;  // stable view into the arena
+    std::uint64_t hash = 0;
   };
 
+  void grow_slots(std::size_t min_slots);
+
   StringArena arena_;
-  Pool names_;
-  Pool labels_;
-  bool track_labels_;
+  std::vector<Rec> recs_;
+  // Open addressing, linear probing, power-of-two size.  A slot holds
+  // id + 1; 0 marks empty.  Grown at 7/8 load.
+  std::vector<std::uint32_t> slots_;
 };
 
 /// Batched Shannon entropy over interned names: out[i] = entropy of

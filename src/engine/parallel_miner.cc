@@ -419,12 +419,13 @@ std::vector<DisposableZoneFinding> mine_zones_parallel(
       trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                        : nullptr,
       trace, obs::TraceOp::kEngineClassify);
-  std::vector<DomainNameTree::Node*> roots = tree.effective_2ld_nodes(psl);
+  const std::vector<NameId> roots = tree.effective_2ld_nodes(psl);
   std::vector<std::vector<DisposableZoneFinding>> outs(roots.size());
   const auto mine_root = [&](std::size_t i) {
-    // Effective-2LD subtrees are disjoint and decolor touches only the
-    // node, so concurrent zone walks never share mutable state.
-    miner.mine_zone(tree, *roots[i], chr, outs[i]);
+    // Effective-2LD subtrees are disjoint and decolor writes only the
+    // node's own black byte, so concurrent zone walks never share mutable
+    // state.
+    miner.mine_zone(tree, roots[i], chr, outs[i]);
   };
   if (threads > 1 && roots.size() > 1) {
     ThreadPool pool(std::min(threads - 1, roots.size() - 1), metrics);

@@ -12,6 +12,7 @@ ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
       return total;
     }
     into.merge_from(shard.capture);
+    shard.capture = DayCapture();  // frees the shard's memory before the next
     total += shard.counters;
   }
   into.fpdns().stable_sort_by_time();

@@ -4,10 +4,11 @@
 // balancing makes each server's traffic — and so its cache — independent of
 // the others), runs one ShardResult per server on the thread pool, and then
 // merges the shards *in shard-index order*.  Every merge operation used here
-// is either order-independent (CHR sums, rpDNS first-seen union, tree union
-// into ordered maps) or made deterministic by the fixed merge order plus a
-// final stable time sort of the fpDNS entries, so the merged capture is a
-// pure function of the scenario, never of the thread schedule.
+// is either order-independent (CHR sums, rpDNS first-seen union, black-flag
+// ORs) or made deterministic by the fixed merge order (first-sight name
+// lists, appended CHR entries and tree children) plus a final stable time
+// sort of the fpDNS entries, so the merged capture is a pure function of
+// the scenario, never of the thread schedule.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +54,12 @@ struct ShardResult {
 };
 
 /// Merges `shards` (in index order) into `into`, which must already be
-/// start_day()-reset for the same day.  Counters are summed into the return
-/// value.  On the first shard with a non-empty error the merge stops and
-/// that error is reported through `error_out`; `into` should then be
-/// discarded.  After the last shard the fpDNS entries are stable-sorted by
-/// time, restoring the chronological order of a single tap.
+/// start_day()-reset for the same day, freeing each shard's capture once
+/// it is merged.  Counters are summed into the return value.  On the first
+/// shard with a non-empty error the merge stops and that error is reported
+/// through `error_out`; `into` should then be discarded.  After the last
+/// shard the fpDNS entries are stable-sorted by time, restoring the
+/// chronological order of a single tap.
 ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
                            std::string& error_out);
 

@@ -2,7 +2,7 @@
 
 namespace dnsnoise {
 
-CacheHitRateTracker::CacheHitRateTracker() {
+CacheHitRateTracker::CacheHitRateTracker(NameTable& names) : names_(&names) {
   slots_.assign(256, 0);
   slot_mask_ = 255;
 }
@@ -23,31 +23,26 @@ void CacheHitRateTracker::grow_slots(std::size_t min_slots) {
 }
 
 CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
-    const CompactRecord& rr, std::uint64_t h, const RRKey* text) {
+    const CompactRecord& rr, std::uint64_t h) {
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;
   while (true) {
     const std::uint32_t ref = slots_[i];
     if (ref == 0) break;
     const std::uint32_t idx = ref - 1;
-    if (hashes_[idx] == h && keys_[idx].same_rr(rr)) {
+    if (hashes_[idx] == h && entries_[idx].first.same_rr(rr)) {
       return entries_[idx].second;
     }
     i = (i + 1) & slot_mask_;
   }
-  // First observation: materialize the key, keep slot load below 7/8.
+  // First observation: keep slot load below 7/8.
   if (entries_.size() + 1 + (entries_.size() + 1) / 7 >= slots_.size()) {
     grow_slots(slots_.size() * 2);
     i = static_cast<std::size_t>(h) & slot_mask_;
     while (slots_[i] != 0) i = (i + 1) & slot_mask_;
   }
   const auto idx = static_cast<std::uint32_t>(entries_.size());
-  if (text != nullptr) {
-    entries_.emplace_back(*text, Counts{});
-  } else {
-    entries_.emplace_back(to_rr_key(rr, names_), Counts{});
-  }
-  CompactRecord& key = keys_.emplace_back(rr);
-  key.ttl = 0;
+  entries_.emplace_back(rr, Counts{});
+  entries_.back().first.ttl = 0;
   hashes_.push_back(h);
   slots_[i] = idx + 1;
   if (rr.owner >= chains_.size()) chains_.resize(rr.owner + 1);
@@ -63,13 +58,13 @@ CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
 }
 
 bool CacheHitRateTracker::record_below(const CompactRecord& rr) {
-  Counts& counts = entry_for(rr, rr_hash(rr, names_));
+  Counts& counts = entry_for(rr, rr_hash(rr, *names_));
   if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
   return counts.below++ == 0;
 }
 
 void CacheHitRateTracker::record_above(const CompactRecord& rr) {
-  Counts& counts = entry_for(rr, rr_hash(rr, names_));
+  Counts& counts = entry_for(rr, rr_hash(rr, *names_));
   if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
   ++counts.above;
 }
@@ -77,29 +72,23 @@ void CacheHitRateTracker::record_above(const CompactRecord& rr) {
 bool CacheHitRateTracker::record_below(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  return record_below(compact_record(names_, name, type, ttl, rdata));
+  return record_below(compact_record(*names_, name, type, ttl, rdata));
 }
 
 void CacheHitRateTracker::record_above(std::string_view name, RRType type,
                                        std::string_view rdata,
                                        std::uint32_t ttl) {
-  record_above(compact_record(names_, name, type, ttl, rdata));
+  record_above(compact_record(*names_, name, type, ttl, rdata));
 }
 
-void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other) {
-  // Each of other's names is remapped once, reusing its stored hash; each
-  // RR then probes with other's stored hash (rr_hash is table-independent).
-  std::vector<NameId> remap(other.names_.size());
-  for (NameId id = 0; id < remap.size(); ++id) {
-    remap[id] =
-        names_.intern(other.names_.name(id), other.names_.name_hash(id));
-  }
+void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other,
+                                     std::span<const NameId> remap) {
+  // Each RR probes with other's stored hash (rr_hash is table-independent).
   for (std::size_t i = 0; i < other.entries_.size(); ++i) {
-    CompactRecord rr = other.keys_[i];
+    auto [rr, src] = other.entries_[i];
     rr.owner = remap[rr.owner];
     if (rr.form == RdataForm::kText) rr.set_text(remap[rr.text()]);
-    const auto& [key, src] = other.entries_[i];
-    Counts& dst = entry_for(rr, other.hashes_[i], &key);
+    Counts& dst = entry_for(rr, other.hashes_[i]);
     if (dst.below + dst.above == 0) dst.ttl = src.ttl;
     dst.below += src.below;
     dst.above += src.above;
@@ -109,16 +98,16 @@ void CacheHitRateTracker::merge_from(const CacheHitRateTracker& other) {
 const CacheHitRateTracker::Counts* CacheHitRateTracker::find(
     const RRKey& key) const {
   CompactRecord rr;
-  if (!find_compact_record(names_, key.name, key.type, key.rdata, rr)) {
+  if (!find_compact_record(*names_, key.name, key.type, key.rdata, rr)) {
     return nullptr;
   }
-  const std::uint64_t h = rr_hash(rr, names_);
+  const std::uint64_t h = rr_hash(rr, *names_);
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;
   while (true) {
     const std::uint32_t ref = slots_[i];
     if (ref == 0) return nullptr;
     const std::uint32_t idx = ref - 1;
-    if (hashes_[idx] == h && keys_[idx].same_rr(rr)) {
+    if (hashes_[idx] == h && entries_[idx].first.same_rr(rr)) {
       return &entries_[idx].second;
     }
     i = (i + 1) & slot_mask_;
@@ -130,13 +119,6 @@ double CacheHitRateTracker::dhr(const Counts& counts) noexcept {
   if (counts.above >= counts.below) return 0.0;
   return static_cast<double>(counts.below - counts.above) /
          static_cast<double>(counts.below);
-}
-
-CacheHitRateTracker::NameRrs CacheHitRateTracker::rrs_of_name(
-    std::string_view name) const {
-  const NameId id = names_.find(name);
-  if (id == kInvalidNameId || id >= chains_.size()) return {};
-  return {next_.data(), chains_[id].first};
 }
 
 std::vector<double> CacheHitRateTracker::all_dhr() const {

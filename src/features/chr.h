@@ -10,18 +10,18 @@
 // the paper's black-box simplification of the renewal model.
 //
 // Hot-path layout (DESIGN.md §11.5): RRs are keyed as compact records
-// (dns/rr.h) whose owner and text rdata are ids in the tracker's own
-// NameTable, in a flat open-addressed slot array probed with a hash built
-// from the table's stored text hashes.  Re-recording an already-seen RR
-// compares integers and allocates nothing; only an RR's first observation
-// materializes its presentation key for entries().  The hash is the same
-// in every table (rr_hash), so a merge remaps the other tracker's names
-// once and reuses its stored hashes.
+// (dns/rr.h) whose owner and text rdata are ids of one NameTable — a day
+// capture's one table, shared with its domain tree — in a flat
+// open-addressed slot array probed with a hash built from the table's
+// stored text hashes.  Re-recording an already-seen RR compares integers
+// and allocates nothing, and no RR holds text of its own: entries() hands
+// out compact keys, and callers build text on demand (to_rr_key).  The
+// hash is the same in every table (rr_hash), so a merge remaps the other
+// tracker's ids once and reuses its stored hashes.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -39,20 +39,21 @@ class CacheHitRateTracker {
     std::uint32_t ttl = 0;    // authoritative TTL (first observation wins)
   };
 
-  CacheHitRateTracker();
+  /// One RR: its compact key (TTL 0; the first observation's TTL is in
+  /// the counts) and its counts.
+  using Entry = std::pair<CompactRecord, Counts>;
+
+  /// An empty tracker keyed on ids of `names`, which must outlive it at a
+  /// fixed address.
+  explicit CacheHitRateTracker(NameTable& names);
 
   CacheHitRateTracker(const CacheHitRateTracker&) = delete;
   CacheHitRateTracker& operator=(const CacheHitRateTracker&) = delete;
   CacheHitRateTracker(CacheHitRateTracker&&) = default;
   CacheHitRateTracker& operator=(CacheHitRateTracker&&) = default;
 
-  /// Interns a name or rdata text into names(), so a caller can key
-  /// records by this tracker's ids.  `hash` must be fnv1a64(text), e.g. a
-  /// source table's stored name_hash().
-  NameId intern(std::string_view text, std::uint64_t hash) {
-    return names_.intern(text, hash);
-  }
-  const NameTable& names() const noexcept { return names_; }
+  /// The table the keys' ids belong to.
+  const NameTable& names() const noexcept { return *names_; }
 
   /// Counts one below sighting of `rr`, whose owner and text rdata are ids
   /// in names() and whose TTL is recorded on the RR's first observation.
@@ -63,7 +64,8 @@ class CacheHitRateTracker {
   void record_above(const CompactRecord& rr);
 
   /// Presentation-form entry points: convert the RR once (compact_record,
-  /// interning into names()) and count it like the overloads above.
+  /// interning its text into names()) and count it like the overloads
+  /// above.
   bool record_below(std::string_view name, RRType type, std::string_view rdata,
                     std::uint32_t ttl = 0);
   void record_above(std::string_view name, RRType type, std::string_view rdata,
@@ -74,10 +76,13 @@ class CacheHitRateTracker {
   /// Counts for one RR, or nullptr if never seen.
   const Counts* find(const RRKey& key) const;
 
-  /// Sums `other`'s per-RR counts into this tracker (shard merging).  An RR
-  /// new to this tracker is appended in `other`'s entry order and takes
-  /// other's TTL; an RR present in both keeps this tracker's TTL.
-  void merge_from(const CacheHitRateTracker& other);
+  /// Sums `other`'s per-RR counts into this tracker (shard merging);
+  /// `remap[i]` is this table's id for other's id i (see
+  /// NameTable::intern_all).  An RR new to this tracker is appended in
+  /// `other`'s entry order and takes other's TTL; an RR present in both
+  /// keeps this tracker's TTL.
+  void merge_from(const CacheHitRateTracker& other,
+                  std::span<const NameId> remap);
 
   /// Domain hit rate of an RR's counts (0 when it was never queried below,
   /// clamped at 0 when above > below).
@@ -128,14 +133,15 @@ class CacheHitRateTracker {
     std::uint32_t first_ = kNoEntry;
   };
 
-  /// The RRs (indices into entries()) whose name is `name`.  Never
-  /// allocates.
-  NameRrs rrs_of_name(std::string_view name) const;
+  /// The RRs (indices into entries()) owned by `owner`, an id of
+  /// names() (kInvalidNameId owns none).  Never allocates.
+  NameRrs rrs_of(NameId owner) const noexcept {
+    if (owner >= chains_.size()) return {};
+    return {next_.data(), chains_[owner].first};
+  }
 
   /// Flat access to every (key, counts) entry, in first-observation order.
-  std::span<const std::pair<RRKey, Counts>> entries() const noexcept {
-    return entries_;
-  }
+  std::span<const Entry> entries() const noexcept { return entries_; }
 
   /// DHR of every RR (order matches entries()).
   std::vector<double> all_dhr() const;
@@ -145,10 +151,8 @@ class CacheHitRateTracker {
   std::vector<double> chr_distribution() const;
 
  private:
-  /// Counts slot for `rr` (hash `h`), created on first observation with
-  /// `text` as its presentation key, or one built from names_ if null.
-  Counts& entry_for(const CompactRecord& rr, std::uint64_t h,
-                    const RRKey* text = nullptr);
+  /// Counts slot for `rr` (hash `h`), created on first observation.
+  Counts& entry_for(const CompactRecord& rr, std::uint64_t h);
 
   void grow_slots(std::size_t min_slots);
 
@@ -158,12 +162,11 @@ class CacheHitRateTracker {
     std::uint32_t last = kNoEntry;
   };
 
-  std::vector<std::pair<RRKey, Counts>> entries_;
-  std::vector<CompactRecord> keys_;    // parallel to entries_; TTL unused
+  NameTable* names_;                   // owners and text rdata
+  std::vector<Entry> entries_;
   std::vector<std::uint64_t> hashes_;  // parallel to entries_; never recomputed
   std::vector<std::uint32_t> slots_;   // entry index + 1; 0 = empty
   std::size_t slot_mask_ = 0;
-  NameTable names_{/*track_labels=*/false};  // owners and text rdata
   std::vector<Chain> chains_;          // indexed by owner id
   std::vector<std::uint32_t> next_;    // parallel to entries_: same owner's
                                        // next entry, or kNoEntry

@@ -6,32 +6,24 @@
 // disposable) turns it white so deeper passes of Algorithm 1 don't count it
 // again.  Depth is the label count of a node's name (path length to root).
 //
-// Layout (DESIGN.md §11): nodes are flat records in a deque (stable
-// addresses, no per-node unique_ptr), labels are interned into the tree's
-// NameTable so each distinct label is stored once, and child lookup goes
-// through one tree-wide open-addressed edge map keyed (parent seq,
-// LabelId).  Children are kept per node in insertion order and lazily
-// sorted by label text on first sorted traversal — exactly the ordering
-// the previous std::map<std::string, unique_ptr<Node>> produced, so miner
-// output is byte-identical while the steady-state insert path (all labels
-// already interned, all edges present) performs zero allocations.
+// Layout (DESIGN.md §11.2): the tree is per-id state over one NameTable,
+// the capture's.  A node is the id of its full name.  Interning a name
+// through the tree also interns its missing suffixes and records each
+// one's parent id and depth, so a node's ancestors are ids of the same
+// table, its full name is the table's text and its label is that text up
+// to the first dot.  Only names inserted black and their ancestors are in
+// the tree: each is linked into its parent's child list (first child,
+// next sibling) in insertion order.  Names interned but never inserted
+// (queried names) and text interned by others (rdata) stay outside it.
 //
-// Thread-safety contract: the lazy child sort mutates a node under a const
-// traversal, which is safe under the parallel miner's existing discipline —
-// effective-2LD subtrees are disjoint, each worker only traverses and
-// decolors nodes of its own subtree, and the subtree roots themselves are
-// collected single-threaded before the workers start.  Concurrent sorted
-// traversals of the SAME node from different threads are not allowed (and
-// never happen under that contract).
+// Each node's black flag is its own byte, so workers may decolor disjoint
+// subtrees at the same time (the parallel miner relies on this).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -43,121 +35,118 @@ namespace dnsnoise {
 
 class DomainNameTree {
  public:
-  struct Node {
-    std::string_view label;  // stable view into the tree's label arena
-    Node* parent = nullptr;
-    std::size_t depth = 0;  // 0 for the root
-    bool black = false;
-    std::uint32_t seq = 0;  // dense per-tree node number (edge-map key)
-
-    /// Children sorted by label text (the deterministic traversal order of
-    /// the legacy ordered-map layout).  Sorts lazily on first call after an
-    /// insertion; see the thread-safety contract above.
-    std::span<Node* const> children() const {
-      if (!kids_sorted_) {
-        std::sort(kids_.begin(), kids_.end(),
-                  [](const Node* a, const Node* b) {
-                    return a->label < b->label;
-                  });
-        kids_sorted_ = true;
-      }
-      return kids_;
-    }
-
-    bool leaf() const noexcept { return kids_.empty(); }
-
-    // Internal child storage (insertion order until lazily sorted).  Public
-    // because Node is an aggregate handled by the tree; treat as private.
-    mutable std::vector<Node*> kids_;
-    mutable bool kids_sorted_ = true;
-  };
-
-  DomainNameTree();
+  /// An empty tree over `names`, which must outlive it at a fixed address.
+  explicit DomainNameTree(NameTable& names);
 
   DomainNameTree(const DomainNameTree&) = delete;
   DomainNameTree& operator=(const DomainNameTree&) = delete;
   DomainNameTree(DomainNameTree&&) = default;
   DomainNameTree& operator=(DomainNameTree&&) = default;
 
-  /// Inserts `name`, marking its node black.  Intermediate nodes stay
-  /// white unless they are themselves inserted.  Allocation-free when the
-  /// name's path already exists.
-  Node& insert(const DomainName& name) { return insert(name.text()); }
-  /// insert() for a normalized name's text (lowercase, no trailing dot).
-  Node& insert(std::string_view name);
+  /// Interns a normalized name (lowercase, no trailing dot) with its
+  /// suffixes and returns its id, without inserting it into the tree.
+  /// `hash` must be fnv1a64(name).  Allocation-free for a known name.
+  NameId intern(std::string_view name, std::uint64_t hash);
+  NameId intern(std::string_view name) { return intern(name, fnv1a64(name)); }
 
-  /// Finds the node for `name`, or nullptr.  Never allocates.
-  Node* find(const DomainName& name);
-  const Node* find(const DomainName& name) const {
-    return const_cast<DomainNameTree*>(this)->find(name);
+  /// Inserts the interned name `id`, marking it black.  Its ancestors
+  /// join the tree white unless they are themselves inserted.
+  void insert(NameId id);
+  NameId insert(std::string_view name) {
+    const NameId id = intern(name);
+    insert(id);
+    return id;
+  }
+  NameId insert(const DomainName& name) { return insert(name.text()); }
+
+  /// The node of `name`, or kInvalidNameId when it is not in the tree.
+  /// Never allocates.
+  NameId find(std::string_view name) const noexcept;
+  NameId find(const DomainName& name) const noexcept {
+    return find(name.text());
   }
 
-  Node& root() noexcept { return *root_; }
-  const Node& root() const noexcept { return *root_; }
+  const NameTable& names() const noexcept { return *names_; }
+  NameId root() const noexcept { return root_; }
 
+  /// Nodes in the tree, the root included.
   std::size_t node_count() const noexcept { return node_count_; }
 
-  /// Number of black nodes, counted by traversal.  O(node_count); meant for
-  /// per-day summaries and tests, not hot loops.
+  /// Number of black nodes.  O(table size); meant for per-day summaries
+  /// and tests, not hot loops.
   std::size_t black_count() const noexcept;
 
-  /// Turns a black node white.  Touches only `node` — no shared tree state —
-  /// so concurrent decolors in disjoint subtrees are race-free (the parallel
-  /// miner relies on this).
-  static void decolor(Node& node) noexcept { node.black = false; }
+  /// True when `id` was interned as a name (the root included).
+  bool is_name(NameId id) const noexcept {
+    return id == root_ ||
+           (id < nodes_.size() && nodes_[id].parent != kInvalidNameId);
+  }
+  bool contains(NameId id) const noexcept {
+    return id < nodes_.size() && nodes_[id].in_tree != 0;
+  }
+  bool black(NameId id) const noexcept { return nodes_[id].black != 0; }
+  std::size_t depth(NameId id) const noexcept { return nodes_[id].depth; }
+  /// kInvalidNameId for the root.
+  NameId parent(NameId id) const noexcept { return nodes_[id].parent; }
+  /// A node's children in insertion order: first_child, then
+  /// next_sibling until kInvalidNameId.
+  NameId first_child(NameId id) const noexcept {
+    return nodes_[id].first_child;
+  }
+  NameId next_sibling(NameId id) const noexcept {
+    return nodes_[id].next_sibling;
+  }
+  /// The node's full name ("" for the root) and its leftmost label.
+  std::string_view name(NameId id) const noexcept { return names_->name(id); }
+  std::string_view label(NameId id) const noexcept {
+    const std::string_view text = names_->name(id);
+    return text.substr(0, text.find('.'));
+  }
 
-  /// Unions `other` into this tree: every node of `other` is created here
-  /// if absent, and black nodes stay black (black |= other.black).  Node and
-  /// black counts follow.  Labels are remapped through their text into this
-  /// tree's intern table, and traversal stays label-sorted, so the merged
-  /// order is independent of merge order (shard merging).
-  void merge_from(const DomainNameTree& other);
+  /// Turns a black node white.  Writes only the node's own black byte, so
+  /// concurrent decolors in disjoint subtrees are race-free.
+  void decolor(NameId id) noexcept { nodes_[id].black = 0; }
 
-  /// Reconstructs the full domain name of a node ("" for the root).
-  static std::string full_name(const Node& node);
-
-  /// Appends nothing for the root; otherwise replaces `out` with the node's
-  /// full name.  Allocation-free once `out` has capacity (hot callers reuse
-  /// one buffer across nodes).
-  static void full_name_into(const Node& node, std::string& out);
+  /// Unions `other`, a tree over another table, into this one.
+  /// `remap[i]` is this table's id for other's id i (see
+  /// NameTable::intern_all).  Every name of `other` becomes a name here,
+  /// every node of `other` joins this tree, and black nodes stay black
+  /// (black |= other.black).
+  void merge_from(const DomainNameTree& other, std::span<const NameId> remap);
 
   /// All black descendants of `zone` (excluding `zone` itself), grouped by
   /// absolute depth — the paper's G_k sets.
-  std::map<std::size_t, std::vector<Node*>> black_descendants_by_depth(
-      Node& zone) const;
+  std::map<std::size_t, std::vector<NameId>> black_descendants_by_depth(
+      NameId zone) const;
 
   /// True if `zone` has at least one black proper descendant.
-  static bool has_black_descendant(const Node& zone) noexcept;
+  bool has_black_descendant(NameId zone) const noexcept;
 
   /// The effective-2LD nodes: children of public-suffix nodes that are not
   /// public suffixes themselves.  Algorithm 1 starts from these.
-  std::vector<Node*> effective_2ld_nodes(const PublicSuffixList& psl);
+  std::vector<NameId> effective_2ld_nodes(const PublicSuffixList& psl) const;
 
  private:
-  /// Child of `parent` labeled `label`, created if absent.
-  Node& child_of(Node& parent, std::string_view label);
-
-  /// Edge-map lookup; kInvalidNameId-safe (returns nullptr when the label
-  /// was never interned).
-  Node* find_child(const Node& parent, std::string_view label) const noexcept;
-
-  void edge_grow(std::size_t min_slots);
-  static std::uint64_t edge_key(const Node& parent, LabelId label) noexcept {
-    return (static_cast<std::uint64_t>(parent.seq) << 32) |
-           static_cast<std::uint64_t>(label);
-  }
-
-  struct Edge {
-    std::uint64_t key = 0;
-    Node* child = nullptr;  // nullptr = empty slot
+  struct Node {
+    NameId parent = kInvalidNameId;  // invalid: not a name, or the root
+    NameId first_child = kInvalidNameId;
+    NameId last_child = kInvalidNameId;
+    NameId next_sibling = kInvalidNameId;
+    std::uint8_t depth = 0;  // a name has at most 127 labels
+    std::uint8_t black = 0;
+    std::uint8_t in_tree = 0;
   };
 
-  NameTable table_{/*track_labels=*/true};
-  std::deque<Node> nodes_;  // stable node addresses; nodes_[0] is the root
-  std::vector<Edge> edges_;
-  std::size_t edge_mask_ = 0;
-  std::size_t edge_count_ = 0;
-  Node* root_ = nullptr;
+  /// Sizes the per-id state to the table.
+  void grow() {
+    if (nodes_.size() < names_->size()) nodes_.resize(names_->size());
+  }
+  /// Links `id` and its missing ancestors into their parents' child lists.
+  void link(NameId id);
+
+  NameTable* names_;
+  std::vector<Node> nodes_;  // indexed by NameId
+  NameId root_;
   std::size_t node_count_ = 1;
 };
 

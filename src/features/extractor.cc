@@ -38,16 +38,19 @@ double weighted_median(std::span<const double> rates,
 
 }  // namespace
 
-GroupFeatures compute_group_features(
-    std::span<DomainNameTree::Node* const> group, std::size_t zone_depth,
-    const CacheHitRateTracker& chr) {
+GroupFeatures compute_group_features(const DomainNameTree& tree,
+                                     std::span<const NameId> group,
+                                     std::size_t zone_depth,
+                                     const CacheHitRateTracker& chr) {
   GroupFeatureScratch scratch;
-  return compute_group_features(group, zone_depth, chr, scratch);
+  return compute_group_features(tree, group, zone_depth, chr, scratch);
 }
 
-GroupFeatures compute_group_features(
-    std::span<DomainNameTree::Node* const> group, std::size_t zone_depth,
-    const CacheHitRateTracker& chr, GroupFeatureScratch& scratch) {
+GroupFeatures compute_group_features(const DomainNameTree& tree,
+                                     std::span<const NameId> group,
+                                     std::size_t zone_depth,
+                                     const CacheHitRateTracker& chr,
+                                     GroupFeatureScratch& scratch) {
   GroupFeatures features;
   features.group_size = group.size();
   if (group.empty()) return features;
@@ -57,8 +60,8 @@ GroupFeatures compute_group_features(
   // ancestor (depth zone_depth + 1); deep groups funnel into few
   // ancestors, so dedup by node first.
   scratch.adjacent.clear();
-  for (const DomainNameTree::Node* node : group) {
-    while (node->depth > zone_depth + 1) node = node->parent;
+  for (NameId node : group) {
+    while (tree.depth(node) > zone_depth + 1) node = tree.parent(node);
     scratch.adjacent.push_back(node);
   }
   std::sort(scratch.adjacent.begin(), scratch.adjacent.end());
@@ -68,8 +71,8 @@ GroupFeatures compute_group_features(
   // Pass 2 (dedup labels): distinct nodes can still carry equal label
   // text (same label under different parents) — L_k is a set of labels.
   scratch.labels.clear();
-  for (const DomainNameTree::Node* node : scratch.adjacent) {
-    scratch.labels.push_back(node->label);
+  for (const NameId node : scratch.adjacent) {
+    scratch.labels.push_back(tree.label(node));
   }
   std::sort(scratch.labels.begin(), scratch.labels.end());
   scratch.labels.erase(
@@ -94,9 +97,8 @@ GroupFeatures compute_group_features(
   scratch.chr_weights.clear();
   std::size_t rr_count = 0;
   std::size_t rr_zero = 0;
-  for (const DomainNameTree::Node* node : group) {
-    DomainNameTree::full_name_into(*node, scratch.name);
-    for (const std::uint32_t idx : chr.rrs_of_name(scratch.name)) {
+  for (const NameId node : group) {
+    for (const std::uint32_t idx : chr.rrs_of(node)) {
       const auto& [key, counts] = chr.entries()[idx];
       const double rate = CacheHitRateTracker::dhr(counts);
       ++rr_count;

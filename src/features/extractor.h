@@ -11,7 +11,7 @@
 #include <array>
 #include <cstddef>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "features/chr.h"
@@ -54,26 +54,29 @@ struct GroupFeatures {
 /// mining walk so steady-state extraction allocates nothing.  One scratch
 /// per worker thread (never shared concurrently).
 struct GroupFeatureScratch {
-  std::vector<const DomainNameTree::Node*> adjacent;
+  std::vector<NameId> adjacent;
   std::vector<std::string_view> labels;
   std::vector<double> entropies;
   std::vector<double> chr_rates;
   std::vector<std::uint64_t> chr_weights;
   std::vector<std::uint32_t> chr_order;
-  std::string name;
 };
 
-/// Computes the features of the group of black nodes `group` (all at the
-/// same depth) under the zone node at depth `zone_depth`.
-/// `chr` supplies per-RR query/miss counts for the same day.
-GroupFeatures compute_group_features(
-    std::span<DomainNameTree::Node* const> group, std::size_t zone_depth,
-    const CacheHitRateTracker& chr);
+/// Computes the features of the group of black nodes `group` of `tree`
+/// (all at the same depth) under the zone node at depth `zone_depth`.
+/// `chr` supplies per-RR query/miss counts for the same day, keyed on the
+/// tree's table: a node's RRs are found by its id.
+GroupFeatures compute_group_features(const DomainNameTree& tree,
+                                     std::span<const NameId> group,
+                                     std::size_t zone_depth,
+                                     const CacheHitRateTracker& chr);
 
 /// Scratch-reusing overload for hot callers (the miner walk); identical
 /// output, zero steady-state allocations.
-GroupFeatures compute_group_features(
-    std::span<DomainNameTree::Node* const> group, std::size_t zone_depth,
-    const CacheHitRateTracker& chr, GroupFeatureScratch& scratch);
+GroupFeatures compute_group_features(const DomainNameTree& tree,
+                                     std::span<const NameId> group,
+                                     std::size_t zone_depth,
+                                     const CacheHitRateTracker& chr,
+                                     GroupFeatureScratch& scratch);
 
 }  // namespace dnsnoise

@@ -24,8 +24,7 @@ DisposableZoneMiner::DisposableZoneMiner(const BinaryClassifier& model,
 }
 
 void DisposableZoneMiner::mine_zone(
-    DomainNameTree& tree, DomainNameTree::Node& zone,
-    const CacheHitRateTracker& chr,
+    DomainNameTree& tree, NameId zone, const CacheHitRateTracker& chr,
     std::vector<DisposableZoneFinding>& out) const {
   // One span per top-level (effective-2LD) walk, traced only: miner.zone
   // has no registry timer.  The recursion below goes through
@@ -33,8 +32,8 @@ void DisposableZoneMiner::mine_zone(
   obs::StageSpan zone_span(nullptr, trace_stream_, config_.trace,
                            obs::TraceOp::kMinerZone);
   if (trace_stream_ != nullptr) {
-    zone_span.annotate(DomainNameTree::full_name(zone), 0,
-                       obs::TraceOutcome::kNone, zone.depth);
+    zone_span.annotate(tree.name(zone), 0,
+                       obs::TraceOutcome::kNone, tree.depth(zone));
   }
   // One scratch per top-level walk: the extraction buffers' capacity
   // survives across every group of this zone subtree, and each parallel
@@ -44,13 +43,13 @@ void DisposableZoneMiner::mine_zone(
 }
 
 void DisposableZoneMiner::mine_zone_walk(
-    DomainNameTree& tree, DomainNameTree::Node& zone,
-    const CacheHitRateTracker& chr, std::vector<DisposableZoneFinding>& out,
+    DomainNameTree& tree, NameId zone, const CacheHitRateTracker& chr,
+    std::vector<DisposableZoneFinding>& out,
     GroupFeatureScratch& scratch) const {
   if (zones_visited_ != nullptr) zones_visited_->add();
 
   // Line 1-3: stop when the zone has no black descendants.
-  if (!DomainNameTree::has_black_descendant(zone)) return;
+  if (!tree.has_black_descendant(zone)) return;
 
   // Line 4: group black descendants by depth.
   const auto groups = tree.black_descendants_by_depth(zone);
@@ -61,7 +60,8 @@ void DisposableZoneMiner::mine_zone_walk(
     GroupFeatures features;
     {
       const obs::StageSpan span(features_timer_);
-      features = compute_group_features(nodes, zone.depth, chr, scratch);
+      features =
+          compute_group_features(tree, nodes, tree.depth(zone), chr, scratch);
     }
     if (groups_classified_ != nullptr) groups_classified_->add();
     if (trace_stream_ != nullptr) {
@@ -70,7 +70,7 @@ void DisposableZoneMiner::mine_zone_walk(
     }
     const double confidence = model_.predict_proba(features.as_array());
     if (confidence >= config_.threshold) {
-      for (DomainNameTree::Node* node : nodes) tree.decolor(*node);
+      for (const NameId node : nodes) tree.decolor(node);
       if (groups_decolored_ != nullptr) {
         groups_decolored_->add();
         names_decolored_->add(nodes.size());
@@ -78,10 +78,10 @@ void DisposableZoneMiner::mine_zone_walk(
       if (trace_stream_ != nullptr) {
         trace_stream_->instant(obs::TraceOp::kMinerDecolor,
                                config_.trace->now_ns(),
-                               DomainNameTree::full_name(zone), nodes.size());
+                               tree.name(zone), nodes.size());
       }
       DisposableZoneFinding finding;
-      finding.zone = DomainNameTree::full_name(zone);
+      finding.zone = tree.name(zone);
       finding.depth = depth;
       finding.confidence = confidence;
       finding.group_size = nodes.size();
@@ -90,9 +90,12 @@ void DisposableZoneMiner::mine_zone_walk(
     }
   }
 
-  // Lines 15-17: recurse into child zones (sorted = legacy map order).
-  for (DomainNameTree::Node* child : zone.children()) {
-    mine_zone_walk(tree, *child, chr, out, scratch);
+  // Lines 15-17: recurse into child zones.  Siblings' subtrees are
+  // disjoint and findings are sorted by a total order, so their order
+  // does not matter.
+  for (NameId child = tree.first_child(zone); child != kInvalidNameId;
+       child = tree.next_sibling(child)) {
+    mine_zone_walk(tree, child, chr, out, scratch);
   }
 }
 
@@ -114,8 +117,8 @@ void DisposableZoneMiner::sort_findings(
 std::vector<DisposableZoneFinding> DisposableZoneMiner::mine(
     DomainNameTree& tree, const CacheHitRateTracker& chr) const {
   std::vector<DisposableZoneFinding> out;
-  for (DomainNameTree::Node* zone : tree.effective_2ld_nodes(*config_.psl)) {
-    mine_zone(tree, *zone, chr, out);
+  for (const NameId zone : tree.effective_2ld_nodes(*config_.psl)) {
+    mine_zone(tree, zone, chr, out);
   }
   sort_findings(out);
   return out;

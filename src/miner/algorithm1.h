@@ -69,7 +69,7 @@ class DisposableZoneMiner {
   /// parallel engine, which fans mine_zone over effective 2LDs).  When
   /// tracing is enabled, each top-level call records one miner.zone span
   /// labeled with the zone name.
-  void mine_zone(DomainNameTree& tree, DomainNameTree::Node& zone,
+  void mine_zone(DomainNameTree& tree, NameId zone,
                  const CacheHitRateTracker& chr,
                  std::vector<DisposableZoneFinding>& out) const;
 
@@ -84,7 +84,7 @@ class DisposableZoneMiner {
  private:
   const BinaryClassifier& model_;
   MinerConfig config_;
-  void mine_zone_walk(DomainNameTree& tree, DomainNameTree::Node& zone,
+  void mine_zone_walk(DomainNameTree& tree, NameId zone,
                       const CacheHitRateTracker& chr,
                       std::vector<DisposableZoneFinding>& out,
                       GroupFeatureScratch& scratch) const;

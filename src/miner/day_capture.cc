@@ -4,7 +4,11 @@
 
 namespace dnsnoise {
 
-DayCapture::DayCapture(const DayCaptureConfig& config) : config_(config) {}
+DayCapture::DayCapture(const DayCaptureConfig& config)
+    : config_(config),
+      names_(std::make_unique<NameTable>()),
+      tree_(*names_),
+      chr_(*names_) {}
 
 void DayCapture::attach(RdnsCluster& cluster) {
   release_source();
@@ -26,22 +30,32 @@ void DayCapture::bind_source(const NameTable& names) {
     release_source();
     source_ = &names;
   }
-  if (remap_.size() < names.size()) remap_.resize(names.size());
+  if (remap_.size() < names.size()) {
+    remap_.resize(names.size(), kInvalidNameId);
+  }
 }
 
-CompactRecord DayCapture::chr_key(const CompactRecord& rr,
-                                  const NameTable& names) {
-  const auto mapped = [&](NameId id) {
-    NameId& chr = remap_[id].chr;
-    if (chr == kInvalidNameId) {
-      chr = chr_.intern(names.name(id), names.name_hash(id));
-    }
-    return chr;
-  };
-  CompactRecord key = rr;
-  key.owner = mapped(rr.owner);
-  if (rr.form == RdataForm::kText) key.set_text(mapped(rr.text()));
-  return key;
+NameId DayCapture::name_id(NameId id, const NameTable& names) {
+  NameId& mapped = remap_[id];
+  if (mapped == kInvalidNameId || !tree_.is_name(mapped)) {
+    mapped = tree_.intern(names.name(id), names.name_hash(id));
+  }
+  return mapped;
+}
+
+NameId DayCapture::text_id(NameId id, const NameTable& names) {
+  NameId& mapped = remap_[id];
+  if (mapped == kInvalidNameId) {
+    mapped = names_->intern(names.name(id), names.name_hash(id));
+  }
+  return mapped;
+}
+
+void DayCapture::add_name(NameId id, std::uint8_t set) {
+  if (id >= seen_.size()) seen_.resize(names_->size());
+  if ((seen_[id] & set) != 0) return;
+  seen_[id] |= set;
+  (set == kQueried ? queried_ : resolved_).push_back(id);
 }
 
 namespace {
@@ -69,10 +83,7 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
         nx || answers.empty() ? 1
                               : static_cast<std::uint64_t>(answers.size());
     bump(below ? below_ : above_, event.ts, units, nx, qname);
-    if (below && !remap_[event.qname].queried) {
-      remap_[event.qname].queried = true;
-      queried_.intern(qname, names.name_hash(event.qname));
-    }
+    if (below) add_name(name_id(event.qname, names), kQueried);
     if (config_.keep_fpdns) {
       fp_question_.name.assign(qname);
       fp_question_.type = event.qtype;
@@ -83,7 +94,9 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
     }
     if (nx) continue;
     for (const CompactRecord& rr : answers) {
-      const CompactRecord key = chr_key(rr, names);
+      CompactRecord key = rr;
+      key.owner = name_id(rr.owner, names);
+      if (rr.form == RdataForm::kText) key.set_text(text_id(rr.text(), names));
       if (!below) {
         chr_.record_above(key);
         continue;
@@ -91,9 +104,8 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
       // The tree and the resolved set depend only on the set of RRs seen
       // below, so only an RR's first below sighting can change them.
       if (chr_.record_below(key)) {
-        const std::string_view owner = names.name(rr.owner);
-        tree_.insert(owner);
-        resolved_.intern(owner, names.name_hash(rr.owner));
+        tree_.insert(key.owner);
+        add_name(key.owner, kResolved);
       }
       if (config_.feed_rpdns) {
         rpdns_.add(to_rr_key(rr, names), config_.day_index);
@@ -108,18 +120,18 @@ void DayCapture::add_presentation(TapDirection direction, SimTime ts,
                                   std::span<const ResourceRecord> answers) {
   text_answers_.clear();
   for (const ResourceRecord& rr : answers) {
-    text_answers_.push_back(compact_record(text_names_, rr.name.text(),
-                                           rr.type, rr.ttl, rr.rdata));
+    text_answers_.push_back(compact_record(*names_, rr.name.text(), rr.type,
+                                           rr.ttl, rr.rdata));
   }
   const TapEvent event{ts,
                        client_id,
-                       text_names_.intern(question.name.text()),
+                       names_->intern(question.name.text()),
                        question.type,
                        direction,
                        rcode,
                        0,
                        static_cast<std::uint32_t>(text_answers_.size())};
-  on_tap_batch(TapBatch({&event, 1}, text_answers_, text_names_));
+  on_tap_batch(TapBatch({&event, 1}, text_answers_, *names_));
 }
 
 void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
@@ -136,36 +148,26 @@ void DayCapture::on_above(SimTime ts, const Question& question, RCode rcode,
 
 void DayCapture::start_day(std::int64_t day_index) {
   config_.day_index = day_index;
-  tree_ = DomainNameTree();
-  chr_ = CacheHitRateTracker();
+  names_ = std::make_unique<NameTable>();
+  tree_ = DomainNameTree(*names_);
+  chr_ = CacheHitRateTracker(*names_);
   below_ = HourlySeries();
   above_ = HourlySeries();
-  queried_ = NameTable();
-  resolved_ = NameTable();
+  seen_ = {};
+  queried_ = {};
+  resolved_ = {};
   release_source();
-  text_names_ = NameTable();
   fpdns_.clear();
 }
 
-namespace {
-
-/// Interns every name of `from` into `into` in id order, reusing the
-/// stored hashes.
-void merge_names(NameTable& into, const NameTable& from) {
-  for (NameId id = 0; id < from.size(); ++id) {
-    into.intern(from.name(id), from.name_hash(id));
-  }
-}
-
-}  // namespace
-
 void DayCapture::merge_from(const DayCapture& other) {
-  tree_.merge_from(other.tree_);
-  chr_.merge_from(other.chr_);
+  const std::vector<NameId> remap = names_->intern_all(*other.names_);
+  tree_.merge_from(other.tree_, remap);
+  chr_.merge_from(other.chr_, remap);
   below_ += other.below_;
   above_ += other.above_;
-  merge_names(queried_, other.queried_);
-  merge_names(resolved_, other.resolved_);
+  for (const NameId id : other.queried_) add_name(remap[id], kQueried);
+  for (const NameId id : other.resolved_) add_name(remap[id], kResolved);
   fpdns_.append(other.fpdns_);
   rpdns_.merge_from(other.rpdns_);
 }

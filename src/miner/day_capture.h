@@ -8,21 +8,30 @@
 // rpDNS/pDNS-DB feeds.  Captures are mergeable: the sharded engine runs one
 // DayCapture per RDNS-server shard and unions them (see merge_from).
 //
-// Hot path (DESIGN.md §11.5): tap events carry ids of the cluster's name
-// table, and the capture keeps a dense remap from those ids to its own —
-// whether the qname is already in the queried set, and its id in the CHR
-// tracker's table — so re-seeing a name or an RR is array indexing plus an
-// integer-keyed probe: no text is hashed or copied.  Text is written only
-// on first sight: a name into the queried set or the CHR table, an RR's
-// presentation key into the CHR entries.  The tree and the resolved set
-// depend only on the set of RRs seen below, so they are touched only on
-// an RR's first below sighting (CacheHitRateTracker::record_below reports
-// it); an RR seen above first still counts on its first below sighting,
-// and one seen only above never does.  The remap is freed on detach.
+// One table (DESIGN.md §11.5): everything the capture keeps is keyed on
+// the ids of its one NameTable, held at a fixed address so captures can
+// move.  The domain tree is per-id state over it, the CHR tracker keys
+// owners and text rdata on it, and the queried and resolved sets are
+// per-id flags plus first-sight id lists.  Interning a qname or an RR
+// owner also interns its missing suffixes and records its parent (the
+// tree's intern), so every name the capture saw has its ancestors; rdata
+// text is interned with no parent.
+//
+// Hot path: tap events carry ids of the cluster's name table, and the
+// capture keeps a dense remap from those ids to its own, so re-seeing a
+// name or an RR is array indexing plus an integer-keyed probe: no text is
+// hashed or copied.  Text is written only on a name's first sight.  The
+// tree and the resolved set depend only on the set of RRs seen below, so
+// they are touched only on an RR's first below sighting
+// (CacheHitRateTracker::record_below reports it); an RR seen above first
+// still counts on its first below sighting, and one seen only above never
+// does.  The remap is freed on detach.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "dns/name_table.h"
@@ -92,8 +101,8 @@ class DayCapture final : public TapObserver {
   void on_tap_batch(const TapBatch& batch) override;
 
   /// Presentation entry points (pcap-driven ingestion, tests): one event
-  /// with presentation records, converted once through the capture's own
-  /// name table and accumulated exactly as a tap batch is.
+  /// with presentation records, converted once into the capture's table
+  /// and accumulated exactly as a tap batch is.
   void on_below(SimTime ts, std::uint64_t client_id, const Question& question,
                 RCode rcode, std::span<const ResourceRecord> answers);
   void on_above(SimTime ts, const Question& question, RCode rcode,
@@ -105,12 +114,17 @@ class DayCapture final : public TapObserver {
   /// Every simulate/run entry point calls this before feeding a day.
   void start_day(std::int64_t day_index);
 
-  /// Unions another capture of the SAME day into this one: domain-tree
-  /// union, CHR count summation, hourly-series addition, name-set union,
-  /// fpDNS append, rpDNS first-seen merge.  Merging shard captures in shard
-  /// order yields a deterministic result regardless of how many threads
-  /// produced them.
+  /// Unions another capture of the SAME day into this one: other's table
+  /// is remapped into this one once, reusing its stored hashes, then the
+  /// domain tree, the CHR counts and the name sets merge by integer remap;
+  /// hourly series add, fpDNS entries append, rpDNS first-seen dates merge.
+  /// Merging shard captures in shard order yields a deterministic result
+  /// regardless of how many threads produced them.
   void merge_from(const DayCapture& other);
+
+  /// The capture's one table: the ids of the tree, the CHR keys and the
+  /// name sets.
+  const NameTable& names() const noexcept { return *names_; }
 
   DomainNameTree& tree() noexcept { return tree_; }
   const DomainNameTree& tree() const noexcept { return tree_; }
@@ -129,43 +143,48 @@ class DayCapture final : public TapObserver {
   /// Unique names successfully resolved this day.
   std::size_t unique_resolved() const noexcept { return resolved_.size(); }
 
-  /// The day's queried and resolved names, interned in first-sight order
-  /// (ids 0..size()-1).  After a shard merge the order is shard 0's names,
+  /// The day's queried and resolved names as ids of names(), in
+  /// first-sight order.  After a shard merge the order is shard 0's names,
   /// then shard 1's new ones, and so on: a function of the shard streams,
   /// never of the thread count.
-  const NameTable& queried_names() const noexcept { return queried_; }
-  const NameTable& resolved_names() const noexcept { return resolved_; }
+  std::span<const NameId> queried_names() const noexcept { return queried_; }
+  std::span<const NameId> resolved_names() const noexcept {
+    return resolved_;
+  }
 
  private:
-  /// What this capture already did with one source-table id.
-  struct Mapped {
-    NameId chr = kInvalidNameId;  // the id in chr_.names()
-    bool queried = false;         // interned into queried_
-  };
+  /// Bits of seen_.
+  static constexpr std::uint8_t kQueried = 1;
+  static constexpr std::uint8_t kResolved = 2;
 
   /// Points the remap at `names`, resetting it when the table changed,
   /// and sizes it to the table.
   void bind_source(const NameTable& names);
   void release_source();
-  /// `rr` with its owner and text rdata remapped into chr_.names().
-  CompactRecord chr_key(const CompactRecord& rr, const NameTable& names);
+  /// The capture's id of source id `id`: as a name (with its suffixes)
+  /// or as rdata text.
+  NameId name_id(NameId id, const NameTable& names);
+  NameId text_id(NameId id, const NameTable& names);
+  /// Adds `id` to a name set (a kQueried or kResolved list) once.
+  void add_name(NameId id, std::uint8_t set);
   void add_presentation(TapDirection direction, SimTime ts,
                         std::uint64_t client_id, const Question& question,
                         RCode rcode, std::span<const ResourceRecord> answers);
 
   DayCaptureConfig config_;
+  std::unique_ptr<NameTable> names_;  // the one table; fixed address
   DomainNameTree tree_;
   CacheHitRateTracker chr_;
   RpDnsDataset rpdns_;
   FpDnsDataset fpdns_;
   HourlySeries below_;
   HourlySeries above_;
-  NameTable queried_;
-  NameTable resolved_;
+  std::vector<std::uint8_t> seen_;  // per id of names_: kQueried | kResolved
+  std::vector<NameId> queried_;
+  std::vector<NameId> resolved_;
   const NameTable* source_ = nullptr;
-  std::vector<Mapped> remap_;  // indexed by source NameId
-  // Presentation input: its names, and one event's compact answers.
-  NameTable text_names_;
+  std::vector<NameId> remap_;  // source id -> id of names_
+  // Presentation input: one event's compact answers, keyed on names_.
   std::vector<CompactRecord> text_answers_;
   // fpDNS scratch (the feed speaks presentation form).
   Question fp_question_;

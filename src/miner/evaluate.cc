@@ -1,22 +1,41 @@
 #include "miner/evaluate.h"
 
+#include <algorithm>
+#include <optional>
+#include <unordered_set>
+
 namespace dnsnoise {
 
-FindingIndex::FindingIndex(std::span<const DisposableZoneFinding> findings) {
+FindingCover::FindingCover(const DomainNameTree& tree,
+                           std::span<const DisposableZoneFinding> findings)
+    : tree_(tree), decided_(tree.names().size(), 0) {
   for (const DisposableZoneFinding& finding : findings) {
-    rules_[finding.zone].insert(finding.depth);
-    ++count_;
+    const NameId zone = tree.names().find(finding.zone);
+    if (tree.is_name(zone)) rules_.emplace_back(zone, finding.depth);
   }
+  std::sort(rules_.begin(), rules_.end());
 }
 
-bool FindingIndex::is_disposable(const DomainName& name) const {
-  const std::size_t depth = name.label_count();
-  if (depth < 2) return false;
-  for (std::size_t k = depth - 1; k >= 1; --k) {
-    const auto it = rules_.find(name.nld_view(k));
-    if (it != rules_.end() && it->second.contains(depth)) return true;
+bool FindingCover::covers(NameId id) {
+  if (!tree_.is_name(id)) return false;
+  if (decided_[id] == 0) {
+    const std::size_t depth = tree_.depth(id);
+    bool hit = false;
+    for (NameId zone = tree_.parent(id);
+         !hit && zone != kInvalidNameId && zone != tree_.root();
+         zone = tree_.parent(zone)) {
+      hit = std::binary_search(rules_.begin(), rules_.end(),
+                               std::make_pair(zone, depth));
+    }
+    decided_[id] = hit ? 2 : 1;
   }
-  return false;
+  return decided_[id] == 2;
+}
+
+std::size_t FindingCover::count(std::span<const NameId> ids) {
+  std::size_t n = 0;
+  for (const NameId id : ids) n += covers(id) ? 1 : 0;
+  return n;
 }
 
 MiningEvaluation evaluate_findings(
@@ -28,6 +47,11 @@ MiningEvaluation evaluate_findings(
   std::unordered_set<std::string> unique_2lds;
   std::unordered_set<std::string> discovered;
   std::unordered_map<std::string, std::string> archetype_of;
+  std::vector<std::optional<DomainName>> apexes;
+  apexes.reserve(truth.disposable_zones.size());
+  for (const GroundTruth::ZoneInfo& info : truth.disposable_zones) {
+    apexes.push_back(DomainName::parse(info.apex));
+  }
   for (const DisposableZoneFinding& finding : findings) {
     const auto zone = DomainName::parse(finding.zone);
     if (zone) {
@@ -36,10 +60,10 @@ MiningEvaluation evaluate_findings(
                                              : registrable.text());
     }
     bool matched = false;
-    for (const GroundTruth::ZoneInfo& info : truth.disposable_zones) {
-      if (info.name_depth != finding.depth) continue;
-      const auto apex = DomainName::parse(info.apex);
-      if (!apex || !zone) continue;
+    for (std::size_t i = 0; i < apexes.size(); ++i) {
+      const GroundTruth::ZoneInfo& info = truth.disposable_zones[i];
+      const std::optional<DomainName>& apex = apexes[i];
+      if (info.name_depth != finding.depth || !apex || !zone) continue;
       if (apex->is_within(*zone) || zone->is_within(*apex)) {
         matched = true;
         discovered.insert(info.apex);

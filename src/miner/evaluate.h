@@ -1,39 +1,45 @@
 // Mining-quality evaluation against the scenario's ground truth, plus the
-// finding index used to attribute traffic to mined disposable zones.
+// finding cover used to attribute a capture's names to mined disposable
+// zones.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dns/public_suffix.h"
+#include "features/domain_tree.h"
 #include "miner/algorithm1.h"
-#include "util/strings.h"
 #include "workload/scenario.h"
 
 namespace dnsnoise {
 
-/// Fast "is this name covered by a mined (zone, depth) pair?" lookup.
-class FindingIndex {
+/// Which names of a capture the findings cover: a name of depth k is
+/// covered when one of its ancestors, the root excluded, is the zone of a
+/// finding (zone, k).  Findings become (zone id, depth) pairs of the
+/// tree's table, and each name is decided once, by walking its ancestors;
+/// the answer is kept for the next list that holds it.
+class FindingCover {
  public:
-  explicit FindingIndex(std::span<const DisposableZoneFinding> findings);
+  /// `tree` must outlive the cover, and its table must not grow meanwhile.
+  FindingCover(const DomainNameTree& tree,
+               std::span<const DisposableZoneFinding> findings);
 
-  /// True when the name's depth and an enclosing zone match some finding.
-  /// A finding's zone is a proper suffix of the names it covers, so names
-  /// of fewer than two labels (the root, a bare TLD) match nothing.
-  bool is_disposable(const DomainName& name) const;
+  /// True when the findings cover `id`.  An id that is not a name of the
+  /// tree's table (rdata text, kInvalidNameId) is not covered.
+  bool covers(NameId id);
 
-  std::size_t size() const noexcept { return count_; }
+  /// How many of `ids` the findings cover.
+  std::size_t count(std::span<const NameId> ids);
 
  private:
-  // zone text -> set of group depths; probed with string_view suffixes.
-  std::unordered_map<std::string, std::unordered_set<std::size_t>, StringHash,
-                     std::equal_to<>>
-      rules_;
-  std::size_t count_ = 0;
+  const DomainNameTree& tree_;
+  std::vector<std::pair<NameId, std::size_t>> rules_;  // sorted
+  std::vector<std::uint8_t> decided_;  // per id: 0 unknown, 1 no, 2 yes
 };
 
 struct MiningEvaluation {

@@ -8,23 +8,24 @@ namespace {
 
 /// Features of the group at `depth` under `zone_apex`, if it exists and is
 /// large enough.
-bool group_features_at(DomainNameTree& tree, const CacheHitRateTracker& chr,
+bool group_features_at(const DomainNameTree& tree,
+                       const CacheHitRateTracker& chr,
                        const std::string& zone_apex, std::size_t depth,
                        std::size_t min_size, GroupFeatures& out) {
   const auto apex = DomainName::parse(zone_apex);
   if (!apex) return false;
-  DomainNameTree::Node* node = tree.find(*apex);
-  if (node == nullptr) return false;
-  const auto groups = tree.black_descendants_by_depth(*node);
+  const NameId node = tree.find(*apex);
+  if (node == kInvalidNameId) return false;
+  const auto groups = tree.black_descendants_by_depth(node);
   const auto it = groups.find(depth);
   if (it == groups.end() || it->second.size() < min_size) return false;
-  out = compute_group_features(it->second, node->depth, chr);
+  out = compute_group_features(tree, it->second, tree.depth(node), chr);
   return true;
 }
 
 }  // namespace
 
-std::vector<LabeledZone> label_zones(DomainNameTree& tree,
+std::vector<LabeledZone> label_zones(const DomainNameTree& tree,
                                      const CacheHitRateTracker& chr,
                                      const Scenario& scenario,
                                      const LabelerConfig& config) {

@@ -38,7 +38,7 @@ struct LabeledZone {
 /// Extracts labeled feature vectors from one day's capture.  Disposable
 /// samples are the truth zones' generation-depth groups; non-disposable
 /// samples are the popular zones' hostname groups.
-std::vector<LabeledZone> label_zones(DomainNameTree& tree,
+std::vector<LabeledZone> label_zones(const DomainNameTree& tree,
                                      const CacheHitRateTracker& chr,
                                      const Scenario& scenario,
                                      const LabelerConfig& config = {});

@@ -68,26 +68,15 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   }
 
   heartbeat.beat();
-  const FindingIndex index(result.findings);
   DayAggregates& agg = result.aggregates;
   agg.unique_queried = tap.unique_queried();
   agg.unique_resolved = tap.unique_resolved();
   agg.unique_rrs = tap.chr().unique_rrs();
-  // One scratch name is re-assigned per tested name: no parse allocates.
-  DomainName scratch;
-  const auto disposable = [&index, &scratch](std::string_view name) {
-    return scratch.assign(name) && index.is_disposable(scratch);
-  };
-  const NameTable& queried = tap.queried_names();
-  for (NameId id = 0; id < queried.size(); ++id) {
-    if (disposable(queried.name(id))) ++agg.disposable_queried;
-  }
-  const NameTable& resolved = tap.resolved_names();
-  for (NameId id = 0; id < resolved.size(); ++id) {
-    if (disposable(resolved.name(id))) ++agg.disposable_resolved;
-  }
+  FindingCover cover(tap.tree(), result.findings);
+  agg.disposable_queried = cover.count(tap.queried_names());
+  agg.disposable_resolved = cover.count(tap.resolved_names());
   for (const auto& [key, counts] : tap.chr().entries()) {
-    if (disposable(key.name)) ++agg.disposable_rrs;
+    if (cover.covers(key.owner)) ++agg.disposable_rrs;
   }
   // Snapshot last, so the mining-stage timers above are included.
   if (metrics != nullptr) {

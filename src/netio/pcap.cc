@@ -1,8 +1,9 @@
 #include "netio/pcap.h"
 
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+
+#include "util/file.h"
 
 namespace dnsnoise {
 
@@ -119,21 +120,7 @@ std::optional<PcapRecord> PcapReader::next() {
 }
 
 std::vector<std::uint8_t> PcapReader::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("PcapReader: cannot open " + path);
-  // A directory opens fine and reports a huge size; only a regular file's
-  // size is a byte count to allocate.
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec)) {
-    throw std::runtime_error("PcapReader: not a regular file " + path);
-  }
-  const std::streamsize size = in.tellg();
-  if (size < 0) throw std::runtime_error("PcapReader: cannot size " + path);
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("PcapReader: read failed for " + path);
-  return bytes;
+  return read_file(path);
 }
 
 }  // namespace dnsnoise

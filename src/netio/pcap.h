@@ -56,7 +56,8 @@ class PcapReader {
  public:
   explicit PcapReader(std::span<const std::uint8_t> bytes);
 
-  /// Loads a pcap file fully into memory and returns a reader over it.
+  /// Loads a pcap file fully into memory (read_file: a path that is not a
+  /// readable regular file throws std::runtime_error).
   static std::vector<std::uint8_t> load_file(const std::string& path);
 
   bool nanosecond() const noexcept { return nanosecond_; }

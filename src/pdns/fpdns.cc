@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/file.h"
+
 namespace dnsnoise {
 
 namespace {
@@ -56,6 +58,8 @@ class ByteReader {
     pos_ += len;
     return s;
   }
+
+  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
   void expect_magic() {
     require(4);
@@ -136,6 +140,13 @@ FpDnsDataset FpDnsDataset::deserialize(std::span<const std::uint8_t> bytes) {
   ByteReader reader(bytes);
   reader.expect_magic();
   const std::uint64_t count = reader.u64();
+  // Each entry takes at least 34 bytes (two u64, two u8, two u32 and two
+  // string lengths); a count the input cannot hold is truncated input,
+  // refused before it sizes the reserve below.
+  constexpr std::uint64_t kMinEntryBytes = 34;
+  if (count > reader.remaining() / kMinEntryBytes) {
+    throw std::invalid_argument("FpDnsDataset: truncated input");
+  }
   FpDnsDataset dataset;
   dataset.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -163,14 +174,7 @@ void FpDnsDataset::save(const std::string& path) const {
 }
 
 FpDnsDataset FpDnsDataset::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("FpDnsDataset: cannot open " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("FpDnsDataset: read failed " + path);
-  return deserialize(bytes);
+  return deserialize(read_file(path));
 }
 
 }  // namespace dnsnoise

@@ -72,9 +72,13 @@ class FpDnsDataset {
   void reserve(std::size_t n) { entries_.reserve(n); }
 
   /// Binary serialization (little-endian, length-prefixed strings).
+  /// deserialize() throws std::invalid_argument on a bad magic or short
+  /// input, an entry count the input cannot hold included.
   std::vector<std::uint8_t> serialize() const;
   static FpDnsDataset deserialize(std::span<const std::uint8_t> bytes);
 
+  /// load() throws std::runtime_error for a path that is not a readable
+  /// regular file (read_file).
   void save(const std::string& path) const;
   static FpDnsDataset load(const std::string& path);
 

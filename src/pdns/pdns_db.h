@@ -40,6 +40,12 @@ class PassiveDnsDb {
   void add_rule(const DisposableGroupRule& rule);
   std::size_t rule_count() const noexcept;
 
+  /// True when a rule covers `qname`: a rule's zone is a proper suffix of
+  /// it, the root excluded, and the rule's depth is its label count.
+  bool matches_rule(const DomainName& qname) const {
+    return match_rule(qname) != nullptr;
+  }
+
   /// Returns the stored form of `qname`: "*.<zone>" when a rule matches and
   /// folding is on, the name itself otherwise.
   std::string stored_name(const DomainName& qname) const;

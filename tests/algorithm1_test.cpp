@@ -44,9 +44,10 @@ class Algorithm1Test : public ::testing::Test {
     // Train on independently generated groups with the same two shapes.
     Dataset data(kFeatureCount);
     for (int sample = 0; sample < 40; ++sample) {
-      DomainNameTree tree;
-      CacheHitRateTracker chr;
-      std::vector<DomainNameTree::Node*> group;
+      NameTable names;
+      DomainNameTree tree(names);
+      CacheHitRateTracker chr(names);
+      std::vector<NameId> group;
       const bool disposable = sample % 2 == 0;
       const std::size_t count = disposable ? 15 + rng.below(40) : 4 + rng.below(12);
       for (std::size_t i = 0; i < count; ++i) {
@@ -54,8 +55,7 @@ class Algorithm1Test : public ::testing::Test {
             disposable ? rng.hex_string(20 + rng.below(10))
                        : human_hostname(i);
         const std::string name = label + ".zone.test";
-        auto& node = tree.insert(DomainName(name));
-        group.push_back(&node);
+        group.push_back(tree.insert(DomainName(name)));
         const std::uint64_t queries = disposable ? 1 : 50 + rng.below(200);
         const std::uint64_t misses = disposable ? 1 : 1 + rng.below(4);
         for (std::uint64_t q = 0; q < queries; ++q) {
@@ -65,14 +65,16 @@ class Algorithm1Test : public ::testing::Test {
           chr.record_above(name, RRType::A, "1");
         }
       }
-      const GroupFeatures features = compute_group_features(group, 2, chr);
+      const GroupFeatures features =
+          compute_group_features(tree, group, 2, chr);
       data.add(features.as_array(), disposable ? 1 : 0);
     }
     model_.train(data);
   }
 
-  DomainNameTree tree_;
-  CacheHitRateTracker chr_;
+  NameTable names_;
+  DomainNameTree tree_{names_};
+  CacheHitRateTracker chr_{names_};
   LadTree model_;
 };
 
@@ -93,7 +95,7 @@ TEST_F(Algorithm1Test, FindsPlantedZoneAndDecolors) {
   // The classified group was decolored.
   EXPECT_EQ(tree_.black_count(), black_before - 40u);
   // The popular zone survived untouched.
-  EXPECT_TRUE(tree_.find(DomainName("www.popular.com"))->black);
+  EXPECT_TRUE(tree_.black(tree_.find(DomainName("www.popular.com"))));
 }
 
 TEST_F(Algorithm1Test, SecondPassFindsNothingNew) {
@@ -139,7 +141,7 @@ TEST_F(Algorithm1Test, RecursesIntoChildZones) {
     }
   }
   EXPECT_TRUE(found_deep);
-  EXPECT_TRUE(tree_.find(DomainName("www.mixed.com"))->black);
+  EXPECT_TRUE(tree_.black(tree_.find(DomainName("www.mixed.com"))));
 }
 
 TEST_F(Algorithm1Test, FindingsAreRankedByConfidence) {

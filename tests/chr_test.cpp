@@ -8,7 +8,8 @@ namespace dnsnoise {
 namespace {
 
 TEST(ChrTest, CountsBelowAndAbove) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   tracker.record_below("a.com", RRType::A, "1.1.1.1");
   tracker.record_below("a.com", RRType::A, "1.1.1.1");
   tracker.record_above("a.com", RRType::A, "1.1.1.1");
@@ -20,7 +21,8 @@ TEST(ChrTest, CountsBelowAndAbove) {
 }
 
 TEST(ChrTest, RecordBelowReportsFirstBelowSighting) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   tracker.record_above("a.com", RRType::A, "1.1.1.1");  // miss: above first
   EXPECT_TRUE(tracker.record_below("a.com", RRType::A, "1.1.1.1"));
   EXPECT_FALSE(tracker.record_below("a.com", RRType::A, "1.1.1.1"));
@@ -28,12 +30,13 @@ TEST(ChrTest, RecordBelowReportsFirstBelowSighting) {
 }
 
 TEST(ChrTest, DistinctRdataAreDistinctRrs) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   tracker.record_below("a.com", RRType::A, "1.1.1.1");
   tracker.record_below("a.com", RRType::A, "2.2.2.2");
   tracker.record_below("a.com", RRType::AAAA, "2001:db8::1");
   EXPECT_EQ(tracker.unique_rrs(), 3u);
-  EXPECT_EQ(tracker.rrs_of_name("a.com").size(), 3u);
+  EXPECT_EQ(tracker.rrs_of(names.find("a.com")).size(), 3u);
 }
 
 TEST(ChrTest, DhrDefinition) {
@@ -56,7 +59,8 @@ TEST(ChrTest, DhrEdgeCases) {
 TEST(ChrTest, PaperWorkedExample) {
   // Paper III-C2: an object with 2 misses and 5 total queries has CHR 0.6
   // for both misses.
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   for (int i = 0; i < 5; ++i) {
     tracker.record_below("obj.example.com", RRType::A, "9.9.9.9");
   }
@@ -70,7 +74,8 @@ TEST(ChrTest, PaperWorkedExample) {
 }
 
 TEST(ChrTest, ChrDistributionIsMissWeighted) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   // RR 1: 10 queries, 1 miss -> one 0.9 sample.
   for (int i = 0; i < 10; ++i) tracker.record_below("a.com", RRType::A, "1");
   tracker.record_above("a.com", RRType::A, "1");
@@ -88,7 +93,8 @@ TEST(ChrTest, ChrDistributionIsMissWeighted) {
 }
 
 TEST(ChrTest, AllDhrAlignsWithEntries) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   tracker.record_below("a.com", RRType::A, "1");
   tracker.record_below("b.com", RRType::A, "2");
   tracker.record_above("b.com", RRType::A, "2");
@@ -99,7 +105,8 @@ TEST(ChrTest, AllDhrAlignsWithEntries) {
 }
 
 TEST(ChrTest, TtlRecordedOnFirstObservation) {
-  CacheHitRateTracker tracker;
+  NameTable names;
+  CacheHitRateTracker tracker(names);
   tracker.record_above("a.com", RRType::A, "1", 300);
   tracker.record_below("a.com", RRType::A, "1", 999);  // ignored: not first
   const auto* counts = tracker.find({"a.com", RRType::A, "1"});
@@ -108,8 +115,9 @@ TEST(ChrTest, TtlRecordedOnFirstObservation) {
 }
 
 TEST(ChrTest, RrsOfUnknownNameIsEmpty) {
-  const CacheHitRateTracker tracker;
-  EXPECT_TRUE(tracker.rrs_of_name("nope.com").empty());
+  NameTable names;
+  const CacheHitRateTracker tracker(names);
+  EXPECT_TRUE(tracker.rrs_of(names.find("nope.com")).empty());
 }
 
 }  // namespace

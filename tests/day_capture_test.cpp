@@ -42,10 +42,9 @@ TEST(DayCaptureTest, AnswerSeenAboveThenBelowIsResolved) {
                    answer_rrs("a.example.com", 60));
   EXPECT_EQ(capture.unique_resolved(), 1u);
   EXPECT_EQ(capture.tree().black_count(), 1u);
-  const DomainNameTree::Node* node =
-      capture.tree().find(DomainName("a.example.com"));
-  ASSERT_NE(node, nullptr);
-  EXPECT_TRUE(node->black);
+  const NameId node = capture.tree().find(DomainName("a.example.com"));
+  ASSERT_NE(node, kInvalidNameId);
+  EXPECT_TRUE(capture.tree().black(node));
 }
 
 TEST(DayCaptureTest, AnswerSeenOnlyAboveIsNotResolved) {

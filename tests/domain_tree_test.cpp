@@ -13,24 +13,33 @@
 namespace dnsnoise {
 namespace {
 
+/// A tree over its own table, as a capture holds one.
+struct Tree {
+  NameTable names;
+  DomainNameTree tree{names};
+};
+
 TEST(DomainTreeTest, InsertMarksOnlyExactNodeBlack) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("a.example.com"));
   EXPECT_EQ(tree.black_count(), 1u);
-  EXPECT_TRUE(tree.find(DomainName("a.example.com"))->black);
-  EXPECT_FALSE(tree.find(DomainName("example.com"))->black);
-  EXPECT_FALSE(tree.find(DomainName("com"))->black);
+  EXPECT_TRUE(tree.black(tree.find(DomainName("a.example.com"))));
+  EXPECT_FALSE(tree.black(tree.find(DomainName("example.com"))));
+  EXPECT_FALSE(tree.black(tree.find(DomainName("com"))));
 }
 
 TEST(DomainTreeTest, DuplicateInsertIsIdempotent) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("a.example.com"));
   tree.insert(DomainName("a.example.com"));
   EXPECT_EQ(tree.black_count(), 1u);
 }
 
 TEST(DomainTreeTest, NodeCountAndSharing) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("a.example.com"));
   tree.insert(DomainName("b.example.com"));
   // root + com + example + a + b
@@ -38,114 +47,128 @@ TEST(DomainTreeTest, NodeCountAndSharing) {
 }
 
 TEST(DomainTreeTest, FindMissing) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("a.example.com"));
-  EXPECT_EQ(tree.find(DomainName("z.example.com")), nullptr);
-  EXPECT_EQ(tree.find(DomainName("a.example.org")), nullptr);
+  EXPECT_EQ(tree.find(DomainName("z.example.com")), kInvalidNameId);
+  EXPECT_EQ(tree.find(DomainName("a.example.org")), kInvalidNameId);
+  // Interned but never inserted: a name of the table, not of the tree.
+  tree.intern("q.example.com");
+  EXPECT_EQ(tree.find(DomainName("q.example.com")), kInvalidNameId);
+  EXPECT_EQ(tree.node_count(), 4u);
 }
 
 TEST(DomainTreeTest, FullNameReconstruction) {
-  DomainNameTree tree;
-  const auto& node = tree.insert(DomainName("i.1.a.example.com"));
-  EXPECT_EQ(DomainNameTree::full_name(node), "i.1.a.example.com");
-  EXPECT_EQ(DomainNameTree::full_name(tree.root()), "");
-  EXPECT_EQ(DomainNameTree::full_name(*tree.find(DomainName("com"))), "com");
+  Tree t;
+  DomainNameTree& tree = t.tree;
+  const NameId node = tree.insert(DomainName("i.1.a.example.com"));
+  EXPECT_EQ(tree.name(node), "i.1.a.example.com");
+  EXPECT_EQ(tree.label(node), "i");
+  EXPECT_EQ(tree.name(tree.root()), "");
+  EXPECT_EQ(tree.name(tree.find(DomainName("com"))), "com");
+  EXPECT_EQ(tree.name(tree.parent(node)), "1.a.example.com");
 }
 
 TEST(DomainTreeTest, DepthIsLabelCount) {
-  DomainNameTree tree;
-  const auto& node = tree.insert(DomainName("i.1.a.example.com"));
-  EXPECT_EQ(node.depth, 5u);
-  EXPECT_EQ(tree.find(DomainName("example.com"))->depth, 2u);
-  EXPECT_EQ(tree.root().depth, 0u);
+  Tree t;
+  DomainNameTree& tree = t.tree;
+  const NameId node = tree.insert(DomainName("i.1.a.example.com"));
+  EXPECT_EQ(tree.depth(node), 5u);
+  EXPECT_EQ(tree.depth(tree.find(DomainName("example.com"))), 2u);
+  EXPECT_EQ(tree.depth(tree.root()), 0u);
 }
 
-DomainNameTree paper_example_tree() {
+void paper_example_tree(DomainNameTree& tree) {
   // The exact example of the paper's Fig. 8.
-  DomainNameTree tree;
   tree.insert(DomainName("a.example.com"));
   tree.insert(DomainName("i.1.a.example.com"));
   tree.insert(DomainName("2.a.example.com"));
   tree.insert(DomainName("3.a.example.com"));
   tree.insert(DomainName("4.b.example.com"));
   tree.insert(DomainName("c.example.com"));
-  return tree;
 }
 
 TEST(DomainTreeTest, PaperFig8Groups) {
-  DomainNameTree tree = paper_example_tree();
-  auto* zone = tree.find(DomainName("example.com"));
-  ASSERT_NE(zone, nullptr);
-  const auto groups = tree.black_descendants_by_depth(*zone);
+  Tree t;
+  DomainNameTree& tree = t.tree;
+  paper_example_tree(tree);
+  const NameId zone = tree.find(DomainName("example.com"));
+  ASSERT_NE(zone, kInvalidNameId);
+  const auto groups = tree.black_descendants_by_depth(zone);
   // G3 = {a, c}, G4 = {2.a, 3.a, 4.b}, G5 = {i.1.a}.
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups.at(3).size(), 2u);
   EXPECT_EQ(groups.at(4).size(), 3u);
   EXPECT_EQ(groups.at(5).size(), 1u);
   std::vector<std::string> g3;
-  for (const auto* node : groups.at(3)) {
-    g3.push_back(DomainNameTree::full_name(*node));
+  for (const NameId node : groups.at(3)) {
+    g3.emplace_back(tree.name(node));
   }
   std::sort(g3.begin(), g3.end());
   EXPECT_EQ(g3, (std::vector<std::string>{"a.example.com", "c.example.com"}));
 }
 
 TEST(DomainTreeTest, DecolorMatchesPaperFig9) {
-  DomainNameTree tree = paper_example_tree();
-  auto* zone = tree.find(DomainName("example.com"));
-  auto groups = tree.black_descendants_by_depth(*zone);
+  Tree t;
+  DomainNameTree& tree = t.tree;
+  paper_example_tree(tree);
+  const NameId zone = tree.find(DomainName("example.com"));
+  auto groups = tree.black_descendants_by_depth(zone);
   // Decolor G3 (a.example.com, c.example.com) as the paper's example does.
-  for (auto* node : groups.at(3)) tree.decolor(*node);
+  for (const NameId node : groups.at(3)) tree.decolor(node);
   EXPECT_EQ(tree.black_count(), 4u);
-  const auto after = tree.black_descendants_by_depth(*zone);
+  const auto after = tree.black_descendants_by_depth(zone);
   EXPECT_FALSE(after.contains(3));
   EXPECT_EQ(after.at(4).size(), 3u);
   // Decoloring twice is harmless.
-  tree.decolor(*tree.find(DomainName("a.example.com")));
+  tree.decolor(tree.find(DomainName("a.example.com")));
   EXPECT_EQ(tree.black_count(), 4u);
 }
 
 TEST(DomainTreeTest, HasBlackDescendant) {
-  DomainNameTree tree = paper_example_tree();
-  EXPECT_TRUE(DomainNameTree::has_black_descendant(
-      *tree.find(DomainName("example.com"))));
-  EXPECT_TRUE(DomainNameTree::has_black_descendant(
-      *tree.find(DomainName("a.example.com"))));
+  Tree t;
+  DomainNameTree& tree = t.tree;
+  paper_example_tree(tree);
+  EXPECT_TRUE(tree.has_black_descendant(tree.find(DomainName("example.com"))));
+  EXPECT_TRUE(
+      tree.has_black_descendant(tree.find(DomainName("a.example.com"))));
   // c.example.com is black itself but has no black *descendants*.
-  EXPECT_FALSE(DomainNameTree::has_black_descendant(
-      *tree.find(DomainName("c.example.com"))));
+  EXPECT_FALSE(
+      tree.has_black_descendant(tree.find(DomainName("c.example.com"))));
 }
 
 TEST(DomainTreeTest, Effective2ldNodes) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("www.example.com"));
   tree.insert(DomainName("shop.foo.co.uk"));
   tree.insert(DomainName("x.bar.co.uk"));
   const auto zones = tree.effective_2ld_nodes(PublicSuffixList::builtin());
   std::vector<std::string> names;
-  for (const auto* node : zones) {
-    names.push_back(DomainNameTree::full_name(*node));
-  }
+  for (const NameId node : zones) names.emplace_back(tree.name(node));
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"bar.co.uk", "example.com",
                                              "foo.co.uk"}));
 }
 
 TEST(DomainTreeTest, Effective2ldSkipsBarePublicSuffixes) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("com"));      // a public suffix queried directly
   tree.insert(DomainName("a.b.com"));
   const auto zones = tree.effective_2ld_nodes(PublicSuffixList::builtin());
   ASSERT_EQ(zones.size(), 1u);
-  EXPECT_EQ(DomainNameTree::full_name(*zones[0]), "b.com");
+  EXPECT_EQ(tree.name(zones[0]), "b.com");
 }
 
-TEST(DomainTreeTest, ChildOrderMatchesSortedMapReference) {
-  // The flat edge-map tree sorts children lazily; traversal order must be
-  // indistinguishable from the historical std::map<std::string, Node>
-  // layout for every node, or miner output would reshuffle.
+TEST(DomainTreeTest, ChildrenMatchMapReference) {
+  // Children are kept in insertion order, and nothing depends on that
+  // order (findings are sorted by a total order; the features sort their
+  // own inputs).  What must hold is the structure: every node's set of
+  // child labels equals the nested std::map reference's.
   Rng rng(0x7ee);
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   std::vector<std::string> inserted;
   for (int i = 0; i < 400; ++i) {
     std::string name = rng.hex_string(2 + rng.below(8));
@@ -155,51 +178,69 @@ TEST(DomainTreeTest, ChildOrderMatchesSortedMapReference) {
     tree.insert(DomainName(name));
     inserted.push_back(std::move(name));
   }
-  // Reference: the labels of every parent, ordered as std::map would order
-  // its keys (lexicographic operator<).
-  using HostMap = std::map<std::string, std::set<std::string>>;
-  std::map<std::string, std::map<std::string, HostMap>> reference;
+  // Reference: parent name -> the set of its children's labels.
+  std::map<std::string, std::set<std::string>> reference;
   for (const std::string& name : inserted) {
-    const DomainName parsed(name);  // labels: hex.h<N>.<alpha|beta>.test
-    reference[std::string(parsed.label_from_right(0))]
-             [std::string(parsed.label_from_right(1))]
-             [std::string(parsed.label_from_right(2))]
-                 .insert(std::string(parsed.label(0)));
-  }
-  ASSERT_EQ(tree.root().children().size(), reference.size());
-  std::size_t t = 0;
-  for (const auto& [tld, seconds] : reference) {
-    const DomainNameTree::Node* tld_node = tree.root().children()[t++];
-    ASSERT_EQ(tld_node->label, tld);
-    ASSERT_EQ(tld_node->children().size(), seconds.size());
-    std::size_t s = 0;
-    for (const auto& [second, hosts] : seconds) {
-      const DomainNameTree::Node* second_node = tld_node->children()[s++];
-      ASSERT_EQ(second_node->label, second);
-      ASSERT_EQ(second_node->children().size(), hosts.size());
-      std::size_t h = 0;
-      for (const auto& [host, leaves] : hosts) {
-        const DomainNameTree::Node* host_node = second_node->children()[h++];
-        ASSERT_EQ(host_node->label, host);
-        ASSERT_EQ(host_node->children().size(), leaves.size());
-        std::size_t l = 0;
-        for (const std::string& leaf : leaves) {
-          EXPECT_EQ(host_node->children()[l++]->label, leaf);
-        }
-      }
+    for (std::string child = name; !child.empty();) {
+      const std::size_t dot = child.find('.');
+      const std::string parent =
+          dot == std::string::npos ? "" : child.substr(dot + 1);
+      reference[parent].insert(child.substr(0, dot));
+      child = parent;
     }
   }
+  std::size_t visited = 0;
+  std::vector<NameId> stack{tree.root()};
+  while (!stack.empty()) {
+    const NameId node = stack.back();
+    stack.pop_back();
+    std::set<std::string> labels;
+    std::size_t children = 0;
+    for (NameId child = tree.first_child(node); child != kInvalidNameId;
+         child = tree.next_sibling(child)) {
+      EXPECT_EQ(tree.parent(child), node);
+      EXPECT_EQ(tree.depth(child), tree.depth(node) + 1);
+      labels.emplace(tree.label(child));
+      ++children;
+      stack.push_back(child);
+    }
+    EXPECT_EQ(children, labels.size()) << tree.name(node);
+    const auto it = reference.find(std::string(tree.name(node)));
+    EXPECT_EQ(labels, it == reference.end() ? std::set<std::string>{}
+                                            : it->second)
+        << tree.name(node);
+    ++visited;
+  }
+  EXPECT_EQ(visited, tree.node_count());
+}
+
+TEST(DomainTreeTest, MergeRemapsNamesAndKeepsEveryNode) {
+  Tree a;
+  a.tree.insert(DomainName("x.example.com"));
+  Tree b;
+  b.tree.intern("queried.only.org");  // a name of b's table, not its tree
+  b.tree.insert(DomainName("y.example.com"));
+  a.tree.merge_from(b.tree, a.names.intern_all(b.names));
+  EXPECT_EQ(a.tree.node_count(), 5u);  // root, com, example, x, y
+  EXPECT_TRUE(a.tree.black(a.tree.find(DomainName("y.example.com"))));
+  // b's other names come across as names, outside the tree.
+  const NameId queried = a.names.find("queried.only.org");
+  ASSERT_TRUE(a.tree.is_name(queried));
+  EXPECT_FALSE(a.tree.contains(queried));
+  EXPECT_EQ(a.tree.depth(queried), 3u);
+  EXPECT_EQ(a.tree.name(a.tree.parent(queried)), "only.org");
 }
 
 TEST(DomainTreeTest, GroupsAreScopedToTheZone) {
-  DomainNameTree tree;
+  Tree t;
+  DomainNameTree& tree = t.tree;
   tree.insert(DomainName("x.one.com"));
   tree.insert(DomainName("y.two.com"));
-  auto* one = tree.find(DomainName("one.com"));
-  const auto groups = tree.black_descendants_by_depth(*one);
+  const NameId one = tree.find(DomainName("one.com"));
+  const auto groups = tree.black_descendants_by_depth(one);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups.at(3).size(), 1u);
-  EXPECT_EQ(DomainNameTree::full_name(*groups.at(3)[0]), "x.one.com");
+  EXPECT_EQ(tree.name(groups.at(3)[0]), "x.one.com");
 }
 
 }  // namespace

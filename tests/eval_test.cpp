@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "features/domain_tree.h"
 #include "miner/evaluate.h"
 #include "ml/baselines.h"
 #include "util/rng.h"
@@ -153,7 +154,7 @@ TEST(CrossValTest, InvalidArgsThrow) {
 }
 
 // --------------------------------------------------------------------------
-// FindingIndex (miner/evaluate.h)
+// FindingCover (miner/evaluate.h)
 
 TEST(FindingIndexTest, RootAndSingleLabelNamesMatchNoRule) {
   std::vector<DisposableZoneFinding> findings(2);
@@ -161,10 +162,42 @@ TEST(FindingIndexTest, RootAndSingleLabelNamesMatchNoRule) {
   findings[0].depth = 1;
   findings[1].zone = "example.com";
   findings[1].depth = 3;
-  const FindingIndex index(findings);
-  EXPECT_FALSE(index.is_disposable(DomainName(".")));
-  EXPECT_FALSE(index.is_disposable(DomainName("com")));
-  EXPECT_TRUE(index.is_disposable(DomainName("a.example.com")));
+  NameTable names;
+  DomainNameTree tree(names);
+  const auto id = [&tree](const char* name) {
+    return tree.intern(DomainName(name).text());
+  };
+  const NameId root = id(".");
+  const NameId tld = id("com");
+  const NameId covered = id("a.example.com");
+  FindingCover cover(tree, findings);
+  // A finding's zone is a proper ancestor, the root excluded: the root
+  // and a bare TLD match no rule, not even (com, 1).
+  EXPECT_FALSE(cover.covers(root));
+  EXPECT_FALSE(cover.covers(tld));
+  EXPECT_TRUE(cover.covers(covered));
+}
+
+TEST(FindingCoverTest, DecidesEachIdOnce) {
+  std::vector<DisposableZoneFinding> findings(1);
+  findings[0].zone = "example.com";
+  findings[0].depth = 3;
+  NameTable names;
+  DomainNameTree tree(names);
+  const auto id = [&tree](const char* name) {
+    return tree.intern(DomainName(name).text());
+  };
+  const NameId covered = id("a.example.com");
+  const NameId uncovered = id("a.b.example.com");
+  FindingCover cover(tree, findings);
+  EXPECT_FALSE(cover.covers(kInvalidNameId));
+  EXPECT_TRUE(cover.covers(covered));
+  EXPECT_FALSE(cover.covers(uncovered));
+  // Asking again gives the same answer.
+  EXPECT_TRUE(cover.covers(covered));
+  EXPECT_FALSE(cover.covers(uncovered));
+  const std::vector<NameId> ids{covered, uncovered, kInvalidNameId, covered};
+  EXPECT_EQ(cover.count(ids), 2u);
 }
 
 }  // namespace

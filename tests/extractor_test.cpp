@@ -11,15 +11,15 @@ namespace {
 /// Builds a tree + CHR fixture where `count` names of the form
 /// <label_i>.<zone> exist, each with `queries` below and `misses` above.
 struct Fixture {
-  DomainNameTree tree;
-  CacheHitRateTracker chr;
-  std::vector<DomainNameTree::Node*> group;
+  NameTable names;
+  DomainNameTree tree{names};
+  CacheHitRateTracker chr{names};
+  std::vector<NameId> group;
   std::size_t zone_depth = 0;
 
   void add_name(const std::string& name, std::uint64_t queries,
                 std::uint64_t misses) {
-    auto& node = tree.insert(DomainName(name));
-    group.push_back(&node);
+    group.push_back(tree.insert(DomainName(name)));
     for (std::uint64_t q = 0; q < queries; ++q) {
       chr.record_below(name, RRType::A, "10.0.0.1");
     }
@@ -37,7 +37,7 @@ TEST(ExtractorTest, DisposableShapedGroup) {
     fx.add_name(rng.hex_string(24) + ".avqs.vendor.com", 1, 1);
   }
   const GroupFeatures f =
-      compute_group_features(fx.group, fx.zone_depth, fx.chr);
+      compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
   EXPECT_EQ(f.group_size, 50u);
   EXPECT_DOUBLE_EQ(f.label_cardinality, 50.0);
   EXPECT_GT(f.entropy_median, 3.0);  // hex hashes are high-entropy
@@ -53,7 +53,7 @@ TEST(ExtractorTest, PopularShapedGroup) {
     fx.add_name(std::string(host) + ".popular.com", 100, 5);
   }
   const GroupFeatures f =
-      compute_group_features(fx.group, fx.zone_depth, fx.chr);
+      compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
   EXPECT_DOUBLE_EQ(f.label_cardinality, 5.0);
   EXPECT_LT(f.entropy_median, 2.1);  // human words are low-entropy
   EXPECT_DOUBLE_EQ(f.chr_median, 0.95);
@@ -69,14 +69,14 @@ TEST(ExtractorTest, AdjacentLabelsNotLeafLabels) {
   fx.add_name("2.a.example.com", 1, 1);
   fx.add_name("3.b.example.com", 1, 1);
   const GroupFeatures f =
-      compute_group_features(fx.group, fx.zone_depth, fx.chr);
+      compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
   // Adjacent labels are {a, b}, not {1, 2, 3}.
   EXPECT_DOUBLE_EQ(f.label_cardinality, 2.0);
 }
 
 TEST(ExtractorTest, EmptyGroup) {
-  const CacheHitRateTracker chr;
-  const GroupFeatures f = compute_group_features({}, 2, chr);
+  const Fixture fx;
+  const GroupFeatures f = compute_group_features(fx.tree, {}, 2, fx.chr);
   EXPECT_EQ(f.group_size, 0u);
   EXPECT_DOUBLE_EQ(f.label_cardinality, 0.0);
 }
@@ -86,7 +86,7 @@ TEST(ExtractorTest, GroupWithNoMissesIsPerfectlyCached) {
   fx.zone_depth = 2;
   fx.add_name("www.zone.com", 50, 0);
   const GroupFeatures f =
-      compute_group_features(fx.group, fx.zone_depth, fx.chr);
+      compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
   // No misses: empty CHR distribution behaves as perfectly cached.
   EXPECT_DOUBLE_EQ(f.chr_median, 1.0);
   EXPECT_DOUBLE_EQ(f.chr_zero_frac, 0.0);
@@ -99,7 +99,7 @@ TEST(ExtractorTest, WeightedMedianUsesMissCounts) {
   fx.add_name("hot.zone.com", 10, 1);
   fx.add_name("cold.zone.com", 9, 9);
   const GroupFeatures f =
-      compute_group_features(fx.group, fx.zone_depth, fx.chr);
+      compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
   // 10 CHR samples: nine 0.0 and one 0.9 -> median 0.
   EXPECT_DOUBLE_EQ(f.chr_median, 0.0);
   EXPECT_DOUBLE_EQ(f.chr_zero_frac, 0.5);  // 1 of 2 RRs is zero-CHR
@@ -145,10 +145,11 @@ TEST_P(ExtractorSeparationTest, DisposableAndPopularGroupsSeparate) {
                      20 + rng.below(100), 1 + rng.below(3));
   }
   const GroupFeatures fd =
-      compute_group_features(disposable.group, disposable.zone_depth,
-                             disposable.chr);
+      compute_group_features(disposable.tree, disposable.group,
+                             disposable.zone_depth, disposable.chr);
   const GroupFeatures fp =
-      compute_group_features(popular.group, popular.zone_depth, popular.chr);
+      compute_group_features(popular.tree, popular.group, popular.zone_depth,
+                             popular.chr);
   EXPECT_GT(fd.chr_zero_frac, fp.chr_zero_frac);
   EXPECT_GT(fd.entropy_median, fp.entropy_median);
   EXPECT_LT(fd.chr_median, fp.chr_median);

@@ -94,7 +94,8 @@ TEST(IntegrationTest, PcapRoundTripMatchesDirectCapture) {
             direct.above_series().sum_total());
 
   // Per-RR counts agree, not just totals.
-  for (const auto& [key, counts] : direct.chr().entries()) {
+  for (const auto& [rr, counts] : direct.chr().entries()) {
+    const RRKey key = to_rr_key(rr, direct.names());
     const auto* other = replayed.chr().find(key);
     ASSERT_NE(other, nullptr) << key.name;
     EXPECT_EQ(other->below, counts.below) << key.name;

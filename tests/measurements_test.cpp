@@ -27,7 +27,8 @@ class MeasurementsTest : public ::testing::Test {
     return name.is_within("avqs.vendor.com");
   }
 
-  CacheHitRateTracker chr_;
+  NameTable names_;
+  CacheHitRateTracker chr_{names_};
 };
 
 TEST_F(MeasurementsTest, SortedLookupVolumes) {
@@ -101,7 +102,8 @@ TEST_F(MeasurementsTest, TtlFractionAtMost) {
 }
 
 TEST(MeasurementsEdgeTest, EmptyTracker) {
-  const CacheHitRateTracker chr;
+  NameTable names;
+  const CacheHitRateTracker chr(names);
   const auto none = [](const DomainName&) { return false; };
   EXPECT_EQ(lookup_tail_fraction(chr), 0.0);
   EXPECT_EQ(zero_dhr_fraction(chr), 0.0);
@@ -113,7 +115,8 @@ TEST(MeasurementsEdgeTest, EmptyTracker) {
 }
 
 TEST(MeasurementsEdgeTest, ZeroTtlLandsInUnderflowBin) {
-  CacheHitRateTracker chr;
+  NameTable names;
+  CacheHitRateTracker chr(names);
   chr.record_below("a.zone.com", RRType::A, "1", 0);
   const auto all = [](const DomainName&) { return true; };
   const LogHistogram histogram = disposable_ttl_histogram(chr, all);

@@ -107,19 +107,18 @@ TEST(NameTableTest, DifferentOrderRemapsThroughText) {
   }
 }
 
-TEST(NameTableTest, LabelPoolIsOptional) {
-  NameTable plain(false);
-  EXPECT_FALSE(plain.tracks_labels());
-  NameTable labeled(true);
-  EXPECT_TRUE(labeled.tracks_labels());
-  const LabelId www = labeled.intern_label("www");
-  const LabelId com = labeled.intern_label("com");
-  EXPECT_NE(www, com);
-  EXPECT_EQ(labeled.intern_label("www"), www);
-  EXPECT_EQ(labeled.label(www), "www");
-  EXPECT_EQ(labeled.label_hash(com), fnv1a64("com"));
-  EXPECT_EQ(labeled.find_label("org"), kInvalidNameId);
-  EXPECT_EQ(labeled.label_count(), 2u);
+TEST(NameTableTest, InternAllMapsEveryIdThroughItsText) {
+  NameTable shard;
+  shard.intern("b.example.com");
+  shard.intern("shared.example.com");
+  NameTable merged;
+  const NameId shared = merged.intern("shared.example.com");
+  const std::vector<NameId> remap = merged.intern_all(shard);
+  ASSERT_EQ(remap.size(), shard.size());
+  EXPECT_EQ(remap[1], shared);  // already there: same id
+  EXPECT_EQ(merged.name(remap[0]), "b.example.com");
+  EXPECT_EQ(merged.name_hash(remap[0]), fnv1a64("b.example.com"));
+  EXPECT_EQ(merged.size(), 2u);
 }
 
 TEST(NameTableTest, ReserveKeepsIdsAndViews) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "util/file.h"
 #include "util/rng.h"
 
 namespace dnsnoise {
@@ -149,6 +150,17 @@ TEST(PcapTest, LoadDirectoryThrows) {
   // refused like any other unreadable input, not sized into bad_alloc.
   const std::filesystem::path dir = ::testing::TempDir();
   EXPECT_THROW(PcapReader::load_file(dir.string()), std::runtime_error);
+}
+
+TEST(PcapTest, ReadFileReadsRegularFilesOnly) {
+  const std::filesystem::path dir = ::testing::TempDir();
+  EXPECT_THROW(read_file(dir.string()), std::runtime_error);
+  EXPECT_THROW(read_file("/no/such/file"), std::runtime_error);
+  const std::string path = (dir / "dnsnoise_read_file_test.bin").string();
+  PcapWriter writer;
+  writer.save(path);
+  EXPECT_EQ(read_file(path), writer.bytes());
+  std::remove(path.c_str());
 }
 
 TEST(PcapTest, ZeroCopyViewsMatchCopies) {

@@ -74,6 +74,24 @@ TEST(FpDnsTest, DeserializeRejectsTruncation) {
   EXPECT_THROW(FpDnsDataset::deserialize(bytes), std::invalid_argument);
 }
 
+TEST(FpDnsTest, DeserializeRejectsCountBeyondInput) {
+  // Magic plus an entry count no 12-byte input can hold: refused as short
+  // input before the count sizes any allocation.
+  for (const int shift : {40, 62}) {
+    SCOPED_TRACE(shift);
+    std::vector<std::uint8_t> bytes = {'F', 'P', 'D', '1'};
+    const std::uint64_t count = std::uint64_t{1} << shift;
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(count >> (i * 8)));
+    }
+    EXPECT_THROW(FpDnsDataset::deserialize(bytes), std::invalid_argument);
+  }
+}
+
+TEST(FpDnsTest, LoadDirectoryThrows) {
+  EXPECT_THROW(FpDnsDataset::load(::testing::TempDir()), std::runtime_error);
+}
+
 // --------------------------------------------------------------------------
 // rpDNS
 

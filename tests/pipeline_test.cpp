@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "engine/parallel_miner.h"
+#include "features/domain_tree.h"
+#include "miner/evaluate.h"
 #include "ml/eval.h"
 
 namespace dnsnoise {
@@ -82,17 +85,25 @@ TEST_F(PipelineTest, FindingsHaveEvidence) {
 }
 
 TEST(PipelineUnitTest, FindingIndexMatchesZoneAndDepth) {
-  std::vector<DisposableZoneFinding> findings;
-  DisposableZoneFinding f;
-  f.zone = "vendor.com";
-  f.depth = 4;
-  findings.push_back(f);
-  const FindingIndex index(findings);
-  EXPECT_EQ(index.size(), 1u);
-  EXPECT_TRUE(index.is_disposable(DomainName("a.avqs.vendor.com")));
-  EXPECT_FALSE(index.is_disposable(DomainName("a.b.avqs.vendor.com")));  // depth 5
-  EXPECT_FALSE(index.is_disposable(DomainName("a.avqs.other.com")));
-  EXPECT_FALSE(index.is_disposable(DomainName("vendor.com")));
+  std::vector<DisposableZoneFinding> findings(1);
+  findings[0].zone = "vendor.com";
+  findings[0].depth = 4;
+  NameTable names;
+  DomainNameTree tree(names);
+  const auto id = [&tree](const char* name) {
+    return tree.intern(DomainName(name).text());
+  };
+  const NameId deep = id("a.avqs.vendor.com");
+  const NameId too_deep = id("a.b.avqs.vendor.com");  // depth 5
+  const NameId sibling = id("a.avqs.other.com");
+  const NameId zone = id("vendor.com");
+  FindingCover cover(tree, findings);
+  EXPECT_TRUE(cover.covers(deep));
+  EXPECT_FALSE(cover.covers(too_deep));
+  EXPECT_FALSE(cover.covers(sibling));
+  EXPECT_FALSE(cover.covers(zone));
+  const std::vector<NameId> ids{deep, too_deep, sibling, zone};
+  EXPECT_EQ(cover.count(ids), 1u);
 }
 
 TEST(PipelineUnitTest, EvaluateFindingsMatching) {

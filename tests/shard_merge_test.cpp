@@ -17,51 +17,70 @@ std::vector<ResourceRecord> answer_rrs(const char* name, std::uint32_t ttl,
   return {{DomainName(name), RRType::A, ttl, rdata}};
 }
 
+/// A tree and a CHR tracker over one table, as a capture holds them.
+struct Shard {
+  NameTable names;
+  DomainNameTree tree{names};
+  CacheHitRateTracker chr{names};
+
+  /// Merges `other` the way DayCapture::merge_from does.
+  void merge_from(const Shard& other) {
+    const std::vector<NameId> remap = names.intern_all(other.names);
+    tree.merge_from(other.tree, remap);
+    chr.merge_from(other.chr, remap);
+  }
+};
+
 TEST(ShardMergeTest, DomainTreeUnionKeepsBlackNodesAndCounts) {
-  DomainNameTree a;
+  Shard sa;
+  DomainNameTree& a = sa.tree;
   a.insert(DomainName("x.example.com"));
   a.insert(DomainName("shared.example.com"));
-  DomainNameTree b;
+  Shard sb;
+  DomainNameTree& b = sb.tree;
   b.insert(DomainName("y.example.com"));
   b.insert(DomainName("shared.example.com"));
   b.insert(DomainName("deep.y.example.com"));
 
-  a.merge_from(b);
+  sa.merge_from(sb);
   EXPECT_EQ(a.black_count(), 4u);  // x, y, shared, deep.y
   // root + com + example + x + shared + y + deep = 7
   EXPECT_EQ(a.node_count(), 7u);
-  const auto* deep = a.find(DomainName("deep.y.example.com"));
-  ASSERT_NE(deep, nullptr);
-  EXPECT_TRUE(deep->black);
-  EXPECT_EQ(deep->depth, 4u);
-  EXPECT_EQ(DomainNameTree::full_name(*deep), "deep.y.example.com");
+  const NameId deep = a.find(DomainName("deep.y.example.com"));
+  ASSERT_NE(deep, kInvalidNameId);
+  EXPECT_TRUE(a.black(deep));
+  EXPECT_EQ(a.depth(deep), 4u);
+  EXPECT_EQ(a.name(deep), "deep.y.example.com");
   // y was only inserted as a leaf in b, black there; x untouched by merge.
-  EXPECT_TRUE(a.find(DomainName("y.example.com"))->black);
-  EXPECT_TRUE(a.find(DomainName("x.example.com"))->black);
+  EXPECT_TRUE(a.black(a.find(DomainName("y.example.com"))));
+  EXPECT_TRUE(a.black(a.find(DomainName("x.example.com"))));
   // Intermediate nodes stay white.
-  EXPECT_FALSE(a.find(DomainName("example.com"))->black);
+  EXPECT_FALSE(a.black(a.find(DomainName("example.com"))));
 }
 
 TEST(ShardMergeTest, DomainTreeMergeIsIdempotentOnEqualTrees) {
-  DomainNameTree a;
+  Shard sa;
+  DomainNameTree& a = sa.tree;
   a.insert(DomainName("x.example.com"));
-  DomainNameTree b;
-  b.insert(DomainName("x.example.com"));
-  a.merge_from(b);
+  Shard sb;
+  sb.tree.insert(DomainName("x.example.com"));
+  sa.merge_from(sb);
   EXPECT_EQ(a.black_count(), 1u);
   EXPECT_EQ(a.node_count(), 4u);
 }
 
 TEST(ShardMergeTest, ChrMergeSumsBelowAndAboveCounts) {
-  CacheHitRateTracker a;
+  Shard sa;
+  CacheHitRateTracker& a = sa.chr;
   a.record_below("a.example.com", RRType::A, "10.0.0.1", 60);
   a.record_below("a.example.com", RRType::A, "10.0.0.1");
   a.record_above("a.example.com", RRType::A, "10.0.0.1");
-  CacheHitRateTracker b;
+  Shard sb;
+  CacheHitRateTracker& b = sb.chr;
   b.record_below("a.example.com", RRType::A, "10.0.0.1", 90);
   b.record_above("b.example.com", RRType::A, "10.0.0.2", 30);
 
-  a.merge_from(b);
+  sa.merge_from(sb);
   EXPECT_EQ(a.unique_rrs(), 2u);
   const auto* shared = a.find({"a.example.com", RRType::A, "10.0.0.1"});
   ASSERT_NE(shared, nullptr);

@@ -4,6 +4,7 @@
 // truncated headers, compression pointer loops, over-long names, and junk
 // payloads must be answered with FORMERR or dropped — never a crash — and
 // the suite runs under the ASan/UBSan CI labels to prove it.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -426,7 +427,10 @@ TEST(ServedDayTest, RootQuestionDoesNotStallFinish) {
 
   const MiningDayResult result = day->finish();
   ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_NE(day->capture().queried_names().find(""), kInvalidNameId);
+  const DayCapture& capture = day->capture();
+  EXPECT_NE(std::ranges::find(capture.queried_names(),
+                              capture.names().find("")),
+            capture.queried_names().end());
 }
 
 }  // namespace
