@@ -12,7 +12,8 @@ using namespace dnsnoise;
 using namespace dnsnoise::bench;
 
 int main() {
-  print_header("Fig. 4", "cache-hit-rate distribution (single day + aggregate)");
+  print_header("Fig. 4",
+               "cache-hit-rate distribution (single day + aggregate)");
 
   MiningSession session = default_session();
 

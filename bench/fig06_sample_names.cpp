@@ -49,7 +49,8 @@ int main() {
     config.repeat_probability = 0.0;
     NamePattern pattern;
     pattern.add(std::make_unique<FixedLabel>("0"));
-    pattern.add(std::make_unique<ChoiceLabel>(std::vector<std::string>{"0", "1"}));
+    pattern.add(std::make_unique<ChoiceLabel>(
+        std::vector<std::string>{"0", "1"}));
     pattern.add(RandomStringLabel::hex(2));
     pattern.add(RandomStringLabel::base32(26));
     show("ii: file-reputation lookups, McAfee-style", std::move(config),
@@ -66,7 +67,8 @@ int main() {
     pattern.add(std::make_unique<CounterLabel>(100'000, 999'999));
     pattern.add(std::make_unique<ChoiceLabel>(
         std::vector<std::string>{"i1", "i2", "s1"}));
-    pattern.add(std::make_unique<ChoiceLabel>(std::vector<std::string>{"ds", "v4"}));
+    pattern.add(std::make_unique<ChoiceLabel>(
+        std::vector<std::string>{"ds", "v4"}));
     show("iii: measurement experiment, Google-IPv6-style", std::move(config),
          std::move(pattern), rng);
   }

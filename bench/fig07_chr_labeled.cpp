@@ -14,7 +14,8 @@ using namespace dnsnoise;
 using namespace dnsnoise::bench;
 
 int main() {
-  print_header("Fig. 7", "CHR distribution: disposable vs non-disposable zones");
+  print_header("Fig. 7",
+               "CHR distribution: disposable vs non-disposable zones");
 
   // CHR contrast needs many queries per popular hostname; run a bigger day
   // on a 2-server cluster (the paper's per-name query volumes are ~100x

@@ -107,7 +107,8 @@ int main() {
   print_claim("increased from 38.3% to 65.5%",
               percent(first_rr) + " -> " + percent(last_rr));
   std::printf("\nIndustries using disposable domains (discovered zones per\n"
-              "archetype across the campaign; cf. the paper's examples row):\n");
+              "archetype across the campaign; cf. the paper's examples "
+              "row):\n");
   TextTable industries_table({"archetype", "zones_discovered"});
   for (const auto& [archetype, count] : industries) {
     industries_table.add_row({archetype, with_commas(count)});

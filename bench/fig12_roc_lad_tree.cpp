@@ -102,10 +102,10 @@ int main() {
                                  return std::make_unique<GaussianNaiveBayes>();
                                }),
                         4)});
-  models.add_row({"kNN (k=5)",
-                  fixed(cv_auc(data,
-                               [] { return std::make_unique<KnnClassifier>(5); }),
-                        4)});
+  models.add_row(
+      {"kNN (k=5)",
+       fixed(cv_auc(data, [] { return std::make_unique<KnnClassifier>(5); }),
+             4)});
   models.add_row(
       {"logistic regression",
        fixed(cv_auc(data,
@@ -126,7 +126,8 @@ int main() {
   ablation.add_row({"all 8 features", fixed(lad_auc, 4)});
   ablation.add_row(
       {"tree-structure only (6)",
-       fixed(cv_auc(tree_only, [] { return std::make_unique<LadTree>(); }), 4)});
+       fixed(cv_auc(tree_only, [] { return std::make_unique<LadTree>(); }),
+             4)});
   ablation.add_row(
       {"cache-hit-rate only (2)",
        fixed(cv_auc(chr_only, [] { return std::make_unique<LadTree>(); }), 4)});

@@ -40,7 +40,8 @@ DateStats run_date(ScenarioDate date) {
   for (std::size_t bin = 0; bin < histogram.bins(); ++bin) {
     if (histogram.count(bin) == 0) continue;
     bars.emplace_back(
-        fixed(histogram.bin_lo(bin), 0) + ".." + fixed(histogram.bin_hi(bin), 0),
+        fixed(histogram.bin_lo(bin), 0) + ".." +
+            fixed(histogram.bin_hi(bin), 0),
         static_cast<double>(histogram.count(bin)));
     if (histogram.count(bin) > stats.mode_count) {
       stats.mode_count = histogram.count(bin);

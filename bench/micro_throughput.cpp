@@ -161,13 +161,14 @@ void BM_PcapDecodePipeline(benchmark::State& state) {
                                  Ipv4::from_octets(192, 168, 0, 2), 40000,
                                  msg));
   }
-  std::size_t sink_count = 0;
+  // No observer is attached: every frame is parsed, decoded and checked,
+  // and nothing is interned or buffered.
+  std::size_t accepted = 0;
   for (auto _ : state) {
     CaptureDecoder decoder({Ipv4::from_octets(10, 0, 0, 53)});
-    sink_count += decoder.decode_pcap(writer.bytes(),
-                                      [](const DecodedResponse&) {});
+    accepted += decoder.decode_pcap(writer.bytes());
   }
-  benchmark::DoNotOptimize(sink_count);
+  benchmark::DoNotOptimize(accepted);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 1000));
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * writer.bytes().size()));

@@ -44,7 +44,8 @@ RunResult run(ScenarioDate date, double disposable_multiplier) {
 }  // namespace
 
 int main() {
-  print_header("Sec. VI-B", "DNSSEC validating-resolver cost of disposable load");
+  print_header("Sec. VI-B",
+               "DNSSEC validating-resolver cost of disposable load");
 
   TextTable table({"date", "deployment", "validations/day",
                    "disposable_caused", "share", "wasted_cpu_s",

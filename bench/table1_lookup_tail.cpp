@@ -37,7 +37,8 @@ int main() {
                    percent(row.tail_fraction, 2),
                    percent(row.disposable_share_of_tail, 2),
                    percent(row.disposable_inside_tail, 2)});
-    if (date == ScenarioDate::kFeb01) first_share = row.disposable_share_of_tail;
+    if (date == ScenarioDate::kFeb01)
+      first_share = row.disposable_share_of_tail;
     if (date == ScenarioDate::kDec30) last_share = row.disposable_share_of_tail;
   }
   std::printf("%s\n", table.render().c_str());

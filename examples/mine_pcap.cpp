@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "dns/wire.h"
 #include "engine/parallel_miner.h"
 #include "netio/capture.h"
 #include "util/file.h"
@@ -28,7 +27,6 @@ using namespace dnsnoise;
 namespace {
 
 const Ipv4 kResolverIp = Ipv4::from_octets(10, 0, 0, 53);
-const Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
 
 ScenarioScale small_day() {
   ScenarioScale scale;
@@ -57,33 +55,14 @@ std::vector<std::uint8_t> capture_day_as_pcap() {
   Scenario scenario(ScenarioDate::kDec30, small_day());
   RdnsCluster cluster(ClusterConfig{}, scenario.authority());
   PcapWriter writer;
-  std::uint16_t txid = 0;
-  FunctionTapObserver pcap_tap([&](const TapBatch& batch) {
-    for (const TapEvent& event : batch) {
-      std::vector<ResourceRecord> answers;
-      to_resource_records(batch.answers(event), batch.names(), answers);
-      DnsMessage msg = DnsMessage::make_response(
-          DnsMessage::make_query(++txid, DomainName(batch.qname(event)),
-                                 event.qtype),
-          event.rcode, std::move(answers));
-      if (event.direction == TapDirection::kBelow) {
-        const Ipv4 client_ip{
-            0xac100000u + static_cast<std::uint32_t>(event.client_id % 65000)};
-        writer.write(static_cast<std::uint32_t>(event.ts), 0,
-                     build_dns_frame(kResolverIp, 53, client_ip, 40000, msg));
-      } else {
-        writer.write(static_cast<std::uint32_t>(event.ts), 0,
-                     build_dns_frame(kAuthorityIp, 53, kResolverIp, 5353, msg));
-      }
-    }
-  });
+  PcapTapWriter pcap_tap(writer, kResolverIp);
   cluster.add_tap_observer(&pcap_tap);
   scenario.traffic().run_day_shard(
       scenario_day_index(ScenarioDate::kDec30), {},
       [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
-        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+        cluster.query_view(client, {DomainName(query.qname), query.qtype}, ts);
       });
-  cluster.flush_taps();
+  cluster.remove_tap_observer(&pcap_tap);
   return writer.bytes();
 }
 
@@ -116,16 +95,8 @@ int main() {
 
   CaptureDecoder decoder({kResolverIp});
   DayCapture capture;
-  decoder.decode_pcap(pcap, [&capture](const DecodedResponse& event) {
-    const Question& q = event.message.questions.front();
-    if (event.direction == TapDirection::kBelow) {
-      capture.on_below(event.ts, event.client_id, q,
-                       event.message.header.rcode, event.message.answers);
-    } else {
-      capture.on_above(event.ts, q, event.message.header.rcode,
-                       event.message.answers);
-    }
-  });
+  decoder.add_tap_observer(&capture);
+  decoder.decode_pcap(pcap);
 
   const DisposableZoneMiner miner(*model);
   const auto findings = miner.mine(capture.tree(), capture.chr());

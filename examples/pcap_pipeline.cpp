@@ -13,7 +13,6 @@
 #include <exception>
 #include <filesystem>
 
-#include "dns/wire.h"
 #include "miner/day_capture.h"
 #include "netio/capture.h"
 #include "util/strings.h"
@@ -23,7 +22,6 @@ using namespace dnsnoise;
 
 namespace {
 const Ipv4 kResolverIp = Ipv4::from_octets(10, 0, 0, 53);
-const Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -39,39 +37,17 @@ int main(int argc, char** argv) {
   scale.population_scale = 0.3;
   Scenario scenario(ScenarioDate::kDec30, scale);
 
-  ClusterConfig cluster_config;
-  RdnsCluster cluster(cluster_config, scenario.authority());
+  RdnsCluster cluster(ClusterConfig{}, scenario.authority());
   PcapWriter writer;
-  std::uint16_t txid = 0;
-
-  FunctionTapObserver pcap_tap([&](const TapBatch& batch) {
-    for (const TapEvent& event : batch) {
-      std::vector<ResourceRecord> answers;
-      to_resource_records(batch.answers(event), batch.names(), answers);
-      DnsMessage msg = DnsMessage::make_response(
-          DnsMessage::make_query(++txid, DomainName(batch.qname(event)),
-                                 event.qtype),
-          event.rcode, std::move(answers));
-      if (event.direction == TapDirection::kBelow) {
-        const Ipv4 client_ip{
-            0xac100000u + static_cast<std::uint32_t>(event.client_id % 65000)};
-        writer.write(static_cast<std::uint32_t>(event.ts), 0,
-                     build_dns_frame(kResolverIp, 53, client_ip, 40000, msg));
-      } else {
-        writer.write(static_cast<std::uint32_t>(event.ts), 0,
-                     build_dns_frame(kAuthorityIp, 53, kResolverIp, 5353, msg));
-      }
-    }
-  });
+  PcapTapWriter pcap_tap(writer, kResolverIp);
   cluster.add_tap_observer(&pcap_tap);
-
   scenario.traffic().run_day_shard(
       0, {},
       [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
         if (ts >= kSecondsPerHour) return;  // keep the capture to one hour
-        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+        cluster.query_view(client, {DomainName(query.qname), query.qtype}, ts);
       });
-  cluster.flush_taps();
+  cluster.remove_tap_observer(&pcap_tap);
   try {
     writer.save(path);
   } catch (const std::exception& e) {
@@ -86,24 +62,15 @@ int main(int argc, char** argv) {
   const auto bytes = PcapReader::load_file(path);
   CaptureDecoder decoder({kResolverIp});
   DayCapture capture;
+  decoder.add_tap_observer(&capture);
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t events =
-      decoder.decode_pcap(bytes, [&capture](const DecodedResponse& event) {
-        const Question& q = event.message.questions.front();
-        if (event.direction == TapDirection::kBelow) {
-          capture.on_below(event.ts, event.client_id, q,
-                           event.message.header.rcode, event.message.answers);
-        } else {
-          capture.on_above(event.ts, q, event.message.header.rcode,
-                           event.message.answers);
-        }
-      });
+  const std::size_t events = decoder.decode_pcap(bytes);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
 
-  std::printf("\nDecoded %s DNS responses in %.3fs", with_commas(events).c_str(),
-              elapsed);
+  std::printf("\nDecoded %s DNS responses in %.3fs",
+              with_commas(events).c_str(), elapsed);
   std::printf(" (%s packets/s, %.1f MB/s)\n",
               with_commas(static_cast<std::uint64_t>(
                               static_cast<double>(events) / elapsed))

@@ -37,9 +37,9 @@ int main() {
 
   std::printf("\nTraining set: %zu labeled zones (%zu disposable)\n",
               result.labeled.size(),
-              static_cast<std::size_t>(
-                  std::count_if(result.labeled.begin(), result.labeled.end(),
-                                [](const LabeledZone& z) { return z.label == 1; })));
+              static_cast<std::size_t>(std::count_if(
+                  result.labeled.begin(), result.labeled.end(),
+                  [](const LabeledZone& z) { return z.label == 1; })));
 
   std::printf("\nTop mined disposable zones:\n");
   TextTable table({"zone", "depth", "confidence", "names"});

@@ -77,9 +77,9 @@ struct TailComposition {
 };
 
 /// Table I row: the low-lookup-volume tail (< threshold lookups).
-TailComposition lookup_tail_composition(const CacheHitRateTracker& chr,
-                                        const DisposablePredicate& is_disposable,
-                                        std::uint64_t threshold = 10);
+TailComposition lookup_tail_composition(
+    const CacheHitRateTracker& chr, const DisposablePredicate& is_disposable,
+    std::uint64_t threshold = 10);
 
 /// Table II row: the zero-DHR tail.
 TailComposition zero_dhr_tail_composition(

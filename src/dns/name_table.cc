@@ -1,5 +1,6 @@
 #include "dns/name_table.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "util/simd/kernels.h"
@@ -77,6 +78,11 @@ NameId NameTable::find(std::string_view s) const noexcept {
     if (rec.hash == h && rec.text == s) return slot - 1;
     i = (i + 1) & mask;
   }
+}
+
+std::uint64_t NameTable::next_serial() noexcept {
+  static std::atomic<std::uint64_t> serial{0};
+  return serial.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 NameId NameTable::intern(std::string_view s, std::uint64_t h) {

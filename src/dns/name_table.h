@@ -113,6 +113,10 @@ class NameTable {
 
   std::size_t bytes_used() const noexcept { return arena_.bytes_used(); }
 
+  /// Distinct for every table constructed in this process (never 0), so a
+  /// table built at a freed table's address is not taken for it.
+  std::uint64_t serial() const noexcept { return serial_; }
+
  private:
   struct Rec {
     std::string_view text;  // stable view into the arena
@@ -120,7 +124,9 @@ class NameTable {
   };
 
   void grow_slots(std::size_t min_slots);
+  static std::uint64_t next_serial() noexcept;
 
+  std::uint64_t serial_ = next_serial();
   StringArena arena_;
   std::vector<Rec> recs_;
   // Open addressing, linear probing, power-of-two size.  A slot holds

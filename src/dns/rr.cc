@@ -63,7 +63,8 @@ bool store_wire(CompactRecord& rr, std::string_view rdata) {
   return false;
 }
 
-/// Appends the presentation rdata text of `rr` to `out`.
+}  // namespace
+
 void append_rdata_text(std::string& out, const CompactRecord& rr,
                        const NameTable& names) {
   switch (rr.form) {
@@ -79,8 +80,6 @@ void append_rdata_text(std::string& out, const CompactRecord& rr,
       return;
   }
 }
-
-}  // namespace
 
 CompactRecord compact_record(NameTable& names, NameId owner, RRType type,
                              std::uint32_t ttl, std::string_view rdata) {

@@ -146,6 +146,8 @@ bool find_compact_record(const NameTable& names, std::string_view owner,
                          CompactRecord& out);
 
 /// The presentation forms of compact records resolved through `names`.
+void append_rdata_text(std::string& out, const CompactRecord& rr,
+                       const NameTable& names);
 ResourceRecord to_resource_record(const CompactRecord& rr,
                                   const NameTable& names);
 void to_resource_records(std::span<const CompactRecord> records,

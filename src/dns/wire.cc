@@ -1,5 +1,6 @@
 #include "dns/wire.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -209,7 +210,8 @@ std::optional<ResourceRecord> decode_rr(const Reader& reader,
     case RRType::AAAA: {
       if (rdlength != 16) return std::nullopt;
       Ipv6 ip;
-      for (std::size_t i = 0; i < 16; ++i) ip.bytes[i] = reader.wire()[offset + i];
+      for (std::size_t i = 0; i < 16; ++i)
+        ip.bytes[i] = reader.wire()[offset + i];
       rr.rdata = format_ipv6(ip);
       break;
     }
@@ -321,7 +323,12 @@ std::optional<DnsMessage> decode_message(std::span<const std::uint8_t> wire) {
   }
   auto decode_section = [&](std::uint16_t count,
                             std::vector<ResourceRecord>& section) -> bool {
-    section.reserve(count);
+    // The count is untrusted: reserve only what the bytes left can hold.
+    // A record takes at least 11 bytes (root name, type, class, TTL and
+    // RDLENGTH).
+    constexpr std::size_t kMinRecordBytes = 11;
+    section.reserve(std::min<std::size_t>(
+        count, (reader.wire().size() - offset) / kMinRecordBytes));
     for (std::uint16_t i = 0; i < count; ++i) {
       auto rr = decode_rr(reader, offset);
       if (!rr) return false;

@@ -150,8 +150,8 @@ class MiningSession {
 
   /// Simulates one sharded day into `capture` without mining.  `capture`
   /// is reset exactly once, here, via DayCapture::start_day(day_index) —
-  /// the single documented reset point: per-day state is cleared, the
-  /// cumulative rpDNS store is kept.  Warmup traffic only warms the
+  /// the single documented reset point, which clears everything the
+  /// capture holds.  Warmup traffic only warms the
   /// caches; the capture sees the measured day alone.  On a non-ok()
   /// report the capture contents are unspecified.
   EngineReport simulate(ScenarioDate date, DayCapture& capture,

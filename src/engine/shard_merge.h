@@ -4,11 +4,11 @@
 // balancing makes each server's traffic — and so its cache — independent of
 // the others), runs one ShardResult per server on the thread pool, and then
 // merges the shards *in shard-index order*.  Every merge operation used here
-// is either order-independent (CHR sums, rpDNS first-seen union, black-flag
-// ORs) or made deterministic by the fixed merge order (first-sight name
-// lists, appended CHR entries and tree children) plus a final stable time
-// sort of the fpDNS entries, so the merged capture is a pure function of
-// the scenario, never of the thread schedule.
+// is either order-independent (CHR sums, black-flag ORs) or made
+// deterministic by the fixed merge order (first-sight name lists, appended
+// CHR entries and tree children) plus a final stable time sort of the fpDNS
+// entries, so the merged capture is a pure function of the scenario, never
+// of the thread schedule.
 #pragma once
 
 #include <cstdint>

@@ -21,14 +21,14 @@ void DayCapture::detach(RdnsCluster& cluster) {
 }
 
 void DayCapture::release_source() {
-  source_ = nullptr;
+  source_ = 0;
   remap_ = {};  // frees the remap's memory, not just its contents
 }
 
 void DayCapture::bind_source(const NameTable& names) {
-  if (source_ != &names) {
+  if (source_ != names.serial()) {
     release_source();
-    source_ = &names;
+    source_ = names.serial();
   }
   if (remap_.size() < names.size()) {
     remap_.resize(names.size(), kInvalidNameId);
@@ -85,12 +85,10 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
     bump(below ? below_ : above_, event.ts, units, nx, qname);
     if (below) add_name(name_id(event.qname, names), kQueried);
     if (config_.keep_fpdns) {
-      fp_question_.name.assign(qname);
-      fp_question_.type = event.qtype;
-      to_resource_records(answers, names, fp_answers_);
       fpdns_.add_response(event.ts, event.client_id,
                           below ? FpDirection::kBelow : FpDirection::kAbove,
-                          fp_question_, event.rcode, fp_answers_);
+                          names, event.qname, event.qtype, event.rcode,
+                          answers);
     }
     if (nx) continue;
     for (const CompactRecord& rr : answers) {
@@ -107,47 +105,11 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
         tree_.insert(key.owner);
         add_name(key.owner, kResolved);
       }
-      if (config_.feed_rpdns) {
-        rpdns_.add(to_rr_key(rr, names), config_.day_index);
-      }
     }
   }
 }
 
-void DayCapture::add_presentation(TapDirection direction, SimTime ts,
-                                  std::uint64_t client_id,
-                                  const Question& question, RCode rcode,
-                                  std::span<const ResourceRecord> answers) {
-  text_answers_.clear();
-  for (const ResourceRecord& rr : answers) {
-    text_answers_.push_back(compact_record(*names_, rr.name.text(), rr.type,
-                                           rr.ttl, rr.rdata));
-  }
-  const TapEvent event{ts,
-                       client_id,
-                       names_->intern(question.name.text()),
-                       question.type,
-                       direction,
-                       rcode,
-                       0,
-                       static_cast<std::uint32_t>(text_answers_.size())};
-  on_tap_batch(TapBatch({&event, 1}, text_answers_, *names_));
-}
-
-void DayCapture::on_below(SimTime ts, std::uint64_t client_id,
-                          const Question& question, RCode rcode,
-                          std::span<const ResourceRecord> answers) {
-  add_presentation(TapDirection::kBelow, ts, client_id, question, rcode,
-                   answers);
-}
-
-void DayCapture::on_above(SimTime ts, const Question& question, RCode rcode,
-                          std::span<const ResourceRecord> answers) {
-  add_presentation(TapDirection::kAbove, ts, 0, question, rcode, answers);
-}
-
-void DayCapture::start_day(std::int64_t day_index) {
-  config_.day_index = day_index;
+void DayCapture::start_day(std::int64_t /*day_index*/) {
   names_ = std::make_unique<NameTable>();
   tree_ = DomainNameTree(*names_);
   chr_ = CacheHitRateTracker(*names_);
@@ -169,7 +131,6 @@ void DayCapture::merge_from(const DayCapture& other) {
   for (const NameId id : other.queried_) add_name(remap[id], kQueried);
   for (const NameId id : other.resolved_) add_name(remap[id], kResolved);
   fpdns_.append(other.fpdns_);
-  rpdns_.merge_from(other.rpdns_);
 }
 
 }  // namespace dnsnoise

@@ -1,12 +1,13 @@
 // DayCapture: the monitoring tap of one simulated day.
 //
-// Subscribes to an RdnsCluster's batched tap stream (TapObserver) and
-// accumulates everything the paper's analyses need for that day: the domain
-// name tree of resolved names, per-RR cache-hit-rate counts, hourly
-// traffic-volume series with tenant attribution (Fig. 2), unique
-// queried/resolved name sets, and optionally the raw fpDNS entries and
-// rpDNS/pDNS-DB feeds.  Captures are mergeable: the sharded engine runs one
-// DayCapture per RDNS-server shard and unions them (see merge_from).
+// Subscribes to a batched tap stream (TapObserver) — an RdnsCluster's, or
+// a CaptureDecoder's replaying a pcap — and accumulates everything the
+// paper's analyses need for that day: the domain name tree of resolved
+// names, per-RR cache-hit-rate counts, hourly traffic-volume series with
+// tenant attribution (Fig. 2), unique queried/resolved name sets, and
+// optionally the raw fpDNS entries.  Captures are mergeable: the sharded
+// engine runs one DayCapture per RDNS-server shard and unions them (see
+// merge_from).
 //
 // One table (DESIGN.md §11.5): everything the capture keeps is keyed on
 // the ids of its one NameTable, held at a fixed address so captures can
@@ -17,7 +18,7 @@
 // tree's intern), so every name the capture saw has its ancestors; rdata
 // text is interned with no parent.
 //
-// Hot path: tap events carry ids of the cluster's name table, and the
+// Hot path: tap events carry ids of the producer's name table, and the
 // capture keeps a dense remap from those ids to its own, so re-seeing a
 // name or an RR is array indexing plus an integer-keyed probe: no text is
 // hashed or copied.  Text is written only on a name's first sight.  The
@@ -38,7 +39,6 @@
 #include "features/chr.h"
 #include "features/domain_tree.h"
 #include "pdns/fpdns.h"
-#include "pdns/rpdns.h"
 #include "resolver/cluster.h"
 #include "resolver/tap.h"
 #include "util/sim_time.h"
@@ -76,9 +76,7 @@ struct HourlySeries {
 };
 
 struct DayCaptureConfig {
-  bool keep_fpdns = false;       // store raw fpDNS entries (memory-heavy)
-  bool feed_rpdns = false;       // deduplicate into the rpDNS dataset
-  std::int64_t day_index = 0;    // used for rpDNS first-seen dates
+  bool keep_fpdns = false;  // store raw fpDNS entries (memory-heavy)
 };
 
 class DayCapture final : public TapObserver {
@@ -94,32 +92,24 @@ class DayCapture final : public TapObserver {
   /// frees the id remap of the cluster's table.
   void detach(RdnsCluster& cluster);
 
-  /// TapObserver: accumulates each batched event.  The one accumulation
-  /// path: the presentation entry points below feed it too.  Batches of a
-  /// table other than the last one seen reset the id remap, so a capture
-  /// fed by a new cluster must be attach()ed to it or start_day()-reset.
+  /// TapObserver: accumulates each batched event; the capture's one
+  /// input.  Batches of a table other than the last one seen (by
+  /// NameTable::serial()) reset the id remap, so any producer may feed
+  /// the capture after another.
   void on_tap_batch(const TapBatch& batch) override;
 
-  /// Presentation entry points (pcap-driven ingestion, tests): one event
-  /// with presentation records, converted once into the capture's table
-  /// and accumulated exactly as a tap batch is.
-  void on_below(SimTime ts, std::uint64_t client_id, const Question& question,
-                RCode rcode, std::span<const ResourceRecord> answers);
-  void on_above(SimTime ts, const Question& question, RCode rcode,
-                std::span<const ResourceRecord> answers);
-
-  /// Advances to a new day.  This is the ONE reset point of a capture:
-  /// clears all per-day state (tree, CHR, hourly series, name sets, fpDNS
-  /// entries, id remap) but keeps the cumulative cross-day rpDNS store.
-  /// Every simulate/run entry point calls this before feeding a day.
+  /// Advances to a new day.  This is the ONE reset point of a capture: it
+  /// clears everything the capture holds (tree, CHR, hourly series, name
+  /// sets, fpDNS entries, id remap).  Every simulate/run entry point calls
+  /// this before feeding a day.  The day index is unused.
   void start_day(std::int64_t day_index);
 
   /// Unions another capture of the SAME day into this one: other's table
   /// is remapped into this one once, reusing its stored hashes, then the
   /// domain tree, the CHR counts and the name sets merge by integer remap;
-  /// hourly series add, fpDNS entries append, rpDNS first-seen dates merge.
-  /// Merging shard captures in shard order yields a deterministic result
-  /// regardless of how many threads produced them.
+  /// hourly series add and fpDNS entries append.  Merging shard captures
+  /// in shard order yields a deterministic result regardless of how many
+  /// threads produced them.
   void merge_from(const DayCapture& other);
 
   /// The capture's one table: the ids of the tree, the CHR keys and the
@@ -130,8 +120,6 @@ class DayCapture final : public TapObserver {
   const DomainNameTree& tree() const noexcept { return tree_; }
   CacheHitRateTracker& chr() noexcept { return chr_; }
   const CacheHitRateTracker& chr() const noexcept { return chr_; }
-  RpDnsDataset& rpdns() noexcept { return rpdns_; }
-  const RpDnsDataset& rpdns() const noexcept { return rpdns_; }
   FpDnsDataset& fpdns() noexcept { return fpdns_; }
   const FpDnsDataset& fpdns() const noexcept { return fpdns_; }
 
@@ -167,28 +155,19 @@ class DayCapture final : public TapObserver {
   NameId text_id(NameId id, const NameTable& names);
   /// Adds `id` to a name set (a kQueried or kResolved list) once.
   void add_name(NameId id, std::uint8_t set);
-  void add_presentation(TapDirection direction, SimTime ts,
-                        std::uint64_t client_id, const Question& question,
-                        RCode rcode, std::span<const ResourceRecord> answers);
 
   DayCaptureConfig config_;
   std::unique_ptr<NameTable> names_;  // the one table; fixed address
   DomainNameTree tree_;
   CacheHitRateTracker chr_;
-  RpDnsDataset rpdns_;
   FpDnsDataset fpdns_;
   HourlySeries below_;
   HourlySeries above_;
   std::vector<std::uint8_t> seen_;  // per id of names_: kQueried | kResolved
   std::vector<NameId> queried_;
   std::vector<NameId> resolved_;
-  const NameTable* source_ = nullptr;
+  std::uint64_t source_ = 0;  // serial() of the table remap_ follows
   std::vector<NameId> remap_;  // source id -> id of names_
-  // Presentation input: one event's compact answers, keyed on names_.
-  std::vector<CompactRecord> text_answers_;
-  // fpDNS scratch (the feed speaks presentation form).
-  Question fp_question_;
-  std::vector<ResourceRecord> fp_answers_;
 };
 
 }  // namespace dnsnoise

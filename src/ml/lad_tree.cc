@@ -183,7 +183,8 @@ namespace {
 constexpr char kModelMagic[4] = {'L', 'A', 'D', '1'};
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
@@ -196,7 +197,8 @@ bool get_u64(std::span<const std::uint8_t> bytes, std::size_t& pos,
              std::uint64_t& out) {
   if (pos + 8 > bytes.size()) return false;
   out = 0;
-  for (int i = 0; i < 8; ++i) out |= std::uint64_t{bytes[pos + static_cast<std::size_t>(i)]} << (i * 8);
+  for (int i = 0; i < 8; ++i)
+    out |= std::uint64_t{bytes[pos + static_cast<std::size_t>(i)]} << (i * 8);
   pos += 8;
   return true;
 }

@@ -7,7 +7,8 @@ namespace dnsnoise {
 
 namespace {
 constexpr std::uint16_t kDnsPort = 53;
-}
+constexpr Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
+}  // namespace
 
 CaptureDecoder::CaptureDecoder(std::vector<Ipv4> resolver_ips,
                                std::uint64_t anonymization_salt)
@@ -19,54 +20,87 @@ bool CaptureDecoder::is_resolver(const Endpoint& ep) const noexcept {
   return !ep.is_v6 && resolver_ips_.contains(ep.v4.value);
 }
 
-std::optional<DecodedResponse> CaptureDecoder::decode(
-    SimTime ts, std::span<const std::uint8_t> frame) {
+bool CaptureDecoder::decode(SimTime ts, std::span<const std::uint8_t> frame) {
   const auto pkt = parse_frame(frame);
-  if (!pkt) {
-    ++dropped_;
-    return std::nullopt;
-  }
   // DNS responses are sourced from port 53 (RDNS answering a stub, or an
   // authority answering the RDNS).
-  if (pkt->src.port != kDnsPort) {
+  if (!pkt || pkt->src.port != kDnsPort) {
     ++dropped_;
-    return std::nullopt;
+    return false;
   }
-  auto msg = decode_message(pkt->payload);
+  const auto msg = decode_message(pkt->payload);
   if (!msg || !msg->header.qr) {
     ++dropped_;
-    return std::nullopt;
+    return false;
   }
-  DecodedResponse event;
-  event.ts = ts;
   if (is_resolver(pkt->src)) {
-    event.direction = TapDirection::kBelow;
-    event.client_id = mix64(std::uint64_t{pkt->dst.v4.value} ^ salt_);
-  } else if (is_resolver(pkt->dst)) {
-    event.direction = TapDirection::kAbove;
-    event.client_id = 0;
-  } else {
-    ++dropped_;
-    return std::nullopt;
+    return add_response(ts, TapDirection::kBelow,
+                        mix64(std::uint64_t{pkt->dst.v4.value} ^ salt_), *msg);
   }
-  event.message = std::move(*msg);
+  if (is_resolver(pkt->dst)) {
+    return add_response(ts, TapDirection::kAbove, 0, *msg);
+  }
+  ++dropped_;
+  return false;
+}
+
+bool CaptureDecoder::add_response(SimTime ts, TapDirection direction,
+                                  std::uint64_t client_id,
+                                  const DnsMessage& response) {
+  if (response.questions.size() != 1) {
+    ++dropped_;
+    return false;
+  }
   ++accepted_;
-  return event;
+  if (!taps_.observed()) return true;
+  answers_.clear();
+  for (const ResourceRecord& rr : response.answers) {
+    answers_.push_back(compact_record(*names_, rr.name.text(), rr.type,
+                                      rr.ttl, rr.rdata));
+  }
+  const Question& question = response.questions.front();
+  if (taps_.push(ts, direction, client_id,
+                 names_->intern(question.name.text()), question.type,
+                 response.header.rcode, answers_)) {
+    taps_.flush();
+  }
+  return true;
 }
 
 std::size_t CaptureDecoder::decode_pcap(
-    std::span<const std::uint8_t> pcap_bytes,
-    const std::function<void(const DecodedResponse&)>& sink) {
+    std::span<const std::uint8_t> pcap_bytes) {
+  const std::uint64_t before = accepted_;
   PcapReader reader(pcap_bytes);
-  std::size_t produced = 0;
   while (auto record = reader.next_view()) {
-    auto event = decode(static_cast<SimTime>(record->ts_sec), record->data);
-    if (event) {
-      sink(*event);
-      ++produced;
+    decode(static_cast<SimTime>(record->ts_sec), record->data);
+  }
+  taps_.flush();
+  return accepted_ - before;
+}
+
+PcapTapWriter::PcapTapWriter(PcapWriter& writer, Ipv4 resolver_ip)
+    : writer_(writer), resolver_ip_(resolver_ip) {}
+
+void PcapTapWriter::on_tap_batch(const TapBatch& batch) {
+  for (const TapEvent& event : batch) {
+    std::vector<ResourceRecord> answers;
+    to_resource_records(batch.answers(event), batch.names(), answers);
+    const DnsMessage msg = DnsMessage::make_response(
+        DnsMessage::make_query(++txid_, DomainName(batch.qname(event)),
+                               event.qtype),
+        event.rcode, std::move(answers));
+    const auto ts = static_cast<std::uint32_t>(event.ts);
+    if (event.direction == TapDirection::kBelow) {
+      // Clients live in 172.16.0.0/16.
+      const Ipv4 client{0xac100000u +
+                        static_cast<std::uint32_t>(event.client_id % 65000)};
+      writer_.write(
+          ts, 0, build_dns_frame(resolver_ip_, kDnsPort, client, 40000, msg));
+    } else {
+      writer_.write(ts, 0, build_dns_frame(kAuthorityIp, kDnsPort,
+                                           resolver_ip_, 5353, msg));
     }
   }
-  return produced;
 }
 
 std::vector<std::uint8_t> build_dns_frame(Ipv4 src_ip, std::uint16_t src_port,

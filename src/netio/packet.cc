@@ -21,7 +21,8 @@ void put_u16be(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::uint16_t get_u16be(std::span<const std::uint8_t> b, std::size_t at) noexcept {
+std::uint16_t get_u16be(std::span<const std::uint8_t> b,
+                        std::size_t at) noexcept {
   return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
 }
 
@@ -48,9 +49,9 @@ std::uint16_t inet_checksum(std::span<const std::uint8_t> data) noexcept {
   return checksum_finish(checksum_accumulate(data, 0));
 }
 
-std::vector<std::uint8_t> build_udp4_frame(Ipv4 src_ip, std::uint16_t src_port,
-                                           Ipv4 dst_ip, std::uint16_t dst_port,
-                                           std::span<const std::uint8_t> payload) {
+std::vector<std::uint8_t> build_udp4_frame(
+    Ipv4 src_ip, std::uint16_t src_port, Ipv4 dst_ip, std::uint16_t dst_port,
+    std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> frame;
   const std::size_t udp_len = kUdpHeaderSize + payload.size();
   const std::size_t ip_len = kIpv4MinHeaderSize + udp_len;
@@ -100,11 +101,9 @@ std::vector<std::uint8_t> build_udp4_frame(Ipv4 src_ip, std::uint16_t src_port,
   return frame;
 }
 
-std::vector<std::uint8_t> build_udp6_frame(const Ipv6& src_ip,
-                                           std::uint16_t src_port,
-                                           const Ipv6& dst_ip,
-                                           std::uint16_t dst_port,
-                                           std::span<const std::uint8_t> payload) {
+std::vector<std::uint8_t> build_udp6_frame(
+    const Ipv6& src_ip, std::uint16_t src_port, const Ipv6& dst_ip,
+    std::uint16_t dst_port, std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> frame;
   const std::size_t udp_len = kUdpHeaderSize + payload.size();
   frame.reserve(kEthernetHeaderSize + kIpv6HeaderSize + udp_len);

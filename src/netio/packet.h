@@ -34,21 +34,20 @@ std::uint16_t inet_checksum(std::span<const std::uint8_t> data) noexcept;
 
 /// Builds an Ethernet/IPv4/UDP frame around `payload`.  MAC addresses are
 /// synthetic constants (the capture path never inspects them).
-std::vector<std::uint8_t> build_udp4_frame(Ipv4 src_ip, std::uint16_t src_port,
-                                           Ipv4 dst_ip, std::uint16_t dst_port,
-                                           std::span<const std::uint8_t> payload);
+std::vector<std::uint8_t> build_udp4_frame(
+    Ipv4 src_ip, std::uint16_t src_port, Ipv4 dst_ip, std::uint16_t dst_port,
+    std::span<const std::uint8_t> payload);
 
 /// Builds an Ethernet/IPv6/UDP frame around `payload`.
-std::vector<std::uint8_t> build_udp6_frame(const Ipv6& src_ip,
-                                           std::uint16_t src_port,
-                                           const Ipv6& dst_ip,
-                                           std::uint16_t dst_port,
-                                           std::span<const std::uint8_t> payload);
+std::vector<std::uint8_t> build_udp6_frame(
+    const Ipv6& src_ip, std::uint16_t src_port, const Ipv6& dst_ip,
+    std::uint16_t dst_port, std::span<const std::uint8_t> payload);
 
 /// Parses an Ethernet frame down to a UDP datagram.  Returns std::nullopt
 /// for non-IP ethertypes, non-UDP protocols, or any truncation.  Does not
 /// verify checksums (the capture path, like real taps, trusts the NIC).
-std::optional<ParsedPacket> parse_frame(std::span<const std::uint8_t> frame) noexcept;
+std::optional<ParsedPacket> parse_frame(
+    std::span<const std::uint8_t> frame) noexcept;
 
 /// Verifies the IPv4 header checksum of a frame previously accepted by
 /// parse_frame; exposed for tests.

@@ -362,7 +362,9 @@ TrafficSnapshot TrafficSketchPlane::snapshot() const {
   return out;
 }
 
-std::string TrafficSketchPlane::to_json() const { return obs::to_json(snapshot()); }
+std::string TrafficSketchPlane::to_json() const {
+  return obs::to_json(snapshot());
+}
 
 void TrafficSketchPlane::publish_gauges(MetricsRegistry& registry) const {
   const TrafficSnapshot snap = snapshot();

@@ -244,7 +244,8 @@ class TrafficSketch {
   NameTable slds_;
   std::vector<NameState> names_;          // indexed by local qname id
   std::vector<std::uint64_t> sld_delta_;  // indexed by local SLD id
-  std::vector<NameId> qname_touched_;     // ids with delta > 0, first-touch order
+  std::vector<NameId> qname_touched_;     // ids with delta > 0, first-touch
+                                          // order
   std::vector<NameId> sld_touched_;
   SpaceSavingSketch qname_heavy_;
   SpaceSavingSketch sld_heavy_;

@@ -1,7 +1,8 @@
 // Stable JSON export of a TraceSnapshot.
 //
 // to_json emits schema dnsnoise-trace-v1, a Chrome-trace-event /
-// Perfetto-compatible document (load it in chrome://tracing or ui.perfetto.dev):
+// Perfetto-compatible document (load it in chrome://tracing or
+// ui.perfetto.dev):
 //
 //   {
 //     "schema": "dnsnoise-trace-v1",

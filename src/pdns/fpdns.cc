@@ -14,11 +14,13 @@ namespace {
 constexpr char kMagic[4] = {'F', 'P', 'D', '1'};
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+  for (int i = 0; i < 4; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
@@ -38,7 +40,9 @@ class ByteReader {
   std::uint32_t u32() {
     require(4);
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes_[pos_ + static_cast<std::size_t>(i)]} << (i * 8);
+    for (int i = 0; i < 4; ++i)
+      v |= std::uint32_t{bytes_[pos_ + static_cast<std::size_t>(i)]}
+           << (i * 8);
     pos_ += 4;
     return v;
   }
@@ -46,7 +50,9 @@ class ByteReader {
   std::uint64_t u64() {
     require(8);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes_[pos_ + static_cast<std::size_t>(i)]} << (i * 8);
+    for (int i = 0; i < 8; ++i)
+      v |= std::uint64_t{bytes_[pos_ + static_cast<std::size_t>(i)]}
+           << (i * 8);
     pos_ += 8;
     return v;
   }
@@ -83,30 +89,30 @@ class ByteReader {
 }  // namespace
 
 void FpDnsDataset::add_response(SimTime ts, std::uint64_t client_id,
-                                FpDirection direction,
-                                const Question& question, RCode rcode,
-                                std::span<const ResourceRecord> answers) {
+                                FpDirection direction, const NameTable& names,
+                                NameId qname, RRType qtype, RCode rcode,
+                                std::span<const CompactRecord> answers) {
   if (rcode != RCode::NoError || answers.empty()) {
     FpDnsEntry entry;
     entry.ts = ts;
     entry.client_id = client_id;
     entry.direction = direction;
     entry.rcode = rcode;
-    entry.qname = question.name.text();
-    entry.qtype = question.type;
+    entry.qname = names.name(qname);
+    entry.qtype = qtype;
     entries_.push_back(std::move(entry));
     return;
   }
-  for (const ResourceRecord& rr : answers) {
+  for (const CompactRecord& rr : answers) {
     FpDnsEntry entry;
     entry.ts = ts;
     entry.client_id = client_id;
     entry.direction = direction;
     entry.rcode = rcode;
-    entry.qname = rr.name.text();
+    entry.qname = names.name(rr.owner);
     entry.qtype = rr.type;
     entry.ttl = rr.ttl;
-    entry.rdata = rr.rdata;
+    append_rdata_text(entry.rdata, rr, names);
     entries_.push_back(std::move(entry));
   }
 }

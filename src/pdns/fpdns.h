@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "dns/message.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "util/sim_time.h"
 
@@ -46,11 +46,14 @@ class FpDnsDataset {
  public:
   void add(FpDnsEntry entry) { entries_.push_back(std::move(entry)); }
 
-  /// Appends one entry per answer RR of a response (or a single NXDOMAIN
-  /// entry), the paper's flattening of responses into RR tuples.
+  /// Appends one entry per answer RR of a response (or a single entry for
+  /// an unsuccessful or empty one), the paper's flattening of responses
+  /// into RR tuples.  `qname` and every id of `answers` resolve through
+  /// `names`.
   void add_response(SimTime ts, std::uint64_t client_id,
-                    FpDirection direction, const Question& question,
-                    RCode rcode, std::span<const ResourceRecord> answers);
+                    FpDirection direction, const NameTable& names,
+                    NameId qname, RRType qtype, RCode rcode,
+                    std::span<const CompactRecord> answers);
 
   /// Appends every entry of `other` (shard merging).  Shards record
   /// time-ordered slices of interleaved client populations, so call

@@ -20,24 +20,6 @@ bool RpDnsDataset::add(const RRKey& key, std::int64_t day) {
   return inserted;
 }
 
-void RpDnsDataset::merge_from(const RpDnsDataset& other) {
-  for (const auto& [key, record] : other.records_) {
-    const auto [it, inserted] =
-        records_.try_emplace(key, RpDnsRecord{record.first_seen_day});
-    if (inserted) {
-      ++new_per_day_[record.first_seen_day];
-      storage_bytes_ +=
-          kRecordOverheadBytes + key.name.size() + key.rdata.size();
-    } else if (record.first_seen_day < it->second.first_seen_day) {
-      // Both shards saw the RR; the earlier observation wins and the later
-      // day's "new" counter gives the record back.
-      --new_per_day_[it->second.first_seen_day];
-      ++new_per_day_[record.first_seen_day];
-      it->second.first_seen_day = record.first_seen_day;
-    }
-  }
-}
-
 std::uint64_t RpDnsDataset::new_records_on(std::int64_t day) const {
   const auto it = new_per_day_.find(day);
   return it == new_per_day_.end() ? 0 : it->second;

@@ -33,11 +33,6 @@ class RpDnsDataset {
   /// First-seen day for a record, or -1 if absent.
   std::int64_t first_seen(const RRKey& key) const;
 
-  /// Unions `other` into this dataset.  A record present in both keeps the
-  /// earliest first-seen day; per-day new-record counters follow.  The
-  /// result is independent of merge order (shard merging relies on this).
-  void merge_from(const RpDnsDataset& other);
-
   /// Days with at least one new record, ascending.
   std::vector<std::int64_t> days() const;
 

@@ -85,9 +85,10 @@ class SyntheticAuthority {
   /// Resolves a question whose name is `qname` in the table `out` interns
   /// into, writing the answer into `out`: the handler of the most specific
   /// registered apex enclosing the name, else NXDOMAIN.  Probes only
-  /// suffixes no longer than the longest apex.  Writes nothing in the authority, so threads may share one
-  /// authority once its zones are registered (handlers must be pure
-  /// functions of the question, as every built-in one is).
+  /// suffixes no longer than the longest apex.  Writes nothing in the
+  /// authority, so threads may share one authority once its zones are
+  /// registered (handlers must be pure functions of the question, as every
+  /// built-in one is).
   void resolve(const Question& question, NameId qname, SimTime now,
                AuthorityAnswer& out) const;
 

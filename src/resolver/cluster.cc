@@ -1,6 +1,5 @@
 #include "resolver/cluster.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -10,8 +9,7 @@ namespace dnsnoise {
 
 RdnsCluster::RdnsCluster(const ClusterConfig& config,
                          const SyntheticAuthority& authority)
-    : authority_(authority),
-      tap_batch_events_(std::max<std::size_t>(config.tap_batch_events, 1)) {
+    : authority_(authority), taps_(names_, config.tap_batch_events) {
   if (config.server_count == 0) {
     throw std::invalid_argument("RdnsCluster: server_count must be > 0");
   }
@@ -51,20 +49,9 @@ RdnsCluster::RdnsCluster(const ClusterConfig& config,
 
 RdnsCluster::~RdnsCluster() { flush_taps(); }
 
-void RdnsCluster::add_tap_observer(TapObserver* observer) {
-  if (observer == nullptr) {
-    throw std::invalid_argument("RdnsCluster: null tap observer");
-  }
-  if (std::find(observers_.begin(), observers_.end(), observer) ==
-      observers_.end()) {
-    observers_.push_back(observer);
-  }
-}
-
 void RdnsCluster::remove_tap_observer(TapObserver* observer) {
   flush_taps();
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
+  taps_.remove_observer(observer);
 }
 
 void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
@@ -77,25 +64,10 @@ void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
 
 void RdnsCluster::flush_taps() {
   if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
-  if (tap_events_.empty()) return;
-  if (tap_batch_size_ != nullptr) tap_batch_size_->record(tap_events_.size());
-  const TapBatch batch{tap_events_, tap_answers_, names_};
-  for (TapObserver* observer : observers_) observer->on_tap_batch(batch);
-  // Empty the batch but keep its capacity for the next one.
-  tap_events_.clear();
-  tap_answers_.clear();
-}
-
-void RdnsCluster::buffer_tap_event(SimTime ts, TapDirection direction,
-                                   std::uint64_t client_id, NameId qname,
-                                   RRType qtype, RCode rcode,
-                                   std::span<const CompactRecord> answers) {
-  tap_events_.push_back(
-      TapEvent{ts, client_id, qname, qtype, direction, rcode,
-               static_cast<std::uint32_t>(tap_answers_.size()),
-               static_cast<std::uint32_t>(answers.size())});
-  tap_answers_.insert(tap_answers_.end(), answers.begin(), answers.end());
-  if (tap_events_.size() >= tap_batch_events_) flush_taps();
+  if (tap_batch_size_ != nullptr && taps_.pending() != 0) {
+    tap_batch_size_->record(taps_.pending());
+  }
+  taps_.flush();
 }
 
 QueryView RdnsCluster::query_view(std::uint64_t client_id,
@@ -141,9 +113,10 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
       ++dnssec_validations_;
       if (upstream_.disposable_zone) ++dnssec_disposable_validations_;
     }
-    if (!observers_.empty()) {
-      buffer_tap_event(now, TapDirection::kAbove, 0, qid, question.type,
-                       upstream_.rcode, upstream_.records());
+    if (taps_.observed() &&
+        taps_.push(now, TapDirection::kAbove, 0, qid, question.type,
+                   upstream_.rcode, upstream_.records())) {
+      flush_taps();
     }
     const CachedAnswer* resident = nullptr;
     if (upstream_.rcode == RCode::NoError) {
@@ -163,9 +136,10 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
     below_answers_metric_->add();
     if (view.rcode == RCode::NXDomain) metrics->nxdomain->add();
   }
-  if (!observers_.empty()) {
-    buffer_tap_event(now, TapDirection::kBelow, client_id, qid, question.type,
-                     view.rcode, view.answers);
+  if (taps_.observed() &&
+      taps_.push(now, TapDirection::kBelow, client_id, qid, question.type,
+                 view.rcode, view.answers)) {
+    flush_taps();
   }
   if (traffic_sketch_ != nullptr && !qname.empty()) {
     traffic_sketch_->observe(0, qid, client_id, view.rcode, now);
@@ -180,17 +154,6 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
                         static_cast<std::uint16_t>(question.type), outcome);
   }
   return view;
-}
-
-QueryOutcome RdnsCluster::query(std::uint64_t client_id,
-                                const Question& question, SimTime now) {
-  const QueryView view = query_view(client_id, question, now);
-  QueryOutcome outcome;
-  outcome.rcode = view.rcode;
-  outcome.cache_hit = view.cache_hit;
-  outcome.server = view.server;
-  to_resource_records(view.answers, names_, outcome.answers);
-  return outcome;
 }
 
 DnsCacheStats RdnsCluster::aggregate_stats() const {

@@ -72,21 +72,12 @@ struct ClusterConfig {
   }
 };
 
-/// Result of one client query, as seen below the cluster, in presentation
-/// form (an edge: tests, examples).
-struct QueryOutcome {
-  RCode rcode = RCode::NoError;
-  bool cache_hit = false;
-  std::size_t server = 0;
-  std::vector<ResourceRecord> answers;
-};
-
-/// Zero-copy variant of QueryOutcome: `answers` are compact records whose
-/// ids resolve through RdnsCluster::names(), viewing storage owned by the
-/// cluster (the resident cache entry, or the cluster's answer buffer for
-/// an uncacheable miss).  The view stays valid until the next
-/// query()/query_view()/flush_taps() call on the same cluster.  Neither a
-/// hit nor a miss copies a record onto the heap.
+/// Result of one client query, as seen below the cluster: `answers` are
+/// compact records whose ids resolve through RdnsCluster::names(), viewing
+/// storage owned by the cluster (the resident cache entry, or the
+/// cluster's answer buffer for an uncacheable miss).  The view stays valid
+/// until the next query_view()/flush_taps() call on the same cluster.
+/// Neither a hit nor a miss copies a record onto the heap.
 struct QueryView {
   RCode rcode = RCode::NoError;
   bool cache_hit = false;
@@ -111,7 +102,7 @@ class RdnsCluster {
 
   /// Registers `observer` for batched tap delivery.  The observer must stay
   /// valid until removed or until the cluster is destroyed.
-  void add_tap_observer(TapObserver* observer);
+  void add_tap_observer(TapObserver* observer) { taps_.add_observer(observer); }
 
   /// Flushes buffered events, then unregisters `observer`.  Unknown
   /// observers are ignored.
@@ -119,10 +110,13 @@ class RdnsCluster {
 
   /// Delivers any buffered events to all observers immediately.  Call after
   /// the last query of a run so trailing events are not stuck in the batch.
+  /// Also drains the traffic sketch's pending ring.
   void flush_taps();
 
   /// Observers subscribed via add_tap_observer.
-  std::size_t tap_observer_count() const noexcept { return observers_.size(); }
+  std::size_t tap_observer_count() const noexcept {
+    return taps_.observer_count();
+  }
 
   // --- Traffic-sketch hook (DESIGN.md §17) ---------------------------------
 
@@ -142,17 +136,12 @@ class RdnsCluster {
     return traffic_sketch_;
   }
 
-  /// Resolves one client query at simulated time `now`.  Converts the
-  /// answer set to presentation records; hot callers use query_view().
-  QueryOutcome query(std::uint64_t client_id, const Question& question,
-                     SimTime now);
-
-  /// Resolves one client query without copying answers: the qname is
-  /// interned once into names(), on a cache hit the returned view aliases
-  /// the resident cache entry, on a miss the authority writes into the
-  /// cluster's answer buffer and the view aliases either the freshly
-  /// inserted entry or that buffer (for uncacheable answers).  See
-  /// QueryView for the lifetime contract.
+  /// Resolves one client query at simulated time `now` without copying
+  /// answers: the qname is interned once into names(), on a cache hit the
+  /// returned view aliases the resident cache entry, on a miss the
+  /// authority writes into the cluster's answer buffer and the view
+  /// aliases either the freshly inserted entry or that buffer (for
+  /// uncacheable answers).  See QueryView for the lifetime contract.
   QueryView query_view(std::uint64_t client_id, const Question& question,
                        SimTime now);
 
@@ -196,7 +185,7 @@ class RdnsCluster {
 
  private:
   /// Per-server metric handles, resolved once at construction (registry
-  /// lookups are mutex-guarded; query() must stay lock-free).
+  /// lookups are mutex-guarded; query_view() must stay lock-free).
   struct ServerMetrics {
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_misses = nullptr;
@@ -211,20 +200,15 @@ class RdnsCluster {
   };
 
   const SyntheticAuthority& authority_;
-  std::size_t tap_batch_events_;
   NameTable names_;
   std::vector<DnsCache> caches_;
   // The authority writes each miss's answer here; it also backs the view
   // of an uncacheable answer (see QueryView lifetime contract).
   AuthorityAnswer upstream_{names_};
-  std::vector<TapObserver*> observers_;
-  // Tap arena: the pending batch.  Both vectors keep their capacity
-  // across flush_taps(), so once they have grown to a batch's size,
-  // buffering an event allocates nothing.  The answers are copies, never
-  // views of a cache entry: a later query of the same batch may expire
-  // and erase that entry before the batch is delivered.
-  std::vector<TapEvent> tap_events_;
-  std::vector<CompactRecord> tap_answers_;
+  // The pending tap batch and its observers.  Its answers are copies,
+  // never views of a cache entry: a later query of the same batch may
+  // expire and erase that entry before the batch is delivered.
+  TapBuffer taps_;
   obs::TrafficSketch* traffic_sketch_ = nullptr;
   std::uint64_t below_answers_ = 0;
   std::uint64_t above_answers_ = 0;
@@ -242,9 +226,6 @@ class RdnsCluster {
   std::size_t pick_server(std::uint64_t client_id) const noexcept {
     return shard_of(client_id, caches_.size());
   }
-  void buffer_tap_event(SimTime ts, TapDirection direction,
-                        std::uint64_t client_id, NameId qname, RRType qtype,
-                        RCode rcode, std::span<const CompactRecord> answers);
 };
 
 }  // namespace dnsnoise

@@ -3,41 +3,47 @@
 // The paper's vantage point (Section III-A) is a passive tap that sees the
 // two DNS answer streams around the RDNS cluster — "below" (server ->
 // client) and "above" (authority -> server) — and nothing else.  Consumers
-// subscribe as TapObserver and receive TapEvent *spans*: the cluster
+// subscribe as TapObserver and receive TapEvent *spans*: a producer
 // accumulates events plus their answer RRs into a contiguous batch and
 // delivers the whole batch with one virtual call, amortizing dispatch over
 // hundreds of answers instead of paying a std::function hop per answer.
+// There are two producers, each owning one TapBuffer over its one
+// NameTable: RdnsCluster (the simulated tap) and CaptureDecoder (pcap
+// replay, netio/capture.h).  An observer cannot tell them apart.
 //
 // Batching contract:
 //  - Events within a batch are in observation order; batches are delivered
 //    in order.  Concatenating all batches reproduces the per-event stream
 //    exactly, so batch size never changes what an observer accumulates.
 //  - Events carry ids, not text: the qname and every answer record's owner
-//    and text rdata are NameIds of the cluster's one NameTable, which the
+//    and text rdata are NameIds of the producer's one NameTable, which the
 //    batch hands out as names().  Answers are compact records (dns/rr.h).
 //  - A batch and everything it references (events, answer records, the
 //    name table and the ids' meaning) is only valid for the duration of
 //    on_tap_batch(); observers must copy or remap what they keep.  Within
-//    one cluster an id keeps its meaning for the cluster's lifetime, so
+//    one producer an id keeps its meaning for the producer's lifetime, so
 //    an observer may cache per-id work across batches of the same table
-//    (DayCapture does), but never across clusters.  The cluster reuses the
-//    batch's storage: its event and answer slots outlive a flush and the
-//    next batch overwrites them, so a steady-state day buffers events
+//    (DayCapture does), but never across producers.  The producer reuses
+//    the batch's storage: its event and answer slots outlive a flush and
+//    the next batch overwrites them, so a steady-state day buffers events
 //    without allocating.  The slots are copies, never views of cache
 //    entries, because a later query of the same batch may expire and
 //    erase the entry an event answered from.
-//  - Delivery happens when the batch fills (ClusterConfig::tap_batch_events)
-//    and on RdnsCluster::flush_taps(); removing an observer or destroying
-//    the cluster flushes first, so no event is ever silently dropped.
-//  - Observers are invoked on the thread that drives the cluster.  The
+//  - Delivery happens when the batch fills and on the producer's
+//    flush_taps(); removing an observer or destroying the producer flushes
+//    first, so no event is ever silently dropped.
+//  - Observers are invoked on the thread that drives the producer.  The
 //    sharded engine gives every shard its own cluster and observer, so
 //    observer implementations need no internal locking.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "dns/name_table.h"
 #include "dns/rr.h"
@@ -107,6 +113,75 @@ class TapObserver {
 
   /// Receives one batch of tap events.  See the batching contract above.
   virtual void on_tap_batch(const TapBatch& batch) = 0;
+};
+
+/// The pending batch of one tap producer and the observers it goes to.
+/// The event and answer vectors keep their capacity across flush(), so
+/// buffering into a grown batch allocates nothing.  push() reports a full
+/// batch and the producer flushes, so it can do its own bookkeeping then.
+class TapBuffer {
+ public:
+  /// `names` resolves every buffered id; it must outlive the buffer at a
+  /// fixed address.
+  TapBuffer(const NameTable& names, std::size_t batch_events)
+      : names_(&names), batch_events_(std::max<std::size_t>(batch_events, 1)) {}
+  /// Flushes to the observers still registered, which must therefore
+  /// outlive the buffer or be removed first.
+  ~TapBuffer() { flush(); }
+  /// A moved-from buffer holds no events and no observers.
+  TapBuffer(TapBuffer&&) noexcept = default;
+  TapBuffer& operator=(TapBuffer&&) = delete;
+
+  /// Null throws; an observer already registered is not added again, so
+  /// no batch reaches it twice.
+  void add_observer(TapObserver* observer) {
+    if (observer == nullptr) {
+      throw std::invalid_argument("TapBuffer: null tap observer");
+    }
+    if (std::find(observers_.begin(), observers_.end(), observer) ==
+        observers_.end()) {
+      observers_.push_back(observer);
+    }
+  }
+  /// Flushes, then unregisters `observer`; unknown observers are ignored.
+  void remove_observer(TapObserver* observer) {
+    flush();
+    std::erase(observers_, observer);
+  }
+  std::size_t observer_count() const noexcept { return observers_.size(); }
+  /// Producers build no event while nobody observes.
+  bool observed() const noexcept { return !observers_.empty(); }
+  /// Events buffered since the last flush.
+  std::size_t pending() const noexcept { return events_.size(); }
+
+  /// Buffers one event and copies of its answers.  True when the batch is
+  /// full: the producer must then flush().
+  [[nodiscard]] bool push(SimTime ts, TapDirection direction,
+                          std::uint64_t client_id, NameId qname, RRType qtype,
+                          RCode rcode,
+                          std::span<const CompactRecord> answers) {
+    events_.push_back(TapEvent{ts, client_id, qname, qtype, direction, rcode,
+                               static_cast<std::uint32_t>(answers_.size()),
+                               static_cast<std::uint32_t>(answers.size())});
+    answers_.insert(answers_.end(), answers.begin(), answers.end());
+    return events_.size() >= batch_events_;
+  }
+
+  /// Delivers the pending batch, if any, to every observer and empties it.
+  void flush() {
+    if (events_.empty()) return;
+    const TapBatch batch{events_, answers_, *names_};
+    for (TapObserver* observer : observers_) observer->on_tap_batch(batch);
+    events_.clear();
+    answers_.clear();
+  }
+
+ private:
+  const NameTable* names_;
+  std::size_t batch_events_;
+  std::vector<TapObserver*> observers_;
+  std::vector<TapEvent> events_;
+  std::vector<CompactRecord> answers_;
 };
 
 /// Adapts a callable to TapObserver — convenient for tests and examples.

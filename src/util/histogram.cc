@@ -8,8 +8,10 @@ namespace dnsnoise {
 
 LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi)) throw std::invalid_argument("LinearHistogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("LinearHistogram: bins must be > 0");
+  if (!(lo < hi))
+    throw std::invalid_argument("LinearHistogram: lo must be < hi");
+  if (bins == 0)
+    throw std::invalid_argument("LinearHistogram: bins must be > 0");
 }
 
 void LinearHistogram::add(double value, std::uint64_t weight) noexcept {
@@ -79,7 +81,8 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> values,
     const auto idx = std::min<std::size_t>(
         static_cast<std::size_t>(q * (n - 1) + 0.5), sorted.size() - 1);
     // F(x) = fraction of samples <= x at this order statistic.
-    const auto upper = std::upper_bound(sorted.begin(), sorted.end(), sorted[idx]);
+    const auto upper =
+        std::upper_bound(sorted.begin(), sorted.end(), sorted[idx]);
     cdf.push_back({sorted[idx],
                    static_cast<double>(upper - sorted.begin()) / n});
   }

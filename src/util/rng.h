@@ -62,7 +62,9 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept { reseed(seed); }
+  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept {
+    reseed(seed);
+  }
 
   void reseed(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;

@@ -13,7 +13,8 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : exponent_(s) {
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("ZipfSampler: n must be < 2^32");
   }
-  if (s < 0.0) throw std::invalid_argument("ZipfSampler: exponent must be >= 0");
+  if (s < 0.0)
+    throw std::invalid_argument("ZipfSampler: exponent must be >= 0");
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t r = 0; r < n; ++r) {

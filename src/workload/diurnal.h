@@ -20,7 +20,9 @@ class DiurnalProfile {
   explicit constexpr DiurnalProfile(const std::array<double, 24>& weights)
       : weights_(weights) {}
 
-  constexpr double weight(int hour) const { return weights_[static_cast<std::size_t>(hour % 24)]; }
+  constexpr double weight(int hour) const {
+    return weights_[static_cast<std::size_t>(hour % 24)];
+  }
 
   /// Sum of all hourly weights.
   constexpr double total() const {

@@ -65,8 +65,8 @@ class RandomStringLabel final : public LabelGenerator {
     return std::make_unique<RandomStringLabel>("0123456789abcdef", length);
   }
   static std::unique_ptr<RandomStringLabel> base32(std::size_t length) {
-    return std::make_unique<RandomStringLabel>("abcdefghijklmnopqrstuvwxyz234567",
-                                               length);
+    return std::make_unique<RandomStringLabel>(
+        "abcdefghijklmnopqrstuvwxyz234567", length);
   }
   static std::unique_ptr<RandomStringLabel> base36(std::size_t length) {
     return std::make_unique<RandomStringLabel>(

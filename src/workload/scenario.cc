@@ -113,8 +113,8 @@ ZoneBuild make_disposable_zone(std::size_t i, std::uint64_t seed,
   Rng zone_rng(mix64(seed ^ (0xd15005ab1eULL + i * 0x9e37ULL)));
   Rng ttl_rng(mix64(seed ^ (0x771ULL + i) ^
                     static_cast<std::uint64_t>(progress * 4096.0)));
-  const std::string vendor =
-      pseudo_word(1'000'000 + i * 13) + "." + kZoneTlds[i % std::size(kZoneTlds)];
+  const std::string vendor = pseudo_word(1'000'000 + i * 13) + "." +
+                             kZoneTlds[i % std::size(kZoneTlds)];
 
   ZoneBuild build;
   build.config.ttl = sample_ttl_table(
@@ -245,7 +245,8 @@ bool Scenario::is_akamai_name(std::string_view name) {
 }
 
 void Scenario::build() {
-  const DateParams params = params_for(date_, scale_.disposable_traffic_multiplier);
+  const DateParams params =
+      params_for(date_, scale_.disposable_traffic_multiplier);
   Rng rng(scale_.seed);
 
   // --- Google: a huge popular tenant plus its disposable experiment zone.

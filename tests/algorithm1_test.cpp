@@ -49,7 +49,8 @@ class Algorithm1Test : public ::testing::Test {
       CacheHitRateTracker chr(names);
       std::vector<NameId> group;
       const bool disposable = sample % 2 == 0;
-      const std::size_t count = disposable ? 15 + rng.below(40) : 4 + rng.below(12);
+      const std::size_t count =
+          disposable ? 15 + rng.below(40) : 4 + rng.below(12);
       for (std::size_t i = 0; i < count; ++i) {
         const std::string label =
             disposable ? rng.hex_string(20 + rng.below(10))

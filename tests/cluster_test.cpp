@@ -30,12 +30,18 @@ TEST(ClusterTest, MissThenHitSameClient) {
   config.server_count = 4;
   RdnsCluster cluster(config, authority);
 
-  const auto first = cluster.query(1, question("www.example.com"), 0);
+  // A view lives until the next query: copy the first one's answers out.
+  const auto first = cluster.query_view(1, question("www.example.com"), 0);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.rcode, RCode::NoError);
-  const auto second = cluster.query(1, question("www.example.com"), 10);
+  std::vector<ResourceRecord> first_answers;
+  to_resource_records(first.answers, cluster.names(), first_answers);
+  EXPECT_FALSE(first_answers.empty());
+  const auto second = cluster.query_view(1, question("www.example.com"), 10);
   EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.answers, first.answers);
+  std::vector<ResourceRecord> second_answers;
+  to_resource_records(second.answers, cluster.names(), second_answers);
+  EXPECT_EQ(second_answers, first_answers);
   EXPECT_EQ(cluster.below_answers(), 2u);
   EXPECT_EQ(cluster.above_answers(), 1u);
 }
@@ -47,7 +53,8 @@ TEST(ClusterTest, ClientHashIsSticky) {
   RdnsCluster cluster(config, authority);
   std::set<std::size_t> servers;
   for (int i = 0; i < 20; ++i) {
-    servers.insert(cluster.query(42, question("www.example.com"), i).server);
+    servers.insert(
+        cluster.query_view(42, question("www.example.com"), i).server);
   }
   EXPECT_EQ(servers.size(), 1u);
 }
@@ -61,7 +68,7 @@ TEST(ClusterTest, IndependentCachesMissIndependently) {
   RdnsCluster cluster(config, authority);
   for (int i = 0; i < 6; ++i) {
     const std::uint64_t client = client_on(i % 3, 3);
-    EXPECT_EQ(cluster.query(client, question("www.example.com"), i).server,
+    EXPECT_EQ(cluster.query_view(client, question("www.example.com"), i).server,
               static_cast<std::size_t>(i % 3));
   }
   EXPECT_EQ(cluster.above_answers(), 3u);  // one cold miss per server
@@ -73,7 +80,8 @@ TEST(ClusterTest, NxdomainNotCachedByDefault) {
   config.server_count = 1;
   RdnsCluster cluster(config, authority);
   for (int i = 0; i < 5; ++i) {
-    const auto outcome = cluster.query(1, question("nx.unregistered.net"), i);
+    const auto outcome =
+        cluster.query_view(1, question("nx.unregistered.net"), i);
     EXPECT_EQ(outcome.rcode, RCode::NXDomain);
     EXPECT_FALSE(outcome.cache_hit);
   }
@@ -89,7 +97,7 @@ TEST(ClusterTest, NegativeCacheReducesAboveTraffic) {
   config.cache.negative_ttl = 100;
   RdnsCluster cluster(config, authority);
   for (int i = 0; i < 5; ++i) {
-    cluster.query(1, question("nx.unregistered.net"), i);
+    cluster.query_view(1, question("nx.unregistered.net"), i);
   }
   EXPECT_EQ(cluster.above_answers(), 1u);
 }
@@ -116,8 +124,8 @@ TEST(ClusterTest, TapObserverSeesBothDirections) {
   cluster.add_tap_observer(&observer);
   EXPECT_EQ(cluster.tap_observer_count(), 1u);
 
-  cluster.query(1, question("a.example.com"), 0);   // miss
-  cluster.query(1, question("a.example.com"), 1);   // hit
+  cluster.query_view(1, question("a.example.com"), 0);   // miss
+  cluster.query_view(1, question("a.example.com"), 1);   // hit
   cluster.flush_taps();
   ASSERT_EQ(below_names.size(), 2u);
   ASSERT_EQ(above_names.size(), 1u);
@@ -144,9 +152,9 @@ TEST(ClusterTest, TapBatchesFlushAtConfiguredSizeAndPreserveOrder) {
 
   // Miss emits (above, below); two hits emit one below each: 4 events, so
   // the first batch flushes at 3 mid-stream and flush_taps drains the rest.
-  cluster.query(1, question("a.example.com"), 0);
-  cluster.query(1, question("a.example.com"), 1);
-  cluster.query(1, question("a.example.com"), 2);
+  cluster.query_view(1, question("a.example.com"), 0);
+  cluster.query_view(1, question("a.example.com"), 1);
+  cluster.query_view(1, question("a.example.com"), 2);
   EXPECT_EQ(batches, 1u);
   cluster.flush_taps();
   EXPECT_EQ(batches, 2u);
@@ -165,7 +173,7 @@ TEST(ClusterTest, RemovingObserverFlushesPendingEvents) {
   FunctionTapObserver observer(
       [&events](const TapBatch& batch) { events += batch.size(); });
   cluster.add_tap_observer(&observer);
-  cluster.query(1, question("a.example.com"), 0);
+  cluster.query_view(1, question("a.example.com"), 0);
   cluster.remove_tap_observer(&observer);
   EXPECT_EQ(events, 2u);  // above + below, delivered by the removal flush
 }
@@ -192,9 +200,9 @@ TEST(ClusterTest, DnssecCountersTrackSignedMisses) {
   ClusterConfig config;
   config.server_count = 1;
   RdnsCluster cluster(config, authority);
-  cluster.query(1, question("a.signed.com"), 0);  // signed miss
-  cluster.query(1, question("a.signed.com"), 1);  // hit: no validation
-  cluster.query(1, question("a.plain.com"), 2);   // unsigned miss
+  cluster.query_view(1, question("a.signed.com"), 0);  // signed miss
+  cluster.query_view(1, question("a.signed.com"), 1);  // hit: no validation
+  cluster.query_view(1, question("a.plain.com"), 2);   // unsigned miss
   EXPECT_EQ(cluster.dnssec_validations(), 1u);
   EXPECT_EQ(cluster.dnssec_disposable_validations(), 0u);
 }
@@ -206,9 +214,10 @@ TEST(ClusterTest, AggregateStats) {
   RdnsCluster cluster(config, authority);
   const std::uint64_t first = client_on(0, 2);
   const std::uint64_t second = client_on(1, 2);
-  cluster.query(first, question("a.example.com"), 0);
-  cluster.query(second, question("a.example.com"), 1);  // other server: miss
-  cluster.query(first, question("a.example.com"), 2);   // first server: hit
+  cluster.query_view(first, question("a.example.com"), 0);
+  // The other server misses, then the first one hits.
+  cluster.query_view(second, question("a.example.com"), 1);
+  cluster.query_view(first, question("a.example.com"), 2);
   const DnsCacheStats stats = cluster.aggregate_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -227,9 +236,9 @@ TEST(ClusterTest, TtlExpiryForcesRefetch) {
   ClusterConfig config;
   config.server_count = 1;
   RdnsCluster cluster(config, authority);
-  cluster.query(1, question("w.example.com"), 0);
-  cluster.query(1, question("w.example.com"), 299);  // hit (TTL 300)
-  cluster.query(1, question("w.example.com"), 300);  // expired: miss
+  cluster.query_view(1, question("w.example.com"), 0);
+  cluster.query_view(1, question("w.example.com"), 299);  // hit (TTL 300)
+  cluster.query_view(1, question("w.example.com"), 300);  // expired: miss
   EXPECT_EQ(cluster.above_answers(), 2u);
 }
 

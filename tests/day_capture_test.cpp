@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tap_feed.h"
+
 namespace dnsnoise {
 namespace {
 
@@ -13,12 +15,13 @@ std::vector<ResourceRecord> answer_rrs(const char* name, std::uint32_t ttl) {
 
 TEST(DayCaptureTest, BelowEventsBuildTreeAndChr) {
   DayCapture capture;
-  capture.on_below(100, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
-  capture.on_below(200, 2, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
-  capture.on_above(150, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  TapFeed feed(capture);
+  feed.below(100, 1, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
+  feed.below(200, 2, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
+  feed.above(150, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
 
   EXPECT_EQ(capture.unique_queried(), 1u);
   EXPECT_EQ(capture.unique_resolved(), 1u);
@@ -32,14 +35,15 @@ TEST(DayCaptureTest, BelowEventsBuildTreeAndChr) {
 }
 
 // The tree and the resolved set change only on an RR's first below
-// sighting (see DayCapture::on_below).
+// sighting (see DayCapture::on_tap_batch).
 TEST(DayCaptureTest, AnswerSeenAboveThenBelowIsResolved) {
   DayCapture capture;
+  TapFeed feed(capture);
   // A cache miss: the authority's answer is seen above, then below.
-  capture.on_above(100, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
-  capture.on_below(100, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  feed.above(100, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
+  feed.below(100, 1, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
   EXPECT_EQ(capture.unique_resolved(), 1u);
   EXPECT_EQ(capture.tree().black_count(), 1u);
   const NameId node = capture.tree().find(DomainName("a.example.com"));
@@ -49,8 +53,9 @@ TEST(DayCaptureTest, AnswerSeenAboveThenBelowIsResolved) {
 
 TEST(DayCaptureTest, AnswerSeenOnlyAboveIsNotResolved) {
   DayCapture capture;
-  capture.on_above(100, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  TapFeed feed(capture);
+  feed.above(100, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
   EXPECT_EQ(capture.unique_resolved(), 0u);
   EXPECT_EQ(capture.tree().black_count(), 0u);
   EXPECT_EQ(capture.chr().unique_rrs(), 1u);
@@ -58,13 +63,14 @@ TEST(DayCaptureTest, AnswerSeenOnlyAboveIsNotResolved) {
 
 TEST(DayCaptureTest, RepeatedBelowSightingsOnlyCount) {
   DayCapture capture;
-  capture.on_below(100, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  TapFeed feed(capture);
+  feed.below(100, 1, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
   const std::size_t nodes = capture.tree().node_count();
   const std::size_t black = capture.tree().black_count();
   for (int i = 0; i < 3; ++i) {
-    capture.on_below(200 + i, 2, question("a.example.com"), RCode::NoError,
-                     answer_rrs("a.example.com", 60));
+    feed.below(200 + i, 2, "a.example.com", RCode::NoError,
+               answer_rrs("a.example.com", 60));
   }
   EXPECT_EQ(capture.tree().node_count(), nodes);
   EXPECT_EQ(capture.tree().black_count(), black);
@@ -77,7 +83,8 @@ TEST(DayCaptureTest, RepeatedBelowSightingsOnlyCount) {
 
 TEST(DayCaptureTest, NxdomainCountsAsQueriedNotResolved) {
   DayCapture capture;
-  capture.on_below(100, 1, question("nx.example.com"), RCode::NXDomain, {});
+  TapFeed feed(capture);
+  feed.below(100, 1, "nx.example.com", RCode::NXDomain, {});
   EXPECT_EQ(capture.unique_queried(), 1u);
   EXPECT_EQ(capture.unique_resolved(), 0u);
   EXPECT_EQ(capture.tree().black_count(), 0u);
@@ -86,16 +93,17 @@ TEST(DayCaptureTest, NxdomainCountsAsQueriedNotResolved) {
 
 TEST(DayCaptureTest, HourlySeriesAndTenantAttribution) {
   DayCapture capture;
+  TapFeed feed(capture);
   // 2 RRs at 01:00, google-owned.
   std::vector<ResourceRecord> google_answers = {
       {DomainName("mail.google.com"), RRType::A, 300, "10.0.0.1"},
       {DomainName("mail.google.com"), RRType::A, 300, "10.0.0.2"},
   };
-  capture.on_below(1 * kSecondsPerHour + 30, 1, question("mail.google.com"),
-                   RCode::NoError, google_answers);
+  feed.below(1 * kSecondsPerHour + 30, 1, "mail.google.com", RCode::NoError,
+             google_answers);
   // 1 RR at 23:00, akamai-owned, above.
-  capture.on_above(23 * kSecondsPerHour, question("e1.g.akamai.net"),
-                   RCode::NoError, answer_rrs("e1.g.akamai.net", 20));
+  feed.above(23 * kSecondsPerHour, "e1.g.akamai.net", RCode::NoError,
+             answer_rrs("e1.g.akamai.net", 20));
 
   const HourlySeries& below = capture.below_series();
   EXPECT_EQ(below.total[1], 2u);
@@ -111,46 +119,53 @@ TEST(DayCaptureTest, FpdnsKeptOnlyWhenConfigured) {
   DayCaptureConfig config;
   config.keep_fpdns = true;
   DayCapture keeping(config);
-  keeping.on_below(5, 9, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  TapFeed keeping_feed(keeping);
+  keeping_feed.below(5, 9, "a.example.com", RCode::NoError,
+                     answer_rrs("a.example.com", 60));
   ASSERT_EQ(keeping.fpdns().size(), 1u);
   EXPECT_EQ(keeping.fpdns().entries()[0].client_id, 9u);
 
   DayCapture discarding;
-  discarding.on_below(5, 9, question("a.example.com"), RCode::NoError,
-                      answer_rrs("a.example.com", 60));
+  TapFeed discarding_feed(discarding);
+  discarding_feed.below(5, 9, "a.example.com", RCode::NoError,
+                        answer_rrs("a.example.com", 60));
   EXPECT_TRUE(discarding.fpdns().empty());
-}
-
-TEST(DayCaptureTest, RpdnsFeedAccumulatesAcrossDays) {
-  DayCaptureConfig config;
-  config.feed_rpdns = true;
-  config.day_index = 1;
-  DayCapture capture(config);
-  capture.on_below(5, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
-  capture.start_day(2);
-  capture.on_below(5, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
-  capture.on_below(6, 1, question("b.example.com"), RCode::NoError,
-                   answer_rrs("b.example.com", 60));
-  // start_day reset the per-day state but kept the rpDNS store.
-  EXPECT_EQ(capture.rpdns().unique_records(), 2u);
-  EXPECT_EQ(capture.rpdns().new_records_on(1), 1u);
-  EXPECT_EQ(capture.rpdns().new_records_on(2), 1u);
-  EXPECT_EQ(capture.unique_queried(), 2u);  // day 2 only
 }
 
 TEST(DayCaptureTest, StartDayResetsPerDayState) {
   DayCapture capture;
-  capture.on_below(5, 1, question("a.example.com"), RCode::NoError,
-                   answer_rrs("a.example.com", 60));
+  TapFeed feed(capture);
+  feed.below(5, 1, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
   capture.start_day(9);
   EXPECT_EQ(capture.unique_queried(), 0u);
   EXPECT_EQ(capture.unique_resolved(), 0u);
   EXPECT_EQ(capture.tree().black_count(), 0u);
   EXPECT_EQ(capture.chr().unique_rrs(), 0u);
   EXPECT_EQ(capture.below_series().sum_total(), 0u);
+  // The same producer feeds the new day from scratch.
+  feed.below(6, 1, "a.example.com", RCode::NoError,
+             answer_rrs("a.example.com", 60));
+  EXPECT_EQ(capture.unique_resolved(), 1u);
+  EXPECT_EQ(capture.chr().unique_rrs(), 1u);
+}
+
+TEST(DayCaptureTest, ProducersFeedOneCaptureInTurn) {
+  // The second producer's table may land at the freed first one's
+  // address; its ids must still not be read through the first's remap.
+  DayCapture capture;
+  {
+    TapFeed first(capture);
+    first.below(1, 1, "a.example.com", RCode::NoError,
+                answer_rrs("a.example.com", 60));
+  }
+  TapFeed second(capture);
+  second.below(2, 2, "b.example.org", RCode::NoError,
+               {{DomainName("b.example.org"), RRType::A, 60, "10.9.9.9"}});
+  EXPECT_EQ(capture.unique_queried(), 2u);
+  EXPECT_EQ(capture.unique_resolved(), 2u);
+  EXPECT_NE(capture.chr().find({"b.example.org", RRType::A, "10.9.9.9"}),
+            nullptr);
 }
 
 TEST(DayCaptureTest, AttachWiresClusterSinks) {
@@ -162,8 +177,8 @@ TEST(DayCaptureTest, AttachWiresClusterSinks) {
   RdnsCluster cluster(config, authority);
   DayCapture capture;
   capture.attach(cluster);
-  cluster.query(1, question("w.example.com"), 10);
-  cluster.query(1, question("w.example.com"), 20);
+  cluster.query_view(1, question("w.example.com"), 10);
+  cluster.query_view(1, question("w.example.com"), 20);
   cluster.flush_taps();  // tap events are batched until flushed
   EXPECT_EQ(capture.below_series().sum_total(), 2u);
   EXPECT_EQ(capture.above_series().sum_total(), 1u);

@@ -1,11 +1,10 @@
 // End-to-end integration: simulate a small ISP day, materialize the tap as
 // real pcap bytes, parse them back through the capture stack, and verify
-// the reconstructed fpDNS view matches the directly-observed one.  This
-// closes the loop wire-codec -> pcap -> CaptureDecoder -> DayCapture.
+// the reconstructed view matches the directly-observed one.  This closes
+// the loop cluster -> PcapTapWriter -> CaptureDecoder -> DayCapture.
 #include <gtest/gtest.h>
 
 #include "analytics/measurements.h"
-#include "dns/wire.h"
 #include "engine/parallel_miner.h"
 #include "netio/capture.h"
 
@@ -13,8 +12,6 @@ namespace dnsnoise {
 namespace {
 
 const Ipv4 kResolverIp = Ipv4::from_octets(10, 0, 0, 53);
-const Ipv4 kClientBase = Ipv4::from_octets(172, 16, 0, 0);
-const Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
 
 TEST(IntegrationTest, PcapRoundTripMatchesDirectCapture) {
   ScenarioScale scale;
@@ -32,51 +29,22 @@ TEST(IntegrationTest, PcapRoundTripMatchesDirectCapture) {
   DayCapture direct;
   direct.attach(cluster);
   PcapWriter pcap;
-  std::uint16_t txid = 0;
-  FunctionTapObserver pcap_writer([&](const TapBatch& batch) {
-    for (const TapEvent& event : batch) {
-      std::vector<ResourceRecord> answers;
-      to_resource_records(batch.answers(event), batch.names(), answers);
-      DnsMessage msg = DnsMessage::make_response(
-          DnsMessage::make_query(++txid, DomainName(batch.qname(event)),
-                                 event.qtype),
-          event.rcode, std::move(answers));
-      if (event.direction == TapDirection::kBelow) {
-        const Ipv4 client_ip{
-            kClientBase.value +
-            static_cast<std::uint32_t>(event.client_id % 65536)};
-        pcap.write(static_cast<std::uint32_t>(event.ts), 0,
-                   build_dns_frame(kResolverIp, 53, client_ip, 40000, msg));
-      } else {
-        pcap.write(static_cast<std::uint32_t>(event.ts), 0,
-                   build_dns_frame(kAuthorityIp, 53, kResolverIp, 5353, msg));
-      }
-    }
-  });
+  PcapTapWriter pcap_writer(pcap, kResolverIp);
   cluster.add_tap_observer(&pcap_writer);
 
   scenario.traffic().run_day_shard(
       0, {},
       [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
-        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+        cluster.query_view(client, {DomainName(query.qname), query.qtype}, ts);
       });
-  cluster.flush_taps();
+  cluster.remove_tap_observer(&pcap_writer);
+  direct.detach(cluster);
 
   // Replay the pcap through the capture pipeline into a second DayCapture.
   CaptureDecoder decoder({kResolverIp});
   DayCapture replayed;
-  const std::size_t events = decoder.decode_pcap(
-      pcap.bytes(), [&replayed](const DecodedResponse& event) {
-        ASSERT_FALSE(event.message.questions.empty());
-        const Question& q = event.message.questions.front();
-        if (event.direction == TapDirection::kBelow) {
-          replayed.on_below(event.ts, event.client_id, q,
-                            event.message.header.rcode, event.message.answers);
-        } else {
-          replayed.on_above(event.ts, q, event.message.header.rcode,
-                            event.message.answers);
-        }
-      });
+  decoder.add_tap_observer(&replayed);
+  const std::size_t events = decoder.decode_pcap(pcap.bytes());
 
   EXPECT_EQ(events, pcap.packet_count());
   EXPECT_EQ(decoder.dropped(), 0u);

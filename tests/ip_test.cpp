@@ -33,9 +33,9 @@ TEST_P(BadIpv4Test, ParseRejects) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Malformed, BadIpv4Test,
-                         ::testing::Values("", "1.2.3", "1.2.3.4.5", "256.1.1.1",
-                                           "1.2.3.", ".1.2.3", "a.b.c.d",
-                                           "1..2.3", "01234.1.1.1",
+                         ::testing::Values("", "1.2.3", "1.2.3.4.5",
+                                           "256.1.1.1", "1.2.3.", ".1.2.3",
+                                           "a.b.c.d", "1..2.3", "01234.1.1.1",
                                            "1.2.3.4 "));
 
 TEST(Ipv6Test, ParseFullForm) {

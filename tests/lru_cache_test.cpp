@@ -105,7 +105,8 @@ TEST(LruCacheTest, ForEachVisitsMruFirst) {
   cache.put(3, 3);
   (void)cache.get(1);  // 1 becomes MRU
   std::vector<int> order;
-  cache.for_each([&order](const int& key, const int&) { order.push_back(key); });
+  cache.for_each(
+      [&order](const int& key, const int&) { order.push_back(key); });
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 1);
 }

@@ -96,7 +96,8 @@ TEST(FpDnsFileTest, SaveLoadRoundTrip) {
     FpDnsEntry entry;
     entry.ts = static_cast<SimTime>(rng.below(86400));
     entry.client_id = rng();
-    entry.direction = rng.chance(0.5) ? FpDirection::kBelow : FpDirection::kAbove;
+    entry.direction =
+        rng.chance(0.5) ? FpDirection::kBelow : FpDirection::kAbove;
     entry.rcode = rng.chance(0.1) ? RCode::NXDomain : RCode::NoError;
     entry.qname = random_name(rng).text();
     entry.qtype = RRType::A;

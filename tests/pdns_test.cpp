@@ -12,28 +12,34 @@ namespace {
 
 TEST(FpDnsTest, AddResponseFlattensAnswerSection) {
   FpDnsDataset dataset;
-  const Question question{DomainName("x.example.com"), RRType::A};
-  std::vector<ResourceRecord> answers = {
-      {DomainName("x.example.com"), RRType::CNAME, 60, "e.l.example.com"},
-      {DomainName("e.l.example.com"), RRType::A, 60, "192.0.2.1"},
+  NameTable names;
+  const std::vector<CompactRecord> answers = {
+      compact_record(names, "x.example.com", RRType::CNAME, 60,
+                     "e.l.example.com"),
+      compact_record(names, "e.l.example.com", RRType::A, 60, "192.0.2.1"),
   };
-  dataset.add_response(100, 77, FpDirection::kBelow, question, RCode::NoError,
-                       answers);
+  dataset.add_response(100, 77, FpDirection::kBelow, names,
+                       names.intern("x.example.com"), RRType::A,
+                       RCode::NoError, answers);
   ASSERT_EQ(dataset.size(), 2u);
   EXPECT_EQ(dataset.entries()[0].qname, "x.example.com");
   EXPECT_EQ(dataset.entries()[0].qtype, RRType::CNAME);
+  EXPECT_EQ(dataset.entries()[0].rdata, "e.l.example.com");
   EXPECT_EQ(dataset.entries()[1].qname, "e.l.example.com");
   EXPECT_EQ(dataset.entries()[1].ttl, 60u);
+  EXPECT_EQ(dataset.entries()[1].rdata, "192.0.2.1");
   EXPECT_EQ(dataset.entries()[0].client_id, 77u);
   EXPECT_TRUE(dataset.entries()[0].successful());
 }
 
 TEST(FpDnsTest, NxdomainBecomesSingleEntry) {
   FpDnsDataset dataset;
-  const Question question{DomainName("nx.example.com"), RRType::A};
-  dataset.add_response(5, 1, FpDirection::kBelow, question, RCode::NXDomain,
-                       {});
+  NameTable names;
+  dataset.add_response(5, 1, FpDirection::kBelow, names,
+                       names.intern("nx.example.com"), RRType::A,
+                       RCode::NXDomain, {});
   ASSERT_EQ(dataset.size(), 1u);
+  EXPECT_EQ(dataset.entries()[0].qname, "nx.example.com");
   EXPECT_EQ(dataset.entries()[0].rcode, RCode::NXDomain);
   EXPECT_TRUE(dataset.entries()[0].rdata.empty());
   EXPECT_FALSE(dataset.entries()[0].successful());
@@ -41,13 +47,15 @@ TEST(FpDnsTest, NxdomainBecomesSingleEntry) {
 
 TEST(FpDnsTest, SerializeRoundTrip) {
   FpDnsDataset dataset;
-  const Question q1{DomainName("a.example.com"), RRType::A};
-  const Question q2{DomainName("b.example.com"), RRType::AAAA};
-  std::vector<ResourceRecord> answers = {
-      {DomainName("a.example.com"), RRType::A, 30, "192.0.2.9"}};
-  dataset.add_response(1000, 42, FpDirection::kBelow, q1, RCode::NoError,
-                       answers);
-  dataset.add_response(1001, 0, FpDirection::kAbove, q2, RCode::NXDomain, {});
+  NameTable names;
+  const std::vector<CompactRecord> answers = {
+      compact_record(names, "a.example.com", RRType::A, 30, "192.0.2.9")};
+  dataset.add_response(1000, 42, FpDirection::kBelow, names,
+                       names.intern("a.example.com"), RRType::A,
+                       RCode::NoError, answers);
+  dataset.add_response(1001, 0, FpDirection::kAbove, names,
+                       names.intern("b.example.com"), RRType::AAAA,
+                       RCode::NXDomain, {});
 
   const auto bytes = dataset.serialize();
   const FpDnsDataset loaded = FpDnsDataset::deserialize(bytes);
@@ -65,10 +73,12 @@ TEST(FpDnsTest, DeserializeRejectsBadMagic) {
 
 TEST(FpDnsTest, DeserializeRejectsTruncation) {
   FpDnsDataset dataset;
-  const Question q{DomainName("a.example.com"), RRType::A};
-  std::vector<ResourceRecord> answers = {
-      {DomainName("a.example.com"), RRType::A, 30, "192.0.2.9"}};
-  dataset.add_response(1, 2, FpDirection::kBelow, q, RCode::NoError, answers);
+  NameTable names;
+  const std::vector<CompactRecord> answers = {
+      compact_record(names, "a.example.com", RRType::A, 30, "192.0.2.9")};
+  dataset.add_response(1, 2, FpDirection::kBelow, names,
+                       names.intern("a.example.com"), RRType::A,
+                       RCode::NoError, answers);
   auto bytes = dataset.serialize();
   bytes.resize(bytes.size() - 5);
   EXPECT_THROW(FpDnsDataset::deserialize(bytes), std::invalid_argument);

@@ -1,7 +1,7 @@
 // A hand-driven engine day for the reference tests: the same shards,
-// plans and clusters as MiningSession, with a DayCapture, a
-// presentation-fed DayCapture and the reference capture model on every
-// shard's tap.
+// plans and clusters as MiningSession, with a DayCapture, a DayCapture fed
+// presentation responses through a CaptureDecoder and the reference
+// capture model on every shard's tap.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "engine/drive.h"
 #include "engine/parallel_miner.h"
 #include "engine/shard_merge.h"
+#include "netio/capture.h"
 #include "reference_miner.h"
 
 namespace dnsnoise::reference {
@@ -78,7 +79,7 @@ struct CapturedDay {
   std::optional<Scenario> scenario;
   std::int64_t day_index = 0;
   DayCapture capture;           // the shards merged, as the engine does
-  DayCapture presentation;      // fed presentation records, shard-merged
+  DayCapture presentation;      // fed through a decoder, shard-merged
   ReferenceCapture reference;   // the shard models merged
 };
 
@@ -89,8 +90,8 @@ using ShardCheck = std::function<void(
 
 /// Runs a day as MiningSession does — one Scenario, one plan per day,
 /// each shard's cluster warmed on its slice of the warmup plan — with a
-/// DayCapture, a presentation-fed DayCapture and the reference model on
-/// every shard's tap.
+/// DayCapture, a decoder-fed DayCapture and the reference model on every
+/// shard's tap.
 inline void run_day(const DayParams& params, CapturedDay& out,
                     const ShardCheck& check = {}) {
   Scenario& scenario = out.scenario.emplace(params.date, params.scale);
@@ -117,17 +118,20 @@ inline void run_day(const DayParams& params, CapturedDay& out,
     DayCapture shard;
     DayCapture presentation;
     ReferenceCapture reference;
+    // The presentation capture is fed as pcap replay feeds one: each event
+    // becomes a response message, which a decoder turns back into a tap
+    // event over its own table.
+    CaptureDecoder decoder({});
+    decoder.add_tap_observer(&presentation);
     FunctionTapObserver feed_presentation([&](const TapBatch& batch) {
-      std::vector<ResourceRecord> answers;
       for (const TapEvent& event : batch) {
+        std::vector<ResourceRecord> answers;
         to_resource_records(batch.answers(event), batch.names(), answers);
-        const Question q{DomainName(batch.qname(event)), event.qtype};
-        if (event.direction == TapDirection::kBelow) {
-          presentation.on_below(event.ts, event.client_id, q, event.rcode,
-                                answers);
-        } else {
-          presentation.on_above(event.ts, q, event.rcode, answers);
-        }
+        const DnsMessage query = DnsMessage::make_query(
+            0, DomainName(batch.qname(event)), event.qtype);
+        decoder.add_response(
+            event.ts, event.direction, event.client_id,
+            DnsMessage::make_response(query, event.rcode, std::move(answers)));
       }
     });
     shard.start_day(day);
@@ -156,6 +160,7 @@ inline void run_day(const DayParams& params, CapturedDay& out,
     cluster.remove_tap_observer(&feed_presentation);
     cluster.remove_tap_observer(&reference);
     shard.detach(cluster);
+    decoder.remove_tap_observer(&presentation);
     if (check) check(shard, presentation, reference);
     out.capture.merge_from(shard);
     out.presentation.merge_from(presentation);

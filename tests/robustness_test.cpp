@@ -49,7 +49,7 @@ void simulate_lossy_day(Scenario& scenario, DayCapture& capture,
   scenario.traffic().run_day_shard(
       day, {},
       [&cluster](SimTime ts, std::uint64_t client, const QuerySpec& query) {
-        cluster.query(client, {DomainName(query.qname), query.qtype}, ts);
+        cluster.query_view(client, {DomainName(query.qname), query.qtype}, ts);
       });
   cluster.flush_taps();
   cluster.remove_tap_observer(&lossy_tap);

@@ -6,11 +6,10 @@
 
 #include "features/chr.h"
 #include "features/domain_tree.h"
+#include "tap_feed.h"
 
 namespace dnsnoise {
 namespace {
-
-Question question(const char* name) { return {DomainName(name), RRType::A}; }
 
 std::vector<ResourceRecord> answer_rrs(const char* name, std::uint32_t ttl,
                                        const char* rdata = "10.0.0.1") {
@@ -110,35 +109,21 @@ TEST(ShardMergeTest, HourlySeriesAddsSlotWise) {
   EXPECT_EQ(a.sum_total(), 12u);
 }
 
-TEST(ShardMergeTest, RpdnsMergeKeepsEarliestFirstSeen) {
-  RpDnsDataset a;
-  a.add({"x.example.com", RRType::A, "10.0.0.1"}, 5);
-  RpDnsDataset b;
-  b.add({"x.example.com", RRType::A, "10.0.0.1"}, 3);
-  b.add({"y.example.com", RRType::A, "10.0.0.2"}, 4);
-
-  a.merge_from(b);
-  EXPECT_EQ(a.unique_records(), 2u);
-  EXPECT_EQ(a.first_seen({"x.example.com", RRType::A, "10.0.0.1"}), 3);
-  EXPECT_EQ(a.new_records_on(5), 0u);  // moved to day 3
-  EXPECT_EQ(a.new_records_on(3), 1u);
-  EXPECT_EQ(a.new_records_on(4), 1u);
-}
-
 TEST(ShardMergeTest, DayCaptureMergeUnionsEverything) {
   DayCaptureConfig config;
   config.keep_fpdns = true;
-  config.feed_rpdns = true;
   DayCapture a(config);
   DayCapture b(config);
   a.start_day(1);
   b.start_day(1);
-  a.on_below(2 * kSecondsPerHour, 1, question("a.example.com"),
-             RCode::NoError, answer_rrs("a.example.com", 60));
-  b.on_below(1 * kSecondsPerHour, 2, question("b.example.com"),
-             RCode::NoError, answer_rrs("b.example.com", 60, "10.0.0.2"));
-  b.on_above(3 * kSecondsPerHour, question("a.example.com"), RCode::NoError,
-             answer_rrs("a.example.com", 60));
+  TapFeed feed_a(a);
+  TapFeed feed_b(b);
+  feed_a.below(2 * kSecondsPerHour, 1, "a.example.com", RCode::NoError,
+               answer_rrs("a.example.com", 60));
+  feed_b.below(1 * kSecondsPerHour, 2, "b.example.com", RCode::NoError,
+               answer_rrs("b.example.com", 60, "10.0.0.2"));
+  feed_b.above(3 * kSecondsPerHour, "a.example.com", RCode::NoError,
+               answer_rrs("a.example.com", 60));
 
   a.merge_from(b);
   a.fpdns().stable_sort_by_time();
@@ -148,7 +133,6 @@ TEST(ShardMergeTest, DayCaptureMergeUnionsEverything) {
   EXPECT_EQ(a.chr().unique_rrs(), 2u);
   EXPECT_EQ(a.below_series().sum_total(), 2u);
   EXPECT_EQ(a.above_series().sum_total(), 1u);
-  EXPECT_EQ(a.rpdns().unique_records(), 2u);
   ASSERT_EQ(a.fpdns().size(), 3u);
   // Sorted back into tap time order: b's below entry came first.
   EXPECT_EQ(a.fpdns().entries()[0].qname, "b.example.com");

@@ -21,7 +21,8 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int i = 0; i < 500; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    pool.submit(
+        [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
   }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 500);

@@ -370,7 +370,7 @@ TEST_F(WireFrontendTest, TcpTransportNeverTruncates) {
   EXPECT_GT(response.size(), 512u);
 }
 
-// --- Served day ---------------------------------------------------------------
+// --- Served day --------------------------------------------------------------
 
 TEST(ServedDayTest, RootQuestionDoesNotStallFinish) {
   // A "." question decodes, resolves NXDOMAIN and is tapped as a queried

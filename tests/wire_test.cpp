@@ -2,14 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "util/rng.h"
+
+// Allocation probe: this binary replaces global operator new so a test can
+// record the largest single allocation made while a flag is set.  The
+// tests run on one thread.
+namespace {
+std::atomic<bool> g_recording{false};
+std::atomic<std::size_t> g_largest{0};
+
+void* probed_alloc(std::size_t size) noexcept {
+  if (g_recording.load(std::memory_order_relaxed) &&
+      size > g_largest.load(std::memory_order_relaxed)) {
+    g_largest.store(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line: an inlined free() of a pointer from a replaced operator new
+// draws a false -Wmismatched-new-delete.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = probed_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = probed_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return probed_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return probed_alloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace dnsnoise {
 namespace {
 
 DnsMessage sample_response() {
-  DnsMessage query = DnsMessage::make_query(0x1234, DomainName("www.example.com"),
-                                            RRType::A);
+  DnsMessage query =
+      DnsMessage::make_query(0x1234, DomainName("www.example.com"), RRType::A);
   std::vector<ResourceRecord> answers;
   answers.push_back({DomainName("www.example.com"), RRType::A, 300,
                      "192.0.2.1"});
@@ -106,7 +149,8 @@ TEST(WireTest, CompressionShrinksRepeatedNames) {
   // naive re-encoding.
   const DnsMessage response = sample_response();
   const auto wire = encode_message(response);
-  const std::size_t name_bytes = DomainName("www.example.com").text().size() + 2;
+  const std::size_t name_bytes =
+      DomainName("www.example.com").text().size() + 2;
   // Naive: 3 copies of the name; compressed: 1 copy + 2 two-byte pointers.
   EXPECT_LT(wire.size(), 12 + name_bytes * 3 + 2 * (2 + 2 + 4 + 2 + 4) + 4);
 }
@@ -120,6 +164,20 @@ TEST(WireTest, BadARdataThrowsOnEncode) {
 TEST(WireTest, DecodeRejectsTruncatedHeader) {
   const std::vector<std::uint8_t> tiny = {0x00, 0x01, 0x02};
   EXPECT_FALSE(decode_message(tiny));
+}
+
+TEST(WireTest, DecodeSizesSectionsByTheBytesNotTheCounts) {
+  // A bare response header that claims 65,535 answers and carries none:
+  // reserving by the count would take 65,535 ResourceRecords at once.
+  const std::vector<std::uint8_t> header = {0x12, 0x34, 0x80, 0x00,
+                                            0x00, 0x00, 0xff, 0xff,
+                                            0x00, 0x00, 0x00, 0x00};
+  g_largest.store(0);
+  g_recording.store(true);
+  const auto msg = decode_message(header);
+  g_recording.store(false);
+  EXPECT_FALSE(msg);
+  EXPECT_LT(g_largest.load(), std::size_t{64} * 1024);
 }
 
 TEST(WireTest, DecodeRejectsCompressionLoop) {

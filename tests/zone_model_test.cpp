@@ -42,7 +42,8 @@ TEST(DisposableZoneTest, MostNamesAreOneTime) {
   Rng rng(2);
   RecentNames recent;
   std::set<std::string> names;
-  for (int i = 0; i < 1000; ++i) names.insert(model.sample_query(rng, recent).qname);
+  for (int i = 0; i < 1000; ++i)
+    names.insert(model.sample_query(rng, recent).qname);
   EXPECT_EQ(names.size(), 1000u);  // hex(16): collisions are negligible
 }
 
@@ -138,7 +139,8 @@ TEST(PopularZoneTest, FixedHostSetWithZipfPopularity) {
   Rng rng(7);
   RecentNames recent;
   std::map<std::string, int> counts;
-  for (int i = 0; i < 5000; ++i) ++counts[model.sample_query(rng, recent).qname];
+  for (int i = 0; i < 5000; ++i)
+    ++counts[model.sample_query(rng, recent).qname];
   EXPECT_LE(counts.size(), 10u);
   // The bare apex is rank 0 and must dominate.
   EXPECT_GT(counts["popular.com"], counts["www.popular.com"]);
