@@ -18,6 +18,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <new>
+#include <span>
 
 #include "bench_common.h"
 #include "dns/name_table.h"
@@ -466,14 +467,15 @@ void BM_ClusterMiss(benchmark::State& state) {
 BENCHMARK(BM_ClusterMiss);
 
 void BM_SketchUpdate(benchmark::State& state) {
-  // Amortized per-event cost of the traffic plane's production feed in
-  // isolation: observe() is a ring append; every 256 events the ring
-  // drains under the shard mutex into direct-indexed exact delta
-  // counters, the cached per-name classifier verdict, the client HLL,
-  // and the window ring.  Space-Saving only sees weighted folds when the
-  // touched set crosses its threshold.  The name pool is Zipf(1.0) like
-  // real traffic; after the warm pass interning and classification are
-  // steady-state and the path allocates nothing (the gate pins that).
+  // Amortized per-event cost of the traffic plane's one feed in
+  // isolation: the stream arrives as 256-event tap batches, as a
+  // cluster delivers it, and each batch is counted under one lock into
+  // direct-indexed exact delta counters, the cached per-name classifier
+  // verdict, the client HLL, and the window ring.  Space-Saving only sees
+  // weighted folds when the touched set crosses its threshold.  The name
+  // pool is Zipf(1.0) like real traffic; after the warm pass interning
+  // and classification are steady-state and the path allocates nothing
+  // (the gate pins that).
   obs::TrafficSketchPlane plane;
   plane.ensure_shards(1);
   plane.set_disposable_zones({"avqs.example.com"});
@@ -488,26 +490,19 @@ void BM_SketchUpdate(benchmark::State& state) {
                        : "host" + std::to_string(i) + ".vendor" +
                              std::to_string(i % 40) + ".example");
   }
-  struct Event {
-    SimTime ts = 0;
-    std::uint64_t client = 0;
-    NameId name = kInvalidNameId;
-    RCode rcode = RCode::NoError;
-  };
-  std::vector<Event> stream(4'096);
+  std::vector<TapEvent> stream(4'096);
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    Event& event = stream[i];
+    TapEvent& event = stream[i];
     event.ts = static_cast<SimTime>(i / 64);
-    event.client = rng.below(512) + 1;
+    event.client_id = rng.below(512) + 1;
     event.rcode = i % 32 == 0 ? RCode::NXDomain : RCode::NoError;
-    event.name = source.intern(pool[zipf.sample(rng)]);
+    event.qname = source.intern(pool[zipf.sample(rng)]);
   }
-  sketch.bind_sources({&source});
   const auto feed = [&] {
-    for (const Event& event : stream) {
-      sketch.observe(0, event.name, event.client, event.rcode, event.ts);
+    for (std::size_t at = 0; at < stream.size(); at += TapBuffer::kBatchSize) {
+      sketch.on_tap_batch(TapBatch(
+          std::span(stream).subspan(at, TapBuffer::kBatchSize), {}, source));
     }
-    sketch.flush_pending();
   };
   feed();  // warm: intern + classify every pool name once
   const std::uint64_t allocs_before = alloc_count();
@@ -523,11 +518,11 @@ void BM_SketchUpdate(benchmark::State& state) {
 BENCHMARK(BM_SketchUpdate);
 
 void BM_ClusterQuerySketched(benchmark::State& state) {
-  // BM_ClusterQuery with a traffic sketch shard on the cluster's
-  // wait-free hook.  The acceptance bar for the introspection plane is
-  // <= 5% overhead on this bench relative to BM_ClusterQuery above — and
-  // exactly zero when detached, which BM_ClusterQuery itself demonstrates
-  // (null hook, so the query path is byte-for-byte the unsketched one).
+  // BM_ClusterQuery with a traffic sketch shard on the cluster's tap: the
+  // cluster now builds the tap events a capture would read, and every 256
+  // events the sketch counts a batch.  Compare with
+  // BM_ClusterQueryCaptured, which pays for the same events; detached,
+  // the sketch costs nothing, which BM_ClusterQuery itself demonstrates.
   SyntheticAuthority authority;
   authority.register_zone(DomainName("example.com"),
                           SyntheticAuthority::make_flat_a_zone(300));
@@ -536,7 +531,7 @@ void BM_ClusterQuerySketched(benchmark::State& state) {
   RdnsCluster cluster(config, authority);
   obs::TrafficSketchPlane plane;
   plane.ensure_shards(1);
-  cluster.set_traffic_sketch(&plane.shard(0));
+  cluster.add_tap_observer(&plane.shard(0));
   Rng rng(6);
   std::vector<Question> questions;
   for (int i = 0; i < 2000; ++i) {
@@ -553,7 +548,7 @@ void BM_ClusterQuerySketched(benchmark::State& state) {
     ++i;
     now += (i % 16) == 0;
   }
-  cluster.set_traffic_sketch(nullptr);
+  cluster.remove_tap_observer(&plane.shard(0));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ClusterQuerySketched);

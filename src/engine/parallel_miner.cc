@@ -295,16 +295,16 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
       shard.capture.attach(cluster);
       // The traffic plane observes the measured day only (not warmup),
       // one sketch shard per engine shard — single writer, this thread —
-      // through the cluster's wait-free hook, not the copying tap.
+      // reading the same tap batches as the capture.
       obs::TrafficSketch* const sketch_shard =
           sketch != nullptr ? &sketch->shard(index) : nullptr;
-      if (sketch_shard != nullptr) cluster.set_traffic_sketch(sketch_shard);
+      if (sketch_shard != nullptr) cluster.add_tap_observer(sketch_shard);
       // Instrument the measured day only; the warmup fed uninstrumented.
       const std::uint64_t fed =
           drive_day(scenario->traffic(), *plan, index, cluster, question,
                     &heartbeat, metrics, trace);
       cluster.flush_taps();
-      if (sketch_shard != nullptr) cluster.set_traffic_sketch(nullptr);
+      if (sketch_shard != nullptr) cluster.remove_tap_observer(sketch_shard);
       shard.capture.detach(cluster);
       shard.counters.stats = cluster.aggregate_stats();
       shard.counters.below_answers = cluster.below_answers();

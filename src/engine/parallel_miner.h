@@ -122,9 +122,9 @@ class MiningSession {
       bool enabled = true, const obs::TrafficSketchConfig& config = {});
   /// Opt-in DNS server mode (DESIGN.md §14): configures serve() to answer
   /// RFC 1035 wire queries on UDP 127.0.0.1:<port> (0 picks an ephemeral
-  /// port) with TCP fallback for truncated responses.  `server` supplies
-  /// the remaining knobs (socket shards, batching, smoke-zone hooks); its
-  /// port/tcp_fallback fields are overridden by the arguments here.
+  /// port).  `server` supplies the remaining knobs (socket shards,
+  /// batching, TCP fallback for truncated responses, smoke-zone hooks);
+  /// only its port field is overridden, by `port`.
   MiningSession& enable_dns_server(bool enabled = true, std::uint16_t port = 0,
                                    const DnsServerOptions& server = {});
 

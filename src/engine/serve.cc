@@ -62,11 +62,11 @@ ServedMiningDay::ServedMiningDay(
   attached_ = true;
   if (options_.sketch != nullptr) {
     // One cluster, serialized under the frontend's cluster mutex — a
-    // single logical writer, so the served day feeds sketch shard 0
-    // through the wait-free hook (the mutex orders ring appends).
+    // single logical writer, so the served day's tap feeds sketch shard 0
+    // (the mutex orders the batches).
     options_.sketch->ensure_shards(1);
     sketch_shard_ = &options_.sketch->shard(0);
-    cluster_->set_traffic_sketch(sketch_shard_);
+    cluster_->add_tap_observer(sketch_shard_);
   }
 
   WireFrontendConfig frontend_config;
@@ -107,10 +107,7 @@ ServedMiningDay::~ServedMiningDay() {
   frontend_->stop();
   if (attached_) {
     cluster_->flush_taps();
-    if (sketch_shard_ != nullptr) {
-      cluster_->set_traffic_sketch(nullptr);
-      sketch_shard_ = nullptr;
-    }
+    if (sketch_shard_ != nullptr) cluster_->remove_tap_observer(sketch_shard_);
     capture_.detach(*cluster_);
   }
 }
@@ -133,10 +130,7 @@ MiningDayResult ServedMiningDay::finish() {
   detach_slowlog();
   frontend_->stop();
   cluster_->flush_taps();
-  if (sketch_shard_ != nullptr) {
-    cluster_->set_traffic_sketch(nullptr);
-    sketch_shard_ = nullptr;
-  }
+  if (sketch_shard_ != nullptr) cluster_->remove_tap_observer(sketch_shard_);
   capture_.detach(*cluster_);
   attached_ = false;
 

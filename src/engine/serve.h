@@ -110,8 +110,8 @@ class ServedMiningDay {
   std::string error_;
   bool attached_ = false;
   bool finished_ = false;
-  /// Shard 0 of options_.sketch while attached to the cluster's
-  /// traffic-sketch hook.
+  /// Shard 0 of options_.sketch, a tap observer of the cluster while
+  /// attached_ holds.
   obs::TrafficSketch* sketch_shard_ = nullptr;
   std::shared_ptr<obs::TelemetryServer> telemetry_;
   // Declaration order is load-bearing: the frontend references the

@@ -11,28 +11,13 @@ DayCapture::DayCapture(const DayCaptureConfig& config)
       chr_(*names_) {}
 
 void DayCapture::attach(RdnsCluster& cluster) {
-  release_source();
+  remap_.release();
   cluster.add_tap_observer(this);
 }
 
 void DayCapture::detach(RdnsCluster& cluster) {
   cluster.remove_tap_observer(this);
-  release_source();
-}
-
-void DayCapture::release_source() {
-  source_ = 0;
-  remap_ = {};  // frees the remap's memory, not just its contents
-}
-
-void DayCapture::bind_source(const NameTable& names) {
-  if (source_ != names.serial()) {
-    release_source();
-    source_ = names.serial();
-  }
-  if (remap_.size() < names.size()) {
-    remap_.resize(names.size(), kInvalidNameId);
-  }
+  remap_.release();
 }
 
 NameId DayCapture::name_id(NameId id, const NameTable& names) {
@@ -73,7 +58,7 @@ void bump(HourlySeries& series, SimTime ts, std::uint64_t units, bool nx,
 
 void DayCapture::on_tap_batch(const TapBatch& batch) {
   const NameTable& names = batch.names();
-  bind_source(names);
+  remap_.follow(names);
   for (const TapEvent& event : batch) {
     const bool below = event.direction == TapDirection::kBelow;
     const std::span<const CompactRecord> answers = batch.answers(event);
@@ -118,7 +103,7 @@ void DayCapture::start_day(std::int64_t /*day_index*/) {
   seen_ = {};
   queried_ = {};
   resolved_ = {};
-  release_source();
+  remap_.release();
   fpdns_.clear();
 }
 

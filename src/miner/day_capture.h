@@ -145,10 +145,6 @@ class DayCapture final : public TapObserver {
   static constexpr std::uint8_t kQueried = 1;
   static constexpr std::uint8_t kResolved = 2;
 
-  /// Points the remap at `names`, resetting it when the table changed,
-  /// and sizes it to the table.
-  void bind_source(const NameTable& names);
-  void release_source();
   /// The capture's id of source id `id`: as a name (with its suffixes)
   /// or as rdata text.
   NameId name_id(NameId id, const NameTable& names);
@@ -166,8 +162,7 @@ class DayCapture final : public TapObserver {
   std::vector<std::uint8_t> seen_;  // per id of names_: kQueried | kResolved
   std::vector<NameId> queried_;
   std::vector<NameId> resolved_;
-  std::uint64_t source_ = 0;  // serial() of the table remap_ follows
-  std::vector<NameId> remap_;  // source id -> id of names_
+  TapIdRemap remap_;  // source id -> id of names_
 };
 
 }  // namespace dnsnoise

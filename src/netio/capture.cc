@@ -1,5 +1,7 @@
 #include "netio/capture.h"
 
+#include <stdexcept>
+
 #include "dns/wire.h"
 #include "util/rng.h"
 
@@ -8,6 +10,9 @@ namespace dnsnoise {
 namespace {
 constexpr std::uint16_t kDnsPort = 53;
 constexpr Ipv4 kAuthorityIp = Ipv4::from_octets(198, 51, 100, 1);
+// The last client address; the writer's clients start at 10.0.0.1.
+constexpr std::uint32_t kLastClient =
+    Ipv4::from_octets(10, 255, 255, 254).value;
 }  // namespace
 
 CaptureDecoder::CaptureDecoder(std::vector<Ipv4> resolver_ips,
@@ -81,6 +86,19 @@ std::size_t CaptureDecoder::decode_pcap(
 PcapTapWriter::PcapTapWriter(PcapWriter& writer, Ipv4 resolver_ip)
     : writer_(writer), resolver_ip_(resolver_ip) {}
 
+Ipv4 PcapTapWriter::client_address(std::uint64_t client_id) {
+  const auto known = clients_.find(client_id);
+  if (known != clients_.end()) return known->second;
+  if (next_client_ == resolver_ip_.value) ++next_client_;
+  if (next_client_ > kLastClient) {
+    throw std::length_error(
+        "PcapTapWriter: more distinct clients than 10.0.0.0/8 addresses");
+  }
+  const Ipv4 address{next_client_++};
+  clients_.emplace(client_id, address);
+  return address;
+}
+
 void PcapTapWriter::on_tap_batch(const TapBatch& batch) {
   for (const TapEvent& event : batch) {
     std::vector<ResourceRecord> answers;
@@ -91,11 +109,10 @@ void PcapTapWriter::on_tap_batch(const TapBatch& batch) {
         event.rcode, std::move(answers));
     const auto ts = static_cast<std::uint32_t>(event.ts);
     if (event.direction == TapDirection::kBelow) {
-      // Clients live in 172.16.0.0/16.
-      const Ipv4 client{0xac100000u +
-                        static_cast<std::uint32_t>(event.client_id % 65000)};
-      writer_.write(
-          ts, 0, build_dns_frame(resolver_ip_, kDnsPort, client, 40000, msg));
+      writer_.write(ts, 0,
+                    build_dns_frame(resolver_ip_, kDnsPort,
+                                    client_address(event.client_id), 40000,
+                                    msg));
     } else {
       writer_.write(ts, 0, build_dns_frame(kAuthorityIp, kDnsPort,
                                            resolver_ip_, 5353, msg));

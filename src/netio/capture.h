@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -70,8 +71,6 @@ class CaptureDecoder {
   std::uint64_t accepted() const noexcept { return accepted_; }
 
  private:
-  static constexpr std::size_t kBatchEvents = 256;
-
   std::unordered_set<std::uint32_t> resolver_ips_;
   std::uint64_t salt_;
   std::uint64_t dropped_ = 0;
@@ -79,27 +78,36 @@ class CaptureDecoder {
   // Behind a pointer so the tap buffer's view of it survives a move.
   std::unique_ptr<NameTable> names_ = std::make_unique<NameTable>();
   std::vector<CompactRecord> answers_;  // one response's answers, reused
-  TapBuffer taps_{*names_, kBatchEvents};
+  TapBuffer taps_{*names_};
 
   bool is_resolver(const Endpoint& ep) const noexcept;
 };
 
 /// Writes each tap event as the DNS response frame a tap at the resolver
-/// would capture: below events go from the resolver to a client address
-/// derived from the client id, above events from a fixed authority to the
-/// resolver.  A CaptureDecoder on the same resolver address reads the
-/// same events back, with client ids anonymized.
+/// would capture: below events go from the resolver to the client's
+/// address, above events from a fixed authority to the resolver.  Each
+/// distinct client id gets its own address in 10.0.0.0/8, in order of
+/// first sight from 10.0.0.1 up (skipping the resolver's), so a
+/// CaptureDecoder on the same resolver address reads the same events
+/// back with one anonymized id per client.
 class PcapTapWriter final : public TapObserver {
  public:
   /// `writer` must outlive this observer.
   PcapTapWriter(PcapWriter& writer, Ipv4 resolver_ip);
 
+  /// Throws std::length_error on a client past the 2^24 - 2 addresses
+  /// rather than give two clients one address.
   void on_tap_batch(const TapBatch& batch) override;
 
  private:
+  Ipv4 client_address(std::uint64_t client_id);
+
   PcapWriter& writer_;
   Ipv4 resolver_ip_;
   std::uint16_t txid_ = 0;
+  std::unordered_map<std::uint64_t, Ipv4> clients_;
+  // The address the next new client gets; clients start at 10.0.0.1.
+  std::uint32_t next_client_ = Ipv4::from_octets(10, 0, 0, 1).value;
 };
 
 /// Builds the Ethernet/IPv4/UDP frame carrying `msg` as a DNS response from

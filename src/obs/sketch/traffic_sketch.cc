@@ -64,16 +64,6 @@ void TrafficSketch::set_disposable_zones(
   for (NameState& state : names_) state.flags = 0;
 }
 
-void TrafficSketch::bind_sources(std::vector<const NameTable*> tables) {
-  const std::lock_guard lock(mutex_);
-  sources_ = std::move(tables);
-  // Cache NameIds are table-scoped: a new binding (fresh cluster, fresh
-  // caches) restarts ids from zero with different names, so every cached
-  // translation is stale.  Accumulated sketch state stays — the sketch
-  // keeps measuring across day boundaries.
-  source_local_.assign(sources_.size(), {});
-}
-
 TrafficSketch::LocalName TrafficSketch::intern_local(std::string_view text) {
   const std::size_t known_names = qnames_.size();
   const NameRef qname = qnames_.ref(text);
@@ -174,32 +164,28 @@ void TrafficSketch::maybe_fold() {
   }
 }
 
-void TrafficSketch::flush_pending() {
-  if (pending_count_ == 0) return;
+void TrafficSketch::on_tap_batch(const TapBatch& batch) {
+  const NameTable& names = batch.names();
   const std::lock_guard lock(mutex_);
-  const std::size_t source_count = sources_.size();
-  std::vector<std::uint32_t>* const locals = source_local_.data();
-  for (std::size_t i = 0; i < pending_count_; ++i) {
-    const PendingEvent& event = pending_[i];
-    if (event.source >= source_count) continue;  // unbound: drop safely
-    std::vector<std::uint32_t>& local = locals[event.source];
-    if (event.name >= local.size()) local.resize(event.name + 1, 0);
-    std::uint32_t& cell = local[event.name];
-    NameId id;
+  // A new table (a fresh cluster, the next day) empties the remap; the
+  // accumulated sketch state stays, so the sketch keeps measuring across
+  // day boundaries.
+  remap_.follow(names);
+  for (const TapEvent& event : batch) {
+    if (event.direction != TapDirection::kBelow) continue;
+    NameId& local = remap_[event.qname];
     bool fresh = false;
-    if (cell == 0) {
-      const LocalName resolved =
-          intern_local(sources_[event.source]->name(event.name));
-      id = resolved.id;
+    if (local == kInvalidNameId) {
+      const std::string_view qname = names.name(event.qname);
+      if (qname.empty()) continue;  // the root is never mapped or counted
+      const LocalName resolved = intern_local(qname);
+      local = resolved.id;
       fresh = resolved.fresh;
-      cell = id + 1;
-    } else {
-      id = cell - 1;
     }
-    count_event(id, fresh, event.client, event.nxdomain, event.ts);
+    count_event(local, fresh, event.client_id,
+                event.rcode == RCode::NXDomain, event.ts);
+    maybe_fold();
   }
-  pending_count_ = 0;
-  maybe_fold();
 }
 
 void TrafficSketch::collect_into(Accumulator& acc) const {

@@ -17,22 +17,21 @@
 //
 // Concurrency contract (the same shape as the latency recorder): one
 // TrafficSketch per shard, fed by exactly one writer — the thread driving
-// that shard's cluster.  The production feed is the cluster's dedicated
-// hook (RdnsCluster::set_traffic_sketch): the cluster interns the qname
-// into its cache's NameTable anyway, so the hot path is observe() — a
-// ~32-byte append into a fixed 256-entry ring, no lock, no hashing, no
-// copies.  When the ring fills, the writer drains it under the shard
-// mutex, resolving each record through the bound source NameTable into
-// exact per-name delta counters; Space-Saving folds happen only when the
-// touched set crosses a threshold (a pure function of the event stream,
-// never of scrape timing).  The scrape thread takes the same per-shard
-// locks to merge, overlaying un-folded deltas onto a *copy* of the
-// Space-Saving state — so scrapes never perturb writer state, and
-// consecutive quiesced scrapes are byte-identical.  A scrape may miss up
-// to 255 ring-tail events mid-stream; detaching the hook (or
-// flush_pending()) drains them.  Disabled, the hook costs exactly one
-// predicted branch in the cluster — the export path is byte-for-byte the
-// unsketched one.
+// that shard's cluster.  The sketch is a TapObserver (resolver/tap.h): it
+// reads the same batches as the DayCapture on the same cluster, taking
+// the shard mutex once per batch.  Event qnames are ids of the producer's
+// NameTable; a dense remap, reset whenever the batch's table serial()
+// changes, turns each into a local id with one load, so only a name's
+// first sight hashes or copies text.  Each below event then bumps exact
+// per-name delta counters, and Space-Saving folds happen the moment the
+// touched set crosses a threshold — a pure function of the below-event
+// sequence, never of batch boundaries or scrape timing.  The scrape
+// thread takes the same per-shard locks to merge, overlaying un-folded
+// deltas onto a *copy* of the Space-Saving state, so scrapes never
+// perturb writer state and consecutive quiesced scrapes are
+// byte-identical.  A mid-stream scrape misses at most the producer's one
+// pending tap batch; flush_taps() (or removing the observer) delivers it.
+// Detached, the sketch costs the cluster nothing.
 //
 // Determinism contract: shard decomposition follows the cluster's
 // server_count (threads only schedule), per-shard sketches are pure
@@ -44,7 +43,6 @@
 // dnsnoise-traffic-v1 documents to threads(1).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -57,9 +55,9 @@
 
 #include "dns/name_table.h"
 #include "dns/public_suffix.h"
-#include "dns/rr.h"
 #include "obs/sketch/hll.h"
 #include "obs/sketch/spacesaving.h"
+#include "resolver/tap.h"
 #include "util/sim_time.h"
 #include "util/strings.h"
 
@@ -133,39 +131,16 @@ struct TrafficSnapshot {
 using DisposableZoneSet =
     std::unordered_set<std::string, StringHash, std::equal_to<>>;
 
-/// One shard's sketch set, fed through the cluster hook
-/// (RdnsCluster::set_traffic_sketch).  Single-writer per the plane's
-/// concurrency contract.
-class TrafficSketch {
+/// One shard's sketch set, attached to its cluster as a tap observer.
+/// Single-writer per the plane's concurrency contract.
+class TrafficSketch final : public TapObserver {
  public:
   explicit TrafficSketch(const TrafficSketchConfig& config);
 
-  // --- Wait-free hot path (cluster hook; one writer thread) -----------------
-
-  /// Binds the NameTables that observe()'s `source`/`name` pairs resolve
-  /// through (one table per cluster server, in server order).  Replaces
-  /// any previous binding and invalidates the cached id translations, so
-  /// rebinding the sketch to a fresh cluster (next simulated day) is
-  /// safe.  Tables must outlive all un-flushed observe() records.
-  void bind_sources(std::vector<const NameTable*> tables);
-
-  /// Records one answered client query as a ~32-byte ring append: no
-  /// lock, no hashing, no string copy.  `name` is the qname's id in the
-  /// bound `source` table (the cluster's cache already interned it).
-  /// All indexed work happens when the 256-entry ring fills.  Writer
-  /// thread only.
-  void observe(std::uint32_t source, NameId name, std::uint64_t client_id,
-               RCode rcode, SimTime ts) {
-    if (pending_count_ == kPendingCapacity) flush_pending();
-    pending_[pending_count_++] =
-        PendingEvent{ts, client_id, name, static_cast<std::uint16_t>(source),
-                     rcode == RCode::NXDomain};
-  }
-
-  /// Drains the pending ring into the indexed counters (one lock).
-  /// Writer thread only; the cluster calls this on detach and tap flush
-  /// so day-end exports observe every event.
-  void flush_pending();
+  /// Counts every below event of `batch` whose qname is not the root, in
+  /// batch order, under one lock; above events are not counted.  Any
+  /// producer may feed the sketch: ids are remapped per table serial().
+  void on_tap_batch(const TapBatch& batch) override;
 
   /// Swaps the live classifier zone set (shared across shards).  Cached
   /// per-name verdicts are invalidated lazily (reclassified on next
@@ -176,20 +151,12 @@ class TrafficSketch {
  private:
   friend class TrafficSketchPlane;
 
-  static constexpr std::size_t kPendingCapacity = 256;
   /// Exact deltas fold into Space-Saving when this many distinct names
-  /// are touched — a pure function of the event stream (scrape timing
-  /// never moves writer state), bounding both the per-flush fold cost
-  /// and the scrape-side overlay cost.
+  /// are touched — checked after every counted event, so folds depend
+  /// only on the event stream (batching and scrape timing never move
+  /// writer state), bounding both the fold cost and the scrape-side
+  /// overlay cost.
   static constexpr std::size_t kFoldThreshold = 4096;
-
-  struct PendingEvent {  // 24 bytes — the ring stays inside L1
-    SimTime ts = 0;
-    std::uint64_t client = 0;
-    NameId name = kInvalidNameId;  // id in sources_[source]
-    std::uint16_t source = 0;
-    bool nxdomain = false;
-  };
 
   struct WindowSlot {
     SimTime interval = -1;  // interval id (ts / interval_seconds); -1 empty
@@ -230,16 +197,8 @@ class TrafficSketch {
 
   TrafficSketchConfig config_;  // psl resolved to builtin() when null
 
-  // Writer-owned, never locked: the observe() fast path touches only
-  // these two members.
-  std::array<PendingEvent, kPendingCapacity> pending_;
-  std::size_t pending_count_ = 0;
-
   mutable std::mutex mutex_;
-  std::vector<const NameTable*> sources_;
-  // Per source: cache NameId -> local qname id + 1 (0 = not yet seen).
-  // Direct-indexed — resolving a ring record is one load, no hashing.
-  std::vector<std::vector<std::uint32_t>> source_local_;
+  TapIdRemap remap_;  // producer NameId -> local qname id
   NameTable qnames_;
   NameTable slds_;
   std::vector<NameState> names_;          // indexed by local qname id

@@ -3,13 +3,12 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/sketch/traffic_sketch.h"
 
 namespace dnsnoise {
 
 RdnsCluster::RdnsCluster(const ClusterConfig& config,
                          const SyntheticAuthority& authority)
-    : authority_(authority), taps_(names_, config.tap_batch_events) {
+    : authority_(authority), taps_(names_) {
   if (config.server_count == 0) {
     throw std::invalid_argument("RdnsCluster: server_count must be > 0");
   }
@@ -54,16 +53,7 @@ void RdnsCluster::remove_tap_observer(TapObserver* observer) {
   taps_.remove_observer(observer);
 }
 
-void RdnsCluster::set_traffic_sketch(obs::TrafficSketch* sketch) {
-  // Drain before swapping so each sketch sees exactly the queries served
-  // while it was attached (same no-drop contract as remove_tap_observer).
-  if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
-  traffic_sketch_ = sketch;
-  if (sketch != nullptr) sketch->bind_sources({&names_});
-}
-
 void RdnsCluster::flush_taps() {
-  if (traffic_sketch_ != nullptr) traffic_sketch_->flush_pending();
   if (tap_batch_size_ != nullptr && taps_.pending() != 0) {
     tap_batch_size_->record(taps_.pending());
   }
@@ -86,9 +76,9 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
   const bool traced = trace != nullptr && trace->sampler.sample();
   const std::uint64_t trace_start = traced ? trace_->now_ns() : 0;
 
-  // One intern per query: the id keys the cache, the authority's answer,
-  // the tap events and the traffic sketch, so the name bytes are hashed
-  // once here and never again on this query's path.
+  // One intern per query: the id keys the cache, the authority's answer
+  // and the tap events, so the name bytes are hashed once here and never
+  // again on this query's path.
   const NameId qid = names_.intern(qname);
   const CachedAnswer* cached = cache.lookup(qid, question.type, now);
   if (cached != nullptr) {
@@ -140,9 +130,6 @@ QueryView RdnsCluster::query_view(std::uint64_t client_id,
       taps_.push(now, TapDirection::kBelow, client_id, qid, question.type,
                  view.rcode, view.answers)) {
     flush_taps();
-  }
-  if (traffic_sketch_ != nullptr && !qname.empty()) {
-    traffic_sketch_->observe(0, qid, client_id, view.rcode, now);
   }
   if (traced) {
     const obs::TraceOutcome outcome =

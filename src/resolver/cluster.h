@@ -25,7 +25,6 @@ namespace dnsnoise::obs {
 class Counter;
 class LatencyRecorder;
 class MetricsRegistry;
-class TrafficSketch;
 }  // namespace dnsnoise::obs
 
 namespace dnsnoise {
@@ -38,10 +37,6 @@ struct ClusterConfig {
   DnsCacheConfig cache;
   /// Phase seed of the per-server trace sampling (see `trace`).
   std::uint64_t seed = 1;
-  /// Tap events buffered before observers receive a batch.  Larger batches
-  /// amortize dispatch further at the cost of arena memory; 1 degenerates
-  /// to per-event delivery.
-  std::size_t tap_batch_events = 256;
   /// Opt-in observability sink (see DESIGN.md §10).  When set, the cluster
   /// registers per-server cache hit/miss/NXDOMAIN counters plus the
   /// tap-batch size histogram.  Must outlive the cluster.  Null = no
@@ -110,30 +105,11 @@ class RdnsCluster {
 
   /// Delivers any buffered events to all observers immediately.  Call after
   /// the last query of a run so trailing events are not stuck in the batch.
-  /// Also drains the traffic sketch's pending ring.
   void flush_taps();
 
   /// Observers subscribed via add_tap_observer.
   std::size_t tap_observer_count() const noexcept {
     return taps_.observer_count();
-  }
-
-  // --- Traffic-sketch hook (DESIGN.md §17) ---------------------------------
-
-  /// Attaches the streaming traffic sketch to the dedicated wait-free
-  /// hook: every answered client query is recorded as (qname id, client,
-  /// rcode, ts) — a ring append, no event copies, no extra hashing (the
-  /// cluster interns every qname anyway).  The sketch's one source table
-  /// is bound to names(); it must outlive the cluster or be detached
-  /// first.
-  /// Passing nullptr detaches, draining the sketch's pending ring so
-  /// day-end exports observe every event.  Detached (the default), the
-  /// hook costs exactly one predicted branch per query.  Writer-thread
-  /// only, like query_view itself.
-  void set_traffic_sketch(obs::TrafficSketch* sketch);
-
-  obs::TrafficSketch* traffic_sketch() const noexcept {
-    return traffic_sketch_;
   }
 
   /// Resolves one client query at simulated time `now` without copying
@@ -152,12 +128,6 @@ class RdnsCluster {
   const NameTable& names() const noexcept { return names_; }
 
   std::size_t server_count() const noexcept { return caches_.size(); }
-  const DnsCacheStats& server_stats(std::size_t server) const {
-    return caches_.at(server).stats();
-  }
-  const DnsCache& server_cache(std::size_t server) const {
-    return caches_.at(server);
-  }
 
   /// Cluster-wide aggregate of the per-server cache stats.
   DnsCacheStats aggregate_stats() const;
@@ -209,7 +179,6 @@ class RdnsCluster {
   // never views of a cache entry: a later query of the same batch may
   // expire and erase that entry before the batch is delivered.
   TapBuffer taps_;
-  obs::TrafficSketch* traffic_sketch_ = nullptr;
   std::uint64_t below_answers_ = 0;
   std::uint64_t above_answers_ = 0;
   std::uint64_t dnssec_validations_ = 0;

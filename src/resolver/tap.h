@@ -23,15 +23,17 @@
 //    on_tap_batch(); observers must copy or remap what they keep.  Within
 //    one producer an id keeps its meaning for the producer's lifetime, so
 //    an observer may cache per-id work across batches of the same table
-//    (DayCapture does), but never across producers.  The producer reuses
-//    the batch's storage: its event and answer slots outlive a flush and
-//    the next batch overwrites them, so a steady-state day buffers events
-//    without allocating.  The slots are copies, never views of cache
-//    entries, because a later query of the same batch may expire and
-//    erase the entry an event answered from.
-//  - Delivery happens when the batch fills and on the producer's
-//    flush_taps(); removing an observer or destroying the producer flushes
-//    first, so no event is ever silently dropped.
+//    (TapIdRemap, as DayCapture and the traffic sketch do), but never
+//    across producers.  The producer reuses the batch's storage: its
+//    event and answer slots outlive a flush and the next batch overwrites
+//    them, so a steady-state day buffers events without allocating.  The
+//    slots are copies, never views of cache entries, because a later
+//    query of the same batch may expire and erase the entry an event
+//    answered from.
+//  - Delivery happens when the batch reaches TapBuffer::kBatchSize events
+//    (the same for every producer) and on the producer's flush_taps();
+//    removing an observer or destroying the producer flushes first, so no
+//    event is ever silently dropped.
 //  - Observers are invoked on the thread that drives the producer.  The
 //    sharded engine gives every shard its own cluster and observer, so
 //    observer implementations need no internal locking.
@@ -115,16 +117,48 @@ class TapObserver {
   virtual void on_tap_batch(const TapBatch& batch) = 0;
 };
 
+/// An observer's dense map from one producer's NameIds to ids of its own,
+/// so re-seeing a name costs one load.  Ids are table-scoped, so the map
+/// follows one table at a time, by NameTable::serial(): a batch of another
+/// table (a new producer, or a new table at a freed table's address)
+/// empties it.
+class TapIdRemap {
+ public:
+  /// Follows `names`, the table of the batch about to be read, and sizes
+  /// the map to it.  Unmapped ids read kInvalidNameId.
+  void follow(const NameTable& names) {
+    if (source_ != names.serial()) {
+      release();
+      source_ = names.serial();
+    }
+    if (ids_.size() < names.size()) ids_.resize(names.size(), kInvalidNameId);
+  }
+  /// Forgets the table followed and frees the map's memory.
+  void release() {
+    source_ = 0;
+    ids_ = {};
+  }
+  /// The mapping of `id`, an id of the table followed.
+  NameId& operator[](NameId id) { return ids_[id]; }
+
+ private:
+  std::uint64_t source_ = 0;  // serial() of the table followed; 0 = none
+  std::vector<NameId> ids_;
+};
+
 /// The pending batch of one tap producer and the observers it goes to.
 /// The event and answer vectors keep their capacity across flush(), so
 /// buffering into a grown batch allocates nothing.  push() reports a full
 /// batch and the producer flushes, so it can do its own bookkeeping then.
 class TapBuffer {
  public:
+  /// Events per full batch, for every producer: large enough to amortize
+  /// the virtual dispatch, small enough that a batch's arena stays cached.
+  static constexpr std::size_t kBatchSize = 256;
+
   /// `names` resolves every buffered id; it must outlive the buffer at a
   /// fixed address.
-  TapBuffer(const NameTable& names, std::size_t batch_events)
-      : names_(&names), batch_events_(std::max<std::size_t>(batch_events, 1)) {}
+  explicit TapBuffer(const NameTable& names) : names_(&names) {}
   /// Flushes to the observers still registered, which must therefore
   /// outlive the buffer or be removed first.
   ~TapBuffer() { flush(); }
@@ -164,7 +198,7 @@ class TapBuffer {
                                static_cast<std::uint32_t>(answers_.size()),
                                static_cast<std::uint32_t>(answers.size())});
     answers_.insert(answers_.end(), answers.begin(), answers.end());
-    return events_.size() >= batch_events_;
+    return events_.size() >= kBatchSize;
   }
 
   /// Delivers the pending batch, if any, to every observer and empties it.
@@ -178,7 +212,6 @@ class TapBuffer {
 
  private:
   const NameTable* names_;
-  std::size_t batch_events_;
   std::vector<TapObserver*> observers_;
   std::vector<TapEvent> events_;
   std::vector<CompactRecord> answers_;

@@ -135,11 +135,6 @@ class WireFrontend {
   /// Drops all recorded slow queries (POST /slowlog/clear).
   void clear_slowlog() { slowlog_.clear(); }
 
-  /// The slowest retained queries with stage breakdowns, slowest first.
-  std::vector<obs::SlowQueryEntry> slow_queries() const {
-    return slowlog_.entries();
-  }
-
   enum class Transport : std::uint8_t { kUdp, kTcp };
 
   /// The pure wire-level request handler both transports dispatch to,

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "dns/wire.h"
+#include "tap_feed.h"
 
 namespace dnsnoise {
 namespace {
@@ -198,6 +200,34 @@ TEST(CaptureTest, PcapEndToEnd) {
   EXPECT_EQ(recorder.events[1].answers[0].name.text(), "two.example.com");
   EXPECT_EQ(decoder.accepted(), 2u);
   EXPECT_EQ(decoder.dropped(), 2u);
+}
+
+TEST(CaptureTest, PcapTapWriterGivesEachClientItsOwnAddress) {
+  // Client ids 1 and 65001 are 65,000 apart, so a modulo-65,000 address
+  // would merge them.  The writer's resolver address is also its first
+  // client address, which it must skip.
+  PcapWriter writer;
+  {
+    PcapTapWriter pcap_tap(writer, kResolver1);
+    TapFeed feed(pcap_tap);
+    feed.below(1, 1, "a.example.com", RCode::NoError);
+    feed.below(2, 65001, "b.example.com", RCode::NoError);
+    feed.below(3, 7, "c.example.com", RCode::NoError);
+    feed.below(4, 1, "d.example.com", RCode::NoError);
+  }
+  CaptureDecoder decoder({kResolver1});
+  Recorder recorder;
+  decoder.add_tap_observer(&recorder);
+  ASSERT_EQ(decoder.decode_pcap(writer.bytes()), 4u);
+  ASSERT_EQ(recorder.events.size(), 4u);
+  std::set<std::uint64_t> clients;
+  for (const Seen& seen : recorder.events) {
+    EXPECT_EQ(seen.event.direction, TapDirection::kBelow);
+    clients.insert(seen.event.client_id);
+  }
+  EXPECT_EQ(clients.size(), 3u);
+  EXPECT_EQ(recorder.events[0].event.client_id,
+            recorder.events[3].event.client_id);
 }
 
 // The TapBuffer contract, through the decoder (ClusterTest covers the

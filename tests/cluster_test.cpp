@@ -134,34 +134,44 @@ TEST(ClusterTest, TapObserverSeesBothDirections) {
   EXPECT_EQ(cluster.tap_observer_count(), 0u);
 }
 
-TEST(ClusterTest, TapBatchesFlushAtConfiguredSizeAndPreserveOrder) {
+TEST(ClusterTest, TapBatchesFlushAtBatchSizeAndPreserveOrder) {
   const SyntheticAuthority authority = make_authority();
   ClusterConfig config;
   config.server_count = 1;
-  config.tap_batch_events = 3;
   RdnsCluster cluster(config, authority);
 
-  std::size_t batches = 0;
+  std::vector<std::size_t> batches;
   std::vector<TapDirection> directions;
+  std::vector<SimTime> times;
   FunctionTapObserver observer([&](const TapBatch& batch) {
-    ++batches;
-    EXPECT_LE(batch.size(), 3u);
-    for (const TapEvent& event : batch) directions.push_back(event.direction);
+    batches.push_back(batch.size());
+    for (const TapEvent& event : batch) {
+      directions.push_back(event.direction);
+      times.push_back(event.ts);
+    }
   });
   cluster.add_tap_observer(&observer);
 
-  // Miss emits (above, below); two hits emit one below each: 4 events, so
-  // the first batch flushes at 3 mid-stream and flush_taps drains the rest.
+  // A miss at ts 0 emits (above, below); each hit at ts 1..256 emits one
+  // below: 258 events.  The first batch is delivered mid-stream, by the
+  // query that buffers its 256th event, and flush_taps drains the rest.
+  static_assert(TapBuffer::kBatchSize == 256);
   cluster.query_view(1, question("a.example.com"), 0);
-  cluster.query_view(1, question("a.example.com"), 1);
-  cluster.query_view(1, question("a.example.com"), 2);
-  EXPECT_EQ(batches, 1u);
+  for (SimTime ts = 1; ts <= 256; ++ts) {
+    cluster.query_view(1, question("a.example.com"), ts);
+    const std::vector<std::size_t> expected =
+        ts < 254 ? std::vector<std::size_t>{} : std::vector<std::size_t>{256};
+    ASSERT_EQ(batches, expected) << "after the hit at ts " << ts;
+  }
   cluster.flush_taps();
-  EXPECT_EQ(batches, 2u);
-  const std::vector<TapDirection> expected = {
-      TapDirection::kAbove, TapDirection::kBelow, TapDirection::kBelow,
-      TapDirection::kBelow};
-  EXPECT_EQ(directions, expected);
+  EXPECT_EQ(batches, (std::vector<std::size_t>{256, 2}));
+  ASSERT_EQ(directions.size(), 258u);
+  EXPECT_EQ(directions[0], TapDirection::kAbove);
+  EXPECT_EQ(times[0], 0);
+  for (std::size_t i = 1; i < directions.size(); ++i) {
+    EXPECT_EQ(directions[i], TapDirection::kBelow) << i;
+    EXPECT_EQ(times[i], static_cast<SimTime>(i - 1)) << i;
+  }
 }
 
 TEST(ClusterTest, RemovingObserverFlushesPendingEvents) {

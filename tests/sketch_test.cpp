@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "obs/sketch/hll.h"
 #include "obs/sketch/spacesaving.h"
 #include "obs/sketch/traffic_sketch.h"
+#include "resolver/tap.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 
@@ -219,17 +223,29 @@ TEST(Hll, ClearEmpties) {
 
 // --- TrafficSketch / plane --------------------------------------------------
 
-/// Feeds one answered client query into `sketch` the way the cluster
-/// hook does: the qname interned into a bound source table, observe(),
-/// then a drain before the table goes away.
+/// One below tap event of a hand-built batch.
+TapEvent below(SimTime ts, std::uint64_t client, NameId qname,
+               RCode rcode = RCode::NoError) {
+  return TapEvent{ts, client, qname, RRType::A, TapDirection::kBelow, rcode};
+}
+
+/// Delivers `events`, whose ids resolve through `names`, to `sketch` as
+/// batches of `batch_size` events, as a tap producer would.
+void deliver(TrafficSketch& sketch, const NameTable& names,
+             std::span<const TapEvent> events, std::size_t batch_size) {
+  for (std::size_t at = 0; at < events.size(); at += batch_size) {
+    const std::size_t count = std::min(batch_size, events.size() - at);
+    sketch.on_tap_batch(TapBatch(events.subspan(at, count), {}, names));
+  }
+}
+
+/// Feeds one answered client query into `sketch` as a one-event batch of
+/// a table that dies with the call, as a short-lived producer would.
 void feed(TrafficSketch& sketch, SimTime ts, std::uint64_t client,
           const std::string& qname, RCode rcode = RCode::NoError) {
-  NameTable source;
-  const NameId name = source.intern(qname);
-  sketch.bind_sources({&source});
-  sketch.observe(0, name, client, rcode, ts);
-  sketch.flush_pending();
-  sketch.bind_sources({});
+  NameTable names;
+  const TapEvent event = below(ts, client, names.intern(qname), rcode);
+  deliver(sketch, names, {&event, 1}, 1);
 }
 
 TEST(TrafficPlane, CountsSharesAndHeavyHitters) {
@@ -343,34 +359,46 @@ TEST(TrafficPlane, ShardMergeIsDeterministicAndSumsByText) {
 }
 
 TEST(TrafficPlane, RebindResolvesIdsThroughTheNewTables) {
-  // NameIds are table-scoped: after rebinding (a fresh cluster's caches,
-  // next simulated day) the same raw id must resolve through the *new*
-  // table, never a stale cached translation.
+  // NameIds are table-scoped: a batch of a new table (a fresh cluster,
+  // next simulated day) must resolve the same raw id through that table,
+  // never through a stale cached translation — also when the new table
+  // is built at the address of a destroyed one.
   TrafficSketchPlane plane;
   plane.ensure_shards(1);
   TrafficSketch& shard = plane.shard(0);
-  NameTable first_table;
-  const NameId first = first_table.intern("first-day.example");
-  shard.bind_sources({&first_table});
-  shard.observe(0, first, 1, RCode::NoError, 1);
-  shard.flush_pending();
+  std::optional<NameTable> first_table;
+  first_table.emplace();
+  const NameId first = first_table->intern("first-day.example");
+  const TapEvent first_event = below(1, 1, first);
+  deliver(shard, *first_table, {&first_event, 1}, 1);
 
   NameTable second_table;
   const NameId second = second_table.intern("second-day.example");
   ASSERT_EQ(first, second);  // same raw id, different meaning
-  shard.bind_sources({&second_table});
-  shard.observe(0, second, 2, RCode::NoError, 2);
-  shard.flush_pending();
+  const TapEvent second_event = below(2, 2, second);
+  deliver(shard, second_table, {&second_event, 1}, 1);
+
+  // Same storage, so the same address as the destroyed first table.
+  const NameTable* const first_address = &*first_table;
+  first_table.reset();
+  first_table.emplace();
+  ASSERT_EQ(&*first_table, first_address);
+  const NameId third = first_table->intern("third-day.example");
+  ASSERT_EQ(first, third);
+  const TapEvent third_event = below(3, 3, third);
+  deliver(shard, *first_table, {&third_event, 1}, 1);
 
   const TrafficSnapshot snap = plane.snapshot();
-  EXPECT_EQ(snap.queries, 2u);
+  EXPECT_EQ(snap.queries, 3u);
+  EXPECT_EQ(snap.new_names, 3u);
   std::vector<std::string> names;
   for (const TrafficHeavyHitter& hitter : snap.top_qnames) {
     names.push_back(hitter.name);
     EXPECT_EQ(hitter.count, 1u);
   }
-  EXPECT_EQ(names, (std::vector<std::string>{"first-day.example",
-                                             "second-day.example"}));
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"first-day.example", "second-day.example",
+                                      "third-day.example"}));
 }
 
 TEST(TrafficPlane, ScrapesNeverPerturbLaterExports) {
@@ -390,18 +418,97 @@ TEST(TrafficPlane, ScrapesNeverPerturbLaterExports) {
     for (int i = 0; i < 64; ++i) {
       ids.push_back(source.intern("n" + std::to_string(i) + ".example"));
     }
-    shard.bind_sources({&source});
     Rng rng(33);
+    std::vector<TapEvent> events;
     for (int i = 0; i < 1'000; ++i) {
-      shard.observe(0, ids[rng.below(rng.below(63) + 1)], 1, RCode::NoError,
-                    static_cast<SimTime>(i));
-      if (scrape_midway && i % 250 == 249) plane->to_json();
+      events.push_back(below(static_cast<SimTime>(i), 1,
+                             ids[rng.below(rng.below(63) + 1)]));
     }
-    shard.flush_pending();
+    // Batches of 250 events, a scrape between any two.
+    for (std::size_t at = 0; at < events.size(); at += 250) {
+      deliver(shard, source, std::span(events).subspan(at, 250), 250);
+      if (scrape_midway) plane->to_json();
+    }
     return plane->to_json();
   };
   const std::string undisturbed = run(false);
   EXPECT_EQ(undisturbed, run(true));
+}
+
+TEST(TrafficPlane, BatchingNeverChangesTheExport) {
+  // Folds happen the moment the touched set crosses its threshold, so
+  // the export depends on the sequence of below events alone, never on
+  // where the producer's batches end.  The stream touches more names
+  // than the fold threshold and only 8 counters track them, so folds
+  // evict.
+  NameTable names;
+  std::vector<NameId> pool;
+  for (int i = 0; i < 20'000; ++i) {
+    pool.push_back(names.intern("h" + std::to_string(i) + ".zipf.example"));
+  }
+  Rng rng(41);
+  ZipfSampler zipf(pool.size(), 1.0);
+  std::vector<TapEvent> events;
+  std::set<NameId> touched;
+  for (int i = 0; i < 30'000; ++i) {
+    const NameId id = pool[zipf.sample(rng)];
+    touched.insert(id);
+    events.push_back(below(static_cast<SimTime>(i / 16), rng.below(300) + 1,
+                           id, i % 29 == 0 ? RCode::NXDomain : RCode::NoError));
+  }
+  ASSERT_GT(touched.size(), 4'096u);
+
+  const auto run = [&](std::size_t batch_size) {
+    TrafficSketchConfig config;
+    config.top_k = 4;
+    config.counters = 8;
+    auto plane = std::make_unique<TrafficSketchPlane>(config);
+    plane->ensure_shards(1);
+    deliver(plane->shard(0), names, events, batch_size);
+    return plane;
+  };
+  const auto per_event = run(1);
+  const std::string json = per_event->to_json();
+  EXPECT_EQ(json, run(7)->to_json());
+  EXPECT_EQ(json, run(256)->to_json());
+  // Space-Saving evicted: some exported hitter inherited an error.
+  const TrafficSnapshot snap = per_event->snapshot();
+  ASSERT_FALSE(snap.top_qnames.empty());
+  EXPECT_TRUE(std::any_of(
+      snap.top_qnames.begin(), snap.top_qnames.end(),
+      [](const TrafficHeavyHitter& hitter) { return hitter.error > 0; }));
+}
+
+TEST(TrafficPlane, CountsBelowEventsOfNamedQueriesOnly) {
+  // Above events are the cluster's own upstream answers and the root is
+  // not a name the plane ranks: neither is counted.  An NXDOMAIN below
+  // event is a client query like any other.
+  TrafficSketchPlane plane;
+  plane.ensure_shards(1);
+  NameTable names;
+  const NameId hot = names.intern("a.hot.example");
+  const NameId root = names.intern("");
+  const NameId missing = names.intern("missing.hot.example");
+  TapEvent above = below(1, 0, hot);
+  above.direction = TapDirection::kAbove;
+  const std::vector<TapEvent> events = {
+      above, below(1, 7, hot), below(2, 7, root),
+      below(3, 8, missing, RCode::NXDomain), below(4, 8, root)};
+  deliver(plane.shard(0), names, events, events.size());
+
+  const TrafficSnapshot snap = plane.snapshot();
+  EXPECT_EQ(snap.queries, 2u);
+  EXPECT_EQ(snap.nxdomain, 1u);
+  EXPECT_EQ(snap.new_names, 2u);
+  std::vector<std::string> ranked;
+  for (const TrafficHeavyHitter& hitter : snap.top_qnames) {
+    ranked.push_back(hitter.name);
+    EXPECT_EQ(hitter.count, 1u);
+  }
+  EXPECT_EQ(ranked, (std::vector<std::string>{"a.hot.example",
+                                              "missing.hot.example"}));
+  ASSERT_EQ(snap.window.size(), 1u);
+  EXPECT_EQ(snap.window[0].queries, 2u);
 }
 
 TEST(TrafficPlane, EmptyPlaneExportsZeroSharesNotNull) {

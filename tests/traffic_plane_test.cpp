@@ -1,9 +1,11 @@
 // Traffic introspection plane wired into the engine (PipelineOptions::
 // sketch / MiningSession::enable_traffic_sketch): the determinism
 // contract (threads(N) serves byte-identical dnsnoise-traffic-v1 to
-// threads(1)), the obs contract (findings byte-identical with the plane
-// on or off), the mined-zones -> live-classifier handoff, and the live
-// GET /traffic + traffic.* gauge scrape.
+// threads(1), and scrapes while the shards feed change nothing), the obs
+// contract (findings byte-identical with the plane on or off), a served
+// day measuring what the engine day measures, the mined-zones ->
+// live-classifier handoff, and the live GET /traffic + traffic.* gauge
+// scrape.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <stop_token>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "dns/wire.h"
 #include "engine/parallel_miner.h"
+#include "net/udp_client.h"
 #include "obs/metrics.h"
 #include "obs/sketch/traffic_sketch.h"
 #include "obs/telemetry_server.h"
@@ -90,6 +99,114 @@ TEST(TrafficPlaneEngine, ThreadCountNeverChangesTheExport) {
   // A real day was measured: the top tables must not be empty.
   EXPECT_EQ(exports[0].find("\"top_slds\": []"), std::string::npos);
   EXPECT_EQ(exports[0].find("\"top_qnames\": []"), std::string::npos);
+}
+
+TEST(TrafficPlaneEngine, ScrapesWhileFeedingNeverChangeTheExport) {
+  // Scrapes take each shard's lock between the batches its writer feeds
+  // and read a copy of its Space-Saving state, so a scraper racing four
+  // feeding shards must leave the same final export as no scraper.
+  const auto run = [](bool scrape) {
+    MiningSession session(small_scale());
+    session.cluster(sharded_cluster())
+        .warmup(false)
+        .threads(4)
+        .enable_traffic_sketch();
+    obs::TrafficSketchPlane* const plane = session.traffic_sketch();
+    std::atomic<bool> started{false};
+    std::jthread scraper;  // stopped and joined on every way out
+    if (scrape) {
+      scraper = std::jthread([plane, &started](std::stop_token stop) {
+        do {
+          const std::string json = plane->to_json();
+          EXPECT_NE(json.find("dnsnoise-traffic-v1"), std::string::npos);
+          started.store(true);
+        } while (!stop.stop_requested());
+      });
+      while (!started.load()) std::this_thread::yield();
+    }
+    DayCapture capture;
+    const EngineReport report =
+        session.simulate(ScenarioDate::kNov14, capture);
+    scraper = {};  // stops and joins the scraper
+    EXPECT_TRUE(report.ok()) << report.error;
+    return plane->to_json();
+  };
+  const std::string unscraped = run(false);
+  EXPECT_EQ(unscraped, run(true));
+  EXPECT_EQ(unscraped.find("\"top_qnames\": []"), std::string::npos);
+}
+
+TEST(TrafficPlaneEngine, ServedDayMeasuresTheEngineDaysTraffic) {
+  // The engine's shard streams, merged in timestamp order, replayed
+  // through the served day's frontend with replay metadata: the served
+  // cluster's one tap feeds sketch shard 0 the same queries the engine's
+  // four shards feed their sketches.  Totals and the HLL estimates (a
+  // register-max union) must match; new_names counts per shard, so a
+  // name two engine shards both saw is new twice there and once here.
+  const ScenarioDate date = ScenarioDate::kNov14;
+  const std::int64_t day_index = scenario_day_index(date);
+  const ClusterConfig cluster = sharded_cluster();
+
+  MiningSession engine(small_scale());
+  engine.cluster(cluster).threads(2).enable_traffic_sketch();
+  DayCapture capture;
+  const EngineReport report = engine.simulate(date, capture, day_index);
+  ASSERT_TRUE(report.ok()) << report.error;
+  const obs::TrafficSnapshot expected = engine.traffic_sketch()->snapshot();
+
+  struct Query {
+    SimTime ts;
+    std::uint64_t client;
+    std::string qname;
+    RRType qtype;
+  };
+  std::vector<Query> stream;
+  const Scenario recorder(date, small_scale());
+  for (std::size_t shard = 0; shard < cluster.server_count; ++shard) {
+    recorder.traffic().run_day_shard(
+        day_index, {cluster.server_count, shard},
+        [&stream](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+          stream.push_back({ts, client, query.qname, query.qtype});
+        });
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Query& a, const Query& b) { return a.ts < b.ts; });
+
+  MiningSession served(small_scale());
+  served.cluster(cluster)
+      .threads(2)
+      .enable_traffic_sketch()
+      .enable_dns_server();
+  const auto day = served.serve(date);
+  ASSERT_NE(day, nullptr);
+  ASSERT_TRUE(day->ok()) << day->error();
+  const net::UdpPeer peer{0x7f000001, 53};
+  std::vector<std::uint8_t> response;
+  std::uint16_t id = 1;
+  std::uint64_t replayed = 0;
+  for (const Query& q : stream) {
+    const auto qname = DomainName::parse(q.qname);
+    if (!qname) continue;  // the drive loop skips unparseable names too
+    DnsMessage query = DnsMessage::make_query(id++, *qname, q.qtype);
+    net::attach_replay_meta(query, {.ts = q.ts, .client_id = q.client});
+    ASSERT_TRUE(day->frontend().handle_query(encode_message(query), peer,
+                                             response,
+                                             WireFrontend::Transport::kUdp));
+    ++replayed;
+  }
+  EXPECT_EQ(replayed, report.queries);
+  const MiningDayResult result = day->finish();
+  ASSERT_TRUE(result.ok()) << result.error;
+
+  const obs::TrafficSnapshot snap = served.traffic_sketch()->snapshot();
+  EXPECT_EQ(served.traffic_sketch()->shard_count(), 1u);
+  EXPECT_EQ(snap.queries, expected.queries);
+  EXPECT_EQ(snap.nxdomain, expected.nxdomain);
+  EXPECT_EQ(snap.distinct_qnames, expected.distinct_qnames);
+  EXPECT_EQ(snap.distinct_clients, expected.distinct_clients);
+  EXPECT_GT(snap.queries, 0u);
+  EXPECT_GT(snap.nxdomain, 0u);
+  EXPECT_LE(snap.new_names, expected.new_names);
 }
 
 TEST(TrafficPlaneEngine, FindingsAreByteIdenticalWithPlaneOnOrOff) {
