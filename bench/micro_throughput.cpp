@@ -251,17 +251,18 @@ void BM_GroupFeatures(benchmark::State& state) {
     state.SkipWithError("expected one effective 2LD");
     return;
   }
-  const auto groups = tree.black_descendants_by_depth(zones[0]);
-  const auto deepest = groups.rbegin();
+  DepthGroups groups;
+  tree.black_descendants_by_depth(zones[0], groups);
+  const std::span<const NameId> deepest = groups.at(groups.end_depth() - 1);
   GroupFeatureScratch scratch;
   const std::uint64_t allocs_before = alloc_count();
   for (auto _ : state) {
     const GroupFeatures features = compute_group_features(
-        tree, deepest->second, tree.depth(zones[0]), chr, scratch);
+        tree, deepest, tree.depth(zones[0]), chr, scratch);
     benchmark::DoNotOptimize(features.entropy_mean);
   }
-  const auto items = static_cast<std::uint64_t>(state.iterations()) *
-                     deepest->second.size();
+  const auto items =
+      static_cast<std::uint64_t>(state.iterations()) * deepest.size();
   report_allocs_per_query(state, allocs_before, items);
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
@@ -655,9 +656,10 @@ void BM_LruCacheChurn(benchmark::State& state) {
 BENCHMARK(BM_LruCacheChurn);
 
 void BM_EngineDay(benchmark::State& state) {
-  // One sharded simulated day end to end on the parallel engine; the
-  // argument is the worker thread count.  Results are thread-count
-  // invariant, so this measures pure scheduling speedup.
+  // One sharded mining day end to end on the parallel engine: the shards,
+  // the merge, labeling, training, mining and the aggregates
+  // (MiningSession::run); the argument is the thread count.  Results are
+  // thread-count invariant, so this measures pure scheduling speedup.
   ScenarioScale scale;
   scale.queries_per_day = 60'000;
   scale.client_count = 3'000;
@@ -668,19 +670,16 @@ void BM_EngineDay(benchmark::State& state) {
   session.cluster(cluster)
       .warmup(false)
       .threads(static_cast<std::size_t>(state.range(0)));
-  std::uint64_t queries = 0;
   for (auto _ : state) {
-    DayCapture capture;
-    const EngineReport report =
-        session.simulate(ScenarioDate::kDec30, capture);
-    if (!report.ok()) {
-      state.SkipWithError(report.error.c_str());
+    const MiningDayResult result = session.run(ScenarioDate::kDec30);
+    if (!result.ok()) {
+      state.SkipWithError(result.error.c_str());
       return;
     }
-    queries += report.queries;
-    benchmark::DoNotOptimize(capture.tree().black_count());
+    benchmark::DoNotOptimize(result.findings.size());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(queries));
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * scale.queries_per_day));
 }
 BENCHMARK(BM_EngineDay)
     ->Arg(1)

@@ -1,5 +1,6 @@
 #include "dns/public_suffix.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -133,22 +134,26 @@ const PublicSuffixList& PublicSuffixList::builtin() {
   return instance;
 }
 
+void PublicSuffixList::add(const DomainName& name, std::uint8_t kind) {
+  std::uint8_t& kinds = rules_[name.text()];
+  if ((kinds & kind) == 0) ++rule_count_;
+  kinds |= kind;
+  max_labels_ = std::max(max_labels_, name.label_count());
+}
+
 void PublicSuffixList::add_rule(std::string_view rule) {
   if (rule.empty()) throw std::invalid_argument("PSL: empty rule");
   if (rule.front() == '!') {
     rule.remove_prefix(1);
-    const DomainName name(rule);  // validates + normalizes
-    exception_.insert(name.text());
+    add(DomainName(rule), kException);  // validates + normalizes
     return;
   }
   if (starts_with(rule, "*.")) {
     rule.remove_prefix(2);
-    const DomainName name(rule);
-    wildcard_.insert(name.text());
+    add(DomainName(rule), kWildcard);
     return;
   }
-  const DomainName name(rule);
-  exact_.insert(name.text());
+  add(DomainName(rule), kExact);
 }
 
 void PublicSuffixList::add_rules_text(std::string_view text) {
@@ -166,26 +171,27 @@ void PublicSuffixList::add_rules_text(std::string_view text) {
   }
 }
 
-std::size_t PublicSuffixList::suffix_label_count(const DomainName& name) const {
-  const std::size_t n = name.label_count();
-  if (n == 0) return 0;
+std::size_t PublicSuffixList::suffix_label_count(std::string_view name) const {
+  if (name.empty()) return 0;
   // PSL semantics: the longest matching rule wins; an exception rule beats
   // a wildcard rule and removes one label from the wildcard's match.
   std::size_t best = 1;  // implicit "*" rule
-  for (std::size_t k = 1; k <= n; ++k) {
-    const std::string suffix(name.nld_view(k));
-    if (exception_.contains(suffix)) {
+  std::size_t start = name.size();  // the k-label suffix is name[start..]
+  for (std::size_t k = 1; k <= max_labels_ && start != 0; ++k) {
+    const std::size_t dot = start < 2 ? std::string_view::npos
+                                      : name.rfind('.', start - 2);
+    start = dot == std::string_view::npos ? 0 : dot + 1;
+    const auto rule = rules_.find(name.substr(start));
+    if (rule == rules_.end()) continue;
+    if ((rule->second & kException) != 0) {
       // "!www.ck": the public suffix is the part after the exception label.
       return k - 1;
     }
-    if (exact_.contains(suffix)) best = std::max(best, k);
-    if (k < n && wildcard_.contains(suffix)) {
-      // "*.ck" makes <anything>.ck a public suffix (k + 1 labels).
-      best = std::max(best, k + 1);
-    }
-    if (k == n && wildcard_.contains(suffix)) {
-      // The wildcard parent itself ("ck") is also a public suffix.
-      best = std::max(best, k);
+    if ((rule->second & kExact) != 0) best = std::max(best, k);
+    if ((rule->second & kWildcard) != 0) {
+      // "*.ck" makes <anything>.ck a public suffix (k + 1 labels), and the
+      // wildcard parent itself ("ck") is one too.
+      best = std::max(best, start == 0 ? k : k + 1);
     }
   }
   return best;

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "dns/name.h"
+#include "util/strings.h"
 
 namespace dnsnoise {
 
@@ -35,14 +37,17 @@ class PublicSuffixList {
   /// Parses newline-separated PSL text; '//' comments and blanks ignored.
   void add_rules_text(std::string_view text);
 
-  std::size_t rule_count() const noexcept {
-    return exact_.size() + wildcard_.size() + exception_.size();
-  }
+  std::size_t rule_count() const noexcept { return rule_count_; }
 
   /// Number of labels in the effective TLD of `name` (the "public suffix").
   /// A name that *is* a public suffix returns its own label count.  Names
   /// with no matching rule use the default "*" rule (rightmost label).
-  std::size_t suffix_label_count(const DomainName& name) const;
+  std::size_t suffix_label_count(const DomainName& name) const {
+    return suffix_label_count(name.text());
+  }
+  /// Same for a name's text, which must be normalized (DomainName::text());
+  /// the rules are probed with views of it, so this never allocates.
+  std::size_t suffix_label_count(std::string_view name) const;
 
   /// The effective TLD of `name` (paper's TLD(d)), e.g. "co.uk".
   DomainName effective_tld(const DomainName& name) const;
@@ -53,10 +58,20 @@ class PublicSuffixList {
   DomainName registrable_domain(const DomainName& name) const;
 
  private:
-  // Rules are stored as normalized suffix strings without the marker chars.
-  std::unordered_set<std::string> exact_;
-  std::unordered_set<std::string> wildcard_;   // "*.ck" stored as "ck"
-  std::unordered_set<std::string> exception_;  // "!www.ck" stored as "www.ck"
+  /// Rule kinds of one suffix (bits of rules_'s values).
+  static constexpr std::uint8_t kExact = 1;
+  static constexpr std::uint8_t kWildcard = 2;   // "*.ck" stored as "ck"
+  static constexpr std::uint8_t kException = 4;  // "!www.ck" as "www.ck"
+
+  /// Marks `name`'s suffix text with `kind`.
+  void add(const DomainName& name, std::uint8_t kind);
+
+  // Rules are keyed by normalized suffix text without the marker chars, so
+  // each suffix of a name costs one probe.
+  std::unordered_map<std::string, std::uint8_t, StringHash, std::equal_to<>>
+      rules_;
+  std::size_t rule_count_ = 0;
+  std::size_t max_labels_ = 0;  // of any key: longer suffixes match nothing
 };
 
 }  // namespace dnsnoise

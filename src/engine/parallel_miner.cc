@@ -162,12 +162,14 @@ EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture) {
 EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture,
                                      std::int64_t day_index) {
   std::optional<Scenario> scenario;
-  return simulate_day(date, capture, day_index, scenario);
+  std::optional<ThreadPool> pool;
+  return simulate_day(date, capture, day_index, scenario, pool);
 }
 
 EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
                                          std::int64_t day_index,
-                                         std::optional<Scenario>& scenario) {
+                                         std::optional<Scenario>& scenario,
+                                         std::optional<ThreadPool>& pool) {
   EngineReport report;
   const std::size_t shard_count = options_.cluster.server_count;
   report.shard_count = shard_count;
@@ -222,19 +224,10 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
       metrics != nullptr ? &obs::heartbeat_gauge(*metrics, "engine") : nullptr;
   const obs::RunActiveScope run_active(metrics);
 
-  // threads_ - 1 pool workers: the calling thread participates in
-  // parallel_for, so exactly threads_ workers touch shard state.
-  std::optional<ThreadPool> pool;
-  if (threads_ > 1 && shard_count > 1) {
-    pool.emplace(std::min(threads_ - 1, shard_count - 1), metrics);
-  }
-  TrafficGenerator::ParallelFor on_pool;
-  if (pool) {
-    on_pool = [&pool](std::size_t n,
-                      const std::function<void(std::size_t)>& body) {
-      pool->parallel_for(n, body);
-    };
-  }
+  // The day's one pool: threads_ - 1 workers, as the calling thread joins
+  // every parallel_for.  run() keeps it for the stages after the merge.
+  if (threads_ > 1) pool.emplace(threads_ - 1, metrics);
+  const ParallelFor parallel_for = on_pool(pool ? &*pool : nullptr);
 
   // One read-only Scenario for every shard and the warmup, and one plan
   // per generated day: each slot's client is drawn once, and each shard
@@ -249,9 +242,10 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
     if (warm_scale) {
       warm_traffic.emplace(scenario->traffic_for(*warm_scale));
       warm_plan.emplace(
-          warm_traffic->plan_day(day_index - 1, shard_count, on_pool));
+          warm_traffic->plan_day(day_index - 1, shard_count, parallel_for));
     }
-    plan.emplace(scenario->traffic().plan_day(day_index, shard_count, on_pool));
+    plan.emplace(
+        scenario->traffic().plan_day(day_index, shard_count, parallel_for));
   } catch (const std::exception& e) {
     report.status = MiningDayStatus::kInvalidConfig;
     report.error = e.what();
@@ -331,11 +325,7 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
     }
   };
 
-  if (pool) {
-    pool->parallel_for(shard_count, run_shard);
-  } else {
-    for (std::size_t i = 0; i < shard_count; ++i) run_shard(i);
-  }
+  run_parallel(parallel_for, shard_count, run_shard);
   plan.reset();
 
   std::string merge_error;
@@ -345,7 +335,7 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
         trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                          : nullptr,
         trace, obs::TraceOp::kEngineMerge);
-    report.counters = merge_shards(shards, capture, merge_error);
+    report.counters = merge_shards(shards, capture, merge_error, parallel_for);
   }
   // Shard workers joined above, so the trace snapshot contract holds.
   publish_trace_snapshot();
@@ -373,21 +363,23 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
   // run as active through the mining stages too.
   const obs::RunActiveScope run_active(metrics_.get());
   std::optional<Scenario> scenario;
-  const EngineReport report = simulate_day(date, capture, day_index, scenario);
+  std::optional<ThreadPool> pool;  // the day's one pool, through the tail
+  const EngineReport report =
+      simulate_day(date, capture, day_index, scenario, pool);
   if (!report.ok()) {
     MiningDayResult result;
     result.status = report.status;
     result.error = report.error;
     return result;
   }
-  const MineFn mine = [this](const DisposableZoneMiner& miner,
-                             DomainNameTree& tree,
-                             const CacheHitRateTracker& chr) {
-    return mine_zones_parallel(miner, tree, chr, *options_.miner.psl,
-                               threads_);
+  ThreadPool* const day_pool = pool ? &*pool : nullptr;
+  const MineFn mine = [this, day_pool](const DisposableZoneMiner& miner,
+                                       DomainNameTree& tree,
+                                       const CacheHitRateTracker& chr) {
+    return mine_zones_parallel(miner, tree, chr, *options_.miner.psl, day_pool);
   };
-  MiningDayResult result =
-      finish_mining_day(capture, *scenario, options_, mine);
+  MiningDayResult result = finish_mining_day(capture, *scenario, options_,
+                                             mine, on_pool(day_pool));
   // finish_mining_day already froze the trace into result.trace_json;
   // serve that exact document on /trace.
   if (telemetry_ != nullptr && !result.trace_json.empty()) {
@@ -411,7 +403,7 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
 std::vector<DisposableZoneFinding> mine_zones_parallel(
     const DisposableZoneMiner& miner, DomainNameTree& tree,
     const CacheHitRateTracker& chr, const PublicSuffixList& psl,
-    std::size_t threads) {
+    ThreadPool* pool) {
   obs::MetricsRegistry* const metrics = miner.config().metrics;
   obs::TraceCollector* const trace = miner.config().trace;
   const obs::StageSpan classify_span(
@@ -419,28 +411,18 @@ std::vector<DisposableZoneFinding> mine_zones_parallel(
       trace != nullptr ? &trace->stream(obs::TraceStage::kEngine, 0)
                        : nullptr,
       trace, obs::TraceOp::kEngineClassify);
-  const std::vector<NameId> roots = tree.effective_2ld_nodes(psl);
-  std::vector<std::vector<DisposableZoneFinding>> outs(roots.size());
-  const auto mine_root = [&](std::size_t i) {
-    // Effective-2LD subtrees are disjoint and decolor writes only the
-    // node's own black byte, so concurrent zone walks never share mutable
-    // state.
-    miner.mine_zone(tree, roots[i], chr, outs[i]);
-  };
-  if (threads > 1 && roots.size() > 1) {
-    ThreadPool pool(std::min(threads - 1, roots.size() - 1), metrics);
-    pool.parallel_for(roots.size(), mine_root);
-  } else {
-    for (std::size_t i = 0; i < roots.size(); ++i) mine_root(i);
-  }
-  std::vector<DisposableZoneFinding> findings;
-  for (std::vector<DisposableZoneFinding>& out : outs) {
-    for (DisposableZoneFinding& finding : out) {
-      findings.push_back(std::move(finding));
-    }
-  }
-  DisposableZoneMiner::sort_findings(findings);
-  return findings;
+  const ParallelFor parallel_for = on_pool(pool);
+  return miner.mine_zones(tree, tree.effective_2ld_nodes(psl, parallel_for),
+                          chr, parallel_for);
+}
+
+std::vector<DisposableZoneFinding> mine_zones_parallel(
+    const DisposableZoneMiner& miner, DomainNameTree& tree,
+    const CacheHitRateTracker& chr, const PublicSuffixList& psl,
+    std::size_t threads) {
+  if (threads <= 1) return mine_zones_parallel(miner, tree, chr, psl, nullptr);
+  ThreadPool pool(threads - 1, miner.config().metrics);
+  return mine_zones_parallel(miner, tree, chr, psl, &pool);
 }
 
 }  // namespace dnsnoise

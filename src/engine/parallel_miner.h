@@ -12,10 +12,13 @@
 //     single-server RdnsCluster (seed split per shard, see
 //     ClusterConfig::for_shard), its own sampling state (the disposable
 //     tenants' recent-name windows) and thread-local DayCapture,
-//   * shard captures are merged in shard-index order (see shard_merge.h),
-//   * the classify stage fans Algorithm 1 over the effective-2LD zones on
-//     the same pool (subtrees are disjoint, so zone mining is race-free),
-//     and re-ranks with the total-order finding sort.
+//   * shard captures are merged in shard-index order into shard 0's (see
+//     shard_merge.h), each shard's tree, CHR and name sets side by side,
+//   * the stages after the merge run on the same pool: labeling's feature
+//     extraction, Algorithm 1 over the effective-2LD zones (subtrees are
+//     disjoint, so zone mining is race-free; heaviest first, the heaviest
+//     zones split, see miner/algorithm1.h) with the total-order finding
+//     sort, and the evaluation beside the aggregates.  Training is serial.
 //
 // Shard decomposition is fixed by server_count — threads only schedule
 // shards — and per-shard seeds derive from the scenario seed, so
@@ -36,6 +39,7 @@
 
 #include "engine/serve.h"
 #include "engine/shard_merge.h"
+#include "engine/thread_pool.h"
 #include "miner/pipeline.h"
 #include "obs/sketch/traffic_sketch.h"
 
@@ -183,10 +187,12 @@ class MiningSession {
   /// server is already running.
   void restart_telemetry();
   /// simulate() into `scenario`, which it builds once the configuration
-  /// checks pass, so run() mines on the same Scenario.
+  /// checks pass, and `pool`, the day's one pool (empty at threads(1)), so
+  /// run() mines on the same Scenario and pool.
   EngineReport simulate_day(ScenarioDate date, DayCapture& capture,
                             std::int64_t day_index,
-                            std::optional<Scenario>& scenario);
+                            std::optional<Scenario>& scenario,
+                            std::optional<ThreadPool>& pool);
   /// Publishes the frozen trace snapshot to the telemetry server (no-op
   /// when either side is off).  Callers must have quiesced all trace
   /// writers first — shard workers joined — per the TraceCollector
@@ -205,9 +211,18 @@ class MiningSession {
   double telemetry_stall_seconds_ = 30.0;
 };
 
-/// Parallel drop-in for DisposableZoneMiner::mine: fans mine_zone over the
-/// effective-2LD zones on `threads` workers and sorts with the total-order
-/// ranking.  Output is identical to the serial mine().
+/// Parallel drop-in for DisposableZoneMiner::mine: mines the effective-2LD
+/// zones of `psl` on `pool` (serially on the calling thread when it is
+/// null; see DisposableZoneMiner::mine_zones) and sorts with the
+/// total-order ranking, inside the engine.classify span.  Output is
+/// identical to the serial mine().
+std::vector<DisposableZoneFinding> mine_zones_parallel(
+    const DisposableZoneMiner& miner, DomainNameTree& tree,
+    const CacheHitRateTracker& chr, const PublicSuffixList& psl,
+    ThreadPool* pool);
+/// Same on `threads` threads: serially on the calling thread for
+/// threads <= 1, else on a pool of threads - 1 workers made for the call.
+/// Day runners pass their day's pool instead.
 std::vector<DisposableZoneFinding> mine_zones_parallel(
     const DisposableZoneMiner& miner, DomainNameTree& tree,
     const CacheHitRateTracker& chr, const PublicSuffixList& psl,

@@ -1,5 +1,6 @@
 #include "engine/serve.h"
 
+#include <optional>
 #include <utility>
 
 #include "engine/drive.h"
@@ -135,18 +136,22 @@ MiningDayResult ServedMiningDay::finish() {
   attached_ = false;
 
   const obs::RunActiveScope run_active(options_.metrics);
-  const MineFn mine = [this](const DisposableZoneMiner& miner,
-                             DomainNameTree& tree,
-                             const CacheHitRateTracker& chr) {
-    return mine_zones_parallel(miner, tree, chr, *options_.miner.psl,
-                               threads_);
+  // One pool for the mining half, as MiningSession::run keeps its day's.
+  std::optional<ThreadPool> pool;
+  if (threads_ > 1) pool.emplace(threads_ - 1, options_.metrics);
+  ThreadPool* const day_pool = pool ? &*pool : nullptr;
+  const MineFn mine = [this, day_pool](const DisposableZoneMiner& miner,
+                                       DomainNameTree& tree,
+                                       const CacheHitRateTracker& chr) {
+    return mine_zones_parallel(miner, tree, chr, *options_.miner.psl, day_pool);
   };
   // A served day can be arbitrarily sparse (a demo server answering a
   // handful of digs): it passes the empty-capture guard yet leaves the
   // trainer with no usable rows, which surfaces as a throw deep in
   // labeling/training.  That is an undermined day, not a crash.
   try {
-    result = finish_mining_day(capture_, *scenario_, options_, mine);
+    result = finish_mining_day(capture_, *scenario_, options_, mine,
+                               on_pool(day_pool));
     if (options_.sketch != nullptr && result.ok()) {
       // The served day's mined zones arm the live classifier for the
       // next served day (MiningSession::run does the same).

@@ -55,11 +55,22 @@ struct ShardResult {
 
 /// Merges `shards` (in index order) into `into`, which must already be
 /// start_day()-reset for the same day, freeing each shard's capture once
-/// it is merged.  Counters are summed into the return value.  On the first
-/// shard with a non-empty error the merge stops and that error is reported
-/// through `error_out`; `into` should then be discarded.  After the last
-/// shard the fpDNS entries are stable-sorted by time, restoring the
-/// chronological order of a single tap.
+/// it is merged.  Shard 0's capture moves into `into` whole (`into` keeps
+/// its config); each later shard is interned into the table, then its
+/// tree, CHR and name sets merge side by side through `parallel_for`
+/// (serially when it is empty).  Once shard 0 is in, `into` reserves room
+/// for the shards' summed sizes, which bound their union.  Counters are
+/// summed into the return
+/// value.  On the first shard with a non-empty error the merge stops and
+/// that error is reported through `error_out`; `into` should then be
+/// discarded.  After the last shard the fpDNS entries are stable-sorted by
+/// time, restoring the chronological order of a single tap.  The result
+/// equals a fold of every shard into an empty capture, child order aside
+/// (DayCapture::merge_from).
+ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
+                           std::string& error_out,
+                           const ParallelFor& parallel_for);
+/// Same, serially.
 ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
                            std::string& error_out);
 

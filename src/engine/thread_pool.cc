@@ -1,17 +1,16 @@
 #include "engine/thread_pool.h"
 
 #include <algorithm>
-#include <latch>
 
 #include "obs/metrics.h"
 
 namespace dnsnoise {
 
 namespace {
-// Index of the worker deque owned by the current thread, or npos when the
-// thread does not belong to a pool.  One pool at a time per thread is
-// enough for the engine (pools are scoped to a simulate/mine call).
+// The pool the current thread works for and the index of its deque there;
+// null and npos on a thread that is no pool's worker.
 constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
+thread_local const ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_worker_index = kNoWorker;
 }  // namespace
 
@@ -42,10 +41,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
+std::size_t ThreadPool::own_worker() const noexcept {
+  return tls_pool == this ? tls_worker_index : kNoWorker;
+}
+
 void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t here = tls_worker_index;
+  const std::size_t here = own_worker();
   const std::size_t target =
-      here != kNoWorker && here < workers_.size()
+      here != kNoWorker
           ? here
           : next_queue_.fetch_add(1, std::memory_order_relaxed) %
                 workers_.size();
@@ -70,7 +73,7 @@ void ThreadPool::submit(std::function<void()> task) {
 
 bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
   // Own deque first, back (LIFO)...
-  {
+  if (index != kNoWorker) {
     Worker& own = *workers_[index];
     std::lock_guard lock(own.mutex);
     if (!own.queue.empty()) {
@@ -80,15 +83,20 @@ bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
       return true;
     }
   }
-  // ...then steal from a victim's front (FIFO).
-  for (std::size_t offset = 1; offset < workers_.size(); ++offset) {
-    Worker& victim = *workers_[(index + offset) % workers_.size()];
+  // ...then take from a victim's front (FIFO): a steal if we own a deque.
+  const std::size_t first = index != kNoWorker ? index + 1 : 0;
+  for (std::size_t offset = 0; offset < workers_.size(); ++offset) {
+    const std::size_t at = (first + offset) % workers_.size();
+    if (at == index) continue;
+    Worker& victim = *workers_[at];
     std::lock_guard lock(victim.mutex);
     if (!victim.queue.empty()) {
       task = std::move(victim.queue.front());
       victim.queue.pop_front();
       queued_.fetch_sub(1, std::memory_order_relaxed);
-      if (steals_metric_ != nullptr) steals_metric_->add();
+      if (index != kNoWorker && steals_metric_ != nullptr) {
+        steals_metric_->add();
+      }
       return true;
     }
   }
@@ -107,6 +115,7 @@ void ThreadPool::run_task(std::function<void()>& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
+  tls_pool = this;
   tls_worker_index = index;
   std::function<void()> task;
   for (;;) {
@@ -124,6 +133,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       break;
     }
   }
+  tls_pool = nullptr;
   tls_worker_index = kNoWorker;
 }
 
@@ -134,28 +144,63 @@ void ThreadPool::wait_idle() {
   });
 }
 
+void ThreadPool::help_until_done(const std::atomic<std::size_t>& left) {
+  const std::size_t here = own_worker();
+  std::function<void()> task;
+  while (left.load(std::memory_order_acquire) != 0) {
+    if (try_pop(here, task)) {
+      run_task(task);
+      continue;
+    }
+    std::unique_lock lock(wait_mutex_);
+    work_cv_.wait(lock, [this, &left] {
+      return left.load(std::memory_order_acquire) == 0 ||
+             queued_.load(std::memory_order_acquire) > 0;
+    });
+  }
+  // A submit's notify_one may have woken this thread instead of a worker;
+  // pass it on, or the task would wait for the next one.
+  if (queued_.load(std::memory_order_acquire) > 0) work_cv_.notify_one();
+}
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
+  struct Loop {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> helpers_left{0};
+  };
   const std::size_t helpers = std::min(thread_count(), n);
-  auto done = std::make_shared<std::latch>(
-      static_cast<std::ptrdiff_t>(helpers));
-  const auto drain = [next, &body, n] {
-    for (std::size_t i = next->fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next->fetch_add(1, std::memory_order_relaxed)) {
+  const auto loop = std::make_shared<Loop>();
+  loop->helpers_left.store(helpers, std::memory_order_relaxed);
+  const auto drain = [&next = loop->next, &body, n] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
       body(i);
     }
   };
   for (std::size_t h = 0; h < helpers; ++h) {
-    submit([drain, done] {
+    submit([this, loop, drain] {
       drain();
-      done->count_down();
+      if (loop->helpers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Under the lock, so a helping waiter cannot miss the wakeup
+        // between its check and its wait.
+        std::lock_guard lock(wait_mutex_);
+        work_cv_.notify_all();
+      }
     });
   }
-  // The caller joins the index race instead of blocking idle.
+  // The caller joins the index race instead of blocking idle, then runs
+  // queued tasks (its own helpers among them) until the helpers are done.
   drain();
-  done->wait();
+  help_until_done(loop->helpers_left);
+}
+
+ParallelFor on_pool(ThreadPool* pool) {
+  if (pool == nullptr) return {};
+  return [pool](std::size_t n, const std::function<void(std::size_t)>& body) {
+    pool->parallel_for(n, body);
+  };
 }
 
 }  // namespace dnsnoise

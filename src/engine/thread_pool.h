@@ -8,6 +8,12 @@
 // atomic counter so callers get dynamic load balancing without choosing a
 // chunk size.
 //
+// parallel_for nests: a body may call parallel_for again.  A caller that
+// has run out of indices runs queued tasks until its helpers are done, and
+// sleeps when none is queued, so a loop never waits on a helper that sits
+// in a deque behind it.  A worker taking another deque's task counts as a
+// steal; the help of a thread that owns no deque does not.
+//
 // Contract: tasks must not throw — a throwing task calls std::terminate.
 // Callers that can fail (e.g. the engine's shard tasks) catch inside the
 // task and report through their own result slot.
@@ -22,6 +28,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/parallel_for.h"
 
 namespace dnsnoise::obs {
 class Counter;
@@ -57,6 +65,7 @@ class ThreadPool {
   /// Runs body(0..n-1) across the pool and returns when all calls are done.
   /// The calling thread participates, so the pool is never left idle while
   /// the caller blocks.  Indices are claimed dynamically (shared atomic).
+  /// Callable from a task, to any depth.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -79,9 +88,19 @@ class ThreadPool {
   obs::Counter* steals_metric_ = nullptr;
   obs::Gauge* queue_depth_max_ = nullptr;
 
+  /// The calling thread's deque in this pool, or npos.
+  std::size_t own_worker() const noexcept;
   void worker_loop(std::size_t index);
+  /// Pops a task: the back of deque `index` (npos: none), then the front
+  /// of the others, counting a steal only when `index` is a deque.
   bool try_pop(std::size_t index, std::function<void()>& task);
   void run_task(std::function<void()>& task);
+  /// Runs queued tasks until `left` reaches zero; sleeps while none is
+  /// queued.
+  void help_until_done(const std::atomic<std::size_t>& left);
 };
+
+/// `pool`'s parallel_for as a ParallelFor; empty (serial) for a null pool.
+ParallelFor on_pool(ThreadPool* pool);
 
 }  // namespace dnsnoise

@@ -22,6 +22,16 @@ void CacheHitRateTracker::grow_slots(std::size_t min_slots) {
   slot_mask_ = mask;
 }
 
+void CacheHitRateTracker::reserve(std::size_t rrs, std::size_t names) {
+  entries_.reserve(rrs);
+  hashes_.reserve(rrs);
+  next_.reserve(rrs);
+  chains_.reserve(names);
+  // The slot load stays below 7/8 up to `rrs` (entry_for's trigger).
+  const std::size_t slots = rrs + rrs / 7 + 2;
+  if (slots > slots_.size()) grow_slots(slots);
+}
+
 CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
     const CompactRecord& rr, std::uint64_t h) {
   std::size_t i = static_cast<std::size_t>(h) & slot_mask_;

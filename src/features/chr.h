@@ -73,6 +73,10 @@ class CacheHitRateTracker {
 
   std::size_t unique_rrs() const noexcept { return entries_.size(); }
 
+  /// Makes room for `rrs` RRs owned by ids below `names`, so recording or
+  /// merging up to that many grows nothing.
+  void reserve(std::size_t rrs, std::size_t names);
+
   /// Counts for one RR, or nullptr if never seen.
   const Counts* find(const RRKey& key) const;
 

@@ -1,5 +1,7 @@
 #include "features/domain_tree.h"
 
+#include <algorithm>
+
 namespace dnsnoise {
 
 DomainNameTree::DomainNameTree(NameTable& names)
@@ -76,43 +78,77 @@ void DomainNameTree::merge_from(const DomainNameTree& other,
 namespace {
 
 void collect_black(const DomainNameTree& tree, NameId node,
-                   std::map<std::size_t, std::vector<NameId>>& groups) {
+                   std::vector<std::vector<NameId>>& buckets, std::size_t& end,
+                   std::size_t& size) {
   for (NameId child = tree.first_child(node); child != kInvalidNameId;
        child = tree.next_sibling(child)) {
-    if (tree.black(child)) groups[tree.depth(child)].push_back(child);
-    collect_black(tree, child, groups);
+    if (tree.black(child)) {
+      const std::size_t depth = tree.depth(child);
+      if (depth >= buckets.size()) buckets.resize(depth + 1);
+      buckets[depth].push_back(child);
+      end = std::max(end, depth + 1);
+      ++size;
+    }
+    collect_black(tree, child, buckets, end, size);
   }
 }
 
 }  // namespace
 
-std::map<std::size_t, std::vector<NameId>>
-DomainNameTree::black_descendants_by_depth(NameId zone) const {
-  std::map<std::size_t, std::vector<NameId>> groups;
-  collect_black(*this, zone, groups);
-  return groups;
-}
-
-bool DomainNameTree::has_black_descendant(NameId zone) const noexcept {
-  for (NameId child = first_child(zone); child != kInvalidNameId;
-       child = next_sibling(child)) {
-    if (black(child) || has_black_descendant(child)) return true;
+void DomainNameTree::black_descendants_by_depth(NameId zone,
+                                                DepthGroups& out) const {
+  for (std::size_t depth = out.begin_; depth < out.end_; ++depth) {
+    out.buckets_[depth].clear();
   }
-  return false;
+  out.begin_ = depth(zone) + 1;
+  out.end_ = out.begin_;
+  out.size_ = 0;
+  collect_black(*this, zone, out.buckets_, out.end_, out.size_);
 }
 
 namespace {
 
+bool is_public_suffix(const DomainNameTree& tree, NameId node,
+                      const PublicSuffixList& psl) {
+  return psl.suffix_label_count(tree.name(node)) == tree.depth(node);
+}
+
 void collect_2lds(const DomainNameTree& tree, NameId node,
-                  const PublicSuffixList& psl, std::vector<NameId>& out) {
+                  const PublicSuffixList& psl, const ParallelFor& parallel_for,
+                  std::vector<NameId>& out) {
+  // Children probed per parallel block; fewer stay on this thread.
+  constexpr std::size_t kBlock = 1024;
+  std::vector<NameId> children;
   for (NameId child = tree.first_child(node); child != kInvalidNameId;
        child = tree.next_sibling(child)) {
-    const DomainName child_domain(tree.name(child));
-    if (psl.suffix_label_count(child_domain) == child_domain.label_count()) {
+    if (parallel_for) {
+      children.push_back(child);
+    } else if (is_public_suffix(tree, child, psl)) {
       // This node is itself a public suffix; its children may be 2LDs.
-      collect_2lds(tree, child, psl, out);
+      collect_2lds(tree, child, psl, parallel_for, out);
     } else {
       out.push_back(child);
+    }
+  }
+  if (children.empty()) return;
+  std::vector<std::uint8_t> suffix(children.size());
+  const auto probe = [&](std::size_t block) {
+    const std::size_t end = std::min(children.size(), (block + 1) * kBlock);
+    for (std::size_t i = block * kBlock; i < end; ++i) {
+      suffix[i] = is_public_suffix(tree, children[i], psl) ? 1 : 0;
+    }
+  };
+  const std::size_t blocks = (children.size() + kBlock - 1) / kBlock;
+  if (blocks > 1) {
+    parallel_for(blocks, probe);
+  } else {
+    probe(0);
+  }
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    if (suffix[i] != 0) {
+      collect_2lds(tree, children[i], psl, parallel_for, out);
+    } else {
+      out.push_back(children[i]);
     }
   }
 }
@@ -120,9 +156,9 @@ void collect_2lds(const DomainNameTree& tree, NameId node,
 }  // namespace
 
 std::vector<NameId> DomainNameTree::effective_2ld_nodes(
-    const PublicSuffixList& psl) const {
+    const PublicSuffixList& psl, const ParallelFor& parallel_for) const {
   std::vector<NameId> out;
-  collect_2lds(*this, root_, psl, out);
+  collect_2lds(*this, root_, psl, parallel_for, out);
   return out;
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -30,8 +29,37 @@
 #include "dns/name.h"
 #include "dns/name_table.h"
 #include "dns/public_suffix.h"
+#include "util/parallel_for.h"
 
 namespace dnsnoise {
+
+/// A zone's black descendants grouped by absolute depth — the paper's G_k
+/// sets — in per-depth buckets (DomainNameTree::black_descendants_by_depth
+/// fills them).  Refilling reuses the buckets' capacity, so a walk that
+/// keeps one DepthGroups allocates nothing once its buckets have grown.
+class DepthGroups {
+ public:
+  /// The depths that may hold a group: [begin_depth(), end_depth()).
+  std::size_t begin_depth() const noexcept { return begin_; }
+  std::size_t end_depth() const noexcept { return end_; }
+  /// The group at `depth` in preorder (tree order); empty when there is
+  /// none.
+  std::span<const NameId> at(std::size_t depth) const noexcept {
+    if (depth < begin_ || depth >= end_) return {};
+    return buckets_[depth];
+  }
+  /// Black descendants over all depths.
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+ private:
+  friend class DomainNameTree;
+
+  std::vector<std::vector<NameId>> buckets_;  // indexed by absolute depth
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::size_t size_ = 0;
+};
 
 class DomainNameTree {
  public:
@@ -68,6 +96,9 @@ class DomainNameTree {
 
   const NameTable& names() const noexcept { return *names_; }
   NameId root() const noexcept { return root_; }
+
+  /// Makes room for per-id state of `names` ids of the table.
+  void reserve(std::size_t names) { nodes_.reserve(names); }
 
   /// Nodes in the tree, the root included.
   std::size_t node_count() const noexcept { return node_count_; }
@@ -114,17 +145,17 @@ class DomainNameTree {
   /// (black |= other.black).
   void merge_from(const DomainNameTree& other, std::span<const NameId> remap);
 
-  /// All black descendants of `zone` (excluding `zone` itself), grouped by
-  /// absolute depth — the paper's G_k sets.
-  std::map<std::size_t, std::vector<NameId>> black_descendants_by_depth(
-      NameId zone) const;
-
-  /// True if `zone` has at least one black proper descendant.
-  bool has_black_descendant(NameId zone) const noexcept;
+  /// Fills `out` with the black descendants of `zone` (excluding `zone`
+  /// itself), grouped by absolute depth: one preorder walk, so each group
+  /// keeps tree order.
+  void black_descendants_by_depth(NameId zone, DepthGroups& out) const;
 
   /// The effective-2LD nodes: children of public-suffix nodes that are not
-  /// public suffixes themselves.  Algorithm 1 starts from these.
-  std::vector<NameId> effective_2ld_nodes(const PublicSuffixList& psl) const;
+  /// public suffixes themselves, in tree order.  Algorithm 1 starts from
+  /// these.  A public suffix with many children has them probed through
+  /// `parallel_for` (serially when it is empty); the order is the same.
+  std::vector<NameId> effective_2ld_nodes(
+      const PublicSuffixList& psl, const ParallelFor& parallel_for = {}) const;
 
  private:
   struct Node {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 #include "util/simd/kernels.h"
 #include "util/stats.h"
@@ -11,11 +13,12 @@ namespace dnsnoise {
 
 namespace {
 
-/// Weighted median over parallel (rate, weight) arrays; 1.0 for an empty
-/// sample (an RR set with zero misses behaves as perfectly cached).
-/// `order` is scratch for the sort permutation.  Ties in rate need no
-/// tiebreak: whichever of the equal entries crosses the halfway mark, the
-/// returned *value* is the same.
+/// Weighted median over parallel (rate, weight) arrays: the smallest rate r
+/// whose entries of rate <= r carry at least half the total weight; 1.0
+/// for an empty sample (an RR set with zero misses behaves as perfectly
+/// cached).  Found by weighted quickselect over `order`, scratch for an
+/// index permutation, so a large group costs linear time, not a sort.  The
+/// answer is a value, so ties in rate need no tiebreak.
 double weighted_median(std::span<const double> rates,
                        std::span<const std::uint64_t> weights,
                        std::vector<std::uint32_t>& order) {
@@ -24,19 +27,53 @@ double weighted_median(std::span<const double> rates,
   if (total == 0) return 1.0;
   order.resize(rates.size());
   std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&rates](std::uint32_t a, std::uint32_t b) {
-              return rates[a] < rates[b];
-            });
-  std::uint64_t seen = 0;
-  for (const std::uint32_t idx : order) {
-    seen += weights[idx];
-    if (seen * 2 >= total) return rates[idx];
+  auto first = order.begin();
+  auto last = order.end();
+  std::uint64_t below = 0;  // weight of the entries left of `first`
+  for (;;) {
+    // Median of three, so sorted or reversed input still halves the range.
+    double a = rates[*first];
+    double b = rates[*(first + (last - first) / 2)];
+    const double c = rates[*(last - 1)];
+    if (a > b) std::swap(a, b);
+    const double pivot = c < a ? a : (c > b ? b : c);
+    const auto less_end = std::partition(
+        first, last, [&](std::uint32_t i) { return rates[i] < pivot; });
+    const auto equal_end = std::partition(
+        less_end, last, [&](std::uint32_t i) { return rates[i] == pivot; });
+    std::uint64_t less = 0;
+    for (auto it = first; it != less_end; ++it) less += weights[*it];
+    std::uint64_t equal = 0;
+    for (auto it = less_end; it != equal_end; ++it) equal += weights[*it];
+    if ((below + less) * 2 >= total) {
+      last = less_end;
+    } else if ((below + less + equal) * 2 >= total) {
+      return pivot;
+    } else {
+      below += less + equal;
+      first = equal_end;
+    }
   }
-  return rates[order.back()];
 }
 
+/// The calling thread's scratches; the first `leased` are in use.
+struct ScratchStack {
+  std::vector<std::unique_ptr<ZoneScratch>> scratches;
+  std::size_t leased = 0;
+};
+thread_local ScratchStack tls_scratch;
+
 }  // namespace
+
+ZoneScratchLease::ZoneScratchLease() {
+  ScratchStack& stack = tls_scratch;
+  if (stack.leased == stack.scratches.size()) {
+    stack.scratches.push_back(std::make_unique<ZoneScratch>());
+  }
+  scratch_ = stack.scratches[stack.leased++].get();
+}
+
+ZoneScratchLease::~ZoneScratchLease() { --tls_scratch.leased; }
 
 GroupFeatures compute_group_features(const DomainNameTree& tree,
                                      std::span<const NameId> group,
@@ -62,7 +99,11 @@ GroupFeatures compute_group_features(const DomainNameTree& tree,
   scratch.adjacent.clear();
   for (NameId node : group) {
     while (tree.depth(node) > zone_depth + 1) node = tree.parent(node);
-    scratch.adjacent.push_back(node);
+    // A preorder group lists each ancestor's members together, so most
+    // duplicates are adjacent: skip them before the sort.
+    if (scratch.adjacent.empty() || scratch.adjacent.back() != node) {
+      scratch.adjacent.push_back(node);
+    }
   }
   std::sort(scratch.adjacent.begin(), scratch.adjacent.end());
   scratch.adjacent.erase(

@@ -62,6 +62,33 @@ struct GroupFeatureScratch {
   std::vector<std::uint32_t> chr_order;
 };
 
+/// What one zone walk reuses: the depth buckets of its groups, the
+/// extraction buffers, and a name buffer for looking a zone up by text.
+struct ZoneScratch {
+  DepthGroups groups;
+  GroupFeatureScratch features;
+  DomainName zone;
+};
+
+/// Leases one of the calling thread's ZoneScratch for its lifetime.  Each
+/// thread keeps a stack of them, so a pool worker that runs another walk
+/// while it waits inside one (engine/thread_pool.h) leases a second
+/// scratch instead of overwriting the first.  Once a thread's stack has
+/// grown, leasing allocates nothing.
+class ZoneScratchLease {
+ public:
+  ZoneScratchLease();
+  ~ZoneScratchLease();
+  ZoneScratchLease(const ZoneScratchLease&) = delete;
+  ZoneScratchLease& operator=(const ZoneScratchLease&) = delete;
+
+  ZoneScratch& operator*() const noexcept { return *scratch_; }
+  ZoneScratch* operator->() const noexcept { return scratch_; }
+
+ private:
+  ZoneScratch* scratch_;
+};
+
 /// Computes the features of the group of black nodes `group` of `tree`
 /// (all at the same depth) under the zone node at depth `zone_depth`.
 /// `chr` supplies per-RR query/miss counts for the same day, keyed on the

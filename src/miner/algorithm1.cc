@@ -1,6 +1,7 @@
 #include "miner/algorithm1.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/stage_span.h"
@@ -23,80 +24,155 @@ DisposableZoneMiner::DisposableZoneMiner(const BinaryClassifier& model,
   }
 }
 
-void DisposableZoneMiner::mine_zone(
-    DomainNameTree& tree, NameId zone, const CacheHitRateTracker& chr,
-    std::vector<DisposableZoneFinding>& out) const {
+namespace {
+
+/// Black proper descendants of `zone`: the weight of its walk.
+std::size_t count_black(const DomainNameTree& tree, NameId zone) {
+  std::size_t count = 0;
+  for (NameId child = tree.first_child(zone); child != kInvalidNameId;
+       child = tree.next_sibling(child)) {
+    count += (tree.black(child) ? 1 : 0) + count_black(tree, child);
+  }
+  return count;
+}
+
+void append(std::vector<DisposableZoneFinding>& out,
+            std::vector<std::vector<DisposableZoneFinding>>& parts) {
+  for (std::vector<DisposableZoneFinding>& part : parts) {
+    for (DisposableZoneFinding& finding : part) {
+      out.push_back(std::move(finding));
+    }
+  }
+}
+
+}  // namespace
+
+void DisposableZoneMiner::mine_zone(DomainNameTree& tree, NameId zone,
+                                    const CacheHitRateTracker& chr,
+                                    std::vector<DisposableZoneFinding>& out,
+                                    const ParallelFor& parallel_for) const {
   // One span per top-level (effective-2LD) walk, traced only: miner.zone
-  // has no registry timer.  The recursion below goes through
-  // mine_zone_walk so subzones don't open nested spans.
+  // has no registry timer.  A split walk waits for its subzones' tasks, so
+  // the span covers them too.
   obs::StageSpan zone_span(nullptr, trace_stream_, config_.trace,
                            obs::TraceOp::kMinerZone);
   if (trace_stream_ != nullptr) {
     zone_span.annotate(tree.name(zone), 0,
                        obs::TraceOutcome::kNone, tree.depth(zone));
   }
-  // One scratch per top-level walk: the extraction buffers' capacity
-  // survives across every group of this zone subtree, and each parallel
-  // worker owns its own mine_zone call (never shared across threads).
-  GroupFeatureScratch scratch;
-  mine_zone_walk(tree, zone, chr, out, scratch);
+  const ZoneScratchLease scratch;
+  walk(tree, zone, chr, out, *scratch, parallel_for);
 }
 
-void DisposableZoneMiner::mine_zone_walk(
-    DomainNameTree& tree, NameId zone, const CacheHitRateTracker& chr,
-    std::vector<DisposableZoneFinding>& out,
-    GroupFeatureScratch& scratch) const {
+void DisposableZoneMiner::walk(DomainNameTree& tree, NameId zone,
+                               const CacheHitRateTracker& chr,
+                               std::vector<DisposableZoneFinding>& out,
+                               ZoneScratch& scratch,
+                               const ParallelFor& parallel_for) const {
   if (zones_visited_ != nullptr) zones_visited_->add();
 
-  // Line 1-3: stop when the zone has no black descendants.
-  if (!tree.has_black_descendant(zone)) return;
-
   // Line 4: group black descendants by depth.
-  const auto groups = tree.black_descendants_by_depth(zone);
+  DepthGroups& groups = scratch.groups;
+  tree.black_descendants_by_depth(zone, groups);
+  // Line 1-3: stop when the zone has no black descendants.
+  if (groups.empty()) return;
+  if (parallel_for && groups.size() >= kSplitBlackNodes) {
+    split_walk(tree, zone, chr, groups, out, parallel_for);
+    return;
+  }
 
   // Lines 6-14: classify each group; decolor + output on a confident hit.
-  for (const auto& [depth, nodes] : groups) {
-    if (nodes.size() < config_.min_group_size) continue;
-    GroupFeatures features;
-    {
-      const obs::StageSpan span(features_timer_);
-      features =
-          compute_group_features(tree, nodes, tree.depth(zone), chr, scratch);
-    }
-    if (groups_classified_ != nullptr) groups_classified_->add();
-    if (trace_stream_ != nullptr) {
-      trace_stream_->instant(obs::TraceOp::kMinerGroupClassify,
-                             config_.trace->now_ns(), {}, nodes.size());
-    }
-    const double confidence = model_.predict_proba(features.as_array());
-    if (confidence >= config_.threshold) {
-      for (const NameId node : nodes) tree.decolor(node);
-      if (groups_decolored_ != nullptr) {
-        groups_decolored_->add();
-        names_decolored_->add(nodes.size());
-      }
-      if (trace_stream_ != nullptr) {
-        trace_stream_->instant(obs::TraceOp::kMinerDecolor,
-                               config_.trace->now_ns(),
-                               tree.name(zone), nodes.size());
-      }
-      DisposableZoneFinding finding;
-      finding.zone = tree.name(zone);
-      finding.depth = depth;
-      finding.confidence = confidence;
-      finding.group_size = nodes.size();
-      finding.features = features;
-      out.push_back(std::move(finding));
-    }
+  for (std::size_t depth = groups.begin_depth(); depth < groups.end_depth();
+       ++depth) {
+    const std::span<const NameId> nodes = groups.at(depth);
+    if (nodes.empty() || nodes.size() < config_.min_group_size) continue;
+    classify(tree, zone, depth, nodes,
+             features_of(tree, zone, nodes, chr, scratch.features), out);
   }
 
   // Lines 15-17: recurse into child zones.  Siblings' subtrees are
   // disjoint and findings are sorted by a total order, so their order
-  // does not matter.
+  // does not matter.  The groups above are done with, so the children
+  // reuse the scratch.
   for (NameId child = tree.first_child(zone); child != kInvalidNameId;
        child = tree.next_sibling(child)) {
-    mine_zone_walk(tree, child, chr, out, scratch);
+    walk(tree, child, chr, out, scratch, parallel_for);
   }
+}
+
+void DisposableZoneMiner::split_walk(DomainNameTree& tree, NameId zone,
+                                     const CacheHitRateTracker& chr,
+                                     const DepthGroups& groups,
+                                     std::vector<DisposableZoneFinding>& out,
+                                     const ParallelFor& parallel_for) const {
+  // A group's features read no colours, so every group is extracted at
+  // once; classifying and decoloring then run in depth order, as in walk().
+  std::vector<std::size_t> depths;
+  for (std::size_t depth = groups.begin_depth(); depth < groups.end_depth();
+       ++depth) {
+    const std::size_t size = groups.at(depth).size();
+    if (size != 0 && size >= config_.min_group_size) depths.push_back(depth);
+  }
+  std::vector<GroupFeatures> features(depths.size());
+  parallel_for(depths.size(), [&](std::size_t i) {
+    const ZoneScratchLease scratch;
+    features[i] =
+        features_of(tree, zone, groups.at(depths[i]), chr, scratch->features);
+  });
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    classify(tree, zone, depths[i], groups.at(depths[i]), features[i], out);
+  }
+
+  // The child zones start after the decoloring and are disjoint: one task
+  // each, with its own findings.
+  std::vector<NameId> children;
+  for (NameId child = tree.first_child(zone); child != kInvalidNameId;
+       child = tree.next_sibling(child)) {
+    children.push_back(child);
+  }
+  std::vector<std::vector<DisposableZoneFinding>> outs(children.size());
+  parallel_for(children.size(), [&](std::size_t c) {
+    const ZoneScratchLease scratch;
+    walk(tree, children[c], chr, outs[c], *scratch, parallel_for);
+  });
+  append(out, outs);
+}
+
+GroupFeatures DisposableZoneMiner::features_of(
+    const DomainNameTree& tree, NameId zone, std::span<const NameId> nodes,
+    const CacheHitRateTracker& chr, GroupFeatureScratch& scratch) const {
+  const obs::StageSpan span(features_timer_);
+  return compute_group_features(tree, nodes, tree.depth(zone), chr, scratch);
+}
+
+void DisposableZoneMiner::classify(
+    DomainNameTree& tree, NameId zone, std::size_t depth,
+    std::span<const NameId> nodes, const GroupFeatures& features,
+    std::vector<DisposableZoneFinding>& out) const {
+  if (groups_classified_ != nullptr) groups_classified_->add();
+  if (trace_stream_ != nullptr) {
+    trace_stream_->instant(obs::TraceOp::kMinerGroupClassify,
+                           config_.trace->now_ns(), {}, nodes.size());
+  }
+  const double confidence = model_.predict_proba(features.as_array());
+  if (confidence < config_.threshold) return;
+  for (const NameId node : nodes) tree.decolor(node);
+  if (groups_decolored_ != nullptr) {
+    groups_decolored_->add();
+    names_decolored_->add(nodes.size());
+  }
+  if (trace_stream_ != nullptr) {
+    trace_stream_->instant(obs::TraceOp::kMinerDecolor,
+                           config_.trace->now_ns(), tree.name(zone),
+                           nodes.size());
+  }
+  DisposableZoneFinding finding;
+  finding.zone = tree.name(zone);
+  finding.depth = depth;
+  finding.confidence = confidence;
+  finding.group_size = nodes.size();
+  finding.features = features;
+  out.push_back(std::move(finding));
 }
 
 void DisposableZoneMiner::sort_findings(
@@ -116,12 +192,67 @@ void DisposableZoneMiner::sort_findings(
 
 std::vector<DisposableZoneFinding> DisposableZoneMiner::mine(
     DomainNameTree& tree, const CacheHitRateTracker& chr) const {
-  std::vector<DisposableZoneFinding> out;
-  for (const NameId zone : tree.effective_2ld_nodes(*config_.psl)) {
-    mine_zone(tree, zone, chr, out);
+  return mine_zones(tree, tree.effective_2ld_nodes(*config_.psl), chr);
+}
+
+std::vector<DisposableZoneFinding> DisposableZoneMiner::mine_zones(
+    DomainNameTree& tree, std::span<const NameId> zones,
+    const CacheHitRateTracker& chr, const ParallelFor& parallel_for) const {
+  std::vector<DisposableZoneFinding> findings;
+  if (!parallel_for) {
+    for (const NameId zone : zones) mine_zone(tree, zone, chr, findings, {});
+    sort_findings(findings);
+    return findings;
   }
-  sort_findings(out);
-  return out;
+  // Heaviest walks first, so the stage does not end waiting on one that
+  // started late; ties keep zone order.  Subtrees are disjoint and decolor
+  // writes only the node's own black byte, so concurrent walks share no
+  // mutable state.  Light zones go in runs, so they do not claim a task
+  // each: a run closes at 1/kRuns of the day's weight (a walk visits at
+  // least its zone, hence the + 1), so a heavy zone is a run of its own.
+  constexpr std::size_t kWeighBlock = 1024;
+  constexpr std::size_t kRuns = 256;
+  std::vector<std::size_t> weight(zones.size());
+  parallel_for((zones.size() + kWeighBlock - 1) / kWeighBlock,
+               [&](std::size_t block) {
+                 const std::size_t end =
+                     std::min(zones.size(), (block + 1) * kWeighBlock);
+                 for (std::size_t i = block * kWeighBlock; i < end; ++i) {
+                   weight[i] = count_black(tree, zones[i]) + 1;
+                 }
+               });
+  const std::size_t total =
+      std::accumulate(weight.begin(), weight.end(), std::size_t{0});
+  // Only a zone of a run's weight can bound the stage: those go first,
+  // heaviest first; the rest keep zone order.
+  std::vector<std::size_t> order(zones.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto light = std::stable_partition(
+      order.begin(), order.end(),
+      [&](std::size_t i) { return weight[i] * kRuns >= total; });
+  std::stable_sort(order.begin(), light,
+                   [&weight](std::size_t a, std::size_t b) {
+                     return weight[a] > weight[b];
+                   });
+  std::vector<std::size_t> run_end;
+  std::size_t run_weight = 0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    run_weight += weight[order[k]];
+    if (run_weight * kRuns >= total || k + 1 == order.size()) {
+      run_end.push_back(k + 1);
+      run_weight = 0;
+    }
+  }
+  std::vector<std::vector<DisposableZoneFinding>> outs(run_end.size());
+  parallel_for(run_end.size(), [&](std::size_t run) {
+    for (std::size_t k = run == 0 ? 0 : run_end[run - 1]; k < run_end[run];
+         ++k) {
+      mine_zone(tree, zones[order[k]], chr, outs[run], parallel_for);
+    }
+  });
+  append(findings, outs);
+  sort_findings(findings);
+  return findings;
 }
 
 }  // namespace dnsnoise

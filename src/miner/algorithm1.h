@@ -4,9 +4,18 @@
 // the zone's black descendants by depth, classify each group's statistical
 // vector, decolor groups classified disposable with confidence >= theta,
 // emit the (zone, depth) pair, and recurse into the child zones.
+//
+// Walks allocate per finding, not per zone: a walk groups into the
+// reusable depth buckets of a per-thread ZoneScratch (features/extractor.h).
+// On a pool, the effective 2LDs run heaviest first, and a zone with at
+// least kSplitBlackNodes black descendants is split: its groups' features
+// are computed in parallel (they read no colours), the groups are then
+// classified and decolored in depth order, and its child zones become
+// tasks.  The split is a function of the tree, never of the schedule.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +24,7 @@
 #include "features/extractor.h"
 #include "ml/classifier.h"
 #include "obs/trace.h"
+#include "util/parallel_for.h"
 
 namespace dnsnoise::obs {
 class Counter;
@@ -56,22 +66,28 @@ struct DisposableZoneFinding {
 
 class DisposableZoneMiner {
  public:
+  /// Black descendants from which a zone's walk is split on a pool.
+  static constexpr std::size_t kSplitBlackNodes = 1 << 14;
+
   /// `model` must be trained and outlive the miner.
   DisposableZoneMiner(const BinaryClassifier& model, MinerConfig config = {});
 
-  /// Runs Algorithm 1 over the whole tree (every effective 2LD).  Decolors
-  /// classified groups in place.  Findings are ranked by confidence, then
-  /// group size, descending.
+  /// Runs Algorithm 1 over the whole tree (every effective 2LD), serially.
+  /// Decolors classified groups in place.  Findings are ranked by
+  /// confidence, then group size, descending.
   std::vector<DisposableZoneFinding> mine(DomainNameTree& tree,
                                           const CacheHitRateTracker& chr) const;
 
-  /// Runs Algorithm 1 rooted at one zone node (exposed for tests and the
-  /// parallel engine, which fans mine_zone over effective 2LDs).  When
-  /// tracing is enabled, each top-level call records one miner.zone span
-  /// labeled with the zone name.
-  void mine_zone(DomainNameTree& tree, NameId zone,
-                 const CacheHitRateTracker& chr,
-                 std::vector<DisposableZoneFinding>& out) const;
+  /// Runs Algorithm 1 rooted at each of `zones`, which must head disjoint
+  /// subtrees (the effective 2LDs do), through `parallel_for` (serially
+  /// when it is empty), and ranks the findings as mine() does.  The
+  /// findings do not depend on the schedule.  When tracing is enabled,
+  /// each zone of `zones` records one miner.zone span, labeled with the
+  /// zone name, that covers its subzones.
+  std::vector<DisposableZoneFinding> mine_zones(
+      DomainNameTree& tree, std::span<const NameId> zones,
+      const CacheHitRateTracker& chr,
+      const ParallelFor& parallel_for = {}) const;
 
   /// Ranks findings by confidence desc, group size desc, then (zone, depth)
   /// asc.  The key is a total order over distinct findings, so any
@@ -84,10 +100,31 @@ class DisposableZoneMiner {
  private:
   const BinaryClassifier& model_;
   MinerConfig config_;
-  void mine_zone_walk(DomainNameTree& tree, NameId zone,
-                      const CacheHitRateTracker& chr,
-                      std::vector<DisposableZoneFinding>& out,
-                      GroupFeatureScratch& scratch) const;
+
+  /// One top-level walk inside its miner.zone span.
+  void mine_zone(DomainNameTree& tree, NameId zone,
+                 const CacheHitRateTracker& chr,
+                 std::vector<DisposableZoneFinding>& out,
+                 const ParallelFor& parallel_for) const;
+  /// Lines 1-17 at `zone`, then its child zones; `scratch` is this
+  /// thread's lease.
+  void walk(DomainNameTree& tree, NameId zone, const CacheHitRateTracker& chr,
+            std::vector<DisposableZoneFinding>& out, ZoneScratch& scratch,
+            const ParallelFor& parallel_for) const;
+  /// walk() of a zone whose groups are in `groups`, split on the pool.
+  void split_walk(DomainNameTree& tree, NameId zone,
+                  const CacheHitRateTracker& chr, const DepthGroups& groups,
+                  std::vector<DisposableZoneFinding>& out,
+                  const ParallelFor& parallel_for) const;
+  GroupFeatures features_of(const DomainNameTree& tree, NameId zone,
+                            std::span<const NameId> nodes,
+                            const CacheHitRateTracker& chr,
+                            GroupFeatureScratch& scratch) const;
+  /// Lines 6-14 for one group: classify; on a confident hit decolor it and
+  /// append the finding.
+  void classify(DomainNameTree& tree, NameId zone, std::size_t depth,
+                std::span<const NameId> nodes, const GroupFeatures& features,
+                std::vector<DisposableZoneFinding>& out) const;
 
   // Metric handles resolved once at construction; all null when
   // config_.metrics is null.

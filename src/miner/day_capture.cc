@@ -107,15 +107,50 @@ void DayCapture::start_day(std::int64_t /*day_index*/) {
   fpdns_.clear();
 }
 
-void DayCapture::merge_from(const DayCapture& other) {
+void DayCapture::reserve(std::size_t names, std::size_t rrs,
+                         std::size_t queried, std::size_t resolved) {
+  names_->reserve(names);
+  tree_.reserve(names);
+  chr_.reserve(rrs, names);
+  seen_.reserve(names);
+  queried_.reserve(queried);
+  resolved_.reserve(resolved);
+}
+
+void DayCapture::merge_from(const DayCapture& other,
+                            const ParallelFor& parallel_for) {
   const std::vector<NameId> remap = names_->intern_all(*other.names_);
-  tree_.merge_from(other.tree_, remap);
-  chr_.merge_from(other.chr_, remap);
-  below_ += other.below_;
-  above_ += other.above_;
-  for (const NameId id : other.queried_) add_name(remap[id], kQueried);
-  for (const NameId id : other.resolved_) add_name(remap[id], kResolved);
-  fpdns_.append(other.fpdns_);
+  // The table is complete here: the parts below read it and each writes
+  // only its own structure.
+  run_parallel(parallel_for, 3, [&](std::size_t part) {
+    if (part == 0) {
+      tree_.merge_from(other.tree_, remap);
+    } else if (part == 1) {
+      chr_.merge_from(other.chr_, remap);
+    } else {
+      below_ += other.below_;
+      above_ += other.above_;
+      for (const NameId id : other.queried_) add_name(remap[id], kQueried);
+      for (const NameId id : other.resolved_) add_name(remap[id], kResolved);
+      fpdns_.append(other.fpdns_);
+    }
+  });
+}
+
+void DayCapture::merge_from(DayCapture&& other,
+                            const ParallelFor& parallel_for) {
+  // Every tap event bumps an hourly series, and a merge adds them, so a
+  // capture with empty series holds nothing but the root.
+  if (below_.sum_total() != 0 || above_.sum_total() != 0) {
+    merge_from(other, parallel_for);
+    other = DayCapture();
+    return;
+  }
+  const DayCaptureConfig config = config_;
+  *this = std::move(other);
+  config_ = config;
+  remap_.release();
+  other = DayCapture();
 }
 
 }  // namespace dnsnoise

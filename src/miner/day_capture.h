@@ -41,6 +41,7 @@
 #include "pdns/fpdns.h"
 #include "resolver/cluster.h"
 #include "resolver/tap.h"
+#include "util/parallel_for.h"
 #include "util/sim_time.h"
 
 namespace dnsnoise {
@@ -106,11 +107,26 @@ class DayCapture final : public TapObserver {
 
   /// Unions another capture of the SAME day into this one: other's table
   /// is remapped into this one once, reusing its stored hashes, then the
-  /// domain tree, the CHR counts and the name sets merge by integer remap;
+  /// domain tree, the CHR counts and the name sets merge by integer remap
+  /// (side by side through `parallel_for`, serially when it is empty);
   /// hourly series add and fpDNS entries append.  Merging shard captures
   /// in shard order yields a deterministic result regardless of how many
   /// threads produced them.
-  void merge_from(const DayCapture& other);
+  void merge_from(const DayCapture& other,
+                  const ParallelFor& parallel_for = {});
+
+  /// Same, and frees `other`.  Into a capture that has seen no event since
+  /// start_day(), other's day moves in whole instead of being copied: the
+  /// same ids, counts and lists as a copying merge, with each tree node's
+  /// children in other's insertion order (a copying merge relinks them in
+  /// id order; nothing reads child order).  This capture keeps its config.
+  void merge_from(DayCapture&& other, const ParallelFor& parallel_for = {});
+
+  /// Makes room for `names` names, `rrs` RRs and the given name-set
+  /// sizes, so merges up to them grow nothing (merge_shards reserves the
+  /// shards' sums).
+  void reserve(std::size_t names, std::size_t rrs, std::size_t queried,
+               std::size_t resolved);
 
   /// The capture's one table: the ids of the tree, the CHR keys and the
   /// name sets.

@@ -7,32 +7,42 @@
 namespace dnsnoise {
 
 FindingCover::FindingCover(const DomainNameTree& tree,
-                           std::span<const DisposableZoneFinding> findings)
-    : tree_(tree), decided_(tree.names().size(), 0) {
+                           std::span<const DisposableZoneFinding> findings,
+                           const ParallelFor& parallel_for)
+    : covered_(tree.names().size(), 0) {
+  std::vector<std::pair<NameId, std::size_t>> rules;  // (zone, depth)
   for (const DisposableZoneFinding& finding : findings) {
     const NameId zone = tree.names().find(finding.zone);
-    if (tree.is_name(zone)) rules_.emplace_back(zone, finding.depth);
+    if (tree.is_name(zone)) rules.emplace_back(zone, finding.depth);
   }
-  std::sort(rules_.begin(), rules_.end());
-}
-
-bool FindingCover::covers(NameId id) {
-  if (!tree_.is_name(id)) return false;
-  if (decided_[id] == 0) {
-    const std::size_t depth = tree_.depth(id);
-    bool hit = false;
-    for (NameId zone = tree_.parent(id);
-         !hit && zone != kInvalidNameId && zone != tree_.root();
-         zone = tree_.parent(zone)) {
-      hit = std::binary_search(rules_.begin(), rules_.end(),
-                               std::make_pair(zone, depth));
+  std::sort(rules.begin(), rules.end());
+  // Few names are findings' zones: flag them, so most ancestor steps are
+  // one byte load and only a flagged zone searches the rules.
+  std::vector<std::uint8_t> zone_flag(covered_.size(), 0);
+  for (const auto& [zone, depth] : rules) zone_flag[zone] = 1;
+  constexpr std::size_t kRange = std::size_t{1} << 14;
+  const std::size_t ranges = (covered_.size() + kRange - 1) / kRange;
+  run_parallel(parallel_for, ranges, [&](std::size_t range) {
+    const std::size_t end = std::min(covered_.size(), (range + 1) * kRange);
+    for (std::size_t i = range * kRange; i < end; ++i) {
+      const auto id = static_cast<NameId>(i);
+      if (!tree.is_name(id)) continue;
+      const std::size_t depth = tree.depth(id);
+      for (NameId zone = tree.parent(id);
+           zone != kInvalidNameId && zone != tree.root();
+           zone = tree.parent(zone)) {
+        if (zone_flag[zone] != 0 &&
+            std::binary_search(rules.begin(), rules.end(),
+                               std::make_pair(zone, depth))) {
+          covered_[i] = 1;
+          break;
+        }
+      }
     }
-    decided_[id] = hit ? 2 : 1;
-  }
-  return decided_[id] == 2;
+  });
 }
 
-std::size_t FindingCover::count(std::span<const NameId> ids) {
+std::size_t FindingCover::count(std::span<const NameId> ids) const noexcept {
   std::size_t n = 0;
   for (const NameId id : ids) n += covers(id) ? 1 : 0;
   return n;

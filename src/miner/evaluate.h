@@ -14,32 +14,35 @@
 #include "dns/public_suffix.h"
 #include "features/domain_tree.h"
 #include "miner/algorithm1.h"
+#include "util/parallel_for.h"
 #include "workload/scenario.h"
 
 namespace dnsnoise {
 
 /// Which names of a capture the findings cover: a name of depth k is
 /// covered when one of its ancestors, the root excluded, is the zone of a
-/// finding (zone, k).  Findings become (zone id, depth) pairs of the
-/// tree's table, and each name is decided once, by walking its ancestors;
-/// the answer is kept for the next list that holds it.
+/// finding (zone, k).  The cover is a pure function of the tree and the
+/// findings, so every id of the tree's table is decided once, up front,
+/// by walking its ancestors: in id ranges through `parallel_for`
+/// (serially when it is empty).  Lookups are then read-only.
 class FindingCover {
  public:
-  /// `tree` must outlive the cover, and its table must not grow meanwhile.
+  /// Decides the ids `tree`'s table holds now; later ids are not covered.
   FindingCover(const DomainNameTree& tree,
-               std::span<const DisposableZoneFinding> findings);
+               std::span<const DisposableZoneFinding> findings,
+               const ParallelFor& parallel_for = {});
 
   /// True when the findings cover `id`.  An id that is not a name of the
   /// tree's table (rdata text, kInvalidNameId) is not covered.
-  bool covers(NameId id);
+  bool covers(NameId id) const noexcept {
+    return id < covered_.size() && covered_[id] != 0;
+  }
 
   /// How many of `ids` the findings cover.
-  std::size_t count(std::span<const NameId> ids);
+  std::size_t count(std::span<const NameId> ids) const noexcept;
 
  private:
-  const DomainNameTree& tree_;
-  std::vector<std::pair<NameId, std::size_t>> rules_;  // sorted
-  std::vector<std::uint8_t> decided_;  // per id: 0 unknown, 1 no, 2 yes
+  std::vector<std::uint8_t> covered_;  // per id of the tree's table
 };
 
 struct MiningEvaluation {

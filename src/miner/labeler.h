@@ -14,6 +14,7 @@
 #include "features/domain_tree.h"
 #include "features/extractor.h"
 #include "ml/dataset.h"
+#include "util/parallel_for.h"
 #include "workload/scenario.h"
 
 namespace dnsnoise {
@@ -37,11 +38,15 @@ struct LabeledZone {
 
 /// Extracts labeled feature vectors from one day's capture.  Disposable
 /// samples are the truth zones' generation-depth groups; non-disposable
-/// samples are the popular zones' hostname groups.
+/// samples are the popular zones' hostname groups.  The candidate groups'
+/// features are computed through `parallel_for` (serially when it is
+/// empty); accepting candidates and drawing label noise stay serial, so
+/// the result does not depend on it.
 std::vector<LabeledZone> label_zones(const DomainNameTree& tree,
                                      const CacheHitRateTracker& chr,
                                      const Scenario& scenario,
-                                     const LabelerConfig& config = {});
+                                     const LabelerConfig& config = {},
+                                     const ParallelFor& parallel_for = {});
 
 /// Packs labeled zones into an ml::Dataset (feature order = kFeatureNames).
 Dataset to_dataset(const std::vector<LabeledZone>& zones);

@@ -9,9 +9,44 @@
 
 namespace dnsnoise {
 
+namespace {
+
+/// The day's unique counts and the disposable share of each, per the
+/// findings' cover.
+DayAggregates aggregate(const DayCapture& tap,
+                        std::span<const DisposableZoneFinding> findings,
+                        const ParallelFor& parallel_for) {
+  DayAggregates agg;
+  agg.unique_queried = tap.unique_queried();
+  agg.unique_resolved = tap.unique_resolved();
+  agg.unique_rrs = tap.chr().unique_rrs();
+  const FindingCover cover(tap.tree(), findings, parallel_for);
+  run_parallel(parallel_for, 3, [&](std::size_t list) {
+    if (list == 0) {
+      agg.disposable_queried = cover.count(tap.queried_names());
+    } else if (list == 1) {
+      agg.disposable_resolved = cover.count(tap.resolved_names());
+    } else {
+      for (const auto& [key, counts] : tap.chr().entries()) {
+        if (cover.covers(key.owner)) ++agg.disposable_rrs;
+      }
+    }
+  });
+  return agg;
+}
+
+}  // namespace
+
 MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
                                   const MineFn& mine) {
+  return finish_mining_day(tap, scenario, options, mine, {});
+}
+
+MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
+                                  const PipelineOptions& options,
+                                  const MineFn& mine,
+                                  const ParallelFor& parallel_for) {
   obs::MetricsRegistry* const metrics = options.metrics;
   obs::TraceCollector* const trace = options.trace;
   obs::TraceStream* const trace_stream =
@@ -35,8 +70,8 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   {
     const obs::StageSpan span(metrics, trace_stream, trace,
                               obs::TraceOp::kMinerLabel);
-    result.labeled =
-        label_zones(tap.tree(), tap.chr(), scenario, options.labeler);
+    result.labeled = label_zones(tap.tree(), tap.chr(), scenario,
+                                 options.labeler, parallel_for);
   }
   LadTree own_model(options.model);
   const BinaryClassifier* model = options.pretrained;
@@ -58,25 +93,20 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
     result.findings = mine ? mine(miner, tap.tree(), tap.chr())
                            : miner.mine(tap.tree(), tap.chr());
   }
-  {
-    const obs::StageSpan span(metrics, trace_stream, trace,
-                              obs::TraceOp::kMinerEvaluate);
-    result.evaluation = evaluate_findings(result.findings, scenario.truth());
-  }
+  heartbeat.beat();
+  // The evaluation and the aggregates read only the findings and the
+  // capture, so they run side by side.
+  run_parallel(parallel_for, 2, [&](std::size_t part) {
+    if (part == 0) {
+      const obs::StageSpan span(metrics, trace_stream, trace,
+                                obs::TraceOp::kMinerEvaluate);
+      result.evaluation = evaluate_findings(result.findings, scenario.truth());
+    } else {
+      result.aggregates = aggregate(tap, result.findings, parallel_for);
+    }
+  });
   if (metrics != nullptr) {
     metrics->counter("miner.findings").add(result.findings.size());
-  }
-
-  heartbeat.beat();
-  DayAggregates& agg = result.aggregates;
-  agg.unique_queried = tap.unique_queried();
-  agg.unique_resolved = tap.unique_resolved();
-  agg.unique_rrs = tap.chr().unique_rrs();
-  FindingCover cover(tap.tree(), result.findings);
-  agg.disposable_queried = cover.count(tap.queried_names());
-  agg.disposable_resolved = cover.count(tap.resolved_names());
-  for (const auto& [key, counts] : tap.chr().entries()) {
-    if (cover.covers(key.owner)) ++agg.disposable_rrs;
   }
   // Snapshot last, so the mining-stage timers above are included.
   if (metrics != nullptr) {

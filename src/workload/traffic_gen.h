@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 #include "workload/diurnal.h"
@@ -94,11 +95,6 @@ class TrafficGenerator {
     std::size_t count = 1;  // total shards (RDNS server count)
     std::size_t index = 0;  // this shard, in [0, count)
   };
-
-  /// Runs body(0..n-1), possibly concurrently, and returns when all calls
-  /// are done (the engine passes its pool's parallel_for).
-  using ParallelFor = std::function<void(
-      std::size_t n, const std::function<void(std::size_t)>& body)>;
 
   /// Draws the client of every slot of `day` once and splits the slots
   /// over `shard_count` shards.  Chunks are drawn through `parallel_for`

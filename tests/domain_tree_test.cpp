@@ -88,15 +88,27 @@ void paper_example_tree(DomainNameTree& tree) {
   tree.insert(DomainName("c.example.com"));
 }
 
+/// Depths that hold a group.
+std::size_t group_count(const DepthGroups& groups) {
+  std::size_t count = 0;
+  for (std::size_t depth = groups.begin_depth(); depth < groups.end_depth();
+       ++depth) {
+    count += groups.at(depth).empty() ? 0 : 1;
+  }
+  return count;
+}
+
 TEST(DomainTreeTest, PaperFig8Groups) {
   Tree t;
   DomainNameTree& tree = t.tree;
   paper_example_tree(tree);
   const NameId zone = tree.find(DomainName("example.com"));
   ASSERT_NE(zone, kInvalidNameId);
-  const auto groups = tree.black_descendants_by_depth(zone);
+  DepthGroups groups;
+  tree.black_descendants_by_depth(zone, groups);
   // G3 = {a, c}, G4 = {2.a, 3.a, 4.b}, G5 = {i.1.a}.
-  ASSERT_EQ(groups.size(), 3u);
+  ASSERT_EQ(group_count(groups), 3u);
+  EXPECT_EQ(groups.size(), 6u);
   EXPECT_EQ(groups.at(3).size(), 2u);
   EXPECT_EQ(groups.at(4).size(), 3u);
   EXPECT_EQ(groups.at(5).size(), 1u);
@@ -113,28 +125,37 @@ TEST(DomainTreeTest, DecolorMatchesPaperFig9) {
   DomainNameTree& tree = t.tree;
   paper_example_tree(tree);
   const NameId zone = tree.find(DomainName("example.com"));
-  auto groups = tree.black_descendants_by_depth(zone);
+  DepthGroups groups;
+  tree.black_descendants_by_depth(zone, groups);
   // Decolor G3 (a.example.com, c.example.com) as the paper's example does.
   for (const NameId node : groups.at(3)) tree.decolor(node);
   EXPECT_EQ(tree.black_count(), 4u);
-  const auto after = tree.black_descendants_by_depth(zone);
-  EXPECT_FALSE(after.contains(3));
-  EXPECT_EQ(after.at(4).size(), 3u);
+  // Refilling the same buckets forgets the decolored group.
+  tree.black_descendants_by_depth(zone, groups);
+  EXPECT_TRUE(groups.at(3).empty());
+  EXPECT_EQ(groups.at(4).size(), 3u);
   // Decoloring twice is harmless.
   tree.decolor(tree.find(DomainName("a.example.com")));
   EXPECT_EQ(tree.black_count(), 4u);
 }
 
-TEST(DomainTreeTest, HasBlackDescendant) {
+TEST(DomainTreeTest, EmptyGroupsMeanNoBlackDescendant) {
+  // Algorithm 1's lines 1-3 stop a zone with no black descendant: its
+  // groups are empty.
   Tree t;
   DomainNameTree& tree = t.tree;
   paper_example_tree(tree);
-  EXPECT_TRUE(tree.has_black_descendant(tree.find(DomainName("example.com"))));
-  EXPECT_TRUE(
-      tree.has_black_descendant(tree.find(DomainName("a.example.com"))));
+  DepthGroups groups;
+  tree.black_descendants_by_depth(tree.find(DomainName("example.com")), groups);
+  EXPECT_FALSE(groups.empty());
+  tree.black_descendants_by_depth(tree.find(DomainName("a.example.com")),
+                                  groups);
+  EXPECT_FALSE(groups.empty());
   // c.example.com is black itself but has no black *descendants*.
-  EXPECT_FALSE(
-      tree.has_black_descendant(tree.find(DomainName("c.example.com"))));
+  tree.black_descendants_by_depth(tree.find(DomainName("c.example.com")),
+                                  groups);
+  EXPECT_TRUE(groups.empty());
+  EXPECT_EQ(group_count(groups), 0u);
 }
 
 TEST(DomainTreeTest, Effective2ldNodes) {
@@ -237,10 +258,15 @@ TEST(DomainTreeTest, GroupsAreScopedToTheZone) {
   tree.insert(DomainName("x.one.com"));
   tree.insert(DomainName("y.two.com"));
   const NameId one = tree.find(DomainName("one.com"));
-  const auto groups = tree.black_descendants_by_depth(one);
-  ASSERT_EQ(groups.size(), 1u);
+  DepthGroups groups;
+  tree.black_descendants_by_depth(one, groups);
+  ASSERT_EQ(group_count(groups), 1u);
   EXPECT_EQ(groups.at(3).size(), 1u);
   EXPECT_EQ(tree.name(groups.at(3)[0]), "x.one.com");
+  // Refilled for another zone, no group of the first one is left over.
+  tree.black_descendants_by_depth(tree.find(DomainName("two.com")), groups);
+  ASSERT_EQ(group_count(groups), 1u);
+  EXPECT_EQ(tree.name(groups.at(3)[0]), "y.two.com");
 }
 
 }  // namespace

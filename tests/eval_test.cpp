@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "features/domain_tree.h"
@@ -198,6 +200,44 @@ TEST(FindingCoverTest, DecidesEachIdOnce) {
   EXPECT_FALSE(cover.covers(uncovered));
   const std::vector<NameId> ids{covered, uncovered, kInvalidNameId, covered};
   EXPECT_EQ(cover.count(ids), 2u);
+}
+
+TEST(FindingCoverTest, RangesOnAPoolDecideAsTheSerialPass) {
+  // More ids than one range, decided through a ParallelFor that runs the
+  // ranges backwards: every id must get the serial answer, which must be
+  // the definition (an ancestor below the root is a finding's zone at the
+  // name's depth).
+  NameTable names;
+  DomainNameTree tree(names);
+  for (int i = 0; i < 40'000; ++i) {
+    tree.insert(DomainName("n" + std::to_string(i) + ".z" +
+                           std::to_string(i % 50) + ".example.com"));
+  }
+  tree.insert(DomainName("deep.n1.z1.example.com"));
+  std::vector<DisposableZoneFinding> findings(3);
+  findings[0].zone = "z3.example.com";
+  findings[0].depth = 4;
+  findings[1].zone = "example.com";
+  findings[1].depth = 5;
+  findings[2].zone = "absent.org";
+  findings[2].depth = 3;
+  const ParallelFor backwards =
+      [](std::size_t n, const std::function<void(std::size_t)>& body) {
+        for (std::size_t i = n; i > 0; --i) body(i - 1);
+      };
+  const FindingCover serial(tree, findings);
+  const FindingCover ranged(tree, findings, backwards);
+  std::size_t covered = 0;
+  for (NameId id = 0; id < names.size(); ++id) {
+    const std::string_view name = names.name(id);
+    const bool want =
+        (tree.depth(id) == 4 && name.ends_with(".z3.example.com")) ||
+        (tree.depth(id) == 5 && name.ends_with(".example.com"));
+    ASSERT_EQ(serial.covers(id), want) << name;
+    ASSERT_EQ(ranged.covers(id), want) << name;
+    covered += want ? 1 : 0;
+  }
+  EXPECT_EQ(covered, 801u);  // n*.z3 (800) and deep.n1.z1
 }
 
 }  // namespace

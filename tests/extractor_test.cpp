@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 #include "workload/label_gen.h"
 
@@ -158,6 +162,41 @@ TEST_P(ExtractorSeparationTest, DisposableAndPopularGroupsSeparate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtractorSeparationTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(ExtractorTest, ChrMedianIsTheMissWeightedMedianRate) {
+  // Small counts give many tied rates; the median must be the rate at
+  // which a rate-sorted walk of the misses crosses half, as defined.
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    Fixture fx;
+    fx.zone_depth = 2;
+    std::vector<std::pair<double, std::uint64_t>> sample;
+    const std::size_t count = 1 + rng.below(400);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string name = "h" + std::to_string(i) + ".zone.test";
+      fx.add_name(name, rng.below(6), rng.below(4));
+      const auto* counts = fx.chr.find({name, RRType::A, "10.0.0.1"});
+      if (counts != nullptr && counts->above > 0) {
+        sample.emplace_back(CacheHitRateTracker::dhr(*counts), counts->above);
+      }
+    }
+    std::sort(sample.begin(), sample.end());
+    std::uint64_t total = 0;
+    for (const auto& entry : sample) total += entry.second;
+    double want = 1.0;
+    std::uint64_t seen = 0;
+    for (const auto& [rate, weight] : sample) {
+      seen += weight;
+      if (seen * 2 >= total) {
+        want = rate;
+        break;
+      }
+    }
+    const GroupFeatures f =
+        compute_group_features(fx.tree, fx.group, fx.zone_depth, fx.chr);
+    EXPECT_EQ(f.chr_median, want) << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace dnsnoise

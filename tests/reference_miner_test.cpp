@@ -6,16 +6,20 @@
 // Each day is captured by the hand-driven engine day of reference_day.h,
 // the day's model is trained on the fast labeler's groups, and the same
 // model then drives the reference walk and the fast one:
-// DisposableZoneMiner::mine and mine_zones_parallel at 1 and 4 threads,
-// each on a fresh copy of the merged capture (mining decolors the tree).
+// DisposableZoneMiner::mine and mine_zones_parallel at 1, 2 and 4 threads
+// (a day's pool of threads - 1 workers beside the calling thread), each on
+// a fresh copy of the merged capture (mining decolors the tree).  The
+// labeler also runs on those pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "reference_day.h"
 
@@ -122,13 +126,28 @@ DayOutcome check_day(const DayParams& params, const LabelerConfig& labeler) {
       [](const DisposableZoneMiner& miner, DomainNameTree& tree,
          const CacheHitRateTracker& chr) { return miner.mine(tree, chr); },
       want, classified);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE(threads);
+    std::optional<ThreadPool> pool;
+    if (threads > 1) pool.emplace(threads - 1);
+    ThreadPool* const day_pool = pool ? &*pool : nullptr;
+    const std::vector<LabeledZone> pooled = label_zones(
+        labeling.tree(), labeling.chr(), scenario, labeler, on_pool(day_pool));
+    EXPECT_EQ(pooled.size(), labeled.size());
+    for (std::size_t i = 0; i < std::min(pooled.size(), labeled.size());
+         ++i) {
+      EXPECT_EQ(pooled[i].zone, labeled[i].zone) << "label " << i;
+      EXPECT_EQ(pooled[i].depth, labeled[i].depth) << "label " << i;
+      EXPECT_EQ(pooled[i].label, labeled[i].label) << "label " << i;
+      EXPECT_EQ(pooled[i].features.as_array(), labeled[i].features.as_array())
+          << "label " << i;
+    }
     expect_same_mining(
         day, model, config,
-        [&psl, threads](const DisposableZoneMiner& miner, DomainNameTree& tree,
-                        const CacheHitRateTracker& chr) {
-          return mine_zones_parallel(miner, tree, chr, psl, threads);
+        [&psl, day_pool](const DisposableZoneMiner& miner, DomainNameTree& tree,
+                         const CacheHitRateTracker& chr) {
+          return mine_zones_parallel(miner, tree, chr, psl, day_pool);
         },
         want, classified);
   }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "engine/drive.h"
+#include "engine/thread_pool.h"
 #include "features/chr.h"
 #include "features/domain_tree.h"
 #include "tap_feed.h"
@@ -176,6 +180,117 @@ TEST(ShardMergeTest, MergeShardsSumsCounters) {
   EXPECT_EQ(counters.below_answers, 7u);
   EXPECT_EQ(counters.above_answers, 1u);
   EXPECT_EQ(counters.stats.hits, 7u);
+}
+
+/// A small day split over `shard_count` servers and driven by hand, as
+/// the engine drives its shards: one shard capture each, fpDNS kept.
+std::vector<ShardResult> drive_shards(const Scenario& scenario,
+                                      std::size_t shard_count) {
+  DayCaptureConfig config;
+  config.keep_fpdns = true;
+  ClusterConfig cluster;
+  cluster.server_count = shard_count;
+  cluster.cache.capacity = 1 << 12;
+  const std::int64_t day = scenario_day_index(ScenarioDate::kDec30);
+  const DayPlan plan = scenario.traffic().plan_day(day, shard_count);
+  std::vector<ShardResult> shards;
+  for (std::size_t i = 0; i < shard_count; ++i) shards.emplace_back(config);
+  for (std::size_t index = 0; index < shard_count; ++index) {
+    RdnsCluster server(cluster.for_shard(index), scenario.authority());
+    Question question;
+    DayCapture& capture = shards[index].capture;
+    capture.start_day(day);
+    capture.attach(server);
+    drive_day(scenario.traffic(), plan, index, server, question, nullptr);
+    server.flush_taps();
+    capture.detach(server);
+  }
+  return shards;
+}
+
+std::vector<NameId> children_of(const DomainNameTree& tree, NameId id) {
+  std::vector<NameId> children;
+  for (NameId child = tree.first_child(id); child != kInvalidNameId;
+       child = tree.next_sibling(child)) {
+    children.push_back(child);
+  }
+  std::sort(children.begin(), children.end());
+  return children;
+}
+
+/// Everything a merged capture holds, compared between two captures.
+void expect_same_capture(const DayCapture& want, const DayCapture& got) {
+  ASSERT_EQ(got.names().size(), want.names().size());
+  for (NameId id = 0; id < want.names().size(); ++id) {
+    ASSERT_EQ(got.names().name(id), want.names().name(id)) << id;
+  }
+  const auto want_rrs = want.chr().entries();
+  const auto got_rrs = got.chr().entries();
+  ASSERT_EQ(got_rrs.size(), want_rrs.size());
+  for (std::size_t i = 0; i < want_rrs.size(); ++i) {
+    EXPECT_TRUE(got_rrs[i].first.same_rr(want_rrs[i].first)) << "rr " << i;
+    EXPECT_EQ(got_rrs[i].second.below, want_rrs[i].second.below) << i;
+    EXPECT_EQ(got_rrs[i].second.above, want_rrs[i].second.above) << i;
+    EXPECT_EQ(got_rrs[i].second.ttl, want_rrs[i].second.ttl) << i;
+  }
+  EXPECT_TRUE(std::ranges::equal(got.queried_names(), want.queried_names()));
+  EXPECT_TRUE(std::ranges::equal(got.resolved_names(), want.resolved_names()));
+  EXPECT_TRUE(std::ranges::equal(got.fpdns().entries(),
+                                 want.fpdns().entries()));
+  for (const auto& [got_series, want_series] :
+       {std::pair(&got.below_series(), &want.below_series()),
+        std::pair(&got.above_series(), &want.above_series())}) {
+    EXPECT_EQ(got_series->total, want_series->total);
+    EXPECT_EQ(got_series->nxdomain, want_series->nxdomain);
+    EXPECT_EQ(got_series->google, want_series->google);
+    EXPECT_EQ(got_series->akamai, want_series->akamai);
+  }
+  const DomainNameTree& want_tree = want.tree();
+  const DomainNameTree& got_tree = got.tree();
+  EXPECT_EQ(got_tree.node_count(), want_tree.node_count());
+  for (NameId id = 0; id < want.names().size(); ++id) {
+    ASSERT_EQ(got_tree.is_name(id), want_tree.is_name(id)) << id;
+    ASSERT_EQ(got_tree.contains(id), want_tree.contains(id)) << id;
+    if (!want_tree.is_name(id)) continue;
+    ASSERT_EQ(got_tree.parent(id), want_tree.parent(id)) << id;
+    ASSERT_EQ(got_tree.depth(id), want_tree.depth(id)) << id;
+    if (!want_tree.contains(id)) continue;
+    ASSERT_EQ(got_tree.black(id), want_tree.black(id)) << id;
+    ASSERT_EQ(children_of(got_tree, id), children_of(want_tree, id)) << id;
+  }
+}
+
+TEST(ShardMergeTest, MergeIntoShardZeroEqualsTheFold) {
+  // merge_shards moves shard 0 into the result and merges the others on
+  // a pool; a fold of every shard into an empty capture, written here,
+  // is the definition it must match, child order aside.
+  ScenarioScale scale;
+  scale.queries_per_day = 6'000;
+  scale.client_count = 400;
+  const Scenario scenario(ScenarioDate::kDec30, scale);
+  DayCaptureConfig config;
+  config.keep_fpdns = true;
+  ThreadPool pool(3);
+  for (const std::size_t shard_count : {1u, 2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE(shard_count);
+    std::vector<ShardResult> shards = drive_shards(scenario, shard_count);
+    DayCapture fold(config);
+    fold.start_day(0);
+    for (const ShardResult& shard : shards) fold.merge_from(shard.capture);
+    fold.fpdns().stable_sort_by_time();
+
+    DayCapture merged(config);
+    merged.start_day(0);
+    std::string error;
+    merge_shards(shards, merged, error, on_pool(&pool));
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_GT(merged.chr().unique_rrs(), 0u);
+    expect_same_capture(fold, merged);
+    // Every shard's capture was freed.
+    for (const ShardResult& shard : shards) {
+      EXPECT_EQ(shard.capture.names().size(), 1u);
+    }
+  }
 }
 
 }  // namespace

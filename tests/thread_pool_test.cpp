@@ -9,6 +9,8 @@
 #include <numeric>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace dnsnoise {
 namespace {
 
@@ -90,6 +92,43 @@ TEST(ThreadPoolTest, SingleThreadPoolStillCompletesParallelFor) {
     counter.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ThreadPoolTest, NestedParallelForCompletes) {
+  // A body that itself calls parallel_for, on pools where every worker
+  // can be inside an outer body at once: a waiting caller must run the
+  // helpers queued behind it.  ctest's timeout turns a hang into a failure.
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(16);
+    pool.parallel_for(4, [&pool, &hits](std::size_t outer) {
+      pool.parallel_for(4, [&hits, outer](std::size_t inner) {
+        hits[outer * 4 + inner].fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << workers << " workers, index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, OneWorkerPoolNeverSteals) {
+  // With one deque there is nothing to steal: the calling thread's help
+  // is not a steal, so the counter stays 0 whatever the schedule.
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(1, &metrics);
+  std::atomic<int> counter{0};
+  for (int round = 0; round < 20; ++round) {
+    pool.parallel_for(8, [&pool, &counter](std::size_t) {
+      pool.parallel_for(8, [&counter](std::size_t) {
+        counter.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  }
+  EXPECT_EQ(counter.load(), 20 * 64);
+  EXPECT_EQ(metrics.counter("engine.pool.steals").value(), 0u);
+  // One helper per loop: 20 outer loops and 160 inner ones.
+  EXPECT_EQ(metrics.counter("engine.pool.tasks_submitted").value(), 180u);
 }
 
 }  // namespace

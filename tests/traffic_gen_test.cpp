@@ -156,7 +156,7 @@ TEST(TrafficGenTest, PlanDoesNotDependOnChunkSchedule) {
   TrafficGenerator gen(config);
   gen.add_model(std::make_shared<CountingModel>("a.com"), 1.0);
   gen.add_model(std::make_shared<CountingModel>("b.com"), 2.0);
-  const TrafficGenerator::ParallelFor reversed =
+  const ParallelFor reversed =
       [](std::size_t n, const std::function<void(std::size_t)>& body) {
         for (std::size_t i = n; i > 0; --i) body(i - 1);
       };

@@ -39,6 +39,14 @@ crawl should fail even against a generous baseline; the floor is the
 backstop.  A floor naming a gauge the current run did not produce is
 exit 2 — the bench stopped emitting the gauge, not a pass.
 
+``--min-ratio NUM/DEN=FLOOR`` (repeatable) bounds the ratio of two
+current gauges from below, e.g. a thread-scaling speedup
+``bench.BM_EngineDay.4.real_time.items_per_sec/bench.BM_EngineDay.1.
+real_time.items_per_sec=1.15``.  A ratio of one run's gauges carries
+across hosts where absolute throughput does not.  A ratio below its floor
+is a regression (exit 1); a ratio naming a gauge the current run did not
+produce, or whose denominator is not positive, is exit 2.
+
 Every failure message names the baseline file path, not just the gauge:
 when a legitimate performance change moves a number, the remedy is
 re-recording exactly that file, and the CI log should say which one.
@@ -121,7 +129,27 @@ def main():
         "to the baseline ratio (repeatable); a floor whose gauge is "
         "absent from the current run is an error",
     )
+    parser.add_argument(
+        "--min-ratio",
+        action="append",
+        default=[],
+        metavar="NUM/DEN=FLOOR",
+        help="lower bound on the ratio of two current gauges (repeatable); "
+        "a ratio naming an absent gauge is an error",
+    )
     args = parser.parse_args()
+
+    ratios = []
+    for spec in args.min_ratio:
+        names, sep, value = spec.rpartition("=")
+        numerator, slash, denominator = names.partition("/")
+        try:
+            if not sep or not slash or not numerator or not denominator:
+                raise ValueError("expected NUM/DEN=FLOOR")
+            ratios.append((numerator, denominator, float(value)))
+        except ValueError as err:
+            print(f"error: bad --min-ratio {spec!r}: {err}")
+            return 2
 
     floors = {}
     for spec in args.floor:
@@ -191,6 +219,27 @@ def main():
                 f"{name} ({value:,.0f} below absolute floor {floor:,.0f}; "
                 f"baseline file: {args.baseline})")
         print(f"{status:>10}  {name}: {value:,.0f} (floor {floor:,.0f})")
+    for numerator, denominator, floor in ratios:
+        missing = [name for name in (numerator, denominator)
+                   if name not in current_all]
+        if missing:
+            print(f"error: --min-ratio gauge {missing[0]} is absent from "
+                  f"the current snapshot {args.current}; the benchmark "
+                  "stopped emitting it")
+            return 2
+        if current_all[denominator] <= 0:
+            print(f"error: --min-ratio denominator {denominator} is "
+                  f"{current_all[denominator]} in {args.current}")
+            return 2
+        ratio = current_all[numerator] / current_all[denominator]
+        status = "ok"
+        if ratio < floor:
+            status = "REGRESSION"
+            regressions.append(
+                f"{numerator} / {denominator} ({ratio:.3f} below floor "
+                f"{floor:.3f}; baseline file: {args.baseline})")
+        print(f"{status:>10}  {numerator} / {denominator}: {ratio:.3f} "
+              f"(floor {floor:.3f})")
     for name in sorted(baseline):
         if name not in current:
             print(f"note: {name} missing from current run (not gating)")

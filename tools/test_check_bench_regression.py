@@ -331,6 +331,58 @@ class CheckBenchRegressionTest(unittest.TestCase):
             code, out = self.run_gate(current, baseline, "--floor", spec)
             self.assertEqual(code, 2, (spec, out))
 
+    def ratio_fixture(self, four, one):
+        current = self.path(
+            "current.json",
+            snapshot({"d.4.items_per_sec": four, "d.1.items_per_sec": one}))
+        baseline = self.path(
+            "baseline.json",
+            snapshot({"d.1.items_per_sec": one}))
+        return current, baseline
+
+    def test_min_ratio_pass(self):
+        current, baseline = self.ratio_fixture(1800.0, 1000.0)
+        code, out = self.run_gate(
+            current, baseline,
+            "--min-ratio", "d.4.items_per_sec/d.1.items_per_sec=1.15")
+        self.assertEqual(code, 0, out)
+        self.assertIn("1.800 (floor 1.150)", out)
+
+    def test_min_ratio_below_floor_fails(self):
+        # Both gauges are absent from the baseline: the ratio is judged on
+        # the current run alone.
+        current, baseline = self.ratio_fixture(1100.0, 1000.0)
+        code, out = self.run_gate(
+            current, baseline,
+            "--min-ratio", "d.4.items_per_sec/d.1.items_per_sec=1.15")
+        self.assertEqual(code, 1, out)
+        self.assertIn("below floor", out)
+        self.assertIn(baseline, out[out.index("gauge(s) regressed"):])
+
+    def test_min_ratio_on_missing_gauge_errors(self):
+        current, baseline = self.ratio_fixture(1800.0, 1000.0)
+        for spec in ("gone.items_per_sec/d.1.items_per_sec=1.15",
+                     "d.4.items_per_sec/gone.items_per_sec=1.15"):
+            code, out = self.run_gate(current, baseline, "--min-ratio", spec)
+            self.assertEqual(code, 2, (spec, out))
+            self.assertIn("absent from the current snapshot", out)
+
+    def test_min_ratio_with_zero_denominator_errors(self):
+        current, baseline = self.ratio_fixture(1800.0, 0.0)
+        code, out = self.run_gate(
+            current, baseline,
+            "--min-ratio", "d.4.items_per_sec/d.1.items_per_sec=1.15")
+        self.assertEqual(code, 2, out)
+
+    def test_malformed_min_ratio_spec_errors(self):
+        current, baseline = self.ratio_fixture(1800.0, 1000.0)
+        for spec in ("d.4.items_per_sec=1.15",
+                     "d.4.items_per_sec/d.1.items_per_sec",
+                     "/d.1.items_per_sec=1.15",
+                     "d.4.items_per_sec/d.1.items_per_sec=fast"):
+            code, out = self.run_gate(current, baseline, "--min-ratio", spec)
+            self.assertEqual(code, 2, (spec, out))
+
     def test_failure_messages_name_the_baseline_file(self):
         # Every regression detail must cite the baseline file path so the
         # CI log says which file to re-record after a legitimate change.
