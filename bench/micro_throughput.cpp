@@ -430,6 +430,55 @@ void BM_ClusterQueryCaptured(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterQueryCaptured);
 
+void BM_CaptureFirstSight(benchmark::State& state) {
+  // The case the capture's per-name facts cannot help, as in a
+  // random-qname flood: every tap event's qname is new.  A producer table
+  // holds kNames names, and each query delivers the next one as a below
+  // event with one A answer through a TapBuffer, as a cluster does, so the
+  // capture classes, interns, lists and records each name on its first
+  // and only sighting.  After the last name the capture starts a new day
+  // (untimed), so no name repeats.  BM_ClusterQueryCaptured is the
+  // opposite case: 500 names, every event a repeat.
+  constexpr std::size_t kNames = std::size_t{1} << 18;
+  NameTable names;
+  names.reserve(kNames);
+  std::vector<CompactRecord> answers;
+  answers.reserve(kNames);
+  for (std::size_t i = 0; i < kNames; ++i) {
+    char text[32] = {'f'};
+    char* end = std::to_chars(text + 1, text + 12, i).ptr;
+    constexpr std::string_view kZone = ".flood.example.com";
+    end = std::copy(kZone.begin(), kZone.end(), end);
+    const NameId id =
+        names.intern({text, static_cast<std::size_t>(end - text)});
+    answers.push_back(compact_record(names, id, RRType::A, 60, "10.0.0.1"));
+  }
+  DayCapture capture;
+  TapBuffer taps(names);  // destroyed first: its final flush finds capture
+  taps.add_observer(&capture);
+  std::size_t i = 0;
+  const std::uint64_t allocs_before = alloc_count();
+  for (auto _ : state) {
+    if (i == kNames) {
+      state.PauseTiming();
+      taps.flush();
+      capture.start_day(0);
+      i = 0;
+      state.ResumeTiming();
+    }
+    if (taps.push(0, TapDirection::kBelow, i, answers[i].owner, RRType::A,
+                  RCode::NoError, {&answers[i], 1})) {
+      taps.flush();
+    }
+    ++i;
+  }
+  taps.flush();
+  report_allocs_per_query(state, allocs_before,
+                          static_cast<std::uint64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CaptureFirstSight);
+
 void BM_ClusterMiss(benchmark::State& state) {
   // The disposable-name path: a flat zone, a 4,096-entry cache and a
   // rotating pool of 1M names, so every query misses (its name left the

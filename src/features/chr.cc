@@ -67,14 +67,16 @@ CacheHitRateTracker::Counts& CacheHitRateTracker::entry_for(
   return entries_.back().second;
 }
 
-bool CacheHitRateTracker::record_below(const CompactRecord& rr) {
-  Counts& counts = entry_for(rr, rr_hash(rr, *names_));
+bool CacheHitRateTracker::record_below(const CompactRecord& rr,
+                                       std::uint64_t hash) {
+  Counts& counts = entry_for(rr, hash);
   if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
   return counts.below++ == 0;
 }
 
-void CacheHitRateTracker::record_above(const CompactRecord& rr) {
-  Counts& counts = entry_for(rr, rr_hash(rr, *names_));
+void CacheHitRateTracker::record_above(const CompactRecord& rr,
+                                       std::uint64_t hash) {
+  Counts& counts = entry_for(rr, hash);
   if (counts.below + counts.above == 0) counts.ttl = rr.ttl;
   ++counts.above;
 }

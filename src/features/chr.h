@@ -60,8 +60,20 @@ class CacheHitRateTracker {
   /// Returns true when it is the RR's first below sighting of the day (an
   /// above sighting before it does not count), so callers can do per-RR
   /// first-sight work exactly once.
-  bool record_below(const CompactRecord& rr);
-  void record_above(const CompactRecord& rr);
+  bool record_below(const CompactRecord& rr) {
+    return record_below(rr, rr_hash(rr, *names_));
+  }
+  void record_above(const CompactRecord& rr) {
+    record_above(rr, rr_hash(rr, *names_));
+  }
+
+  /// The same with the RR's hash given: `hash` must be rr_hash(rr,
+  /// names()).  rr_hash is table-independent, so a caller holding the RR
+  /// in another table whose texts hash alike (DayCapture, with its
+  /// producer's record) passes that table's hash and no stored hash of
+  /// names() is read.
+  bool record_below(const CompactRecord& rr, std::uint64_t hash);
+  void record_above(const CompactRecord& rr, std::uint64_t hash);
 
   /// Presentation-form entry points: convert the RR once (compact_record,
   /// interning its text into names()) and count it like the overloads

@@ -21,19 +21,20 @@ void DayCapture::detach(RdnsCluster& cluster) {
 }
 
 NameId DayCapture::name_id(NameId id, const NameTable& names) {
-  NameId& mapped = remap_[id];
-  if (mapped == kInvalidNameId || !tree_.is_name(mapped)) {
-    mapped = tree_.intern(names.name(id), names.name_hash(id));
+  TapIdRemap::Entry& entry = remap_[id];
+  if ((entry.facts & kTreeName) == 0) {
+    entry.id = tree_.intern(names.name(id), names.name_hash(id));
+    entry.facts |= kTreeName;
   }
-  return mapped;
+  return entry.id;
 }
 
 NameId DayCapture::text_id(NameId id, const NameTable& names) {
-  NameId& mapped = remap_[id];
-  if (mapped == kInvalidNameId) {
-    mapped = names_->intern(names.name(id), names.name_hash(id));
+  TapIdRemap::Entry& entry = remap_[id];
+  if (entry.id == kInvalidNameId) {
+    entry.id = names_->intern(names.name(id), names.name_hash(id));
   }
-  return mapped;
+  return entry.id;
 }
 
 void DayCapture::add_name(NameId id, std::uint8_t set) {
@@ -43,32 +44,35 @@ void DayCapture::add_name(NameId id, std::uint8_t set) {
   (set == kQueried ? queried_ : resolved_).push_back(id);
 }
 
-namespace {
-
-void bump(HourlySeries& series, SimTime ts, std::uint64_t units, bool nx,
-          std::string_view qname) {
-  const auto hour = static_cast<std::size_t>(hour_of_day(ts));
-  series.total[hour] += units;
-  if (nx) series.nxdomain[hour] += units;
-  if (Scenario::is_google_name(qname)) series.google[hour] += units;
-  if (Scenario::is_akamai_name(qname)) series.akamai[hour] += units;
-}
-
-}  // namespace
-
 void DayCapture::on_tap_batch(const TapBatch& batch) {
   const NameTable& names = batch.names();
   remap_.follow(names);
   for (const TapEvent& event : batch) {
     const bool below = event.direction == TapDirection::kBelow;
     const std::span<const CompactRecord> answers = batch.answers(event);
-    const std::string_view qname = names.name(event.qname);
     const bool nx = event.rcode != RCode::NoError;
     const std::uint64_t units =
         nx || answers.empty() ? 1
                               : static_cast<std::uint64_t>(answers.size());
-    bump(below ? below_ : above_, event.ts, units, nx, qname);
-    if (below) add_name(name_id(event.qname, names), kQueried);
+    // The qname's facts are decided from its text on its first event; a
+    // repeated event reads them with its id.
+    TapIdRemap::Entry& qname = remap_[event.qname];
+    if ((qname.facts & kClassed) == 0) {
+      const std::string_view text = names.name(event.qname);
+      qname.facts |= kClassed;
+      if (Scenario::is_google_name(text)) qname.facts |= kGoogle;
+      if (Scenario::is_akamai_name(text)) qname.facts |= kAkamai;
+    }
+    HourlySeries& series = below ? below_ : above_;
+    const auto hour = static_cast<std::size_t>(hour_of_day(event.ts));
+    series.total[hour] += units;
+    if (nx) series.nxdomain[hour] += units;
+    if ((qname.facts & kGoogle) != 0) series.google[hour] += units;
+    if ((qname.facts & kAkamai) != 0) series.akamai[hour] += units;
+    if (below && (qname.facts & kListed) == 0) {
+      add_name(name_id(event.qname, names), kQueried);
+      qname.facts |= kListed;
+    }
     if (config_.keep_fpdns) {
       fpdns_.add_response(event.ts, event.client_id,
                           below ? FpDirection::kBelow : FpDirection::kAbove,
@@ -80,13 +84,16 @@ void DayCapture::on_tap_batch(const TapBatch& batch) {
       CompactRecord key = rr;
       key.owner = name_id(rr.owner, names);
       if (rr.form == RdataForm::kText) key.set_text(text_id(rr.text(), names));
+      // The capture interned with the producer's stored hashes, so the
+      // producer's record hashes as the key does.
+      const std::uint64_t hash = rr_hash(rr, names);
       if (!below) {
-        chr_.record_above(key);
+        chr_.record_above(key, hash);
         continue;
       }
       // The tree and the resolved set depend only on the set of RRs seen
       // below, so only an RR's first below sighting can change them.
-      if (chr_.record_below(key)) {
+      if (chr_.record_below(key, hash)) {
         tree_.insert(key.owner);
         add_name(key.owner, kResolved);
       }

@@ -19,14 +19,20 @@
 // text is interned with no parent.
 //
 // Hot path: tap events carry ids of the producer's name table, and the
-// capture keeps a dense remap from those ids to its own, so re-seeing a
-// name or an RR is array indexing plus an integer-keyed probe: no text is
-// hashed or copied.  Text is written only on a name's first sight.  The
-// tree and the resolved set depend only on the set of RRs seen below, so
-// they are touched only on an RR's first below sighting
-// (CacheHitRateTracker::record_below reports it); an RR seen above first
-// still counts on its first below sighting, and one seen only above never
-// does.  The remap is freed on detach.
+// capture keeps a dense remap from those ids to its own (TapIdRemap).  A
+// remap entry also holds what the capture decided about the name: its
+// hourly series class (google, akamai), that its id is a tree name, and
+// that it is in the queried list.  Each is decided once per producer id,
+// from the text on first sight, so a repeated event costs one load: no
+// text is read, hashed or copied.  The CHR is probed with the hash of the
+// producer's record (rr_hash), which is the key's: the capture interns
+// with the producer's stored hashes.  The tree and the resolved set
+// depend only on the set of RRs seen below, so they are touched only on
+// an RR's first below sighting (CacheHitRateTracker::record_below reports
+// it); an RR seen above first still counts on its first below sighting,
+// and one seen only above never does.  The remap and its facts reset
+// together (attach, start_day, a batch of another table) and are freed
+// on detach.
 #pragma once
 
 #include <array>
@@ -161,6 +167,14 @@ class DayCapture final : public TapObserver {
   static constexpr std::uint8_t kQueried = 1;
   static constexpr std::uint8_t kResolved = 2;
 
+  /// Facts of a remap entry: what the capture decided about one source
+  /// name, each once.
+  static constexpr std::uint8_t kClassed = 1;   // kGoogle, kAkamai decided
+  static constexpr std::uint8_t kGoogle = 2;    // counts in series.google
+  static constexpr std::uint8_t kAkamai = 4;    // counts in series.akamai
+  static constexpr std::uint8_t kTreeName = 8;  // id is a tree name
+  static constexpr std::uint8_t kListed = 16;   // id is in queried_
+
   /// The capture's id of source id `id`: as a name (with its suffixes)
   /// or as rdata text.
   NameId name_id(NameId id, const NameTable& names);
@@ -178,7 +192,7 @@ class DayCapture final : public TapObserver {
   std::vector<std::uint8_t> seen_;  // per id of names_: kQueried | kResolved
   std::vector<NameId> queried_;
   std::vector<NameId> resolved_;
-  TapIdRemap remap_;  // source id -> id of names_
+  TapIdRemap remap_;  // source id -> id of names_, with its facts
 };
 
 }  // namespace dnsnoise

@@ -1,8 +1,7 @@
 #include "miner/evaluate.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_set>
+#include <string_view>
 
 namespace dnsnoise {
 
@@ -48,44 +47,125 @@ std::size_t FindingCover::count(std::span<const NameId> ids) const noexcept {
   return n;
 }
 
+namespace {
+
+/// One label-boundary suffix of a truth apex's normalized text, the root
+/// ("") and the whole text included.
+struct ApexSuffix {
+  std::string_view suffix;
+  std::uint32_t zone = 0;  // index into GroundTruth::disposable_zones
+  bool whole = false;      // the suffix is the apex itself
+};
+
+/// Calls `fn` with every label-boundary suffix of the normalized `name`,
+/// longest first: the name itself, each text after a dot, then the root.
+template <typename Fn>
+void for_each_suffix(std::string_view name, Fn&& fn) {
+  for (std::size_t at = 0; at < name.size();) {
+    fn(name.substr(at));
+    const std::size_t dot = name.find('.', at);
+    if (dot == std::string_view::npos) break;
+    at = dot + 1;
+  }
+  fn(std::string_view());
+}
+
+}  // namespace
+
 MiningEvaluation evaluate_findings(
     std::span<const DisposableZoneFinding> findings, const GroundTruth& truth,
     const PublicSuffixList& psl) {
   MiningEvaluation eval;
   eval.findings = findings.size();
+  const std::vector<GroundTruth::ZoneInfo>& zones = truth.disposable_zones;
 
-  std::unordered_set<std::string> unique_2lds;
-  std::unordered_set<std::string> discovered;
-  std::unordered_map<std::string, std::string> archetype_of;
-  std::vector<std::optional<DomainName>> apexes;
-  apexes.reserve(truth.disposable_zones.size());
-  for (const GroundTruth::ZoneInfo& info : truth.disposable_zones) {
-    apexes.push_back(DomainName::parse(info.apex));
+  // Normalized texts are kept in one buffer reserved up front, so views
+  // into it stay valid: normalizing never lengthens a name.
+  std::size_t bytes = 0;
+  for (const GroundTruth::ZoneInfo& info : zones) bytes += info.apex.size();
+  for (const DisposableZoneFinding& f : findings) bytes += f.zone.size();
+  std::string texts;
+  texts.reserve(bytes);
+  const auto keep = [&texts](std::string_view text) {
+    const std::size_t at = texts.size();
+    texts += text;
+    return std::string_view(texts).substr(at);
+  };
+
+  // Every suffix of every apex that parses, sorted, so a finding finds the
+  // apexes it is within, or that are within it, through its own suffixes.
+  DomainName name;  // scratch: parses without allocating once grown
+  std::vector<ApexSuffix> index;
+  for (std::size_t i = 0; i < zones.size(); ++i) {
+    if (!name.assign(zones[i].apex)) continue;
+    const std::string_view apex = keep(name.text());
+    for_each_suffix(apex, [&](std::string_view suffix) {
+      index.push_back({suffix, static_cast<std::uint32_t>(i),
+                       suffix.size() == apex.size()});
+    });
   }
+  // Stable, so each suffix's zones stay in truth order.
+  const auto by_suffix = [](const ApexSuffix& a, const ApexSuffix& b) {
+    return a.suffix < b.suffix;
+  };
+  std::stable_sort(index.begin(), index.end(), by_suffix);
+  const auto with_suffix = [&](std::string_view suffix) {
+    return std::equal_range(index.begin(), index.end(), ApexSuffix{suffix},
+                            by_suffix);
+  };
+
+  std::vector<std::string_view> registrables;
+  registrables.reserve(findings.size());
+  std::vector<std::uint32_t> matched;  // each match's zone, in match order
   for (const DisposableZoneFinding& finding : findings) {
-    const auto zone = DomainName::parse(finding.zone);
-    if (zone) {
-      const DomainName registrable = psl.registrable_domain(*zone);
-      unique_2lds.insert(registrable.empty() ? finding.zone
-                                             : registrable.text());
+    if (!name.assign(finding.zone)) {
+      ++eval.false_positive_findings;
+      continue;
     }
-    bool matched = false;
-    for (std::size_t i = 0; i < apexes.size(); ++i) {
-      const GroundTruth::ZoneInfo& info = truth.disposable_zones[i];
-      const std::optional<DomainName>& apex = apexes[i];
-      if (info.name_depth != finding.depth || !apex || !zone) continue;
-      if (apex->is_within(*zone) || zone->is_within(*apex)) {
-        matched = true;
-        discovered.insert(info.apex);
-        archetype_of[info.apex] = info.archetype;
+    const std::size_t suffix = psl.suffix_label_count(name.text());
+    registrables.push_back(name.label_count() <= suffix
+                               ? std::string_view(finding.zone)
+                               : keep(name.nld_view(suffix + 1)));
+    // A truth zone matches at the finding's depth when its apex is within
+    // the finding's zone (the zone is one of the apex's suffixes) or the
+    // zone is within its apex (the apex is one of the zone's suffixes).
+    const std::size_t before = matched.size();
+    const auto add = [&](const ApexSuffix& entry) {
+      if (zones[entry.zone].name_depth == finding.depth) {
+        matched.push_back(entry.zone);
       }
-    }
-    matched ? ++eval.true_positive_findings : ++eval.false_positive_findings;
+    };
+    const std::string_view zone = name.text();
+    const auto [lo, hi] = with_suffix(zone);
+    std::for_each(lo, hi, add);
+    for_each_suffix(zone, [&](std::string_view within) {
+      if (within.size() == zone.size()) return;  // equal apexes: added above
+      const auto [from, to] = with_suffix(within);
+      for (auto it = from; it != to; ++it) {
+        if (it->whole) add(*it);
+      }
+    });
+    matched.size() > before ? ++eval.true_positive_findings
+                            : ++eval.false_positive_findings;
   }
-  eval.unique_2lds = unique_2lds.size();
-  eval.truth_zones_discovered = discovered.size();
-  for (const std::string& apex : discovered) {
-    ++eval.discovered_by_archetype[archetype_of[apex]];
+
+  std::sort(registrables.begin(), registrables.end());
+  eval.unique_2lds = static_cast<std::size_t>(
+      std::unique(registrables.begin(), registrables.end()) -
+      registrables.begin());
+  // Truth zones are discovered by apex text, and a discovered apex takes
+  // the archetype of its last match: the last of its run once sorted.
+  std::stable_sort(matched.begin(), matched.end(),
+                   [&zones](std::uint32_t a, std::uint32_t b) {
+                     return zones[a].apex < zones[b].apex;
+                   });
+  for (std::size_t k = 0; k < matched.size(); ++k) {
+    const GroundTruth::ZoneInfo& info = zones[matched[k]];
+    if (k + 1 < matched.size() && zones[matched[k + 1]].apex == info.apex) {
+      continue;
+    }
+    ++eval.truth_zones_discovered;
+    ++eval.discovered_by_archetype[info.archetype];
   }
   return eval;
 }

@@ -173,7 +173,7 @@ void TrafficSketch::on_tap_batch(const TapBatch& batch) {
   remap_.follow(names);
   for (const TapEvent& event : batch) {
     if (event.direction != TapDirection::kBelow) continue;
-    NameId& local = remap_[event.qname];
+    NameId& local = remap_[event.qname].id;
     bool fresh = false;
     if (local == kInvalidNameId) {
       const std::string_view qname = names.name(event.qname);

@@ -118,32 +118,42 @@ class TapObserver {
 };
 
 /// An observer's dense map from one producer's NameIds to ids of its own,
-/// so re-seeing a name costs one load.  Ids are table-scoped, so the map
+/// each with a byte of facts the observer decided about that name, so
+/// re-seeing a name costs one load: its id and what the observer needs to
+/// know about it come in one entry.  Ids are table-scoped, so the map
 /// follows one table at a time, by NameTable::serial(): a batch of another
 /// table (a new producer, or a new table at a freed table's address)
-/// empties it.
+/// empties it, facts included.
 class TapIdRemap {
  public:
+  /// One source id's mapping and facts.  The facts are bits the observer
+  /// defines; every bit is clear until the observer sets it.
+  struct Entry {
+    NameId id = kInvalidNameId;
+    std::uint8_t facts = 0;
+  };
+
   /// Follows `names`, the table of the batch about to be read, and sizes
-  /// the map to it.  Unmapped ids read kInvalidNameId.
+  /// the map to it.  Unmapped ids read {kInvalidNameId, 0}.
   void follow(const NameTable& names) {
     if (source_ != names.serial()) {
       release();
       source_ = names.serial();
     }
-    if (ids_.size() < names.size()) ids_.resize(names.size(), kInvalidNameId);
+    if (entries_.size() < names.size()) entries_.resize(names.size());
   }
   /// Forgets the table followed and frees the map's memory.
   void release() {
     source_ = 0;
-    ids_ = {};
+    entries_ = {};
   }
-  /// The mapping of `id`, an id of the table followed.
-  NameId& operator[](NameId id) { return ids_[id]; }
+  /// The entry of `id`, an id of the table followed.  References stay
+  /// valid until the next follow() or release().
+  Entry& operator[](NameId id) { return entries_[id]; }
 
  private:
   std::uint64_t source_ = 0;  // serial() of the table followed; 0 = none
-  std::vector<NameId> ids_;
+  std::vector<Entry> entries_;
 };
 
 /// The pending batch of one tap producer and the observers it goes to.

@@ -152,20 +152,83 @@ TEST(DayCaptureTest, StartDayResetsPerDayState) {
 
 TEST(DayCaptureTest, ProducersFeedOneCaptureInTurn) {
   // The second producer's table may land at the freed first one's
-  // address; its ids must still not be read through the first's remap.
+  // address; its ids must still not be read through the first's remap,
+  // nor through what the capture decided about the first's names.  Each
+  // decoder numbers its names from 0 in first-sight order, so the second
+  // producer's ids 0, 1 and 2 name what the first's ids name in another
+  // series class.
   DayCapture capture;
   {
     TapFeed first(capture);
     first.below(1, 1, "a.example.com", RCode::NoError,
                 answer_rrs("a.example.com", 60));
+    first.above(2, "mail.google.com", RCode::NXDomain);
+    first.below(3, 1, "e1.g.akamai.net", RCode::NXDomain);
   }
   TapFeed second(capture);
-  second.below(2, 2, "b.example.org", RCode::NoError,
-               {{DomainName("b.example.org"), RRType::A, 60, "10.9.9.9"}});
-  EXPECT_EQ(capture.unique_queried(), 2u);
+  const SimTime two = 2 * kSecondsPerHour;
+  second.below(two, 2, "www.google.com", RCode::NoError,
+               answer_rrs("www.google.com", 60));
+  second.above(two, "b.example.org", RCode::NXDomain);
+  second.below(two, 2, "c.example.org", RCode::NXDomain);
+  second.below(two, 2, "www.google.com", RCode::NoError,
+               {{DomainName("www.google.com"), RRType::A, 60, "10.9.9.9"}});
+  EXPECT_EQ(capture.unique_queried(), 4u);
   EXPECT_EQ(capture.unique_resolved(), 2u);
-  EXPECT_NE(capture.chr().find({"b.example.org", RRType::A, "10.9.9.9"}),
+  EXPECT_NE(capture.chr().find({"www.google.com", RRType::A, "10.9.9.9"}),
             nullptr);
+
+  const HourlySeries& below = capture.below_series();
+  const HourlySeries& above = capture.above_series();
+  EXPECT_EQ(below.google[0], 0u);
+  EXPECT_EQ(below.akamai[0], 1u);
+  EXPECT_EQ(above.google[0], 1u);
+  EXPECT_EQ(below.total[2], 3u);
+  EXPECT_EQ(below.google[2], 2u);
+  EXPECT_EQ(below.akamai[2], 0u);
+  EXPECT_EQ(above.total[2], 1u);
+  EXPECT_EQ(above.google[2], 0u);
+}
+
+TEST(DayCaptureTest, NameSeenFirstAsRdataIsQueriedLater) {
+  // x.google.com enters the capture's table as rdata text, with no parent,
+  // then is queried: it must become a tree name, join the queried list
+  // once and count in the google series every time.
+  DayCapture capture;
+  TapFeed feed(capture);
+  feed.below(1 * kSecondsPerHour, 1, "alias.example.com", RCode::NoError,
+             {{DomainName("alias.example.com"), RRType::CNAME, 60,
+               "x.google.com"}});
+  feed.below(2 * kSecondsPerHour, 2, "x.google.com", RCode::NXDomain);
+
+  const NameTable& names = capture.names();
+  const NameId id = names.find("x.google.com");
+  ASSERT_NE(id, kInvalidNameId);
+  EXPECT_TRUE(capture.tree().is_name(id));
+  EXPECT_EQ(capture.tree().parent(id), names.find("google.com"));
+  EXPECT_FALSE(capture.tree().contains(id));
+
+  feed.below(3 * kSecondsPerHour, 3, "x.google.com", RCode::NoError,
+             answer_rrs("x.google.com", 60));
+  EXPECT_TRUE(capture.tree().black(id));
+  const auto queried = capture.queried_names();
+  ASSERT_EQ(queried.size(), 2u);
+  EXPECT_EQ(names.name(queried[0]), "alias.example.com");
+  EXPECT_EQ(queried[1], id);
+  const auto resolved = capture.resolved_names();
+  ASSERT_EQ(resolved.size(), 2u);
+  EXPECT_EQ(resolved[1], id);
+  EXPECT_NE(capture.chr().find({"alias.example.com", RRType::CNAME,
+                                "x.google.com"}),
+            nullptr);
+
+  const HourlySeries& below = capture.below_series();
+  EXPECT_EQ(below.total[1], 1u);
+  EXPECT_EQ(below.google[1], 0u);
+  EXPECT_EQ(below.google[2], 1u);
+  EXPECT_EQ(below.nxdomain[2], 1u);
+  EXPECT_EQ(below.google[3], 1u);
+  EXPECT_EQ(below.sum_total(), 3u);
 }
 
 TEST(DayCaptureTest, AttachWiresClusterSinks) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -238,6 +241,126 @@ TEST(FindingCoverTest, RangesOnAPoolDecideAsTheSerialPass) {
     covered += want ? 1 : 0;
   }
   EXPECT_EQ(covered, 801u);  // n*.z3 (800) and deep.n1.z1
+}
+
+// --------------------------------------------------------------------------
+// evaluate_findings (miner/evaluate.h)
+
+/// The definition, pair by pair: every finding against every truth apex.
+MiningEvaluation pairwise_evaluation(
+    std::span<const DisposableZoneFinding> findings, const GroundTruth& truth,
+    const PublicSuffixList& psl) {
+  MiningEvaluation eval;
+  eval.findings = findings.size();
+  std::set<std::string> unique_2lds;
+  std::map<std::string, std::string> archetype_of;
+  for (const DisposableZoneFinding& finding : findings) {
+    const auto zone = DomainName::parse(finding.zone);
+    if (zone) {
+      const DomainName registrable = psl.registrable_domain(*zone);
+      unique_2lds.insert(registrable.empty() ? finding.zone
+                                             : registrable.text());
+    }
+    bool matched = false;
+    for (const GroundTruth::ZoneInfo& info : truth.disposable_zones) {
+      const auto apex = DomainName::parse(info.apex);
+      if (info.name_depth != finding.depth || !apex || !zone) continue;
+      if (apex->is_within(*zone) || zone->is_within(*apex)) {
+        matched = true;
+        archetype_of[info.apex] = info.archetype;
+      }
+    }
+    matched ? ++eval.true_positive_findings : ++eval.false_positive_findings;
+  }
+  eval.unique_2lds = unique_2lds.size();
+  eval.truth_zones_discovered = archetype_of.size();
+  for (const auto& [apex, archetype] : archetype_of) {
+    ++eval.discovered_by_archetype[archetype];
+  }
+  return eval;
+}
+
+void expect_same(const MiningEvaluation& got, const MiningEvaluation& want) {
+  EXPECT_EQ(got.findings, want.findings);
+  EXPECT_EQ(got.true_positive_findings, want.true_positive_findings);
+  EXPECT_EQ(got.false_positive_findings, want.false_positive_findings);
+  EXPECT_EQ(got.unique_2lds, want.unique_2lds);
+  EXPECT_EQ(got.truth_zones_discovered, want.truth_zones_discovered);
+  EXPECT_EQ(got.discovered_by_archetype, want.discovered_by_archetype);
+}
+
+DisposableZoneFinding finding(std::string zone, std::size_t depth) {
+  DisposableZoneFinding f;
+  f.zone = std::move(zone);
+  f.depth = depth;
+  return f;
+}
+
+TEST(EvaluateFindingsTest, OddNamesMatchAsThePairwiseDefinition) {
+  // Apexes and zones that are not normalized or do not parse, the root,
+  // repeated apexes (the last match names the archetype), an apex within
+  // another, a text suffix that is not a label suffix, public suffixes.
+  GroundTruth truth;
+  truth.disposable_zones = {
+      {"avqs.vendor.com", 4, "reputation"},
+      {"AVQS.Vendor.com.", 4, "telemetry"},
+      {"avqs.vendor.com", 4, "cdn"},
+      {"deep.avqs.vendor.com", 4, "tracking"},
+      {"vendor.com", 3, "reputation"},
+      {"bad..name", 4, "broken"},
+      {"", 4, "root"},
+      {"x.co.uk", 3, "telemetry"},
+      {"xvendor.com", 3, "cdn"},
+  };
+  const std::vector<DisposableZoneFinding> findings = {
+      finding("vendor.com", 4),         finding("Vendor.COM.", 3),
+      finding("a.avqs.vendor.com", 4),  finding("avqs.vendor.com", 4),
+      finding("endor.com", 3),          finding("vendor.com", 7),
+      finding("co.uk", 3),              finding("y.x.co.uk", 3),
+      finding("x.co.uk", 3),            finding("not a name", 4),
+      finding("", 4),                   finding("com", 1),
+      finding("innocent.org", 4),       finding("avqs.vendor.com", 4),
+  };
+  const PublicSuffixList& psl = PublicSuffixList::builtin();
+  const MiningEvaluation want = pairwise_evaluation(findings, truth, psl);
+  expect_same(evaluate_findings(findings, truth, psl), want);
+  EXPECT_GT(want.true_positive_findings, 0u);
+  EXPECT_GT(want.false_positive_findings, 0u);
+  EXPECT_EQ(evaluate_findings({}, truth, psl).unique_2lds, 0u);
+  expect_same(evaluate_findings(findings, GroundTruth{}, psl),
+              pairwise_evaluation(findings, GroundTruth{}, psl));
+}
+
+TEST(EvaluateFindingsTest, SeededNamesMatchAsThePairwiseDefinition) {
+  // Names drawn from a few labels, so apexes and zones nest, repeat and
+  // share suffixes often.
+  const char* const labels[] = {"a", "b", "ab", "com", "co", "uk", "x"};
+  const char* const archetypes[] = {"reputation", "telemetry", "cdn"};
+  const PublicSuffixList& psl = PublicSuffixList::builtin();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto draw_name = [&] {
+      std::string name;
+      const std::size_t count = 1 + rng.below(4);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (i > 0) name += '.';
+        name += labels[rng.below(std::size(labels))];
+      }
+      return name;
+    };
+    GroundTruth truth;
+    for (std::size_t i = 0, n = rng.below(30); i < n; ++i) {
+      truth.disposable_zones.push_back(
+          {draw_name(), 1 + rng.below(4), archetypes[rng.below(3)]});
+    }
+    std::vector<DisposableZoneFinding> findings;
+    for (std::size_t i = 0, n = rng.below(40); i < n; ++i) {
+      findings.push_back(finding(draw_name(), 1 + rng.below(4)));
+    }
+    expect_same(evaluate_findings(findings, truth, psl),
+                pairwise_evaluation(findings, truth, psl));
+  }
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 //
 // DayCapture accumulates tap batches on ids — a remap from the cluster's
 // name table, compact records, an id-keyed CHR tracker — and writes text
-// only on first sight.  The model shares none of that: it is fed the same
-// tap events converted to presentation records and keeps plain std::map /
-// std::set state.
+// and classes a qname for the hourly series only on first sight.  The
+// model shares none of that: it is fed the same tap events converted to
+// presentation records, classes every event's qname from its text, and
+// keeps plain std::map / std::set state.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <span>
 #include <string>
@@ -35,6 +39,15 @@ std::vector<std::string> in_order(const DayCapture& capture,
   return out;
 }
 
+void expect_series(const HourlySeries& got, const ReferenceSeries& want,
+                   const char* direction) {
+  SCOPED_TRACE(direction);
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.nxdomain, want.nxdomain);
+  EXPECT_EQ(got.google, want.google);
+  EXPECT_EQ(got.akamai, want.akamai);
+}
+
 void expect_matches(const DayCapture& capture, const ReferenceCapture& ref) {
   const auto entries = capture.chr().entries();
   ASSERT_EQ(entries.size(), ref.order.size());
@@ -57,6 +70,8 @@ void expect_matches(const DayCapture& capture, const ReferenceCapture& ref) {
   std::set<std::string> black;
   collect_black(capture.tree(), capture.tree().root(), black);
   EXPECT_EQ(black, ref.black);
+  expect_series(capture.below_series(), ref.below_series, "below");
+  expect_series(capture.above_series(), ref.above_series, "above");
 }
 
 /// Each shard alone, before the shard-order merges.
@@ -94,7 +109,20 @@ std::string fingerprint(const DayCapture& capture) {
   std::set<std::string> black;
   collect_black(capture.tree(), capture.tree().root(), black);
   for (const std::string& name : black) out += "b " + name + '\n';
+  for (const HourlySeries* series :
+       {&capture.below_series(), &capture.above_series()}) {
+    for (std::size_t h = 0; h < 24; ++h) {
+      out += "h " + std::to_string(series->total[h]) + ' ' +
+             std::to_string(series->nxdomain[h]) + ' ' +
+             std::to_string(series->google[h]) + ' ' +
+             std::to_string(series->akamai[h]) + '\n';
+    }
+  }
   return out;
+}
+
+std::uint64_t sum(const std::array<std::uint64_t, 24>& slots) {
+  return std::accumulate(slots.begin(), slots.end(), std::uint64_t{0});
 }
 
 TEST(ReferenceCaptureTest, GoldenDayAtOneAndFourShards) {
@@ -108,6 +136,13 @@ TEST(ReferenceCaptureTest, GoldenDayAtOneAndFourShards) {
     run_day(params, day, expect_shard_matches);
     expect_matches(day.capture, day.reference);
     expect_matches(day.presentation, day.reference);
+    // The day has traffic in every series the comparison covers.
+    for (const ReferenceSeries* series :
+         {&day.reference.below_series, &day.reference.above_series}) {
+      EXPECT_GT(sum(series->nxdomain), 0u);
+      EXPECT_GT(sum(series->google), 0u);
+      EXPECT_GT(sum(series->akamai), 0u);
+    }
 
     // The hand-driven day is the engine's day: same capture, byte for byte.
     MiningSession session(params.scale);

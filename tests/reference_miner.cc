@@ -9,17 +9,25 @@ void ReferenceCapture::on_tap_batch(const TapBatch& batch) {
   std::vector<ResourceRecord> answers;
   for (const TapEvent& event : batch) {
     to_resource_records(batch.answers(event), batch.names(), answers);
-    add(event.direction, std::string(batch.qname(event)), event.rcode,
-        answers);
+    add(event.ts, event.direction, std::string(batch.qname(event)),
+        event.rcode, answers);
   }
 }
 
-void ReferenceCapture::add(TapDirection direction, const std::string& qname,
-                           RCode rcode,
+void ReferenceCapture::add(SimTime ts, TapDirection direction,
+                           const std::string& qname, RCode rcode,
                            const std::vector<ResourceRecord>& answers) {
   const bool below = direction == TapDirection::kBelow;
+  const bool nx = rcode != RCode::NoError;
+  ReferenceSeries& series = below ? below_series : above_series;
+  const auto hour = static_cast<std::size_t>(hour_of_day(ts));
+  const std::uint64_t units = nx || answers.empty() ? 1 : answers.size();
+  series.total[hour] += units;
+  if (nx) series.nxdomain[hour] += units;
+  if (Scenario::is_google_name(qname)) series.google[hour] += units;
+  if (Scenario::is_akamai_name(qname)) series.akamai[hour] += units;
   if (below) queried.add(qname);
-  if (rcode != RCode::NoError) return;
+  if (nx) return;
   for (const ResourceRecord& rr : answers) {
     ReferenceCounts& counts =
         entry(RrText{rr.name.text(), rr.type, rr.rdata}, rr.ttl);
@@ -42,6 +50,8 @@ void ReferenceCapture::merge_from(const ReferenceCapture& other) {
   for (const std::string& name : other.queried.order) queried.add(name);
   for (const std::string& name : other.resolved.order) resolved.add(name);
   black.insert(other.black.begin(), other.black.end());
+  below_series += other.below_series;
+  above_series += other.above_series;
 }
 
 ReferenceCounts& ReferenceCapture::entry(const RrText& key,

@@ -9,7 +9,9 @@
 //     TTL of the first observation, in first-observation order;
 //   - the queried names (every below question) and the resolved names
 //     (owners of RRs seen below), each in first-sight order;
-//   - the domain tree's black nodes: every owner of an RR seen below.
+//   - the domain tree's black nodes: every owner of an RR seen below;
+//   - per direction, the hourly total, NXDOMAIN, google and akamai
+//     series, each event classed from its qname's text as it arrives.
 // Shard models merge like the captures do: in shard order, appending
 // what is new, summing counts, keeping the first TTL.
 //
@@ -53,6 +55,26 @@ struct ReferenceCounts {
   std::uint32_t ttl = 0;
 };
 
+/// One direction's hourly volume: an event adds its answer count (1 when
+/// it failed or has no answer) to its hour, and to the NXDOMAIN, google
+/// and akamai slots when it is one.
+struct ReferenceSeries {
+  std::array<std::uint64_t, 24> total{};
+  std::array<std::uint64_t, 24> nxdomain{};
+  std::array<std::uint64_t, 24> google{};
+  std::array<std::uint64_t, 24> akamai{};
+
+  ReferenceSeries& operator+=(const ReferenceSeries& other) {
+    for (std::size_t h = 0; h < 24; ++h) {
+      total[h] += other.total[h];
+      nxdomain[h] += other.nxdomain[h];
+      google[h] += other.google[h];
+      akamai[h] += other.akamai[h];
+    }
+    return *this;
+  }
+};
+
 /// Names in first-sight order plus their set.
 struct OrderedNames {
   std::vector<std::string> order;
@@ -67,8 +89,8 @@ class ReferenceCapture final : public TapObserver {
  public:
   void on_tap_batch(const TapBatch& batch) override;
 
-  void add(TapDirection direction, const std::string& qname, RCode rcode,
-           const std::vector<ResourceRecord>& answers);
+  void add(SimTime ts, TapDirection direction, const std::string& qname,
+           RCode rcode, const std::vector<ResourceRecord>& answers);
   void merge_from(const ReferenceCapture& other);
 
   std::map<RrText, ReferenceCounts> chr;
@@ -76,6 +98,8 @@ class ReferenceCapture final : public TapObserver {
   OrderedNames queried;
   OrderedNames resolved;
   std::set<std::string> black;
+  ReferenceSeries below_series;
+  ReferenceSeries above_series;
 
  private:
   /// The entry for `key`, created with `ttl` on first observation.
