@@ -16,6 +16,27 @@ std::optional<ScenarioScale> warmup_scale(const ScenarioScale& scale,
   return warm;
 }
 
+const char* day_config_error(const PipelineOptions& options,
+                             std::size_t threads,
+                             std::optional<ScenarioScale>& warm_scale) {
+  if (threads == 0) return "engine needs at least one thread";
+  if (options.cluster.server_count == 0) {
+    return "cluster server_count must be >= 1";
+  }
+  if (const char* error = cache_config_error(options.cluster.cache)) {
+    return error;
+  }
+  warm_scale.reset();
+  if (options.warmup) {
+    warm_scale = warmup_scale(options.scale, options.warmup_volume_fraction);
+    if (!warm_scale) {
+      return "warmup volume fraction must be >= 0 and size a day below "
+             "2^64 queries";
+    }
+  }
+  return nullptr;
+}
+
 std::uint64_t drive_day(const TrafficGenerator& traffic, const DayPlan& plan,
                         std::size_t index, RdnsCluster& cluster,
                         Question& question, obs::Heartbeat* heartbeat,

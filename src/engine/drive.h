@@ -1,11 +1,14 @@
-// The feed loop of a simulated day, internal to the engine: MiningSession's
-// shards and ServedMiningDay's in-process warmup both drive their clusters
-// through drive_day, so a served day warms exactly like an engine day.
+// The shared half of the engine's two day runners, internal to the engine:
+// MiningSession and ServedMiningDay refuse a config through one check, and
+// MiningSession's shards and ServedMiningDay's in-process warmup both drive
+// their clusters through drive_day, so a served day warms exactly like an
+// engine day.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
+#include "miner/pipeline.h"
 #include "resolver/cluster.h"
 #include "workload/scenario.h"
 
@@ -23,9 +26,14 @@ namespace dnsnoise {
 std::optional<ScenarioScale> warmup_scale(const ScenarioScale& scale,
                                           double volume_fraction);
 
-/// Why warmup_scale rejects a fraction, for the kInvalidConfig report.
-inline constexpr const char* kBadWarmupFraction =
-    "warmup volume fraction must be >= 0 and size a day below 2^64 queries";
+/// The checks both day runners make before building anything: at least
+/// one thread and one server, a valid cache TTL clamp and, with warmup on,
+/// a warmup fraction warmup_scale accepts.  Returns the kInvalidConfig
+/// error text, or null; `warm_scale` then holds the warmup day's scale
+/// (empty with warmup off).
+const char* day_config_error(const PipelineOptions& options,
+                             std::size_t threads,
+                             std::optional<ScenarioScale>& warm_scale);
 
 /// Feeds shard `index` of a planned day of `traffic` into `cluster` and
 /// returns the number of queries fed.  `question` is the parse scratch;

@@ -174,29 +174,11 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
   const std::size_t shard_count = options_.cluster.server_count;
   report.shard_count = shard_count;
   report.threads = threads_;
-  if (threads_ == 0) {
-    report.status = MiningDayStatus::kInvalidConfig;
-    report.error = "engine needs at least one thread";
-    return report;
-  }
-  if (shard_count == 0) {
-    report.status = MiningDayStatus::kInvalidConfig;
-    report.error = "cluster server_count must be >= 1";
-    return report;
-  }
-  if (const char* error = cache_config_error(options_.cluster.cache)) {
+  std::optional<ScenarioScale> warm_scale;
+  if (const char* error = day_config_error(options_, threads_, warm_scale)) {
     report.status = MiningDayStatus::kInvalidConfig;
     report.error = error;
     return report;
-  }
-  std::optional<ScenarioScale> warm_scale;
-  if (options_.warmup) {
-    warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);
-    if (!warm_scale) {
-      report.status = MiningDayStatus::kInvalidConfig;
-      report.error = kBadWarmupFraction;
-      return report;
-    }
   }
   if (options_.scale.queries_per_day == 0) {
     report.status = MiningDayStatus::kEmptyCapture;

@@ -8,7 +8,7 @@
 //   * one Scenario is built per day and shared read-only by every shard;
 //     the day's slot plan draws each query slot's client once, in chunks
 //     on the engine pool, so each shard walks only its own slots,
-//   * each shard runs on the work-stealing pool with its own
+//   * each shard is one index of a parallel_for on that pool, with its own
 //     single-server RdnsCluster (seed split per shard, see
 //     ClusterConfig::for_shard), its own sampling state (the disposable
 //     tenants' recent-name windows) and thread-local DayCapture,
@@ -76,8 +76,9 @@ class MiningSession {
   MiningSession& model(const LadTreeConfig& model);
   /// Mine with an already-trained classifier (must outlive run()).
   MiningSession& pretrained(const BinaryClassifier* model);
-  /// Worker threads for the shard and classify stages (>= 1).  Changes the
-  /// schedule only, never the results.
+  /// Worker threads for the shard and classify stages (>= 1; 0 makes
+  /// every day runner report kInvalidConfig).  Changes the schedule only,
+  /// never the results.
   MiningSession& threads(std::size_t n);
   /// Runs a reduced-volume warmup day through each shard's cache before
   /// the measured day.  A NaN or negative fraction, or one whose volume
@@ -177,8 +178,8 @@ class MiningSession {
   /// Starts the day in server mode: warmup runs in-process, then queries
   /// arrive over the socket at ->udp_port() and feed the same tap/metrics
   /// path; ->finish() mines the captured day.  Null unless
-  /// enable_dns_server was called; check ->ok() before serving (a failed
-  /// socket bind reports there).
+  /// enable_dns_server was called; check ->ok() before serving (a config
+  /// run() refuses, or a failed socket bind, reports there).
   std::unique_ptr<ServedMiningDay> serve(ScenarioDate date);
 
  private:

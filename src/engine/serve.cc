@@ -15,21 +15,14 @@ ServedMiningDay::ServedMiningDay(
     const DnsServerOptions& server,
     std::shared_ptr<obs::TelemetryServer> telemetry)
     : options_(options),
-      threads_(threads == 0 ? 1 : threads),
+      threads_(threads),
       day_index_(scenario_day_index(date)),
       telemetry_(std::move(telemetry)),
       capture_(options.capture) {
-  if (const char* error = cache_config_error(options_.cluster.cache)) {
+  std::optional<ScenarioScale> warm_scale;
+  if (const char* error = day_config_error(options_, threads_, warm_scale)) {
     error_ = error;
     return;
-  }
-  std::optional<ScenarioScale> warm_scale;
-  if (options_.warmup) {
-    warm_scale = warmup_scale(options_.scale, options_.warmup_volume_fraction);
-    if (!warm_scale) {
-      error_ = kBadWarmupFraction;
-      return;
-    }
   }
   scenario_.emplace(date, options_.scale);
   // Extra zones must exist before the cluster takes its (const, lock-free)

@@ -68,12 +68,13 @@ class ServedMiningDay {
   /// Builds scenario + cluster, runs the in-process warmup day (server i
   /// gets the engine's shard-i warmup stream), attaches the capture, and
   /// starts serving.  On failure ok() is false and error() has the reason;
-  /// finish() then returns a non-ok result.  A bad warmup fraction
-  /// (MiningSession::warmup) or cache TTL clamp fails before anything is
-  /// built, leaving no frontend: udp_port() and tcp_port() read 0 and
-  /// frontend() is only valid while ok().  With `telemetry` set, the
-  /// frontend's slow-query log is published on GET /slowlog for the day's
-  /// lifetime (detached on finish/destroy).
+  /// finish() then returns a non-ok result.  A config run() refuses (no
+  /// threads or servers, a bad cache TTL clamp or warmup fraction) fails
+  /// with run()'s error text before anything is built, leaving no
+  /// frontend: udp_port() and tcp_port() read 0 and frontend() is only
+  /// valid while ok().  With `telemetry` set, the frontend's slow-query
+  /// log is published on GET /slowlog for the day's lifetime (detached on
+  /// finish/destroy).
   ServedMiningDay(ScenarioDate date, const PipelineOptions& options,
                   std::size_t threads, const DnsServerOptions& server,
                   std::shared_ptr<obs::TelemetryServer> telemetry = nullptr);

@@ -31,9 +31,4 @@ ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
   return total;
 }
 
-ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
-                           std::string& error_out) {
-  return merge_shards(shards, into, error_out, {});
-}
-
 }  // namespace dnsnoise

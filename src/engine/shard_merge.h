@@ -69,9 +69,6 @@ struct ShardResult {
 /// (DayCapture::merge_from).
 ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
                            std::string& error_out,
-                           const ParallelFor& parallel_for);
-/// Same, serially.
-ShardCounters merge_shards(std::vector<ShardResult>& shards, DayCapture& into,
-                           std::string& error_out);
+                           const ParallelFor& parallel_for = {});
 
 }  // namespace dnsnoise

@@ -39,12 +39,6 @@ DayAggregates aggregate(const DayCapture& tap,
 
 MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
-                                  const MineFn& mine) {
-  return finish_mining_day(tap, scenario, options, mine, {});
-}
-
-MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
-                                  const PipelineOptions& options,
                                   const MineFn& mine,
                                   const ParallelFor& parallel_for) {
   obs::MetricsRegistry* const metrics = options.metrics;

@@ -120,18 +120,13 @@ using MineFn = std::function<std::vector<DisposableZoneFinding>(
 /// ServedMiningDay::finish: label zones, train (or reuse
 /// options.pretrained), mine via `mine` (serial DisposableZoneMiner::mine
 /// when empty), evaluate, and compute aggregates.  Returns kEmptyCapture
-/// without mining when `tap` saw no resolved names.  Runs on the calling
-/// thread.
+/// without mining when `tap` saw no resolved names.  Labeling's feature
+/// extraction, the aggregates and the evaluation beside them run through
+/// `parallel_for` (the engine's day pool; on the calling thread when it is
+/// empty).  Training stays serial.  The result does not depend on it.
 MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                                   const PipelineOptions& options,
-                                  const MineFn& mine = {});
-
-/// Same, with labeling's feature extraction, the aggregates and the
-/// evaluation beside them run through `parallel_for` (the engine's day
-/// pool).  Training stays serial.  The result does not depend on it.
-MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
-                                  const PipelineOptions& options,
-                                  const MineFn& mine,
-                                  const ParallelFor& parallel_for);
+                                  const MineFn& mine = {},
+                                  const ParallelFor& parallel_for = {});
 
 }  // namespace dnsnoise

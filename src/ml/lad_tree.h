@@ -20,9 +20,8 @@
 namespace dnsnoise {
 
 struct LadTreeConfig {
-  std::size_t iterations = 24;      // splitter nodes to grow
-  std::size_t threshold_candidates = 32;  // quantile split candidates/feature
-  double min_leaf_weight = 1e-6;    // guard against empty leaves
+  std::size_t iterations = 24;    // splitter nodes to grow
+  double min_leaf_weight = 1e-6;  // guard against empty leaves
   /// Leaf-value shrinkage (boosting learning rate).  Values < 1 temper the
   /// overconfident probabilities additive boosting otherwise produces,
   /// giving the threshold sweep (Fig. 12) meaningful operating points.

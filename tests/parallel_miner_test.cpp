@@ -145,13 +145,41 @@ TEST(ParallelMinerTest, ZeroVolumeScenarioReportsEmptyCapture) {
   EXPECT_TRUE(result.findings.empty());
 }
 
+/// Every day runner refuses `session`'s config before building anything
+/// (no Scenario, no socket), with one error text: simulate(), run() and a
+/// served day, which reports through ok().
+void expect_invalid_config_everywhere(MiningSession& session) {
+  DayCapture capture;
+  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
+  EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+  EXPECT_FALSE(report.error.empty());
+
+  const MiningDayResult result = session.run(ScenarioDate::kNov14);
+  EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig);
+  EXPECT_EQ(result.error, report.error);
+
+  session.enable_dns_server(true);
+  const std::unique_ptr<ServedMiningDay> day =
+      session.serve(ScenarioDate::kNov14);
+  ASSERT_NE(day, nullptr);
+  EXPECT_FALSE(day->ok());
+  EXPECT_EQ(day->error(), report.error);
+  EXPECT_EQ(day->udp_port(), 0);
+  EXPECT_EQ(day->finish().status, MiningDayStatus::kInvalidConfig);
+}
+
 TEST(ParallelMinerTest, ZeroThreadsIsInvalidConfig) {
   MiningSession session(small_scale());
   session.cluster(small_cluster()).threads(0);
-  DayCapture capture;
-  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
+  expect_invalid_config_everywhere(session);
+}
+
+TEST(ParallelMinerTest, ZeroServersIsInvalidConfig) {
+  ClusterConfig cluster = small_cluster();
+  cluster.server_count = 0;
+  MiningSession session = small_session(2);
+  session.cluster(cluster);
+  expect_invalid_config_everywhere(session);
 }
 
 TEST(ParallelMinerTest, InvalidWarmupFractionIsInvalidConfig) {
@@ -164,27 +192,8 @@ TEST(ParallelMinerTest, InvalidWarmupFractionIsInvalidConfig) {
     SCOPED_TRACE(fraction);
     const auto start = std::chrono::steady_clock::now();
     MiningSession session = small_session(2);
-    session.warmup(true, fraction).enable_dns_server(true);
-
-    DayCapture capture;
-    const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
-    EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
-    EXPECT_FALSE(report.error.empty());
-
-    const MiningDayResult result = session.run(ScenarioDate::kNov14);
-    EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig);
-    EXPECT_FALSE(result.error.empty());
-
-    // A served day warms up through the same check and reports through
-    // ok() without binding a socket.
-    const std::unique_ptr<ServedMiningDay> day =
-        session.serve(ScenarioDate::kNov14);
-    ASSERT_NE(day, nullptr);
-    EXPECT_FALSE(day->ok());
-    EXPECT_EQ(day->error(), report.error);
-    EXPECT_EQ(day->udp_port(), 0);
-    EXPECT_EQ(day->finish().status, MiningDayStatus::kInvalidConfig);
-
+    session.warmup(true, fraction);
+    expect_invalid_config_everywhere(session);
     EXPECT_LT(std::chrono::steady_clock::now() - start,
               std::chrono::seconds(5));
   }
@@ -197,24 +206,11 @@ TEST(ParallelMinerTest, InvertedTtlClampIsInvalidConfig) {
   cluster.cache.min_ttl = 600;
   cluster.cache.max_ttl = 60;
   MiningSession session = small_session(2);
-  session.cluster(cluster).enable_dns_server(true);
-
+  session.cluster(cluster);
   DayCapture capture;
-  const EngineReport report = session.simulate(ScenarioDate::kNov14, capture);
-  EXPECT_EQ(report.status, MiningDayStatus::kInvalidConfig);
-  EXPECT_EQ(report.error, cache_config_error(cluster.cache));
-
-  const MiningDayResult result = session.run(ScenarioDate::kNov14);
-  EXPECT_EQ(result.status, MiningDayStatus::kInvalidConfig);
-  EXPECT_EQ(result.error, report.error);
-
-  const std::unique_ptr<ServedMiningDay> day =
-      session.serve(ScenarioDate::kNov14);
-  ASSERT_NE(day, nullptr);
-  EXPECT_FALSE(day->ok());
-  EXPECT_EQ(day->error(), report.error);
-  EXPECT_EQ(day->udp_port(), 0);
-  EXPECT_EQ(day->finish().status, MiningDayStatus::kInvalidConfig);
+  EXPECT_EQ(session.simulate(ScenarioDate::kNov14, capture).error,
+            cache_config_error(cluster.cache));
+  expect_invalid_config_everywhere(session);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,17 +17,6 @@ namespace {
 TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
-}
-
-TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.submit(
-        [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 500);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -64,25 +53,11 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossRounds) {
   EXPECT_EQ(sum.load(), 10u * (99u * 100u / 2u));
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&pool, &counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      pool.submit(
-          [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnQuietPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
+TEST(ThreadPoolTest, EmptyParallelForRunsNothing) {
+  obs::MetricsRegistry metrics;
+  ThreadPool pool(2, &metrics);
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
-  pool.wait_idle();
+  EXPECT_EQ(metrics.counter("engine.pool.tasks_submitted").value(), 0u);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolStillCompletesParallelFor) {
@@ -112,9 +87,7 @@ TEST(ThreadPoolTest, NestedParallelForCompletes) {
   }
 }
 
-TEST(ThreadPoolTest, OneWorkerPoolNeverSteals) {
-  // With one deque there is nothing to steal: the calling thread's help
-  // is not a steal, so the counter stays 0 whatever the schedule.
+TEST(ThreadPoolTest, OneWorkerPoolQueuesOneHelperPerLoop) {
   obs::MetricsRegistry metrics;
   ThreadPool pool(1, &metrics);
   std::atomic<int> counter{0};
@@ -126,9 +99,57 @@ TEST(ThreadPoolTest, OneWorkerPoolNeverSteals) {
     });
   }
   EXPECT_EQ(counter.load(), 20 * 64);
-  EXPECT_EQ(metrics.counter("engine.pool.steals").value(), 0u);
   // One helper per loop: 20 outer loops and 160 inner ones.
   EXPECT_EQ(metrics.counter("engine.pool.tasks_submitted").value(), 180u);
+}
+
+TEST(ThreadPoolTest, ThreeLevelNestingRunsEveryIndexOnce) {
+  // Loops of varied size (empty ones among them) nested three deep, on
+  // pools of 1-4 workers: every (i, j, k) runs exactly once, and each
+  // loop queues min(workers, n) helpers.
+  constexpr std::size_t kMax = 7;
+  const auto middle_n = [](std::size_t i) { return (i * 5 + 1) % kMax; };
+  const auto inner_n = [](std::size_t i, std::size_t j) {
+    return (i + 3 * j) % kMax;
+  };
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    obs::MetricsRegistry metrics;
+    ThreadPool pool(workers, &metrics);
+    std::uint64_t expected_tasks = 0;
+    std::vector<std::atomic<int>> hits(kMax * kMax * kMax);
+    for (int round = 0; round < 10; ++round) {
+      const std::size_t outer_n = kMax - 1 - round % 3;
+      expected_tasks += std::min(workers, outer_n);
+      for (std::size_t i = 0; i < outer_n; ++i) {
+        expected_tasks += std::min(workers, middle_n(i));
+        for (std::size_t j = 0; j < middle_n(i); ++j) {
+          expected_tasks += std::min(workers, inner_n(i, j));
+        }
+      }
+      pool.parallel_for(outer_n, [&](std::size_t i) {
+        pool.parallel_for(middle_n(i), [&, i](std::size_t j) {
+          pool.parallel_for(inner_n(i, j), [&, i, j](std::size_t k) {
+            hits[(i * kMax + j) * kMax + k].fetch_add(
+                1, std::memory_order_relaxed);
+          });
+        });
+      });
+      for (std::size_t i = 0; i < kMax; ++i) {
+        for (std::size_t j = 0; j < kMax; ++j) {
+          for (std::size_t k = 0; k < kMax; ++k) {
+            const bool in_loop =
+                i < outer_n && j < middle_n(i) && k < inner_n(i, j);
+            const std::size_t at = (i * kMax + j) * kMax + k;
+            ASSERT_EQ(hits[at].exchange(0), in_loop ? 1 : 0)
+                << workers << " workers, round " << round << ", index " << at;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(metrics.counter("engine.pool.tasks_submitted").value(),
+              expected_tasks)
+        << workers << " workers";
+  }
 }
 
 }  // namespace
