@@ -17,6 +17,7 @@
 // QPS gauges gate higher-is-better, *_latency_seconds gauges gate
 // lower-is-better, and the overload pass exports ungated *_seconds gauges
 // (its tail is a demonstration, not a regression signal).
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
   frontend_config.udp.shards = args.shards;
   frontend_config.allow_replay_meta = true;
   frontend_config.metrics = &registry;
-  WireFrontend frontend(cluster, frontend_config);
+  WireFrontend frontend(std::array{&cluster}, frontend_config);
   if (!frontend.start()) {
     std::fprintf(stderr, "frontend start failed: %s\n",
                  frontend.error().c_str());

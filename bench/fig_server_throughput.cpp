@@ -7,6 +7,7 @@
 // round-trip latency.  Reports answered queries/sec and writes
 // BENCH_server.json for tools/check_bench_regression.py (ratio gate against
 // bench/baselines/BENCH_server.json plus the CI --floor backstop).
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   frontend_config.udp.batch = args.batch;
   frontend_config.allow_replay_meta = true;
   frontend_config.metrics = &registry;
-  WireFrontend frontend(cluster, frontend_config);
+  WireFrontend frontend(std::array{&cluster}, frontend_config);
   if (!frontend.start()) {
     std::fprintf(stderr, "frontend start failed: %s\n",
                  frontend.error().c_str());

@@ -1,9 +1,7 @@
 #include "engine/parallel_miner.h"
 
-#include <algorithm>
 #include <atomic>
 #include <optional>
-#include <utility>
 
 #include "engine/drive.h"
 #include "engine/thread_pool.h"
@@ -150,11 +148,6 @@ void MiningSession::restart_telemetry() {
   telemetry_->start();
 }
 
-void MiningSession::publish_trace_snapshot() {
-  if (telemetry_ == nullptr || trace_ == nullptr) return;
-  telemetry_->publish_trace(obs::to_json(trace_->snapshot()));
-}
-
 EngineReport MiningSession::simulate(ScenarioDate date, DayCapture& capture) {
   return simulate(date, capture, scenario_day_index(date));
 }
@@ -173,7 +166,6 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
   EngineReport report;
   const std::size_t shard_count = options_.cluster.server_count;
   report.shard_count = shard_count;
-  report.threads = threads_;
   std::optional<ScenarioScale> warm_scale;
   if (const char* error = day_config_error(options_, threads_, warm_scale)) {
     report.status = MiningDayStatus::kInvalidConfig;
@@ -187,23 +179,10 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
   }
 
   capture.start_day(day_index);
-  // One sketch shard per engine shard, created up front so run_shard only
-  // reads stable references (plane growth is not hot-path safe).
-  obs::TrafficSketchPlane* const sketch = sketch_.get();
-  if (sketch != nullptr) sketch->ensure_shards(shard_count);
-
-  std::vector<ShardResult> shards;
-  shards.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards.emplace_back(options_.capture);
-  }
+  std::vector<ShardResult> shards = day_shard_results(options_);
 
   obs::MetricsRegistry* const metrics = metrics_.get();
   obs::TraceCollector* const trace = trace_.get();
-  // All shards beat the one "engine" gauge (atomic store, last writer
-  // wins) — any progress keeps the stage fresh on /healthz.
-  obs::Gauge* const engine_heartbeat =
-      metrics != nullptr ? &obs::heartbeat_gauge(*metrics, "engine") : nullptr;
   const obs::RunActiveScope run_active(metrics);
 
   // The day's one pool: threads_ - 1 workers, as the calling thread joins
@@ -236,78 +215,38 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
 
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::size_t> warming{shard_count};
-  const auto run_shard = [&](std::size_t index) {
-    ShardResult& shard = shards[index];
-    try {
-      obs::StageSpan shard_span(
-          metrics,
-          trace != nullptr
-              ? &trace->stream(obs::TraceStage::kEngine,
-                               static_cast<std::uint32_t>(index))
-              : nullptr,
-          trace, obs::TraceOp::kEngineShard);
-      shard_span.annotate({}, 0, obs::TraceOutcome::kNone, index);
-      ClusterConfig shard_config = options_.cluster.for_shard(index);
-      shard_config.metrics = metrics;
-      shard_config.trace = trace;
-      RdnsCluster cluster(shard_config, scenario->authority());
-      Question question;  // parse scratch reused across the shard's days
-      obs::Heartbeat heartbeat(engine_heartbeat);
-      heartbeat.beat();
-      if (warm_plan) {
-        // A reduced-volume preceding day, shard filtered: warm clients
-        // hash into the same partition, so each shard cache warms exactly
-        // like its server would.  Its queries are not part of the day.
-        drive_day(*warm_traffic, *warm_plan, index, cluster, question,
-                  &heartbeat);
-        // Every shard reads the warmup day before its decrement, so the
-        // last one out may free it.
-        if (warming.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          warm_plan.reset();
-          warm_traffic.reset();
-        }
+  run_shards(parallel_for, shards, [&](std::size_t index) {
+    obs::StageSpan shard_span(
+        metrics,
+        trace != nullptr ? &trace->stream(obs::TraceStage::kEngine,
+                                          static_cast<std::uint32_t>(index))
+                         : nullptr,
+        trace, obs::TraceOp::kEngineShard);
+    shard_span.annotate({}, 0, obs::TraceOutcome::kNone, index);
+    DayShard shard(options_, index, scenario->authority(), shards[index]);
+    if (warm_plan) {
+      // Warm clients hash into the same shard, so its cache warms exactly
+      // like its server's would.
+      shard.drive(*warm_traffic, *warm_plan);
+      // Every shard reads the warmup day before its decrement, so the
+      // last one out may free it.
+      if (warming.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        warm_plan.reset();
+        warm_traffic.reset();
       }
-      shard.capture.start_day(day_index);
-      shard.capture.attach(cluster);
-      // The traffic plane observes the measured day only (not warmup),
-      // one sketch shard per engine shard — single writer, this thread —
-      // reading the same tap batches as the capture.
-      obs::TrafficSketch* const sketch_shard =
-          sketch != nullptr ? &sketch->shard(index) : nullptr;
-      if (sketch_shard != nullptr) cluster.add_tap_observer(sketch_shard);
-      // Instrument the measured day only; the warmup fed uninstrumented.
-      const std::uint64_t fed =
-          drive_day(scenario->traffic(), *plan, index, cluster, question,
-                    &heartbeat, metrics, trace);
-      cluster.flush_taps();
-      if (sketch_shard != nullptr) cluster.remove_tap_observer(sketch_shard);
-      shard.capture.detach(cluster);
-      shard.counters.stats = cluster.aggregate_stats();
-      shard.counters.below_answers = cluster.below_answers();
-      shard.counters.above_answers = cluster.above_answers();
-      shard.counters.dnssec_validations = cluster.dnssec_validations();
-      shard.counters.dnssec_disposable_validations =
-          cluster.dnssec_disposable_validations();
-      shard.counters.answered_misses = cluster.answered_misses();
-      shard.counters.disposable_answered_misses =
-          cluster.disposable_answered_misses();
-      queries.fetch_add(fed, std::memory_order_relaxed);
-      // The gauge repeats the span's own reading, so it equals the shard's
-      // engine.shard timer sample and trace span to the nanosecond.
-      const std::uint64_t shard_ns = shard_span.stop();
-      if (metrics != nullptr) {
-        metrics->gauge("engine.shard" + std::to_string(index) +
-                       ".wall_seconds")
-            .set(static_cast<double>(shard_ns) / 1e9);
-      }
-    } catch (const std::exception& e) {
-      shard.error = e.what();
-    } catch (...) {
-      shard.error = "unknown shard failure";
     }
-  };
-
-  run_parallel(parallel_for, shard_count, run_shard);
+    shard.start(day_index);
+    const std::uint64_t fed = shard.drive(scenario->traffic(), *plan);
+    shard.finish();
+    queries.fetch_add(fed, std::memory_order_relaxed);
+    // The gauge repeats the span's own reading, so it equals the shard's
+    // engine.shard timer sample and trace span to the nanosecond.
+    const std::uint64_t shard_ns = shard_span.stop();
+    if (metrics != nullptr) {
+      metrics->gauge("engine.shard" + std::to_string(index) + ".wall_seconds")
+          .set(static_cast<double>(shard_ns) / 1e9);
+    }
+  });
   plan.reset();
 
   std::string merge_error;
@@ -320,7 +259,9 @@ EngineReport MiningSession::simulate_day(ScenarioDate date, DayCapture& capture,
     report.counters = merge_shards(shards, capture, merge_error, parallel_for);
   }
   // Shard workers joined above, so the trace snapshot contract holds.
-  publish_trace_snapshot();
+  if (telemetry_ != nullptr && trace != nullptr) {
+    telemetry_->publish_trace(obs::to_json(trace->snapshot()));
+  }
   if (!merge_error.empty()) {
     report.status = MiningDayStatus::kInvalidConfig;
     report.error = merge_error;
@@ -354,32 +295,8 @@ MiningDayResult MiningSession::run(ScenarioDate date, DayCapture& capture,
     result.error = report.error;
     return result;
   }
-  ThreadPool* const day_pool = pool ? &*pool : nullptr;
-  const MineFn mine = [this, day_pool](const DisposableZoneMiner& miner,
-                                       DomainNameTree& tree,
-                                       const CacheHitRateTracker& chr) {
-    return mine_zones_parallel(miner, tree, chr, *options_.miner.psl, day_pool);
-  };
-  MiningDayResult result = finish_mining_day(capture, *scenario, options_,
-                                             mine, on_pool(day_pool));
-  // finish_mining_day already froze the trace into result.trace_json;
-  // serve that exact document on /trace.
-  if (telemetry_ != nullptr && !result.trace_json.empty()) {
-    telemetry_->publish_trace(result.trace_json);
-  }
-  if (sketch_ != nullptr && result.ok()) {
-    // Today's mined zones become the live classifier for the next day —
-    // the paper's protocol (yesterday's model applied to today's traffic)
-    // carried into the streaming plane.
-    std::vector<std::string> zones;
-    zones.reserve(result.findings.size());
-    for (const DisposableZoneFinding& finding : result.findings) {
-      zones.push_back(finding.zone);
-    }
-    sketch_->set_disposable_zones(std::move(zones));
-    if (metrics_ != nullptr) sketch_->publish_gauges(*metrics_);
-  }
-  return result;
+  return mine_captured_day(capture, *scenario, options_,
+                           pool ? &*pool : nullptr, telemetry_.get());
 }
 
 std::vector<DisposableZoneFinding> mine_zones_parallel(

@@ -1,25 +1,11 @@
 // Sharded parallel mining engine — the front door of the daily pipeline.
 //
 // MiningSession is a fluent builder over PipelineOptions plus a thread
-// count, and the one way to run a simulated day:
-//
-//   * the simulated day is partitioned by RDNS server (one shard per
-//     server; clients reach servers by client hash),
-//   * one Scenario is built per day and shared read-only by every shard;
-//     the day's slot plan draws each query slot's client once, in chunks
-//     on the engine pool, so each shard walks only its own slots,
-//   * each shard is one index of a parallel_for on that pool, with its own
-//     single-server RdnsCluster (seed split per shard, see
-//     ClusterConfig::for_shard), its own sampling state (the disposable
-//     tenants' recent-name windows) and thread-local DayCapture,
-//   * shard captures are merged in shard-index order into shard 0's (see
-//     shard_merge.h), each shard's tree, CHR and name sets side by side,
-//   * the stages after the merge run on the same pool: labeling's feature
-//     extraction, Algorithm 1 over the effective-2LD zones (subtrees are
-//     disjoint, so zone mining is race-free; heaviest first, the heaviest
-//     zones split, see miner/algorithm1.h) with the total-order finding
-//     sort, and the evaluation beside the aggregates.  Training is serial.
-//
+// count, and the one way to run a day (DESIGN.md §9.1): one shard per RDNS
+// server (clients reach servers by client hash), each a single-server
+// cluster with its own capture, fed from the day's one Scenario and slot
+// plan — by the generator in run(), over the socket in serve() — then one
+// merge in shard order and the mining tail, all on the day's one pool.
 // Shard decomposition is fixed by server_count — threads only schedule
 // shards — and per-shard seeds derive from the scenario seed, so
 // threads(1) and threads(N) produce byte-identical findings.
@@ -57,7 +43,6 @@ struct EngineReport {
   MiningDayStatus status = MiningDayStatus::kOk;
   std::string error;  // non-empty when !ok()
   std::size_t shard_count = 0;
-  std::size_t threads = 0;
   std::uint64_t queries = 0;  // client queries fed below the cluster
   ShardCounters counters;
 
@@ -175,11 +160,12 @@ class MiningSession {
   MiningDayResult run(ScenarioDate date, DayCapture& capture,
                       std::int64_t day_index);
 
-  /// Starts the day in server mode: warmup runs in-process, then queries
-  /// arrive over the socket at ->udp_port() and feed the same tap/metrics
-  /// path; ->finish() mines the captured day.  Null unless
-  /// enable_dns_server was called; check ->ok() before serving (a config
-  /// run() refuses, or a failed socket bind, reports there).
+  /// Starts the day in server mode: run()'s shards are built and warmed
+  /// in-process on the day's pool, then queries arrive over the socket at
+  /// ->udp_port(), each to its client's server, and feed the same
+  /// tap/metrics path; ->finish() merges and mines the day as run() does.
+  /// Null unless enable_dns_server was called; check ->ok() before serving
+  /// (a config run() refuses, or a failed socket bind, reports there).
   std::unique_ptr<ServedMiningDay> serve(ScenarioDate date);
 
  private:
@@ -194,11 +180,6 @@ class MiningSession {
                             std::int64_t day_index,
                             std::optional<Scenario>& scenario,
                             std::optional<ThreadPool>& pool);
-  /// Publishes the frozen trace snapshot to the telemetry server (no-op
-  /// when either side is off).  Callers must have quiesced all trace
-  /// writers first — shard workers joined — per the TraceCollector
-  /// snapshot contract.
-  void publish_trace_snapshot();
 
   PipelineOptions options_;
   std::size_t threads_ = 1;

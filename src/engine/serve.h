@@ -1,23 +1,13 @@
-// Served mining days: the wire front-end wired into the mining engine
-// (DESIGN.md §14).
-//
-// A ServedMiningDay is the socket-fed twin of MiningSession::run(): it
-// builds the day's one Scenario and one multi-server RdnsCluster, warms
-// server i in-process with the engine's shard-i warmup stream (one warmup
-// plan over the same Scenario), attaches the DayCapture tap, then starts
-// a resolver/wire_frontend serving RFC 1035
-// queries over UDP (+ TCP fallback) instead of driving the generator loop
-// itself.  Every served query flows through the same
-// RdnsCluster::query_view path, so the batched tap, metrics, and
-// heartbeats observe wire traffic exactly as they observe in-process
-// traffic.  finish() stops serving, flushes the tap, and runs the standard
-// post-capture mining half (finish_mining_day with the engine's parallel
-// zone fan-out).
-//
-// Golden contract: replaying the engine's shard streams of a day through
-// the socket, merged in timestamp order — replay metadata attached, one
-// lockstep client — yields a capture and findings byte-identical to
-// MiningSession::run on the same day (WireGolden.* tests).
+// Served mining days (DESIGN.md §14): MiningSession::run()'s day, fed
+// from a socket instead of the generator.  The day's servers are the
+// engine's shards (engine/drive.h), warmed on the day's pool and tapped
+// as run() taps them; a resolver/wire_frontend answers RFC 1035 queries
+// over UDP (+ TCP fallback), each through the query_view of the server
+// its client hashes to.  finish() merges the shards into capture() and
+// runs run()'s tail.  Replaying the engine's shard streams through the
+// socket in timestamp order (replay metadata, one lockstep client) yields
+// a capture, findings and traffic export byte-identical to run()'s
+// (WireGolden.* and TrafficPlaneEngine.* tests).
 #pragma once
 
 #include <cstdint>
@@ -25,16 +15,17 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "engine/shard_merge.h"
+#include "engine/thread_pool.h"
 #include "miner/pipeline.h"
 #include "obs/telemetry_server.h"
 #include "resolver/wire_frontend.h"
 
-namespace dnsnoise::obs {
-class TrafficSketch;
-}  // namespace dnsnoise::obs
-
 namespace dnsnoise {
+
+class DayShard;
 
 /// Server-mode knobs, layered on top of the session's PipelineOptions.
 struct DnsServerOptions {
@@ -56,7 +47,7 @@ struct DnsServerOptions {
   bool allow_replay_meta = true;
   /// UDP responses above this are truncated to TC=1 (classic 512).
   std::size_t max_udp_payload = 512;
-  /// Runs against the scenario's authority before the cluster is built —
+  /// Runs against the scenario's authority before the servers are built —
   /// the hook for registering extra zones (CI smoke zones, demo data).
   std::function<void(SyntheticAuthority&)> authority_hook;
 };
@@ -65,23 +56,19 @@ struct DnsServerOptions {
 /// MiningSession::serve), send wire queries at udp_port(), then finish().
 class ServedMiningDay {
  public:
-  /// Builds scenario + cluster, runs the in-process warmup day (server i
-  /// gets the engine's shard-i warmup stream), attaches the capture, and
-  /// starts serving.  On failure ok() is false and error() has the reason;
-  /// finish() then returns a non-ok result.  A config run() refuses (no
-  /// threads or servers, a bad cache TTL clamp or warmup fraction) fails
-  /// with run()'s error text before anything is built, leaving no
-  /// frontend: udp_port() and tcp_port() read 0 and frontend() is only
-  /// valid while ok().  With `telemetry` set, the frontend's slow-query
-  /// log is published on GET /slowlog for the day's lifetime (detached on
-  /// finish/destroy).
+  /// Builds the scenario and the day's servers, warms them on the day's
+  /// pool (server i with the engine's shard-i warmup stream), attaches
+  /// their captures, and starts serving.  On failure ok() is false and
+  /// error() has the reason; finish() then returns it.  A config run()
+  /// refuses fails with run()'s error text before anything is built,
+  /// leaving no frontend: udp_port() and tcp_port() read 0 and frontend()
+  /// is only valid while ok().  With `telemetry` set, the frontend's
+  /// slow-query log is on GET /slowlog until finish or destruction, and
+  /// finish() publishes the day's trace on GET /trace.
   ServedMiningDay(ScenarioDate date, const PipelineOptions& options,
                   std::size_t threads, const DnsServerOptions& server,
                   std::shared_ptr<obs::TelemetryServer> telemetry = nullptr);
   ~ServedMiningDay();
-
-  ServedMiningDay(const ServedMiningDay&) = delete;
-  ServedMiningDay& operator=(const ServedMiningDay&) = delete;
 
   bool ok() const noexcept { return error_.empty(); }
   const std::string& error() const noexcept { return error_; }
@@ -93,12 +80,13 @@ class ServedMiningDay {
     return frontend_ != nullptr ? frontend_->tcp_port() : 0;
   }
   WireFrontend& frontend() noexcept { return *frontend_; }
+  /// The day's capture: the servers' captures merged by finish(); empty
+  /// before it.
   DayCapture& capture() noexcept { return capture_; }
-  std::int64_t day_index() const noexcept { return day_index_; }
 
-  /// Stops serving, flushes the tap, and mines the captured day (same
-  /// post-capture half as MiningSession::run, parallel zone fan-out).
-  /// Callable once; a finished day no longer answers queries.
+  /// Stops serving, ends each server's day, merges their captures into
+  /// capture() and mines it with MiningSession::run's tail.  Callable
+  /// once; a finished day no longer answers queries.
   MiningDayResult finish();
 
  private:
@@ -106,21 +94,18 @@ class ServedMiningDay {
   void detach_slowlog();
 
   PipelineOptions options_;
-  std::size_t threads_;
-  std::int64_t day_index_;
   std::string error_;
-  bool attached_ = false;
   bool finished_ = false;
-  /// Shard 0 of options_.sketch, a tap observer of the cluster while
-  /// attached_ holds.
-  obs::TrafficSketch* sketch_shard_ = nullptr;
   std::shared_ptr<obs::TelemetryServer> telemetry_;
-  // Declaration order is load-bearing: the frontend references the
-  // cluster (stop threads first), and the cluster's destructor flushes
-  // into still-attached taps (capture must outlive it).
+  // Declaration order is load-bearing, as members die bottom up: the
+  // frontend routes into the shards' clusters (its threads stop first),
+  // a shard flushes into its result's capture as it detaches, and the
+  // clusters read the scenario's authority.
   std::optional<Scenario> scenario_;
+  std::optional<ThreadPool> pool_;  // the day's one pool (empty at 1 thread)
   DayCapture capture_;
-  std::unique_ptr<RdnsCluster> cluster_;
+  std::vector<ShardResult> results_;
+  std::vector<std::unique_ptr<DayShard>> shards_;
   std::unique_ptr<WireFrontend> frontend_;
 };
 

@@ -49,16 +49,20 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   heartbeat.beat();
 
   MiningDayResult result;
-  if (tap.tree().black_count() == 0) {
-    result.status = MiningDayStatus::kEmptyCapture;
-    result.error =
-        "mining day captured no resolved names; check traffic volume";
+  // The final snapshots, taken last so every stage timer above is in.
+  const auto snapshot = [&result, metrics, trace]() {
     if (metrics != nullptr) {
       result.metrics_json = obs::to_json(metrics->snapshot());
     }
-    if (trace != nullptr) {
-      result.trace_json = obs::to_json(trace->snapshot());
-    }
+    if (trace != nullptr) result.trace_json = obs::to_json(trace->snapshot());
+  };
+  const auto empty_day = [&result, &snapshot](const char* error) {
+    result.status = MiningDayStatus::kEmptyCapture;
+    result.error = error;
+    snapshot();
+  };
+  if (tap.tree().black_count() == 0) {
+    empty_day("mining day captured no resolved names; check traffic volume");
     return result;
   }
   {
@@ -66,6 +70,10 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
                               obs::TraceOp::kMinerLabel);
     result.labeled = label_zones(tap.tree(), tap.chr(), scenario,
                                  options.labeler, parallel_for);
+  }
+  if (options.pretrained == nullptr && result.labeled.empty()) {
+    empty_day("mining day labeled no zone to train on; check traffic volume");
+    return result;
   }
   LadTree own_model(options.model);
   const BinaryClassifier* model = options.pretrained;
@@ -102,13 +110,7 @@ MiningDayResult finish_mining_day(DayCapture& tap, const Scenario& scenario,
   if (metrics != nullptr) {
     metrics->counter("miner.findings").add(result.findings.size());
   }
-  // Snapshot last, so the mining-stage timers above are included.
-  if (metrics != nullptr) {
-    result.metrics_json = obs::to_json(metrics->snapshot());
-  }
-  if (trace != nullptr) {
-    result.trace_json = obs::to_json(trace->snapshot());
-  }
+  snapshot();
   return result;
 }
 

@@ -60,7 +60,7 @@ struct PipelineOptions {
   /// Opt-in streaming traffic introspection (DESIGN.md §17), owned by
   /// MiningSession::enable_traffic_sketch: when set, the measured day's
   /// below-stream answers additionally feed this sketch plane (one shard
-  /// per engine shard; shard 0 on a served day's single cluster).  Must
+  /// per RDNS server, on engine and served days alike).  Must
   /// outlive the run.  Null (the default) attaches nothing — zero hot-path
   /// overhead — and findings are byte-identical either way
   /// (TrafficPlane.* tests).
@@ -81,8 +81,11 @@ struct DayAggregates {
 /// findings/evaluation/aggregates.
 enum class MiningDayStatus {
   kOk = 0,
-  /// The day's capture held no resolved names (e.g. a zero-volume scale);
-  /// labeling/training on it would silently produce a degenerate model.
+  /// The day's capture held no resolved names (e.g. a zero-volume scale),
+  /// or, with no pretrained model, labeling found no zone to train one on
+  /// (a day of a handful of queries, say a demo server answering a few
+  /// digs).  Either way there is nothing to mine: training on it would
+  /// fail or silently produce a degenerate model.
   kEmptyCapture,
   /// The requested configuration cannot run (zero threads, zero
   /// servers, ...).
@@ -116,11 +119,13 @@ using MineFn = std::function<std::vector<DisposableZoneFinding>(
     const DisposableZoneMiner& miner, DomainNameTree& tree,
     const CacheHitRateTracker& chr)>;
 
-/// The post-capture half of a mining day, shared by MiningSession::run and
-/// ServedMiningDay::finish: label zones, train (or reuse
-/// options.pretrained), mine via `mine` (serial DisposableZoneMiner::mine
-/// when empty), evaluate, and compute aggregates.  Returns kEmptyCapture
-/// without mining when `tap` saw no resolved names.  Labeling's feature
+/// The post-capture half of a mining day, the core of the engine's tail
+/// (MiningSession::run, ServedMiningDay::finish): label zones, train (or
+/// reuse options.pretrained), mine via `mine` (serial
+/// DisposableZoneMiner::mine when empty), evaluate, and compute
+/// aggregates.  Returns kEmptyCapture without mining when `tap` saw no
+/// resolved names, or without training when there is no pretrained model
+/// and labeling found no zone.  Labeling's feature
 /// extraction, the aggregates and the evaluation beside them run through
 /// `parallel_for` (the engine's day pool; on the calling thread when it is
 /// empty).  Training stays serial.  The result does not depend on it.

@@ -38,9 +38,9 @@ DnsMessage make_skeleton(std::uint16_t id, bool rd, RCode rcode) {
 
 }  // namespace
 
-WireFrontend::WireFrontend(RdnsCluster& cluster,
+WireFrontend::WireFrontend(std::span<RdnsCluster* const> clusters,
                            const WireFrontendConfig& config)
-    : cluster_(cluster),
+    : clusters_(clusters.begin(), clusters.end()),
       config_(config),
       heartbeat_(config.metrics, "server", /*every_n=*/64),
       slowlog_(config.slowlog_capacity) {
@@ -224,18 +224,19 @@ bool WireFrontend::handle_query(std::span<const std::uint8_t> request,
 
     DnsMessage reply = make_skeleton(id, rd, RCode::NoError);
     reply.questions.push_back(message->questions.front());
+    RdnsCluster& cluster = *clusters_[shard_of(client_id, clusters_.size())];
     const auto t_decoded = stage_now();
     {
-      // The cluster, its caches, its name table and its tap observers are
+      // The clusters, their caches, name tables and tap observers are
       // single-threaded by contract; serialize the round trip and convert
       // the zero-copy view to presentation records before releasing (it
       // aliases cluster storage, and its ids resolve through the table).
       const std::lock_guard<std::mutex> lock(cluster_mutex_);
       heartbeat_.tick();
       const QueryView view =
-          cluster_.query_view(client_id, reply.questions.front(), ts);
+          cluster.query_view(client_id, reply.questions.front(), ts);
       reply.header.rcode = view.rcode;
-      to_resource_records(view.answers, cluster_.names(), reply.answers);
+      to_resource_records(view.answers, cluster.names(), reply.answers);
     }
     const auto t_clustered = stage_now();
     bump(queries_, queries_metric_);

@@ -3,18 +3,22 @@
 // Turns the simulated cluster into a real DNS server: RFC 1035 queries
 // arrive over UDP (per-core SO_REUSEPORT shards, recvmmsg/sendmmsg
 // batching via net/udp_server) or TCP, are decoded with the non-throwing
-// bounds-checked codec (dns/wire), routed through RdnsCluster::query_view
-// — the same zero-copy path in-process traffic takes, so served queries
-// feed the same batched tap, caches, and metrics — and the answer is
-// encoded back to the wire.  Responses larger than the UDP payload limit
-// are truncated (TC=1) and the client retries over the TCP listener on the
-// same port.
+// bounds-checked codec (dns/wire), routed to the server their client
+// hashes to (shard_of(client, servers), the cluster's own balancing) and
+// resolved through RdnsCluster::query_view — the same zero-copy path
+// in-process traffic takes, so served queries feed the same batched taps,
+// caches, and metrics — and the answer is encoded back to the wire.  The
+// servers are either the engine's single-server shards of a served day or
+// one cluster, which balances over its own servers.  Responses larger
+// than the UDP payload limit are truncated (TC=1) and the client retries
+// over the TCP listener on the same port.
 //
 // Robustness contract: malformed input never crashes the server.  Payloads
 // too short to carry a header are dropped; anything else undecodable is
 // answered with FORMERR.  Decoding and encoding run concurrently on the
-// shard threads; only the cluster round trip itself is serialized (the
-// cluster and its tap observers are single-threaded by design).
+// shard threads; only the cluster round trip itself is serialized, under
+// one mutex for all servers (the clusters and their tap observers are
+// single-threaded by design).
 //
 // Replay mode (allow_replay_meta): queries may carry the (timestamp,
 // client) pair of a captured timeline in a reserved TXT additional record
@@ -89,9 +93,11 @@ struct WireFrontendStats {
 
 class WireFrontend {
  public:
-  /// `cluster` must outlive the frontend and must not be driven by anyone
-  /// else while the frontend is running.
-  WireFrontend(RdnsCluster& cluster, const WireFrontendConfig& config);
+  /// Serves `clusters`, the day's servers: a query goes to
+  /// clusters[shard_of(client, clusters.size())].  They must outlive the
+  /// frontend and must not be driven by anyone else while it is running.
+  WireFrontend(std::span<RdnsCluster* const> clusters,
+               const WireFrontendConfig& config);
   ~WireFrontend();
 
   WireFrontend(const WireFrontend&) = delete;
@@ -150,7 +156,7 @@ class WireFrontend {
                             std::uint64_t encode_ns, SimTime ts,
                             const std::string& qname);
 
-  RdnsCluster& cluster_;
+  std::vector<RdnsCluster*> clusters_;
   WireFrontendConfig config_;
   net::UdpServer udp_;
   net::DnsTcpListener tcp_;

@@ -6,33 +6,6 @@
 
 namespace dnsnoise {
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi))
-    throw std::invalid_argument("LinearHistogram: lo must be < hi");
-  if (bins == 0)
-    throw std::invalid_argument("LinearHistogram: bins must be > 0");
-}
-
-void LinearHistogram::add(double value, std::uint64_t weight) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::int64_t>(std::floor((value - lo_) / width));
-  bin = std::clamp<std::int64_t>(bin, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-double LinearHistogram::bin_lo(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double LinearHistogram::bin_center(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return bin_lo(bin) + width / 2.0;
-}
-
 LogHistogram::LogHistogram(double max, std::size_t decade_bins)
     : max_(max), decade_bins_(static_cast<double>(decade_bins)) {
   if (max <= 1.0) throw std::invalid_argument("LogHistogram: max must be > 1");

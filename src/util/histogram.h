@@ -13,29 +13,6 @@
 
 namespace dnsnoise {
 
-/// Fixed-width linear histogram over [lo, hi); values outside are clamped
-/// into the first/last bin.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double value, std::uint64_t weight = 1) noexcept;
-
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::uint64_t total() const noexcept { return total_; }
-  /// Center of the given bin.
-  double bin_center(std::size_t bin) const;
-  /// Lower edge of the given bin.
-  double bin_lo(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Logarithmically binned histogram for positive values (e.g. TTLs 0..86400).
 /// Zero values land in a dedicated underflow bin, mirroring the paper's
 /// Fig. 14 where TTL=0 is plotted distinctly on a log axis.

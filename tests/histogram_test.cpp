@@ -10,37 +10,6 @@
 namespace dnsnoise {
 namespace {
 
-TEST(LinearHistogramTest, BinsAndClamping) {
-  LinearHistogram h(0.0, 1.0, 10);
-  h.add(0.05);   // bin 0
-  h.add(0.95);   // bin 9
-  h.add(-5.0);   // clamped to bin 0
-  h.add(5.0);    // clamped to bin 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LinearHistogramTest, WeightedAdd) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(1.0, 7);
-  EXPECT_EQ(h.count(0), 7u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(LinearHistogramTest, BinGeometry) {
-  LinearHistogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-}
-
-TEST(LinearHistogramTest, InvalidArgsThrow) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(2.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(LogHistogramTest, ZeroGoesToUnderflowBin) {
   LogHistogram h(86400.0);
   h.add(0.0);

@@ -247,7 +247,7 @@ TEST(LoadgenLoop, DrivesTheRealWireFrontend) {
   WireFrontendConfig frontend_config;
   frontend_config.allow_replay_meta = true;
   frontend_config.metrics = &registry;
-  WireFrontend frontend(cluster, frontend_config);
+  WireFrontend frontend(std::array{&cluster}, frontend_config);
   ASSERT_TRUE(frontend.start()) << frontend.error();
 
   LoadgenConfig config;

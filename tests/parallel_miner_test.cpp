@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
+
+#include "dns/wire.h"
+#include "net/udp_client.h"
 
 namespace dnsnoise {
 namespace {
@@ -143,6 +147,51 @@ TEST(ParallelMinerTest, ZeroVolumeScenarioReportsEmptyCapture) {
   EXPECT_EQ(result.status, MiningDayStatus::kEmptyCapture);
   EXPECT_FALSE(result.error.empty());
   EXPECT_TRUE(result.findings.empty());
+}
+
+TEST(ParallelMinerTest, SparseDayReportsEmptyCaptureOnBothRunners) {
+  // Ten queries resolve names but label no zone, so there is no model to
+  // train: run() and a served day fed the same queries both report an
+  // empty day instead of throwing out of training.
+  const ScenarioDate date = ScenarioDate::kNov14;
+  ScenarioScale scale;
+  scale.queries_per_day = 10;
+  scale.client_count = 50;
+  scale.population_scale = 0.1;
+  ClusterConfig cluster;
+  cluster.server_count = 2;
+  MiningSession session(scale);
+  session.cluster(cluster).warmup(false).threads(2);
+
+  const MiningDayResult engine = session.run(date);
+  EXPECT_EQ(engine.status, MiningDayStatus::kEmptyCapture);
+  EXPECT_FALSE(engine.error.empty());
+
+  session.enable_dns_server(true);
+  const std::unique_ptr<ServedMiningDay> day = session.serve(date);
+  ASSERT_NE(day, nullptr);
+  ASSERT_TRUE(day->ok()) << day->error();
+  // Each server's queries in its shard's order, with their timestamps and
+  // clients, straight through the frontend's handler.
+  const Scenario recorder(date, scale);
+  std::vector<std::uint8_t> response;
+  std::uint16_t id = 1;
+  for (std::size_t shard = 0; shard < cluster.server_count; ++shard) {
+    recorder.traffic().run_day_shard(
+        scenario_day_index(date), {cluster.server_count, shard},
+        [&](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+          DnsMessage message = DnsMessage::make_query(
+              id++, DomainName(query.qname), query.qtype);
+          net::attach_replay_meta(message, {.ts = ts, .client_id = client});
+          EXPECT_TRUE(day->frontend().handle_query(
+              encode_message(message), net::UdpPeer{0x7f000001, 53}, response,
+              WireFrontend::Transport::kUdp));
+        });
+  }
+  const MiningDayResult served = day->finish();
+  EXPECT_GT(day->capture().unique_resolved(), 0u);
+  EXPECT_EQ(served.status, MiningDayStatus::kEmptyCapture);
+  EXPECT_EQ(served.error, engine.error);
 }
 
 /// Every day runner refuses `session`'s config before building anything

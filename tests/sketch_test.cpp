@@ -436,31 +436,45 @@ TEST(TrafficPlane, ScrapesNeverPerturbLaterExports) {
 }
 
 TEST(TrafficPlane, BatchingNeverChangesTheExport) {
-  // Folds happen the moment the touched set crosses its threshold, so
-  // the export depends on the sequence of below events alone, never on
-  // where the producer's batches end.  The stream touches more names
-  // than the fold threshold and only 8 counters track them, so folds
-  // evict.
+  // Folds happen the moment the touched set reaches its threshold, so the
+  // export depends on the sequence of below events alone, never on where
+  // the producer's batches end.  The stream makes the fold point show in
+  // the export: top_k equals the counters, so every counter is exported,
+  // and right after each window's 4,096th distinct name (the sketch's fold
+  // threshold) one name is hammered.  A fold that waited for the end of
+  // the batch would fold some of those hits with the window, in id order,
+  // and move the exported counts.
+  constexpr std::size_t kFoldThreshold = 4'096;
   NameTable names;
   std::vector<NameId> pool;
   for (int i = 0; i < 20'000; ++i) {
     pool.push_back(names.intern("h" + std::to_string(i) + ".zipf.example"));
   }
+  const NameId hot = names.intern("hot.zipf.example");
   Rng rng(41);
   ZipfSampler zipf(pool.size(), 1.0);
   std::vector<TapEvent> events;
-  std::set<NameId> touched;
-  for (int i = 0; i < 30'000; ++i) {
-    const NameId id = pool[zipf.sample(rng)];
-    touched.insert(id);
+  std::set<NameId> window;  // names touched since the sketch's last fold
+  std::size_t folds = 0;
+  const auto add = [&](NameId id) {
+    const int i = static_cast<int>(events.size());
     events.push_back(below(static_cast<SimTime>(i / 16), rng.below(300) + 1,
                            id, i % 29 == 0 ? RCode::NXDomain : RCode::NoError));
+    window.insert(id);
+  };
+  while (events.size() < 30'000) {
+    add(pool[zipf.sample(rng)]);
+    if (window.size() == kFoldThreshold) {
+      window.clear();
+      ++folds;
+      for (int i = 0; i < 150; ++i) add(hot);
+    }
   }
-  ASSERT_GT(touched.size(), 4'096u);
+  ASSERT_GE(folds, 2u);
 
   const auto run = [&](std::size_t batch_size) {
     TrafficSketchConfig config;
-    config.top_k = 4;
+    config.top_k = 8;
     config.counters = 8;
     auto plane = std::make_unique<TrafficSketchPlane>(config);
     plane->ensure_shards(1);
@@ -469,11 +483,14 @@ TEST(TrafficPlane, BatchingNeverChangesTheExport) {
   };
   const auto per_event = run(1);
   const std::string json = per_event->to_json();
-  EXPECT_EQ(json, run(7)->to_json());
-  EXPECT_EQ(json, run(256)->to_json());
+  // Batch sizes that do not divide the fold points.
+  for (const std::size_t batch_size : {7u, 300u, 1'000u}) {
+    SCOPED_TRACE(batch_size);
+    EXPECT_EQ(json, run(batch_size)->to_json());
+  }
   // Space-Saving evicted: some exported hitter inherited an error.
   const TrafficSnapshot snap = per_event->snapshot();
-  ASSERT_FALSE(snap.top_qnames.empty());
+  ASSERT_EQ(snap.top_qnames.size(), 8u);
   EXPECT_TRUE(std::any_of(
       snap.top_qnames.begin(), snap.top_qnames.end(),
       [](const TrafficHeavyHitter& hitter) { return hitter.error > 0; }));

@@ -16,8 +16,10 @@
 #include <string>
 #include <thread>
 
+#include "dns/wire.h"
 #include "engine/parallel_miner.h"
 #include "net/http_listener.h"
+#include "net/udp_client.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
@@ -439,6 +441,46 @@ TEST(TelemetryPipeline, SessionServesLiveMetricsAndConcurrentScrapes) {
             std::string::npos);
   EXPECT_NE(metrics.find("# TYPE dnsnoise_miner_mine_seconds histogram\n"),
             std::string::npos);
+}
+
+TEST(TelemetryPipeline, ServedDayPublishesItsTrace) {
+  // A served day ends in run()'s tail, so its frozen trace is served on
+  // /trace as run()'s is, miner stages included.
+  const ScenarioDate date = ScenarioDate::kNov14;
+  MiningSession session(small_scale());
+  session.cluster(small_cluster())
+      .warmup(false)
+      .threads(2)
+      .enable_tracing()
+      .enable_telemetry()
+      .enable_dns_server();
+  const std::uint16_t port = session.telemetry()->port();
+  const auto day = session.serve(date);
+  ASSERT_NE(day, nullptr);
+  ASSERT_TRUE(day->ok()) << day->error();
+  EXPECT_NE(http_get(port, "/trace").find("HTTP/1.1 404"), std::string::npos);
+
+  // A few of the day's queries, with their timestamps and clients.
+  const Scenario recorder(date, small_scale());
+  std::vector<std::uint8_t> response;
+  std::uint16_t id = 1;
+  recorder.traffic().run_day_shard(
+      scenario_day_index(date), {small_cluster().server_count, 0},
+      [&](SimTime ts, std::uint64_t client, const QuerySpec& query) {
+        if (id > 50) return;
+        DnsMessage message =
+            DnsMessage::make_query(id++, DomainName(query.qname), query.qtype);
+        net::attach_replay_meta(message, {.ts = ts, .client_id = client});
+        EXPECT_TRUE(day->frontend().handle_query(
+            encode_message(message), net::UdpPeer{0x7f000001, 53}, response,
+            WireFrontend::Transport::kUdp));
+      });
+  const MiningDayResult result = day->finish();
+  ASSERT_FALSE(result.trace_json.empty());
+  const std::string trace = http_get(port, "/trace");
+  EXPECT_NE(trace.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_NE(trace.find("\"miner.label\""), std::string::npos);
+  EXPECT_NE(trace.find(result.trace_json), std::string::npos);
 }
 
 TEST(TelemetryPipeline, TelemetryDoesNotChangeFindings) {

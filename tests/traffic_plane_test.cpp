@@ -138,11 +138,11 @@ TEST(TrafficPlaneEngine, ScrapesWhileFeedingNeverChangeTheExport) {
 
 TEST(TrafficPlaneEngine, ServedDayMeasuresTheEngineDaysTraffic) {
   // The engine's shard streams, merged in timestamp order, replayed
-  // through the served day's frontend with replay metadata: the served
-  // cluster's one tap feeds sketch shard 0 the same queries the engine's
-  // four shards feed their sketches.  Totals and the HLL estimates (a
-  // register-max union) must match; new_names counts per shard, so a
-  // name two engine shards both saw is new twice there and once here.
+  // through the served day's frontend with replay metadata: each served
+  // server's tap feeds its own sketch shard the queries the engine's
+  // shard of the same index feeds its sketch, in the same order.  Both
+  // days then arm the classifier with the same findings, so the exports
+  // must be byte-identical.
   const ScenarioDate date = ScenarioDate::kNov14;
   const std::int64_t day_index = scenario_day_index(date);
   const ClusterConfig cluster = sharded_cluster();
@@ -150,9 +150,9 @@ TEST(TrafficPlaneEngine, ServedDayMeasuresTheEngineDaysTraffic) {
   MiningSession engine(small_scale());
   engine.cluster(cluster).threads(2).enable_traffic_sketch();
   DayCapture capture;
-  const EngineReport report = engine.simulate(date, capture, day_index);
-  ASSERT_TRUE(report.ok()) << report.error;
-  const obs::TrafficSnapshot expected = engine.traffic_sketch()->snapshot();
+  const MiningDayResult engine_day = engine.run(date, capture, day_index);
+  ASSERT_TRUE(engine_day.ok()) << engine_day.error;
+  const std::uint64_t queries = engine.traffic_sketch()->snapshot().queries;
 
   struct Query {
     SimTime ts;
@@ -194,19 +194,17 @@ TEST(TrafficPlaneEngine, ServedDayMeasuresTheEngineDaysTraffic) {
                                              WireFrontend::Transport::kUdp));
     ++replayed;
   }
-  EXPECT_EQ(replayed, report.queries);
+  EXPECT_EQ(replayed, queries);
   const MiningDayResult result = day->finish();
   ASSERT_TRUE(result.ok()) << result.error;
 
+  EXPECT_EQ(served.traffic_sketch()->shard_count(), cluster.server_count);
+  EXPECT_EQ(served.traffic_sketch()->to_json(),
+            engine.traffic_sketch()->to_json());
   const obs::TrafficSnapshot snap = served.traffic_sketch()->snapshot();
-  EXPECT_EQ(served.traffic_sketch()->shard_count(), 1u);
-  EXPECT_EQ(snap.queries, expected.queries);
-  EXPECT_EQ(snap.nxdomain, expected.nxdomain);
-  EXPECT_EQ(snap.distinct_qnames, expected.distinct_qnames);
-  EXPECT_EQ(snap.distinct_clients, expected.distinct_clients);
   EXPECT_GT(snap.queries, 0u);
   EXPECT_GT(snap.nxdomain, 0u);
-  EXPECT_LE(snap.new_names, expected.new_names);
+  EXPECT_GT(snap.classifier_zones, 0u);
 }
 
 TEST(TrafficPlaneEngine, FindingsAreByteIdenticalWithPlaneOnOrOff) {

@@ -5,6 +5,7 @@
 // payloads must be answered with FORMERR or dropped — never a crash — and
 // the suite runs under the ASan/UBSan CI labels to prove it.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -52,7 +53,8 @@ class WireFrontendTest : public ::testing::Test {
     WireFrontendConfig config;
     config.allow_replay_meta = true;
     config.metrics = metrics;
-    frontend_ = std::make_unique<WireFrontend>(*cluster_, config);
+    frontend_ =
+        std::make_unique<WireFrontend>(std::array{cluster_.get()}, config);
     if (start) {
       EXPECT_TRUE(frontend_->start()) << frontend_->error();
     }

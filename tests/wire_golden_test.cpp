@@ -4,11 +4,11 @@
 //
 // The wire path replays the engine's per-shard (ts, client, query) streams,
 // merged in timestamp order, through net::DnsWireClient, attaching replay
-// metadata so the frontend feeds RdnsCluster::query_view the exact same
-// arguments the engine's drive loop passes.  Everything downstream — tap
-// capture, tree, CHR, labeling, training, parallel mining, evaluation —
-// then runs unchanged, so any fingerprint divergence localizes to the wire
-// layer.
+// metadata so the frontend feeds each server's RdnsCluster::query_view the
+// exact same arguments the engine's drive loop passes its shard.
+// Everything downstream — the shard captures and their merge, tree, CHR,
+// labeling, training, parallel mining, evaluation — is the engine's own
+// code, so any divergence localizes to the wire layer.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -57,18 +57,50 @@ std::string findings_fingerprint(
   return out;
 }
 
-std::string capture_fingerprint(const DayCapture& capture) {
-  std::string out;
-  out += "tree:" + std::to_string(capture.tree().node_count()) + "/" +
-         std::to_string(capture.tree().black_count());
-  out += " chr:" + std::to_string(capture.chr().unique_rrs());
-  out += " uniq:" + std::to_string(capture.unique_queried()) + "/" +
-         std::to_string(capture.unique_resolved());
-  out += " below:" + std::to_string(capture.below_series().sum_total()) + "/" +
-         std::to_string(capture.below_series().sum_nxdomain());
-  out += " above:" + std::to_string(capture.above_series().sum_total()) + "/" +
-         std::to_string(capture.above_series().sum_nxdomain());
-  return out;
+/// Everything a capture holds, one line per fact: each id's name with
+/// its tree parent, depth and black flag, the CHR entries in order with
+/// their counts and TTLs, the queried and resolved lists, and every
+/// hourly slot of both series.
+std::vector<std::string> capture_lines(const DayCapture& capture) {
+  std::vector<std::string> lines;
+  const NameTable& names = capture.names();
+  const DomainNameTree& tree = capture.tree();
+  for (NameId id = 0; id < names.size(); ++id) {
+    std::string line = "name " + std::to_string(id) + " " +
+                       std::string(names.name(id));
+    if (tree.is_name(id)) {
+      line += " parent " + std::to_string(tree.parent(id)) + " depth " +
+              std::to_string(tree.depth(id));
+      if (tree.contains(id)) line += tree.black(id) ? " black" : " white";
+    }
+    lines.push_back(std::move(line));
+  }
+  for (const auto& [rr, counts] : capture.chr().entries()) {
+    const RRKey key = to_rr_key(rr, names);
+    lines.push_back("rr " + std::to_string(rr.owner) + " " +
+                    std::string(to_string(key.type)) + " " + key.rdata +
+                    " below " + std::to_string(counts.below) + " above " +
+                    std::to_string(counts.above) + " ttl " +
+                    std::to_string(counts.ttl));
+  }
+  for (const NameId id : capture.queried_names()) {
+    lines.push_back("queried " + std::to_string(id));
+  }
+  for (const NameId id : capture.resolved_names()) {
+    lines.push_back("resolved " + std::to_string(id));
+  }
+  for (const auto& [stream, series] :
+       {std::pair("below", &capture.below_series()),
+        std::pair("above", &capture.above_series())}) {
+    for (std::size_t h = 0; h < 24; ++h) {
+      lines.push_back(std::string(stream) + " hour " + std::to_string(h) +
+                      " " + std::to_string(series->total[h]) + " " +
+                      std::to_string(series->nxdomain[h]) + " " +
+                      std::to_string(series->google[h]) + " " +
+                      std::to_string(series->akamai[h]));
+    }
+  }
+  return lines;
 }
 
 struct RecordedQuery {
@@ -137,9 +169,15 @@ TEST(WireGolden, SocketDayMatchesInProcessDayByteForByte) {
   const MiningDayResult result_b = day->finish();
   ASSERT_TRUE(result_b.ok()) << result_b.error;
 
-  // The whole observable surface must match, byte for byte.
-  EXPECT_EQ(capture_fingerprint(capture_a),
-            capture_fingerprint(day->capture()));
+  // The whole observable surface must match, byte for byte: the
+  // capture fact by fact (the first differing line fails), then the
+  // findings, aggregates and evaluation.
+  const std::vector<std::string> want = capture_lines(capture_a);
+  const std::vector<std::string> got = capture_lines(day->capture());
+  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "capture line " << i;
+  }
+  ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(findings_fingerprint(result_a.findings),
             findings_fingerprint(result_b.findings));
   EXPECT_FALSE(result_a.findings.empty());
@@ -151,10 +189,19 @@ TEST(WireGolden, SocketDayMatchesInProcessDayByteForByte) {
             result_b.aggregates.disposable_queried);
   EXPECT_EQ(result_a.aggregates.disposable_resolved,
             result_b.aggregates.disposable_resolved);
+  EXPECT_EQ(result_a.aggregates.unique_rrs, result_b.aggregates.unique_rrs);
+  EXPECT_EQ(result_a.aggregates.disposable_rrs,
+            result_b.aggregates.disposable_rrs);
+  EXPECT_EQ(result_a.evaluation.findings, result_b.evaluation.findings);
   EXPECT_EQ(result_a.evaluation.true_positive_findings,
             result_b.evaluation.true_positive_findings);
   EXPECT_EQ(result_a.evaluation.false_positive_findings,
             result_b.evaluation.false_positive_findings);
+  EXPECT_EQ(result_a.evaluation.unique_2lds, result_b.evaluation.unique_2lds);
+  EXPECT_EQ(result_a.evaluation.truth_zones_discovered,
+            result_b.evaluation.truth_zones_discovered);
+  EXPECT_EQ(result_a.evaluation.discovered_by_archetype,
+            result_b.evaluation.discovered_by_archetype);
 }
 
 TEST(WireGolden, ServeWithoutEnableReturnsNull) {
